@@ -12,7 +12,7 @@ verifies every promised identity; a single failure raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 from .errors import InputError, TheoremBreach
@@ -42,9 +42,9 @@ from .order import (
 )
 
 
-def is_filter(L: Frameish, X: Subset) -> bool:
+def is_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
     """Upper set containing the top and closed under binary meets."""
-    P = require_frame(L)
+    P = require_frame(L, cap)
     same_poset(P, X.poset)
     t = top_index(P)
     if not X.mask >> t & 1:
@@ -64,9 +64,10 @@ class FilterSet:
     """A subset of a frame validated to be a filter."""
 
     subset: Subset
+    cap: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
-        if not is_filter(self.subset.poset, self.subset):
+    def __post_init__(self, cap):
+        if not is_filter(self.subset.poset, self.subset, cap):
             raise InputError(
                 f"{{{', '.join(self.subset.labels)}}} is not a filter"
             )
@@ -91,15 +92,17 @@ def enumerate_filters(L: Frameish, cap: Optional[int] = None) -> list[FilterSet]
     P = require_frame(L, cap)
     check_cap("filter enumeration", P.n, cap, SUBSET_CAP)
     return [
-        FilterSet(Subset(P, m))
+        FilterSet(Subset(P, m), cap)
         for m in range(P.full_mask + 1)
-        if is_filter(P, Subset(P, m))
+        if is_filter(P, Subset(P, m), cap)
     ]
 
 
-def modus_ponens_check(L: Frameish, F: FilterSet) -> bool:
+def modus_ponens_check(
+    L: Frameish, F: FilterSet, cap: Optional[int] = None
+) -> bool:
     """Filters absorb implications: a and a => b in F force b in F."""
-    P = require_frame(L)
+    P = require_frame(L, cap)
     imp = _imp_table(P)
     for a in bits(F.mask):
         for b in range(P.n):
@@ -132,7 +135,7 @@ def open_nucleus(L: Frameish, a: str, cap: Optional[int] = None) -> Nucleus:
     return nu
 
 
-def oneker(nu: Nucleus) -> FilterSet:
+def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
     """The elements a nucleus sends to the top."""
     P = nu.poset
     t = top_index(P)
@@ -142,7 +145,7 @@ def oneker(nu: Nucleus) -> FilterSet:
     for i, v in enumerate(nu.table):
         if v == t:
             mask |= 1 << i
-    return FilterSet(Subset(P, mask))
+    return FilterSet(Subset(P, mask), cap)
 
 
 def fitnuc(L: Frameish, S: Subset, cap: Optional[int] = None) -> Nucleus:
@@ -167,7 +170,7 @@ def fitting(L: Frameish, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
                 "an open nucleus sits below a nucleus without sending "
                 f"{P.label(a)!r} to the top, or vice versa"
             )
-    result = fitnuc(L, oneker(nu).subset, cap)
+    result = fitnuc(L, oneker(nu, cap).subset, cap)
     if not pointwise_leq(result.op.map, nu.op.map):
         raise TheoremBreach("fitting escaped above its nucleus")
     return result
@@ -179,7 +182,7 @@ def is_fitted(L: Frameish, nu: Nucleus, cap: Optional[int] = None) -> bool:
 
 def nucfilt(L: Frameish, S: Subset, cap: Optional[int] = None) -> FilterSet:
     """Least nuclear filter containing S."""
-    return oneker(fitnuc(L, S, cap))
+    return oneker(fitnuc(L, S, cap), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +211,9 @@ def is_nuclear_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool
     P = require_frame(L, cap)
     same_poset(P, X.poset)
     by_scan = any(
-        oneker(nu).mask == X.mask for nu in enumerate_nuclei(L, cap)
+        oneker(nu, cap).mask == X.mask for nu in enumerate_nuclei(L, cap)
     )
-    by_galois = is_filter(L, X) and nucfilt(L, X, cap).mask == X.mask
+    by_galois = is_filter(L, X, cap) and nucfilt(L, X, cap).mask == X.mask
     if by_scan != by_galois:
         raise TheoremBreach(
             "kernel scan and Galois closure disagree on nuclear-filter "
@@ -221,11 +224,13 @@ def is_nuclear_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool
 
 def filters_report(L: Frameish, X: Subset, cap: Optional[int] = None) -> dict:
     return {
-        "is_filter": is_filter(L, X),
+        "is_filter": is_filter(L, X, cap),
         "is_scott_open": is_scott_open(L, X, cap),
         "is_nuclear_filter": is_nuclear_filter(L, X, cap),
         "modus_ponens": (
-            modus_ponens_check(L, FilterSet(X)) if is_filter(L, X) else None
+            modus_ponens_check(L, FilterSet(X, cap), cap)
+            if is_filter(L, X, cap)
+            else None
         ),
     }
 
@@ -325,7 +330,7 @@ def galois_identities_check(L: Frameish, cap: Optional[int] = None) -> dict:
         fS = fitnuc(L, S, cap)
         for nu in nucs:
             lhs = pointwise_leq(fS.op.map, nu.op.map)
-            rhs = smask & ~oneker(nu).mask == 0
+            rhs = smask & ~oneker(nu, cap).mask == 0
             if lhs != rhs:
                 raise TheoremBreach(
                     "Galois adjunction between fitnuc and oneker failed at "
@@ -335,13 +340,13 @@ def galois_identities_check(L: Frameish, cap: Optional[int] = None) -> dict:
             L, S, cap
         ).mask:
             raise TheoremBreach("nuclear-filter closure is not idempotent")
-        if fitnuc(L, oneker(fS).subset, cap).table != fS.table:
+        if fitnuc(L, oneker(fS, cap).subset, cap).table != fS.table:
             raise TheoremBreach(
                 "fitnuc of oneker of fitnuc did not reproduce fitnuc"
             )
     for nu in nucs:
-        V = oneker(nu)
-        if oneker(fitnuc(L, V.subset, cap)).mask != V.mask:
+        V = oneker(nu, cap)
+        if oneker(fitnuc(L, V.subset, cap), cap).mask != V.mask:
             raise TheoremBreach(
                 "oneker of fitnuc of oneker did not reproduce oneker"
             )
@@ -391,14 +396,14 @@ def hmj_correspondence(L: Frameish, cap: Optional[int] = None) -> dict:
             raise TheoremBreach(
                 "fitnuc of a Scott-open filter has a non-compact quotient"
             )
-        if oneker(nu).mask != F.mask:
+        if oneker(nu, cap).mask != F.mask:
             raise TheoremBreach(
                 "oneker does not invert fitnuc on a Scott-open filter"
             )
         pairs.append((F, nu))
         seen_tables.add(nu.table)
     for nu in compact_fitted:
-        V = oneker(nu)
+        V = oneker(nu, cap)
         if not is_scott_open(L, V.subset, cap):
             raise TheoremBreach(
                 "kernel of a compact fitted nucleus is not Scott-open"

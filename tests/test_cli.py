@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, formats, determinism, caps."""
 
 import json
+import sys
 
 import pytest
 
@@ -42,6 +43,18 @@ def files(tmp_path):
         "rules": write(
             "rules.json",
             [{"body": [], "head": "2"}, {"body": ["2"], "head": "1"}],
+        ),
+        "b3": write(
+            "b3.json",
+            {
+                "elements": ["0", "a", "b", "c", "ab", "ac", "bc", "1"],
+                "le": [
+                    ["0", "a"], ["0", "b"], ["0", "c"],
+                    ["a", "ab"], ["b", "ab"], ["a", "ac"],
+                    ["c", "ac"], ["b", "bc"], ["c", "bc"],
+                    ["ab", "1"], ["ac", "1"], ["bc", "1"],
+                ],
+            },
         ),
         "chain15": write(
             "chain15.json",
@@ -211,6 +224,21 @@ def test_force_lifts_cap(files, capsys):
     rc, out, _ = run(capsys, ["closure-systems", files["chain15"], "--force"])
     assert rc == 0
     assert json.loads(out)["count"] == 2 ** 14
+
+
+def test_force_reaches_every_hmj_check(files, capsys, monkeypatch):
+    # --force must reach every internal frame check, so with the library
+    # default cap lowered below the input size the report is unchanged
+    rc, want, _ = run(capsys, ["hmj", files["b3"]])
+    assert rc == 0
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("latkit") and hasattr(mod, "SUBSET_CAP"):
+            monkeypatch.setattr(mod, "SUBSET_CAP", 6)
+    rc, _, _ = run(capsys, ["hmj", files["b3"]])
+    assert rc == 2
+    rc, out, _ = run(capsys, ["hmj", files["b3"], "--force"])
+    assert rc == 0
+    assert out == want
 
 
 def test_cap_flag_and_env(files, capsys, monkeypatch):

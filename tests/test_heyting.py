@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from corpus import random_frame, random_prenucleus
+from corpus import (
+    random_frame,
+    random_meet_semilattice,
+    random_poset,
+    random_prenucleus,
+)
 from latkit import (
     ClosureOperator,
     Nucleus,
@@ -40,8 +45,29 @@ from latkit.errors import (
     NotPreframe,
     NotPrenucleus,
 )
-from latkit.heyting import implication_table, require_frame, require_preframe
+from latkit import heyting
+from latkit.heyting import (
+    FrameView,
+    implication_table,
+    require_frame,
+    require_preframe,
+)
 from latkit.maps import preserves_binary_meets
+from latkit.order import (
+    bits,
+    build_poset,
+    directed_subsets,
+    join_of,
+    meet_of,
+    meet_table,
+)
+
+
+def pentagon():
+    return build_poset(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+    )
 
 
 def test_structure_levels_on_fixtures():
@@ -51,8 +77,15 @@ def test_structure_levels_on_fixtures():
     assert validate_structure(fx.chain(5)).level == "frame"
     # complete but not distributive
     assert validate_structure(fx.diamond()).level == "preframe"
+    assert validate_structure(fx.diamond()).witness == (
+        "meet with 'a' does not distribute over the join of {b, c}"
+    )
+    assert validate_structure(pentagon()).witness == (
+        "meet with 'b' does not distribute over the join of {a, c}"
+    )
     # meet-semilattice without a top
     assert validate_structure(fx.topfree()).level == "preframe"
+    assert validate_structure(fx.topfree()).witness == "{} lacks a join or meet"
     # no binary meets at all
     assert validate_structure(fx.v4()).level is None
     assert validate_structure(fx.antichain(2)).level is None
@@ -67,6 +100,78 @@ def test_require_frame_and_preframe():
         require_frame(fx.topfree())
     with pytest.raises(NotPreframe):
         require_preframe(fx.v4())
+
+
+def reference_structure(P, mt):
+    """The frame check as a loop over every subset, one join_of per
+    image, with the meet table given."""
+    if mt is None:
+        return FrameView(P, None, "some pair of elements has no meet")
+    for dmask, dtop in directed_subsets(P, P.n):
+        for x in range(P.n):
+            img = 0
+            for d in bits(dmask):
+                img |= 1 << mt[x][d]
+            if join_of(P, img) != mt[x][dtop]:
+                return FrameView(
+                    P,
+                    "meet_semilattice",
+                    f"meet with {P.label(x)!r} does not distribute over "
+                    f"the directed join of {{{', '.join(P.labels_of(dmask))}}}",
+                )
+    for m in range(P.full_mask + 1):
+        if join_of(P, m) is None or meet_of(P, m) is None:
+            return FrameView(
+                P,
+                "preframe",
+                f"{{{', '.join(P.labels_of(m))}}} lacks a join or meet",
+            )
+    for x in range(P.n):
+        row = mt[x]
+        for m in range(P.full_mask + 1):
+            img = 0
+            for y in bits(m):
+                img |= 1 << row[y]
+            if join_of(P, img) != row[join_of(P, m)]:
+                return FrameView(
+                    P,
+                    "preframe",
+                    f"meet with {P.label(x)!r} does not distribute over "
+                    f"the join of {{{', '.join(P.labels_of(m))}}}",
+                )
+    return FrameView(P, "frame", None)
+
+
+def test_structure_matches_reference_loop():
+    rng = random.Random(44)
+    posets = [
+        fx.point(), fx.c2(), fx.c3(), fx.v4(), fx.b2(), fx.topfree(),
+        fx.diamond(), fx.chain(1), fx.chain(6), fx.antichain(0),
+        fx.antichain(1), fx.antichain(3), pentagon(),
+    ]
+    posets += [random_poset(rng, rng.randrange(1, 10)) for _ in range(60)]
+    posets += [random_meet_semilattice(rng, max_n=9) for _ in range(60)]
+    posets += [random_frame(rng, max_n=9) for _ in range(30)]
+    for P in posets:
+        got = validate_structure(P, cap=P.n)
+        want = reference_structure(P, meet_table(P))
+        assert (got.level, got.witness) == (want.level, want.witness), P
+
+
+def test_structure_matches_reference_on_planted_meets(monkeypatch):
+    # a corrupted meet table makes the directed stage fail for several
+    # x at once; the witness must still be the first (subset, x) pair
+    rng = random.Random(45)
+    for _ in range(40):
+        P = rng.choice([random_frame, random_meet_semilattice])(rng, max_n=8)
+        mt = [list(row) for row in meet_table(P)]
+        for _ in range(rng.randrange(1, 4)):
+            mt[rng.randrange(P.n)][rng.randrange(P.n)] = rng.randrange(P.n)
+        mt = tuple(tuple(row) for row in mt)
+        monkeypatch.setattr(heyting, "meet_table", lambda Q, mt=mt: mt)
+        got = heyting._validate_structure.__wrapped__(P)
+        want = reference_structure(P, mt)
+        assert (got.level, got.witness) == (want.level, want.witness), P
 
 
 def test_implication_table_on_b2():
