@@ -229,7 +229,7 @@ def _covering_edges(k: int, leq) -> list:
     return out
 
 
-def _common(f):
+def _output_options(f):
     for deco in (
         click.option(
             "--output",
@@ -245,6 +245,15 @@ def _common(f):
             show_default=True,
             help="Report format.",
         ),
+    ):
+        f = deco(f)
+    return f
+
+
+def _cap_options(f):
+    """Only for commands that enumerate: elsewhere the flags would be
+    accepted and ignored, so they are not offered."""
+    for deco in (
         click.option(
             "--force",
             is_flag=True,
@@ -276,7 +285,8 @@ def cli():
 
 @cli.command("validate")
 @click.argument("poset_file", metavar="POSET")
-@_common
+@_cap_options
+@_output_options
 def cmd_validate(poset_file, cap, force, fmt, output):
     """Parse a poset file and report its order-theoretic shape."""
     P = load_poset(poset_file)
@@ -320,7 +330,8 @@ def cmd_validate(poset_file, cap, force, fmt, output):
 
 @cli.command("closure-systems")
 @click.argument("poset_file", metavar="POSET")
-@_common
+@_cap_options
+@_output_options
 def cmd_closure_systems(poset_file, cap, force, fmt, output):
     """Enumerate every closure system and its closure operator."""
     P = load_poset(poset_file)
@@ -354,8 +365,8 @@ def cmd_closure_systems(poset_file, cap, force, fmt, output):
 @cli.command("generate")
 @click.argument("poset_file", metavar="POSET")
 @click.argument("map_files", metavar="MAP...", nargs=-1, required=True)
-@_common
-def cmd_generate(poset_file, map_files, cap, force, fmt, output):
+@_output_options
+def cmd_generate(poset_file, map_files, fmt, output):
     """Least closure operator above the given preclosure maps.
 
     Runs the fixpoint-intersection route and the iteration route and
@@ -398,8 +409,8 @@ def cmd_generate(poset_file, map_files, cap, force, fmt, output):
     help="Least fixpoint at or above this element "
     "(requires start <= f(start)); default: overall least fixpoint.",
 )
-@_common
-def cmd_tarski(poset_file, map_file, start, cap, force, fmt, output):
+@_output_options
+def cmd_tarski(poset_file, map_file, start, fmt, output):
     """Least fixpoint of an increasing map."""
     P = load_poset(poset_file)
     name, f = load_map(P, map_file)
@@ -423,7 +434,8 @@ def cmd_tarski(poset_file, map_file, start, cap, force, fmt, output):
 
 @cli.command("nuclei")
 @click.argument("poset_file", metavar="POSET")
-@_common
+@_cap_options
+@_output_options
 def cmd_nuclei(poset_file, cap, force, fmt, output):
     """Enumerate every nucleus on a preframe."""
     P = load_poset(poset_file)
@@ -459,7 +471,8 @@ def cmd_nuclei(poset_file, cap, force, fmt, output):
 
 @cli.command("heyting")
 @click.argument("poset_file", metavar="POSET")
-@_common
+@_cap_options
+@_output_options
 def cmd_heyting(poset_file, cap, force, fmt, output):
     """Heyting implication table of a frame."""
     P = load_poset(poset_file)
@@ -504,7 +517,8 @@ def _closure_from_file(P, path):
 @cli.command("nuclear-core")
 @click.argument("poset_file", metavar="POSET")
 @click.argument("map_file", metavar="MAP")
-@_common
+@_cap_options
+@_output_options
 def cmd_nuclear_core(poset_file, map_file, cap, force, fmt, output):
     """Greatest nucleus below a closure operator on a frame."""
     P = load_poset(poset_file)
@@ -533,7 +547,8 @@ def cmd_nuclear_core(poset_file, map_file, cap, force, fmt, output):
 @cli.command("least-nucleus")
 @click.argument("poset_file", metavar="POSET")
 @click.argument("map_file", metavar="MAP")
-@_common
+@_cap_options
+@_output_options
 def cmd_least_nucleus(poset_file, map_file, cap, force, fmt, output):
     """Least nucleus above a closure operator on a frame."""
     P = load_poset(poset_file)
@@ -561,7 +576,8 @@ def cmd_least_nucleus(poset_file, map_file, cap, force, fmt, output):
 
 @cli.command("hmj")
 @click.argument("poset_file", metavar="POSET")
-@_common
+@_cap_options
+@_output_options
 def cmd_hmj(poset_file, cap, force, fmt, output):
     """Match Scott-open filters with compact fitted quotients of a frame."""
     P = load_poset(poset_file)
@@ -618,7 +634,8 @@ def _rules_txt(p):
 
 @cmd_rules.command("default")
 @click.argument("poset_file", metavar="POSET")
-@_common
+@_cap_options
+@_output_options
 def cmd_rules_default(poset_file, cap, force, fmt, output):
     """The default closure rules of a poset: each subset concludes its
     maximal lower bounds."""
@@ -630,8 +647,8 @@ def cmd_rules_default(poset_file, cap, force, fmt, output):
 
 @cmd_rules.command("nuclear")
 @click.argument("poset_file", metavar="POSET")
-@_common
-def cmd_rules_nuclear(poset_file, cap, force, fmt, output):
+@_output_options
+def cmd_rules_nuclear(poset_file, fmt, output):
     """The nuclear closure rules of a meet-semilattice."""
     P = load_poset(poset_file)
     R = nuclear_rules(P)
@@ -646,7 +663,8 @@ def cmd_rules_nuclear(poset_file, cap, force, fmt, output):
     default="",
     help="Comma-separated labels to close under the rules (default: empty).",
 )
-@_common
+@_cap_options
+@_output_options
 def cmd_rules_close(poset_file, rule_file, start, cap, force, fmt, output):
     """Close a subset under a rule file's deductions."""
     P = load_poset(poset_file)
@@ -682,7 +700,8 @@ def cmd_rules_close(poset_file, rule_file, start, cap, force, fmt, output):
     show_default=True,
     help="Which powerset closure operator of the poset to analyse.",
 )
-@_common
+@_cap_options
+@_output_options
 def cmd_convexity(poset_file, which, cap, force, fmt, output):
     """Anti-exchange, funnel, and acyclicity analysis of a poset's
     closure-system operator."""
@@ -727,7 +746,8 @@ def cmd_convexity(poset_file, which, cap, force, fmt, output):
 @cli.command("sccore")
 @click.argument("poset_file", metavar="POSET")
 @click.argument("map_file", metavar="MAP")
-@_common
+@_cap_options
+@_output_options
 def cmd_sccore(poset_file, map_file, cap, force, fmt, output):
     """Greatest Scott-continuous closure operator below a closure
     operator, by formula and by scan, compared."""

@@ -9,7 +9,10 @@ assumptions.  The check stays exhaustive (every directed subset, every
 subset, every x), but it reads joins, meets and meet images from
 incremental bound and image tables (order.join_meet_tables and
 order.image_masks), in O(n 2^n) table steps rather than a bound scan
-per subset.
+per subset.  The one collapse used up front is the enumeration of the
+directed subsets: they are listed by their maximum (a finite subset is
+directed iff it is nonempty with a maximum), and the tests check that
+list against the pairwise definition of directedness.
 
 Implication a => b is the largest x with x meet a <= b.  The table is
 built once per frame and the adjunction law is verified at build time.
@@ -38,6 +41,7 @@ from .errors import (
 from .closure import (
     ClosureOperator,
     ClosureSystem,
+    _closure_system_masks,
     clsys,
     duality,
     generate_closure,
@@ -377,19 +381,12 @@ def nucleus_join(
 
 @functools.lru_cache(maxsize=None)
 def _nuclei_masks(P: FinitePoset) -> tuple[int, ...]:
+    # cap-free, like the cache it reads; every caller has passed a cap gate
     out = []
-    for m in _closure_masks_for(P):
+    for m in _closure_system_masks(P):
         if preserves_binary_meets(duality(ClosureSystem(Subset(P, m))).map):
             out.append(m)
     return tuple(out)
-
-
-def _closure_masks_for(P: FinitePoset) -> tuple[int, ...]:
-    # module-local alias so the cache above stays cap-free; callers have
-    # already passed the cap gate
-    from .closure import _closure_system_masks
-
-    return _closure_system_masks(P)
 
 
 def enumerate_nuclei(L: Frameish, cap: Optional[int] = None) -> list[Nucleus]:

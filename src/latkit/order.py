@@ -295,10 +295,9 @@ def join_meet_tables(P: FinitePoset) -> tuple[bytearray, bytearray]:
     """Join and meet of every subset, indexed by mask; P.n where none
     exists.
 
-    The common upper (lower) bounds of a mask are those of the mask
-    without its highest element, cut down to that element's row, and
-    the least (greatest) element is picked once per distinct bound set:
-    O(2^n) table steps for all 2^n subsets.
+    The least (greatest) element is picked once per distinct common
+    upper (lower) bound set from bound_sets: O(2^n) table steps for
+    all 2^n subsets.
     """
     return (
         _extremum_table(P, P.le, least_of),
@@ -306,10 +305,23 @@ def join_meet_tables(P: FinitePoset) -> tuple[bytearray, bytearray]:
     )
 
 
-def _extremum_table(P: FinitePoset, rows, extremum) -> bytearray:
+def bound_sets(P: FinitePoset, rows: Sequence[int]) -> array:
+    """Common bound set of every subset, indexed by mask: the elements
+    in rows[i] for every member i.  Rows P.le give the upper bounds,
+    rows P.down the lower bounds; the empty subset gets every element.
+
+    A mask's bound set is that of the mask without its highest element,
+    cut down to that element's row: O(2^n) table steps for all 2^n
+    subsets.
+    """
     bounds = array(_mask_word(P.n), [P.full_mask])
     for row in rows:
         bounds.extend([b & row for b in bounds])
+    return bounds
+
+
+def _extremum_table(P: FinitePoset, rows, extremum) -> bytearray:
+    bounds = bound_sets(P, rows)
     pick = {}
     for b in set(bounds):
         e = extremum(P, b)
@@ -446,17 +458,28 @@ def lattice_queries(P: FinitePoset, X: Subset) -> dict:
 @functools.lru_cache(maxsize=None)
 def _directed_subsets(P: FinitePoset) -> tuple[tuple[int, int], ...]:
     out = []
-    for mask in range(1, P.full_mask + 1):
-        if is_directed_mask(P, mask):
-            g = greatest_of(P, mask)
-            # a finite directed set has a maximum, which is its join
-            assert g is not None
-            out.append((mask, g))
+    for t in range(P.n):
+        top = 1 << t
+        below = P.down[t] & ~top
+        sub = below
+        while True:
+            out.append((sub | top, t))
+            if not sub:
+                break
+            sub = (sub - 1) & below
+    out.sort()
     return tuple(out)
 
 
 def directed_subsets(P: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[int, int], ...]:
-    """All directed subsets as (mask, join index) pairs, mask ascending."""
+    """All directed subsets as (mask, join index) pairs, mask ascending.
+
+    A finite subset is directed iff it is nonempty and has a maximum,
+    which is its join.  So the list is built per top t, as t together
+    with each subset of the elements strictly below t, and then sorted:
+    its cost follows the number of directed subsets, not 2^n.  The
+    tests check it against the pairwise definition (is_directed_mask).
+    """
     check_cap("directed-subset enumeration", P.n, cap, DIRECTED_CAP)
     return _directed_subsets(P)
 
@@ -548,13 +571,13 @@ def is_default_enabled(P: FinitePoset, cap: Optional[int] = None) -> bool:
     """Every set of lower bounds has a ceiling.
 
     True for every finite poset; the check is definitional so the claim
-    is verified rather than assumed.
+    is verified rather than assumed.  Each distinct lower-bound set in
+    bound_sets is checked once.
     """
     check_cap("default-enabledness", P.n, cap, SUBSET_CAP)
-    for mask in range(P.full_mask + 1):
-        if not has_ceiling_mask(P, lower_bounds_mask(P, mask)):
-            return False
-    return True
+    return all(
+        has_ceiling_mask(P, lb) for lb in set(bound_sets(P, P.down))
+    )
 
 
 def is_default_enabled_within(

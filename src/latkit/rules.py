@@ -24,6 +24,7 @@ from .order import (
     FinitePoset,
     Subset,
     bits,
+    bound_sets,
     check_cap,
     lower_bounds_mask,
     maximal_mask,
@@ -199,16 +200,25 @@ def rul(op, cap: Optional[int] = None) -> RuleSet:
 
 @functools.lru_cache(maxsize=None)
 def _default_rules(P: FinitePoset) -> RuleSet:
-    out = []
-    for bmask in range(P.full_mask + 1):
-        lb = lower_bounds_mask(P, bmask)
-        for h in bits(maximal_mask(P, lb)):
-            out.append(ClosureRule(P, bmask, h))
-    return RuleSet(P, tuple(out))
+    lower = bound_sets(P, P.down)
+    heads = {lb: tuple(bits(maximal_mask(P, lb))) for lb in set(lower)}
+    return RuleSet(
+        P,
+        tuple(
+            ClosureRule(P, bmask, h)
+            for bmask, lb in enumerate(lower)
+            for h in heads[lb]
+        ),
+    )
 
 
 def default_rules(P: FinitePoset, cap: Optional[int] = None) -> RuleSet:
-    """One rule per body and maximal lower bound of that body."""
+    """One rule per body and maximal lower bound of that body.
+
+    The lower bounds of every body come from order.bound_sets, and the
+    maximal elements are taken once per distinct lower-bound set.
+    Rules are listed in body-mask order, then head order.
+    """
     check_cap("default-rule generation", P.n, cap, SUBSET_CAP)
     return _default_rules(P)
 

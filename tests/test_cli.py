@@ -56,6 +56,16 @@ def files(tmp_path):
                 ],
             },
         ),
+        "b3join_a": write(
+            "b3join_a.json",
+            {
+                "name": "join_a",
+                "table": {
+                    "0": "a", "a": "a", "b": "ab", "c": "ac",
+                    "ab": "ab", "ac": "ac", "bc": "1", "1": "1",
+                },
+            },
+        ),
         "chain15": write(
             "chain15.json",
             {
@@ -226,19 +236,60 @@ def test_force_lifts_cap(files, capsys):
     assert json.loads(out)["count"] == 2 ** 14
 
 
-def test_force_reaches_every_hmj_check(files, capsys, monkeypatch):
-    # --force must reach every internal frame check, so with the library
-    # default cap lowered below the input size the report is unchanged
-    rc, want, _ = run(capsys, ["hmj", files["b3"]])
+CAPPED = {
+    "validate": [],
+    "heyting": [],
+    "nuclei": [],
+    "hmj": [],
+    "least-nucleus": ["b3join_a"],
+    "nuclear-core": ["b3join_a"],
+    "closure-systems": [],
+    "sccore": ["b3join_a"],
+    "rules default": [],
+    "convexity": [],
+}
+
+
+def _command_id(command):
+    return command.replace(" ", "-")
+
+
+@pytest.mark.parametrize("command", list(CAPPED), ids=_command_id)
+def test_force_reaches_every_check(files, capsys, monkeypatch, command):
+    # --force must reach every internal capped call, so with the library
+    # default caps lowered below the input size the report is unchanged
+    argv = command.split() + [files["b3"]] + [files[k] for k in CAPPED[command]]
+    rc, want, _ = run(capsys, argv)
     assert rc == 0
     for name, mod in list(sys.modules.items()):
-        if name.startswith("latkit") and hasattr(mod, "SUBSET_CAP"):
-            monkeypatch.setattr(mod, "SUBSET_CAP", 6)
-    rc, _, _ = run(capsys, ["hmj", files["b3"]])
+        if name.startswith("latkit"):
+            for cap in ("SUBSET_CAP", "DIRECTED_CAP", "CONVEXITY_CAP"):
+                if hasattr(mod, cap):
+                    monkeypatch.setattr(mod, cap, 6)
+    rc, _, _ = run(capsys, argv)
     assert rc == 2
-    rc, out, _ = run(capsys, ["hmj", files["b3"], "--force"])
+    rc, out, _ = run(capsys, argv + ["--force"])
     assert rc == 0
     assert out == want
+
+
+UNCAPPED = {
+    "generate": ["c3", "step"],
+    "tarski": ["c3", "step"],
+    "rules nuclear": ["b2"],
+}
+
+
+@pytest.mark.parametrize("command", list(UNCAPPED), ids=_command_id)
+@pytest.mark.parametrize("flag", [["--force"], ["--cap", "5"]], ids=["force", "cap"])
+def test_uncapped_commands_reject_cap_flags(files, capsys, command, flag):
+    # these commands enumerate nothing, so a cap flag is a usage error
+    argv = command.split() + [files[k] for k in UNCAPPED[command]]
+    rc, _, _ = run(capsys, argv)
+    assert rc == 0
+    rc, _, err = run(capsys, argv + flag)
+    assert rc == 1
+    assert "no such option" in err.lower()
 
 
 def test_cap_flag_and_env(files, capsys, monkeypatch):

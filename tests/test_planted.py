@@ -1,0 +1,120 @@
+"""Planted bugs in the enumerated lists that route pairs read.
+
+Each test first runs the route pair clean, then makes one list wrong
+and expects the cross-check to raise TheoremBreach in the library and
+the CLI to exit 3.
+"""
+
+import json
+import sys
+
+import pytest
+
+from latkit import fixtures as fx
+from latkit import closure, heyting, order
+from latkit.cli import main
+from latkit.closure import ClosureOperator, clsys
+from latkit.errors import TheoremBreach
+from latkit.heyting import nuclear_core
+from latkit.maps import identity_map, is_scott_continuous
+from latkit.order import Subset
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    # a planted list must not hide behind a cached result, nor leave one
+    # behind for later tests
+    def clear():
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("latkit"):
+                for obj in vars(mod).values():
+                    if hasattr(obj, "cache_clear"):
+                        obj.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.fixture
+def b2_files(tmp_path):
+    def write(name, doc):
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    return {
+        "poset": write(
+            "b2.json",
+            {
+                "elements": ["0", "a", "b", "1"],
+                "le": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+            },
+        ),
+        "gam": write(
+            "gam.json", {"table": {"0": "0", "a": "1", "b": "1", "1": "1"}}
+        ),
+        "id": write(
+            "id.json", {"table": {"0": "0", "a": "a", "b": "b", "1": "1"}}
+        ),
+    }
+
+
+def _without(masks, drop):
+    return tuple(m for m in masks if m != drop)
+
+
+def test_dropped_closure_system_breaks_clsys(monkeypatch):
+    P = fx.c3()
+    X = Subset.of(P, ["1", "2"])
+    assert clsys(X, method="both").mask == X.mask
+    real = closure._closure_system_masks
+    monkeypatch.setattr(
+        closure, "_closure_system_masks", lambda Q: _without(real(Q), X.mask)
+    )
+    with pytest.raises(TheoremBreach):
+        clsys(X, method="both")
+
+
+def test_wrong_directed_top_breaks_scott_continuity(
+    monkeypatch, b2_files, capsys
+):
+    P = fx.b2()
+    f = identity_map(P)
+    assert is_scott_continuous(f)
+    argv = ["sccore", b2_files["poset"], b2_files["gam"]]
+    assert main(argv) == 0
+    real = order._directed_subsets
+    d, top = P.mask_of(["0", "a"]), P.index("1")
+    monkeypatch.setattr(
+        order,
+        "_directed_subsets",
+        lambda Q: tuple((m, top if m == d else t) for m, t in real(Q)),
+    )
+    with pytest.raises(TheoremBreach):
+        is_scott_continuous(f)
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def test_dropped_closure_system_breaks_nuclear_core(
+    monkeypatch, b2_files, capsys
+):
+    # the identity is its own nuclear core; drop its fixpoint set, the
+    # whole frame, from the list the nuclei are enumerated from
+    P = fx.b2()
+    gamma = ClosureOperator(identity_map(P))
+    assert nuclear_core(P, gamma).table == gamma.table
+    argv = ["nuclear-core", b2_files["poset"], b2_files["id"]]
+    assert main(argv) == 0
+    real = heyting._closure_system_masks
+    monkeypatch.setattr(
+        heyting,
+        "_closure_system_masks",
+        lambda Q: _without(real(Q), Q.full_mask),
+    )
+    monkeypatch.setattr(heyting, "_nuclei_masks", heyting._nuclei_masks.__wrapped__)
+    with pytest.raises(TheoremBreach):
+        nuclear_core(P, gamma)
+    assert main(argv) == 3
+    capsys.readouterr()
