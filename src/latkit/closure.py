@@ -13,8 +13,7 @@ application.  The two routes are never merged; tests compare them.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -45,6 +44,7 @@ from .order import (
     Subset,
     bottom_index,
     check_cap,
+    derived,
     directed_subsets,
     join_of,
     least_of,
@@ -99,11 +99,20 @@ class ClosureOperator:
         return f"ClosureOperator({self.map.as_labels()!r})"
 
 
-def is_closure_system_mask(P: FinitePoset, mask: int) -> bool:
+def _closure_table(P: FinitePoset, mask: int) -> Optional[tuple[int, ...]]:
+    """x -> the least member of mask at or above x, or None as soon as
+    some x has none."""
+    table = []
     for x in range(P.n):
-        if least_of(P, mask & P.le[x]) is None:
-            return False
-    return True
+        v = least_of(P, mask & P.le[x])
+        if v is None:
+            return None
+        table.append(v)
+    return tuple(table)
+
+
+def is_closure_system_mask(P: FinitePoset, mask: int) -> bool:
+    return _closure_table(P, mask) is not None
 
 
 def is_closure_system(X: Subset) -> bool:
@@ -113,15 +122,22 @@ def is_closure_system(X: Subset) -> bool:
 
 @dataclass(frozen=True)
 class ClosureSystem:
-    """A subset validated to be a closure system."""
+    """A subset validated to be a closure system.
+
+    The validation computes the least member above every element, and
+    that table is kept for duality.
+    """
 
     subset: Subset
+    _table: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_closure_system(self.subset):
+        table = _closure_table(self.subset.poset, self.subset.mask)
+        if table is None:
             raise NotAClosureSystem(
                 f"{{{', '.join(self.subset.labels)}}} is not a closure system"
             )
+        object.__setattr__(self, "_table", table)
 
     @property
     def poset(self) -> FinitePoset:
@@ -146,13 +162,7 @@ def duality(C) -> ClosureOperator:
     """
     if isinstance(C, Subset):
         C = ClosureSystem(C)
-    P = C.poset
-    table = []
-    for x in range(P.n):
-        v = least_of(P, C.mask & P.le[x])
-        assert v is not None  # guaranteed by ClosureSystem validation
-        table.append(v)
-    return ClosureOperator(EndoMap(P, tuple(table)))
+    return ClosureOperator(EndoMap(C.poset, C._table))
 
 
 def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
@@ -160,7 +170,6 @@ def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
     return ClosureSystem(gamma.fix)
 
 
-@functools.lru_cache(maxsize=None)
 def _closure_system_masks(P: FinitePoset) -> tuple[int, ...]:
     masks = [0]
     for x in sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)):
@@ -186,7 +195,7 @@ def closure_system_masks(P: FinitePoset, cap: Optional[int] = None) -> tuple[int
     system, so the cost follows the number of systems, not 2^n.
     """
     check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
-    return _closure_system_masks(P)
+    return derived(P, _closure_system_masks)
 
 
 def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:

@@ -25,7 +25,6 @@ route over the full enumeration of nuclei; disagreement raises, loudly.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -62,6 +61,7 @@ from .order import (
     Subset,
     bits,
     check_cap,
+    derived,
     directed_subsets,
     image_masks,
     join_meet_tables,
@@ -101,7 +101,6 @@ def _first_difference(a: bytes, b: bytes) -> int:
     return next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
-@functools.lru_cache(maxsize=None)
 def _validate_structure(P: FinitePoset) -> FrameView:
     mt = meet_table(P)
     if mt is None:
@@ -160,7 +159,7 @@ def _validate_structure(P: FinitePoset) -> FrameView:
 
 def validate_structure(P: FinitePoset, cap: Optional[int] = None) -> FrameView:
     check_cap("structure validation", P.n, cap, SUBSET_CAP)
-    return _validate_structure(P)
+    return derived(P, _validate_structure)
 
 
 def require_frame(L: Frameish, cap: Optional[int] = None) -> FinitePoset:
@@ -183,10 +182,10 @@ def require_preframe(L: Frameish, cap: Optional[int] = None) -> FinitePoset:
 # implication
 
 
-@functools.lru_cache(maxsize=None)
 def _imp_table(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
     """imp[a][b] = largest x with x meet a <= b.  Frame assumed; the
-    adjunction law is verified here once and breaches are fatal."""
+    adjunction law is verified here once and breaches are fatal.  Read
+    it through derived(P, _imp_table)."""
     mt = meet_table(P)
     assert mt is not None
     n = P.n
@@ -219,19 +218,19 @@ def _imp_table(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
 
 def implication_table(L: Frameish, cap: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     P = require_frame(L, cap)
-    return _imp_table(P)
+    return derived(P, _imp_table)
 
 
 def heyting_implication(L: Frameish, a: str, b: str, cap: Optional[int] = None) -> str:
     P = require_frame(L, cap)
-    imp = _imp_table(P)
+    imp = derived(P, _imp_table)
     return P.label(imp[P.index(a)][P.index(b)])
 
 
 def adjunction_check(L: Frameish, cap: Optional[int] = None) -> bool:
     """x <= (a => b) iff x meet a <= b, for all triples."""
     P = require_frame(L, cap)
-    imp = _imp_table(P)
+    imp = derived(P, _imp_table)
     mt = meet_table(P)
     for x in range(P.n):
         for a in range(P.n):
@@ -243,7 +242,7 @@ def adjunction_check(L: Frameish, cap: Optional[int] = None) -> bool:
 
 def impl_image_mask(P: FinitePoset, amask: int, bmask: int) -> int:
     """Mask of all (a => b) with a in amask, b in bmask."""
-    imp = _imp_table(P)
+    imp = derived(P, _imp_table)
     out = 0
     for a in bits(amask):
         for b in bits(bmask):
@@ -379,25 +378,36 @@ def nucleus_join(
         ) from e
 
 
-@functools.lru_cache(maxsize=None)
-def _nuclei_masks(P: FinitePoset) -> tuple[int, ...]:
-    # cap-free, like the cache it reads; every caller has passed a cap gate
+def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
+    # cap-free, like the closure systems it reads; every caller has
+    # passed a cap gate.  Each closure system's operator is built and
+    # validated once per poset; those that preserve binary meets become
+    # nuclei, through the validating constructor.
     out = []
-    for m in _closure_system_masks(P):
-        if preserves_binary_meets(duality(ClosureSystem(Subset(P, m))).map):
-            out.append(m)
+    for m in sorted(
+        derived(P, _closure_system_masks), key=lambda m: (-popcount(m), m)
+    ):
+        op = duality(ClosureSystem(Subset(P, m)))
+        if preserves_binary_meets(op.map):
+            out.append(Nucleus(op))
     return tuple(out)
+
+
+def _nuclei_masks(P: FinitePoset) -> frozenset[int]:
+    # the fixpoint sets of the nuclei; cap-free, like _nuclei
+    return frozenset(nu.fix_mask for nu in derived(P, _nuclei))
 
 
 def enumerate_nuclei(L: Frameish, cap: Optional[int] = None) -> list[Nucleus]:
     """All nuclei, listed along a linear extension of the pointwise
-    order: larger fixpoint sets (smaller nuclei) first."""
+    order: larger fixpoint sets (smaller nuclei) first.  They are built
+    once per poset; later calls pass the same gates and return the
+    same nuclei."""
     P = _poset_of(L)
     if meet_table(P) is None:
         raise NotMeetSemilattice("nuclei need pairwise meets")
     check_cap("nucleus enumeration", P.n, cap, SUBSET_CAP)
-    masks = sorted(_nuclei_masks(P), key=lambda m: (-popcount(m), m))
-    return [Nucleus(duality(ClosureSystem(Subset(P, m)))) for m in masks]
+    return list(derived(P, _nuclei))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +423,7 @@ def is_nuclear_system(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    by_enum = X.mask in _nuclei_masks(P)
+    by_enum = X.mask in derived(P, _nuclei_masks)
     by_impl = is_closure_system(X) and (
         impl_image_mask(P, P.full_mask, X.mask) & ~X.mask == 0
     )
@@ -441,10 +451,10 @@ def nucsys(
     by_def = by_formula = None
     if method in ("definitional", "both"):
         inter = P.full_mask
-        for m in _nuclei_masks(P):
+        for m in derived(P, _nuclei_masks):
             if X.mask & ~m == 0:
                 inter &= m
-        if inter not in _nuclei_masks(P):
+        if inter not in derived(P, _nuclei_masks):
             raise TheoremBreach(
                 "intersection of nuclear systems is not a nuclear system"
             )
@@ -469,7 +479,7 @@ def nuc_map(L: Frameish, X: Subset, cap: Optional[int] = None) -> Nucleus:
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    imp = _imp_table(P)
+    imp = derived(P, _imp_table)
     table = []
     for y in range(P.n):
         vals = 0
@@ -520,7 +530,7 @@ def least_nucleus_above(
     """
     P = require_frame(L, cap)
     same_poset(P, gamma.poset)
-    imp = _imp_table(P)
+    imp = derived(P, _imp_table)
     mt = meet_table(P)
     cmask = gamma.fix_mask
 

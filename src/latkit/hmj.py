@@ -33,6 +33,7 @@ from .order import (
     Subset,
     bits,
     check_cap,
+    derived,
     directed_subsets,
     join_of,
     meet_table,
@@ -42,21 +43,26 @@ from .order import (
 )
 
 
+def _is_filter_mask(P: FinitePoset, t: int, mt, mask: int) -> bool:
+    """Upper set containing the top t and closed under the meets in mt."""
+    if not mask >> t & 1:
+        return False
+    if upper_closure_mask(P, mask) != mask:
+        return False
+    members = tuple(bits(mask))
+    for a in members:
+        row = mt[a]
+        for b in members:
+            if not mask >> row[b] & 1:
+                return False
+    return True
+
+
 def is_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
     """Upper set containing the top and closed under binary meets."""
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    t = top_index(P)
-    if not X.mask >> t & 1:
-        return False
-    if upper_closure_mask(P, X.mask) != X.mask:
-        return False
-    mt = meet_table(P)
-    for a in bits(X.mask):
-        for b in bits(X.mask):
-            if not X.mask >> mt[a][b] & 1:
-                return False
-    return True
+    return _is_filter_mask(P, top_index(P), meet_table(P), X.mask)
 
 
 @dataclass(frozen=True)
@@ -89,12 +95,16 @@ class FilterSet:
 
 
 def enumerate_filters(L: Frameish, cap: Optional[int] = None) -> list[FilterSet]:
+    """Every filter, in mask order.  The frame check, the top and the
+    meet table are read once for the scan; each filter found is then
+    validated again as a FilterSet."""
     P = require_frame(L, cap)
     check_cap("filter enumeration", P.n, cap, SUBSET_CAP)
+    t, mt = top_index(P), meet_table(P)
     return [
         FilterSet(Subset(P, m), cap)
         for m in range(P.full_mask + 1)
-        if is_filter(P, Subset(P, m), cap)
+        if _is_filter_mask(P, t, mt, m)
     ]
 
 
@@ -103,7 +113,7 @@ def modus_ponens_check(
 ) -> bool:
     """Filters absorb implications: a and a => b in F force b in F."""
     P = require_frame(L, cap)
-    imp = _imp_table(P)
+    imp = derived(P, _imp_table)
     for a in bits(F.mask):
         for b in range(P.n):
             if F.mask >> imp[a][b] & 1 and not F.mask >> b & 1:
@@ -115,24 +125,35 @@ def modus_ponens_check(
 # open and fitted nuclei
 
 
+def _open_nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
+    # cap-free; open_nucleus checks the frame and its cap on every call
+    imp = derived(P, _imp_table)
+    out = []
+    for ai, row in enumerate(imp):
+        try:
+            nu = Nucleus(ClosureOperator(EndoMap(P, row)))
+        except InputError as e:
+            raise TheoremBreach(
+                f"open map at {P.label(ai)!r} is not a nucleus: {e}"
+            ) from e
+        want = 0
+        for v in row:
+            want |= 1 << v
+        if nu.fix_mask != want:
+            raise TheoremBreach(
+                f"fixpoints of the open nucleus at {P.label(ai)!r} are not "
+                "its implication image"
+            )
+        out.append(nu)
+    return tuple(out)
+
+
 def open_nucleus(L: Frameish, a: str, cap: Optional[int] = None) -> Nucleus:
-    """x -> (a => x).  Fixpoints are the implications out of a."""
+    """x -> (a => x).  Fixpoints are the implications out of a.  The
+    open nuclei of a frame are built and checked once per poset."""
     P = require_frame(L, cap)
-    imp = _imp_table(P)
     ai = P.index(a)
-    try:
-        nu = Nucleus(ClosureOperator(EndoMap(P, imp[ai])))
-    except InputError as e:
-        raise TheoremBreach(f"open map at {a!r} is not a nucleus: {e}") from e
-    want = 0
-    for x in range(P.n):
-        want |= 1 << imp[ai][x]
-    if nu.fix_mask != want:
-        raise TheoremBreach(
-            f"fixpoints of the open nucleus at {a!r} are not its "
-            "implication image"
-        )
-    return nu
+    return derived(P, _open_nuclei)[ai]
 
 
 def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:

@@ -17,6 +17,7 @@ from .order import (
     FinitePoset,
     Subset,
     bits,
+    derived,
     directed_subsets,
     join_of,
     meet_table,
@@ -107,14 +108,20 @@ def is_descending(f: EndoMap) -> bool:
     return all(f.poset.le[v] >> i & 1 for i, v in enumerate(f.table))
 
 
+def _strict_ups(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    """ups[i] = the indices strictly above i, ascending."""
+    return tuple(tuple(bits(row & ~(1 << i))) for i, row in enumerate(P.le))
+
+
 def is_increasing(f: EndoMap) -> bool:
     """x <= y implies f(x) <= f(y)."""
     P = f.poset
+    le = P.le
     t = f.table
-    for i in range(P.n):
-        fi = t[i]
-        for j in bits(P.le[i]):
-            if not P.le[fi] >> t[j] & 1:
+    for i, ups in enumerate(derived(P, _strict_ups)):
+        row = le[t[i]]
+        for j in ups:
+            if not row >> t[j] & 1:
                 return False
     return True
 

@@ -12,7 +12,6 @@ labels at the boundary.
 
 from __future__ import annotations
 
-import functools
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -65,6 +64,8 @@ class FinitePoset:
     le: tuple[int, ...]
     down: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pos: dict = field(init=False, repr=False, compare=False)
+    # builder -> value, filled by derived(); dies with the poset
+    _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.elements)
@@ -104,6 +105,7 @@ class FinitePoset:
         object.__setattr__(
             self, "_pos", {lab: i for i, lab in enumerate(self.elements)}
         )
+        object.__setattr__(self, "_derived", {})
 
     @property
     def n(self) -> int:
@@ -198,7 +200,7 @@ def same_poset(*posets) -> FinitePoset:
     """All arguments must be the identical poset; returns it."""
     first = posets[0]
     for p in posets[1:]:
-        if p != first:
+        if p is not first and p != first:
             raise MixedPosets("operands belong to different posets")
     return first
 
@@ -238,6 +240,22 @@ def build_poset(labels: Sequence[str], pairs: Iterable[Sequence[str]]) -> Finite
                     f"cycle through {labels[i]!r} and {labels[j]!r}"
                 )
     return FinitePoset(labels, tuple(rows))
+
+
+def derived(P: FinitePoset, build):
+    """build(P), computed on the first call for this poset and kept on
+    it, so later calls skip both the work and any hashing of the poset.
+
+    The value is keyed by the builder itself and freed with the poset.
+    Builders are cap-free: every public caller checks its cap first, on
+    every call, and only then reads the cached value.
+    """
+    cache = P._derived
+    try:
+        return cache[build]
+    except KeyError:
+        value = cache[build] = build(P)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +473,6 @@ def lattice_queries(P: FinitePoset, X: Subset) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=None)
 def _directed_subsets(P: FinitePoset) -> tuple[tuple[int, int], ...]:
     out = []
     for t in range(P.n):
@@ -481,15 +498,14 @@ def directed_subsets(P: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[i
     tests check it against the pairwise definition (is_directed_mask).
     """
     check_cap("directed-subset enumeration", P.n, cap, DIRECTED_CAP)
-    return _directed_subsets(P)
+    return derived(P, _directed_subsets)
 
 
-@functools.lru_cache(maxsize=None)
 def _way_below(P: FinitePoset) -> tuple[int, ...]:
     """wb[x] = mask of all y with x way below y."""
     n = P.n
     wb = list(P.le)  # x way below y forces x <= y (take D = {y})
-    for dmask, top in _directed_subsets(P):
+    for dmask, top in derived(P, _directed_subsets):
         ys = P.down[top]
         for x in range(n):
             if not P.le[x] & dmask:
@@ -499,7 +515,7 @@ def _way_below(P: FinitePoset) -> tuple[int, ...]:
 
 def way_below_relation(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
     check_cap("way-below relation", P.n, cap, DIRECTED_CAP)
-    return _way_below(P)
+    return derived(P, _way_below)
 
 
 def way_below(P: FinitePoset, a: str, b: str, cap: Optional[int] = None) -> bool:
@@ -619,9 +635,12 @@ def enabledness(P: FinitePoset, X: Optional[Subset] = None, cap: Optional[int] =
 # structure predicates and subposets
 
 
-@functools.lru_cache(maxsize=None)
 def meet_table(P: FinitePoset) -> Optional[tuple[tuple[int, ...], ...]]:
     """Pairwise meet table, or None when some pair has no meet."""
+    return derived(P, _meet_table)
+
+
+def _meet_table(P: FinitePoset) -> Optional[tuple[tuple[int, ...], ...]]:
     n = P.n
     rows = []
     for i in range(n):

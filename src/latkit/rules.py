@@ -14,7 +14,6 @@ respectively, which is what the tests lean on.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -26,6 +25,7 @@ from .order import (
     bits,
     bound_sets,
     check_cap,
+    derived,
     lower_bounds_mask,
     maximal_mask,
     meet_table,
@@ -198,7 +198,6 @@ def rul(op, cap: Optional[int] = None) -> RuleSet:
 # default rules
 
 
-@functools.lru_cache(maxsize=None)
 def _default_rules(P: FinitePoset) -> RuleSet:
     lower = bound_sets(P, P.down)
     heads = {lb: tuple(bits(maximal_mask(P, lb))) for lb in set(lower)}
@@ -220,7 +219,7 @@ def default_rules(P: FinitePoset, cap: Optional[int] = None) -> RuleSet:
     Rules are listed in body-mask order, then head order.
     """
     check_cap("default-rule generation", P.n, cap, SUBSET_CAP)
-    return _default_rules(P)
+    return derived(P, _default_rules)
 
 
 def is_default_rule(P: FinitePoset, body: Subset, head: str) -> bool:
@@ -253,7 +252,6 @@ def rel_impl_max(P: FinitePoset, a: str, b: str) -> Subset:
     return Subset(P, maximal_mask(P, star.mask))
 
 
-@functools.lru_cache(maxsize=None)
 def _nuclear_rules(P: FinitePoset) -> RuleSet:
     seen = set()
     out = []
@@ -272,7 +270,7 @@ def nuclear_rules(P: FinitePoset) -> RuleSet:
     x meet a <= b for some a."""
     if meet_table(P) is None:
         raise NotMeetSemilattice(f"{P!r} has a pair with no meet")
-    return _nuclear_rules(P)
+    return derived(P, _nuclear_rules)
 
 
 def is_nuclear_enabled(P: FinitePoset, cap: Optional[int] = None) -> bool:

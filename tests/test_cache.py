@@ -1,0 +1,82 @@
+"""Derived data lives on the poset: built once, freed with it, and
+still behind every cap gate."""
+
+import gc
+import sys
+import weakref
+
+import pytest
+
+import latkit.cli
+from latkit import fixtures as fx
+from latkit.closure import clsys, closure_system_masks
+from latkit.errors import CapExceeded
+from latkit.heyting import Nucleus, enumerate_nuclei
+from latkit.hmj import hmj_correspondence
+from latkit.order import Subset, derived, directed_subsets
+from latkit.rules import default_rules
+
+
+def test_no_module_level_caches():
+    assert latkit.cli  # with it, every latkit module is imported
+    for name, mod in list(sys.modules.items()):
+        if name == "latkit" or name.startswith("latkit."):
+            for attr, obj in vars(mod).items():
+                assert not hasattr(obj, "cache_clear"), f"{name}.{attr}"
+
+
+def test_derived_data_dies_with_the_poset():
+    P = fx.b2()
+    hmj_correspondence(P)
+    default_rules(P)
+    clsys(Subset.of(P, ["a"]), method="both")
+    assert P._derived
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is None
+
+
+def test_derived_builds_once_per_poset():
+    calls = []
+
+    def build(Q):
+        calls.append(Q)
+        return object()
+
+    P, Q = fx.b2(), fx.b2()
+    assert derived(P, build) is derived(P, build)
+    assert derived(Q, build) is not derived(P, build)
+    assert calls == [P, Q]
+
+
+def test_second_enumeration_builds_no_nucleus(monkeypatch):
+    P = fx.b2()
+    first = enumerate_nuclei(P)
+    inits = []
+    real = Nucleus.__post_init__
+
+    def counting(self):
+        inits.append(self)
+        real(self)
+
+    monkeypatch.setattr(Nucleus, "__post_init__", counting)
+    second = enumerate_nuclei(P)
+    assert inits == []
+    assert [nu.table for nu in second] == [nu.table for nu in first]
+    # a fresh, equal poset builds its own nuclei
+    assert len(enumerate_nuclei(fx.b2())) == len(first)
+    assert len(inits) == len(first)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [enumerate_nuclei, directed_subsets, closure_system_masks, default_rules],
+    ids=lambda f: f.__name__,
+)
+def test_warm_cache_still_enforces_caps(call):
+    P = fx.b2()
+    call(P)
+    with pytest.raises(CapExceeded):
+        call(P, cap=P.n - 1)
+    call(P, cap=P.n)

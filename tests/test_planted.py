@@ -2,11 +2,11 @@
 
 Each test first runs the route pair clean, then makes one list wrong
 and expects the cross-check to raise TheoremBreach in the library and
-the CLI to exit 3.
+the CLI to exit 3.  Derived data is kept on the poset that it was
+built for, so a planted builder is run on a poset built after planting.
 """
 
 import json
-import sys
 
 import pytest
 
@@ -18,22 +18,6 @@ from latkit.errors import TheoremBreach
 from latkit.heyting import nuclear_core
 from latkit.maps import identity_map, is_scott_continuous
 from latkit.order import Subset
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    # a planted list must not hide behind a cached result, nor leave one
-    # behind for later tests
-    def clear():
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("latkit"):
-                for obj in vars(mod).values():
-                    if hasattr(obj, "cache_clear"):
-                        obj.cache_clear()
-
-    clear()
-    yield
-    clear()
 
 
 @pytest.fixture
@@ -72,6 +56,8 @@ def test_dropped_closure_system_breaks_clsys(monkeypatch):
     monkeypatch.setattr(
         closure, "_closure_system_masks", lambda Q: _without(real(Q), X.mask)
     )
+    P = fx.c3()
+    X = Subset.of(P, ["1", "2"])
     with pytest.raises(TheoremBreach):
         clsys(X, method="both")
 
@@ -91,6 +77,8 @@ def test_wrong_directed_top_breaks_scott_continuity(
         "_directed_subsets",
         lambda Q: tuple((m, top if m == d else t) for m, t in real(Q)),
     )
+    P = fx.b2()
+    f = identity_map(P)
     with pytest.raises(TheoremBreach):
         is_scott_continuous(f)
     assert main(argv) == 3
@@ -113,7 +101,8 @@ def test_dropped_closure_system_breaks_nuclear_core(
         "_closure_system_masks",
         lambda Q: _without(real(Q), Q.full_mask),
     )
-    monkeypatch.setattr(heyting, "_nuclei_masks", heyting._nuclei_masks.__wrapped__)
+    P = fx.b2()
+    gamma = ClosureOperator(identity_map(P))
     with pytest.raises(TheoremBreach):
         nuclear_core(P, gamma)
     assert main(argv) == 3
