@@ -12,7 +12,6 @@ run under their own, smaller default cap.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -39,8 +38,8 @@ class PowersetOperator:
     """A closure operator on the powerset of a poset's elements.
 
     Wraps a strategy function from mask to mask.  Construction checks
-    ascent, monotonicity and idempotence: exhaustively up to 10
-    elements, by fixed-seed spot samples above that.  Applications are
+    ascent, monotonicity and idempotence exhaustively, on every subset;
+    each constructor gates the size by its cap first.  Applications are
     memoized per instance.
     """
 
@@ -52,14 +51,8 @@ class PowersetOperator:
     )
 
     def __post_init__(self):
-        n = self.universe.n
         full = self.universe.full_mask
-        if n <= 10:
-            pool = range(full + 1)
-        else:
-            rng = random.Random(11)
-            pool = [rng.randrange(full + 1) for _ in range(200)]
-        for m in pool:
+        for m in range(full + 1):
             c = self.apply_mask(m)
             if m & ~c:
                 raise InputError(

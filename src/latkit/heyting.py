@@ -21,6 +21,11 @@ A nucleus is a closure operator preserving binary meets.  The formulas
 here (nucsys, the double-implication nucleus, regular nuclei, core and
 least nucleus above) are each paired with an independent brute-force
 route over the full enumeration of nuclei; disagreement raises, loudly.
+That enumeration rests on the definition alone, never on implication:
+a top-down descent over partial closure tables keeps a branch only
+while it preserves the meets it has decided, so the cost follows the
+number of nuclei rather than the number of closure systems, and the
+tests check the list against a filter of every closure system.
 """
 
 from __future__ import annotations
@@ -39,10 +44,7 @@ from .errors import (
 )
 from .closure import (
     ClosureOperator,
-    ClosureSystem,
-    _closure_system_masks,
     clsys,
-    duality,
     generate_closure,
     is_closure_system,
 )
@@ -379,18 +381,37 @@ def nucleus_join(
 
 
 def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
-    # cap-free, like the closure systems it reads; every caller has
-    # passed a cap gate.  Each closure system's operator is built and
-    # validated once per poset; those that preserve binary meets become
-    # nuclei, through the validating constructor.
-    out = []
-    for m in sorted(
-        derived(P, _closure_system_masks), key=lambda m: (-popcount(m), m)
-    ):
-        op = duality(ClosureSystem(Subset(P, m)))
-        if preserves_binary_meets(op.map):
-            out.append(Nucleus(op))
-    return tuple(out)
+    # cap-free; every caller has passed a meet check and a cap gate.
+    # The descent is described in enumerate_nuclei.  Both members of an
+    # incomparable pair lie strictly above their meet, so they are
+    # decided before it; comparable pairs need no check, because a
+    # closure table is monotone.
+    mt = meet_table(P)
+    le, n = P.le, P.n
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not (le[x] >> y & 1 or le[y] >> x & 1):
+                pairs[mt[x][y]].append((x, y))
+    states = [(0, [0] * n)]
+    for z in sorted(range(n), key=lambda i: (popcount(le[i]), i)):
+        bit, row, zpairs = 1 << z, le[z], pairs[z]
+        grown = []
+        for kept, c in states:
+            choices = [(kept | bit, z)]
+            below = least_of(P, kept & row)
+            if below is not None:
+                choices.append((kept, below))
+            for m, v in choices:
+                if all(mt[c[x]][c[y]] == v for x, y in zpairs):
+                    t = c.copy()
+                    t[z] = v
+                    grown.append((m, t))
+        states = grown
+    states.sort(key=lambda s: (-popcount(s[0]), s[0]))
+    return tuple(
+        Nucleus(ClosureOperator(EndoMap(P, tuple(c)))) for _, c in states
+    )
 
 
 def _nuclei_masks(P: FinitePoset) -> frozenset[int]:
@@ -400,9 +421,17 @@ def _nuclei_masks(P: FinitePoset) -> frozenset[int]:
 
 def enumerate_nuclei(L: Frameish, cap: Optional[int] = None) -> list[Nucleus]:
     """All nuclei, listed along a linear extension of the pointwise
-    order: larger fixpoint sets (smaller nuclei) first.  They are built
-    once per poset; later calls pass the same gates and return the
-    same nuclei."""
+    order: larger fixpoint sets (smaller nuclei) first.
+
+    Built top-down: the elements are decided in ascending order of
+    their principal upper sets' size, carrying the closure table so
+    far.  Keeping z fixes it; leaving z out sends it to the least kept
+    element above it, which must exist.  A branch survives only if
+    c(x meet y) = c(x) meet c(y) for every incomparable pair with meet
+    z, both of which are decided before z.  Every leaf is a nucleus and
+    is validated once through the Nucleus constructor.  The nuclei are
+    built once per poset; later calls pass the same gates and return
+    the same nuclei."""
     P = _poset_of(L)
     if meet_table(P) is None:
         raise NotMeetSemilattice("nuclei need pairwise meets")

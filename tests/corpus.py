@@ -144,13 +144,14 @@ def _intersection_family(rng: random.Random, max_n: int):
 
 
 def random_frame(
-    rng: random.Random, max_n: int = 6, tries: int = 400
+    rng: random.Random, max_n: int = 6, tries: int = 400, max_q: int = 3
 ) -> FinitePoset:
-    """Random finite frame: the downset lattice of a small random poset,
-    ordered by inclusion.  Downset lattices are exactly the finite
-    distributive lattices, so no post-validation is needed."""
+    """Random finite frame: the downset lattice of a random poset of at
+    most max_q elements, ordered by inclusion.  Downset lattices are
+    exactly the finite distributive lattices, so no post-validation is
+    needed."""
     for _ in range(tries):
-        q = rng.randrange(0, 4)
+        q = rng.randrange(0, max_q + 1)
         if q == 0:
             down = [0]
         else:

@@ -46,6 +46,18 @@ def test_table_operator_validates():
         table_operator(A, {(): ()})
 
 
+def test_table_operator_checks_every_subset_above_ten_elements():
+    # the identity, except that {"9"} goes to the empty set: monotone
+    # and idempotent, and not ascending at that one subset only
+    A = fx.antichain(11)
+    table = {}
+    for m in range(A.full_mask + 1):
+        labels = A.labels_of(m)
+        table[labels] = () if labels == ("9",) else labels
+    with pytest.raises(InputError, match="not ascending"):
+        table_operator(A, table, cap=11)
+
+
 def test_clsys_operator_matches_clsys():
     rng = random.Random(61)
     for _ in range(30):

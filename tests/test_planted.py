@@ -1,9 +1,10 @@
 """Planted bugs in the enumerated lists that route pairs read.
 
 Each test first runs the route pair clean, then makes one list wrong
-and expects the cross-check to raise TheoremBreach in the library and
-the CLI to exit 3.  Derived data is kept on the poset that it was
-built for, so a planted builder is run on a poset built after planting.
+and expects the cross-check to raise TheoremBreach in the library and,
+where a command runs the pair, the CLI to exit 3.  Derived data is kept
+on the poset that it was built for, so a planted builder is run on a
+poset built after planting.
 """
 
 import json
@@ -15,7 +16,7 @@ from latkit import closure, heyting, order
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
 from latkit.errors import TheoremBreach
-from latkit.heyting import nuclear_core
+from latkit.heyting import is_nuclear_system, least_nucleus_above, nuclear_core
 from latkit.maps import identity_map, is_scott_continuous
 from latkit.order import Subset
 
@@ -85,25 +86,62 @@ def test_wrong_directed_top_breaks_scott_continuity(
     capsys.readouterr()
 
 
+def _plant_dropped_nucleus(monkeypatch, fix_mask):
+    # a nuclei builder that leaves out the nucleus with this fixpoint set
+    real = heyting._nuclei
+    monkeypatch.setattr(
+        heyting,
+        "_nuclei",
+        lambda Q: tuple(nu for nu in real(Q) if nu.fix_mask != fix_mask),
+    )
+
+
 def test_dropped_closure_system_breaks_nuclear_core(
     monkeypatch, b2_files, capsys
 ):
     # the identity is its own nuclear core; drop its fixpoint set, the
-    # whole frame, from the list the nuclei are enumerated from
+    # whole frame, from the enumerated nuclei
     P = fx.b2()
     gamma = ClosureOperator(identity_map(P))
     assert nuclear_core(P, gamma).table == gamma.table
     argv = ["nuclear-core", b2_files["poset"], b2_files["id"]]
     assert main(argv) == 0
-    real = heyting._closure_system_masks
-    monkeypatch.setattr(
-        heyting,
-        "_closure_system_masks",
-        lambda Q: _without(real(Q), Q.full_mask),
-    )
+    _plant_dropped_nucleus(monkeypatch, P.full_mask)
     P = fx.b2()
     gamma = ClosureOperator(identity_map(P))
     with pytest.raises(TheoremBreach):
         nuclear_core(P, gamma)
     assert main(argv) == 3
     capsys.readouterr()
+
+
+def test_dropped_identity_nucleus_breaks_least_nucleus(
+    monkeypatch, b2_files, capsys
+):
+    # the identity is the least nucleus above itself; without it the
+    # nuclei above the identity have no least member
+    P = fx.b2()
+    gamma = ClosureOperator(identity_map(P))
+    assert least_nucleus_above(P, gamma).table == gamma.table
+    argv = ["least-nucleus", b2_files["poset"], b2_files["id"]]
+    assert main(argv) == 0
+    _plant_dropped_nucleus(monkeypatch, P.full_mask)
+    P = fx.b2()
+    gamma = ClosureOperator(identity_map(P))
+    with pytest.raises(TheoremBreach):
+        least_nucleus_above(P, gamma)
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def test_dropped_nucleus_breaks_nuclear_system_check(monkeypatch):
+    # {a, 1} is the fixpoint set of a nucleus on B2; once that nucleus
+    # is dropped, enumeration and the implication test disagree on it
+    P = fx.b2()
+    X = Subset.of(P, ["a", "1"])
+    assert is_nuclear_system(P, X)
+    _plant_dropped_nucleus(monkeypatch, X.mask)
+    P = fx.b2()
+    X = Subset.of(P, ["a", "1"])
+    with pytest.raises(TheoremBreach):
+        is_nuclear_system(P, X)
