@@ -34,7 +34,6 @@ from .convexity import (
     clsys_operator,
     convexity_checks,
     dcclsys_operator,
-    funnel_check,
 )
 from .errors import CapExceeded, InputError, ParseError, TheoremBreach
 from .heyting import (
@@ -709,8 +708,8 @@ def cmd_convexity(poset_file, which, cap, force, fmt, output):
     c = _cap_value(cap, force, P.n)
     op = clsys_operator(P, c) if which == "clsys" else dcclsys_operator(P, c)
     conv = convexity_checks(op, c)
-    fun = funnel_check(op, P, c)
     acy = acyclicity(op, "poset_order", c)
+    fun = acy["funnel_report"]
     payload = {
         "operator": which,
         "anti_exchange": conv["anti_exchange"],

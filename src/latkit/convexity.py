@@ -6,14 +6,16 @@ clsys and dcclsys operators, and it is one candidate funnel.
 
 The anti-exchange property and its closed-set reformulation are
 computed separately and compared; so are the three equivalent funnel
-conditions.  Quantifier sweeps here cost 3^n to 4^n, so these checks
-run under their own, smaller default cap.
+conditions.  An operator is a table of all 2^n images, built and
+checked once; every check below reads that table.  The sweeps cost up
+to 3^n table reads, in the funnel's search for witness subsets, so
+these checks run under their own, smaller default cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, NotAPreorder, TheoremBreach
 from .closure import closure_system_masks
@@ -26,10 +28,10 @@ from .order import (
     check_cap,
     same_poset,
 )
-from .rules import RuleSet, rule_closure_mask
+from .rules import RuleSet
 
-# quantifying over pairs of subsets is 4^n; keep the default tighter
-# than the global subset cap
+# the funnel's witness search quantifies over nested pairs of subsets,
+# 3^n; keep the default tighter than the global subset cap
 CONVEXITY_CAP = 10
 
 
@@ -37,35 +39,37 @@ CONVEXITY_CAP = 10
 class PowersetOperator:
     """A closure operator on the powerset of a poset's elements.
 
-    Wraps a strategy function from mask to mask.  Construction checks
-    ascent, monotonicity and idempotence exhaustively, on every subset;
-    each constructor gates the size by its cap first.  Applications are
-    memoized per instance.
+    Construction applies the strategy function to every mask once and
+    keeps the images in `table`, indexed by mask.  It then checks, on
+    every subset, that no image escapes the universe and that the
+    operator is ascending, idempotent and monotone; each constructor
+    gates the size by its cap first.
     """
 
     universe: FinitePoset
     kind: str
-    _fn: Callable = field(repr=False, compare=False)
-    _memo: dict = field(
-        default_factory=dict, repr=False, compare=False, init=False
-    )
+    fn: InitVar[Callable]
+    table: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, fn: Callable):
         full = self.universe.full_mask
-        for m in range(full + 1):
-            c = self.apply_mask(m)
+        cl = tuple(fn(m) for m in range(full + 1))
+        if any(c & ~full for c in cl):
+            raise InputError(f"{self.kind}: image escapes the universe")
+        object.__setattr__(self, "table", cl)
+        for m, c in enumerate(cl):
             if m & ~c:
                 raise InputError(
                     f"{self.kind}: not ascending at "
                     f"{{{', '.join(self.universe.labels_of(m))}}}"
                 )
-            if self.apply_mask(c) != c:
+            if cl[c] != c:
                 raise InputError(
                     f"{self.kind}: not idempotent at "
                     f"{{{', '.join(self.universe.labels_of(m))}}}"
                 )
             for e in bits(full & ~m):
-                if c & ~self.apply_mask(m | 1 << e):
+                if c & ~cl[m | 1 << e]:
                     raise InputError(
                         f"{self.kind}: not monotone when adding "
                         f"{self.universe.label(e)!r} to "
@@ -73,36 +77,47 @@ class PowersetOperator:
                     )
 
     def apply_mask(self, mask: int) -> int:
-        memo = self._memo
-        if mask in memo:
-            return memo[mask]
-        out = self._fn(mask)
-        if out & ~self.universe.full_mask:
-            raise InputError(f"{self.kind}: image escapes the universe")
-        memo[mask] = out
-        return out
+        # a negative index would wrap around the table
+        if not 0 <= mask <= self.universe.full_mask:
+            raise InputError(f"{self.kind}: mask {mask} outside the universe")
+        return self.table[mask]
 
     def apply(self, X: Subset) -> Subset:
         same_poset(self.universe, X.poset)
-        return Subset(self.universe, self.apply_mask(X.mask))
+        return Subset(self.universe, self.table[X.mask])
 
     def closed_masks(self) -> list[int]:
-        full = self.universe.full_mask
-        return [m for m in range(full + 1) if self.apply_mask(m) == m]
+        return [m for m, c in enumerate(self.table) if c == m]
+
+
+def _least_closed_above(full: int, closed: Iterable[int]) -> list[int]:
+    """Image of every mask under the meet of the closed sets above it.
+
+    Closed sets are given by mask; the universe counts as closed.  A
+    mask that is not closed has the same closed supersets as its
+    one-point extensions together, so one downward pass over the masks
+    takes the meet of those extensions' images: n 2^n steps.
+    """
+    t = [-1] * (full + 1)
+    for s in closed:
+        t[s] = s
+    for m in range(full, -1, -1):
+        if t[m] >= 0:
+            continue
+        out = full
+        rest = full & ~m
+        while rest:
+            low = rest & -rest
+            out &= t[m | low]
+            rest ^= low
+        t[m] = out
+    return t
 
 
 def clsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
     """Least-closure-system operator as a powerset closure operator."""
-    systems = closure_system_masks(P, cap)
-
-    def fn(mask: int) -> int:
-        out = P.full_mask
-        for s in systems:
-            if mask & ~s == 0:
-                out &= s
-        return out
-
-    return PowersetOperator(P, "clsys", fn)
+    table = _least_closed_above(P.full_mask, closure_system_masks(P, cap))
+    return PowersetOperator(P, "clsys", table.__getitem__)
 
 
 def dcclsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
@@ -112,22 +127,30 @@ def dcclsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOpera
         for m in closure_system_masks(P, cap)
         if directed_closed(Subset(P, m), cap)
     ]
-
-    def fn(mask: int) -> int:
-        out = P.full_mask
-        for s in systems:
-            if mask & ~s == 0:
-                out &= s
-        return out
-
-    return PowersetOperator(P, "dcclsys", fn)
+    table = _least_closed_above(P.full_mask, systems)
+    return PowersetOperator(P, "dcclsys", table.__getitem__)
 
 
 def rule_closure_operator(R: RuleSet, cap: Optional[int] = None) -> PowersetOperator:
-    check_cap("rule powerset operator", R.poset.n, cap, SUBSET_CAP)
-    return PowersetOperator(
-        R.poset, "rules", lambda m: rule_closure_mask(R, m)
-    )
+    """Closure under a rule set, as a powerset operator.
+
+    heads[m] collects the heads of every rule whose body lies inside m;
+    m obeys the rules when all of them are in m, and the closure of a
+    mask is the meet of the obeying sets above it."""
+    P = R.poset
+    check_cap("rule powerset operator", P.n, cap, SUBSET_CAP)
+    full = P.full_mask
+    heads = [0] * (full + 1)
+    for b, h in R._heads_by_body().items():
+        heads[b] |= h
+    for e in range(P.n):
+        bit = 1 << e
+        for m in range(full + 1):
+            if m & bit:
+                heads[m] |= heads[m ^ bit]
+    closed = [m for m in range(full + 1) if heads[m] & ~m == 0]
+    table = _least_closed_above(full, closed)
+    return PowersetOperator(P, "rules", table.__getitem__)
 
 
 def table_operator(
@@ -164,14 +187,15 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
     P = op.universe
     check_cap("convexity analysis", P.n, cap, CONVEXITY_CAP)
     full = P.full_mask
+    cl = op.table
     ae_witness = None
     for m in range(full + 1):
-        cm = op.apply_mask(m)
+        cm = cl[m]
         out = full & ~cm
         for y in bits(out):
-            cmy = op.apply_mask(m | 1 << y)
+            cmy = cl[m | 1 << y]
             for x in bits(cmy & out & ~(1 << y)):
-                if op.apply_mask(m | 1 << x) >> y & 1:
+                if cl[m | 1 << x] >> y & 1:
                     ae_witness = (
                         P.labels_of(m),
                         P.label(x),
@@ -188,9 +212,7 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
         outs = list(bits(out))
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
-                if op.apply_mask(c | 1 << outs[i]) == op.apply_mask(
-                    c | 1 << outs[j]
-                ):
+                if cl[c | 1 << outs[i]] == cl[c | 1 << outs[j]]:
                     cas_witness = (
                         P.labels_of(c),
                         P.label(outs[i]),
@@ -263,19 +285,20 @@ def funnel_check(
     check_cap("funnel analysis", P.n, cap, CONVEXITY_CAP)
     rows = _preorder_rows(P, preorder)
     full = P.full_mask
+    cl = op.table
 
     # (1) for every X and y in the closure of X, some Z <= X with y
     # below all of Z has y in its closure
     cond1 = True
     wit1 = None
     for m in range(full + 1):
-        cm = op.apply_mask(m)
+        cm = cl[m]
         for y in bits(cm):
             base = m & rows[y]
             found = False
             z = base
             while True:
-                if op.apply_mask(z) >> y & 1:
+                if cl[z] >> y & 1:
                     found = True
                     break
                 if z == 0:
@@ -297,9 +320,9 @@ def funnel_check(
     cond2 = True
     wit2 = None
     for m in range(full + 1):
-        cm = op.apply_mask(m)
+        cm = cl[m]
         for u in uppers:
-            if cm & u & ~op.apply_mask(m & u):
+            if cm & u & ~cl[m & u]:
                 cond2 = False
                 wit2 = (P.labels_of(m), P.labels_of(u))
                 break
@@ -311,9 +334,9 @@ def funnel_check(
     cond3 = True
     wit3 = None
     for m in range(full + 1):
-        cm = op.apply_mask(m)
+        cm = cl[m]
         for y in range(P.n):
-            if cm & rows[y] & ~op.apply_mask(m & rows[y]):
+            if cm & rows[y] & ~cl[m & rows[y]]:
                 cond3 = False
                 wit3 = (P.labels_of(m), P.label(y))
                 break
@@ -334,10 +357,10 @@ def funnel_check(
     )
     if cond1 and antisymmetric:
         for m in range(full + 1):
-            cm = op.apply_mask(m)
+            cm = cl[m]
             out = full & ~cm
             for y in bits(out):
-                cmy = op.apply_mask(m | 1 << y)
+                cmy = cl[m | 1 << y]
                 for x in bits(cmy & out & ~(1 << y)):
                     if not rows[x] >> y & 1:
                         raise TheoremBreach(
@@ -385,6 +408,7 @@ def acyclicity(
         raise ValueError(f"unknown mode {mode!r}")
     check_cap("acyclicity search", P.n, cap, 5)
     n = P.n
+    cl = op.table
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen = set()
     for assignment in range(3 ** len(pairs)):
@@ -413,9 +437,9 @@ def acyclicity(
         # cheap screen first, full three-way check only on success
         screen = True
         for m in range(P.full_mask + 1):
-            cm = op.apply_mask(m)
+            cm = cl[m]
             for y in range(n):
-                if cm & rows[y] & ~op.apply_mask(m & rows[y]):
+                if cm & rows[y] & ~cl[m & rows[y]]:
                     screen = False
                     break
             if not screen:

@@ -193,6 +193,32 @@ def test_convexity_command(files, capsys):
     assert json.loads(out)["is_convex_geometry"]
 
 
+def test_convexity_command_checks_the_funnel_once(files, capsys, monkeypatch):
+    import latkit.cli
+    import latkit.convexity
+
+    calls = []
+    real = latkit.convexity.funnel_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(latkit.convexity, "funnel_check", counted)
+    # a direct call from the command counts as well
+    monkeypatch.setattr(latkit.cli, "funnel_check", counted, raising=False)
+    for argv in (
+        ["convexity", files["c3"]],
+        ["convexity", files["b2"], "--operator", "dcclsys"],
+    ):
+        calls.clear()
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert len(calls) == 1
+        doc = json.loads(out)
+        assert doc["acyclic"] == doc["poset_order_is_funnel"]
+
+
 def test_sccore_command(files, capsys):
     rc, out, _ = run(capsys, ["sccore", files["b2"], files["gam"]])
     assert rc == 0

@@ -8,6 +8,7 @@ from corpus import random_poset
 from latkit import (
     CapExceeded,
     InputError,
+    PowersetOperator,
     acyclicity,
     clsys,
     clsys_operator,
@@ -19,7 +20,7 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit.order import Subset
-from latkit.rules import default_rules
+from latkit.rules import ClosureRule, RuleSet, default_rules, rule_closure_mask
 
 
 def planted_non_convex():
@@ -56,6 +57,20 @@ def test_table_operator_checks_every_subset_above_ten_elements():
         table[labels] = () if labels == ("9",) else labels
     with pytest.raises(InputError, match="not ascending"):
         table_operator(A, table, cap=11)
+
+
+def test_image_escaping_the_universe_is_rejected():
+    A = fx.antichain(2)
+    with pytest.raises(InputError, match="image escapes the universe"):
+        PowersetOperator(A, "escape", lambda m: m | 1 << A.n)
+
+
+def test_apply_mask_rejects_masks_outside_the_universe():
+    op = clsys_operator(fx.c3())
+    assert op.apply_mask(op.universe.full_mask) == op.universe.full_mask
+    for mask in (-1, op.universe.full_mask + 1):
+        with pytest.raises(InputError):
+            op.apply_mask(mask)
 
 
 def test_clsys_operator_matches_clsys():
@@ -143,6 +158,30 @@ def test_rule_closure_operator_agrees_with_clsys():
         op2 = clsys_operator(P)
         for m in range(P.full_mask + 1):
             assert op1.apply_mask(m) == op2.apply_mask(m)
+
+
+def test_rule_closure_operator_matches_worklist_closure():
+    # arbitrary rule sets, not only those whose closed sets are the
+    # closure systems
+    rng = random.Random(65)
+    for _ in range(40):
+        P = random_poset(rng, rng.randrange(1, 7))
+        R = RuleSet(
+            P,
+            tuple(
+                ClosureRule(P, rng.randrange(P.full_mask + 1), rng.randrange(P.n))
+                for _ in range(rng.randrange(10))
+            ),
+        )
+        op = rule_closure_operator(R)
+        for m in range(P.full_mask + 1):
+            assert op.apply_mask(m) == rule_closure_mask(R, m)
+
+
+def test_rule_closure_operator_at_fourteen_elements():
+    P = fx.chain(14)
+    op = rule_closure_operator(default_rules(P, cap=14), cap=14)
+    assert op.table == clsys_operator(P, cap=14).table
 
 
 def test_convexity_cap_guard():

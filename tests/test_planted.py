@@ -12,7 +12,7 @@ import json
 import pytest
 
 from latkit import fixtures as fx
-from latkit import closure, heyting, order
+from latkit import closure, convexity, heyting, order
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
 from latkit.errors import TheoremBreach
@@ -145,3 +145,24 @@ def test_dropped_nucleus_breaks_nuclear_system_check(monkeypatch):
     X = Subset.of(P, ["a", "1"])
     with pytest.raises(TheoremBreach):
         is_nuclear_system(P, X)
+
+
+def test_dropped_empty_closed_set_breaks_anti_exchange(monkeypatch):
+    # on two points whose singletons both close to the pair, anti-exchange
+    # fails at the empty set; without the empty set among the closed
+    # sets, the closed-set form has nowhere to find its witness
+    A = fx.antichain(2)
+    bad = convexity.table_operator(
+        A,
+        {(): (), ("0",): ("0", "1"), ("1",): ("0", "1"), ("0", "1"): ("0", "1")},
+    )
+    rep = convexity.convexity_checks(bad)
+    assert not rep["anti_exchange"] and not rep["closed_set_form"]
+    real = convexity.PowersetOperator.closed_masks
+    monkeypatch.setattr(
+        convexity.PowersetOperator,
+        "closed_masks",
+        lambda op: _without(real(op), 0),
+    )
+    with pytest.raises(TheoremBreach):
+        convexity.convexity_checks(bad)
