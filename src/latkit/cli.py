@@ -35,13 +35,12 @@ from .convexity import (
     convexity_checks,
     dcclsys_operator,
 )
-from .errors import CapExceeded, InputError, ParseError, TheoremBreach
+from .errors import CapExceeded, InputError, ParseError, TheoremBreach, agree
 from .heyting import (
     enumerate_nuclei,
     implication_table,
     least_nucleus_above,
     nuclear_core,
-    require_frame,
     validate_structure,
 )
 from .hmj import hmj_correspondence
@@ -170,26 +169,6 @@ def _cap_value(cap, force, size):
     return None
 
 
-def _emit(text: str, output):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _render(payload, fmt, text_fn, dot_fn=None, command=""):
-    if fmt == "json":
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    if fmt == "text":
-        return text_fn(payload)
-    if dot_fn is None:
-        raise InputError(
-            f"'{command}' has no dot view; use --format json or text"
-        )
-    return dot_fn()
-
-
 def _set_str(labels) -> str:
     return "{" + ", ".join(labels) + "}"
 
@@ -197,6 +176,14 @@ def _set_str(labels) -> str:
 def _table_str(table: dict) -> str:
     w = max(len(k) for k in table)
     return "\n".join(f"  {k.ljust(w)} -> {v}" for k, v in table.items())
+
+
+def _table_view(title: str, key: str):
+    """Text view of a payload holding a map table and its fixpoints."""
+    return lambda p: (
+        f"{title}:\n{_table_str(p[key])}\n"
+        f"fixpoints: {_set_str(p['fixpoints'])}\n"
+    )
 
 
 def _dot_quote(s: str) -> str:
@@ -228,47 +215,40 @@ def _covering_edges(k: int, leq) -> list:
     return out
 
 
-def _output_options(f):
-    for deco in (
-        click.option(
-            "--output",
-            type=click.Path(dir_okay=False, writable=True),
-            default=None,
-            help="Write the report to this file instead of stdout.",
-        ),
-        click.option(
-            "--format",
-            "fmt",
-            type=click.Choice(["json", "dot", "text"]),
-            default="json",
-            show_default=True,
-            help="Report format.",
-        ),
-    ):
-        f = deco(f)
-    return f
+# Only commands that enumerate take the cap flags: elsewhere they would
+# be accepted and ignored, so they are not offered.
+_CAP_OPTIONS = (
+    click.option(
+        "--cap",
+        type=click.IntRange(min=1),
+        default=None,
+        help="Enumeration size cap (default: built-in limits, "
+        "or the LATKIT_CAP environment variable).",
+    ),
+    click.option(
+        "--force",
+        is_flag=True,
+        help="Lift enumeration caps to the input's size. "
+        "Potentially very slow, never unsound.",
+    ),
+)
 
-
-def _cap_options(f):
-    """Only for commands that enumerate: elsewhere the flags would be
-    accepted and ignored, so they are not offered."""
-    for deco in (
-        click.option(
-            "--force",
-            is_flag=True,
-            help="Lift enumeration caps to the input's size. "
-            "Potentially very slow, never unsound.",
-        ),
-        click.option(
-            "--cap",
-            type=click.IntRange(min=1),
-            default=None,
-            help="Enumeration size cap (default: built-in limits, "
-            "or the LATKIT_CAP environment variable).",
-        ),
-    ):
-        f = deco(f)
-    return f
+_OUTPUT_OPTIONS = (
+    click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(["json", "dot", "text"]),
+        default="json",
+        show_default=True,
+        help="Report format.",
+    ),
+    click.option(
+        "--output",
+        type=click.Path(dir_okay=False, writable=True),
+        default=None,
+        help="Write the report to this file instead of stdout.",
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +262,59 @@ def cli():
     filter/quotient correspondences, closure rules, convexity."""
 
 
-@cli.command("validate")
-@click.argument("poset_file", metavar="POSET")
-@_cap_options
-@_output_options
-def cmd_validate(poset_file, cap, force, fmt, output):
+def _command(name, *params, group=cli, capped=True):
+    """Declare a command taking POSET, then its own params, then --cap
+    and --force when capped, then --format and --output.
+
+    The body gets the loaded poset, its own parameters and, when capped,
+    the resolved cap.  It returns the JSON payload, the text view (a
+    function of the payload) and the dot view (a function of nothing),
+    or None where the command has no dot view.
+    """
+    command = name if group is cli else f"{group.name} {name}"
+
+    def declare(body):
+        def run(poset_file, fmt, output, **kw):
+            P = load_poset(poset_file)
+            if capped:
+                kw["cap"] = _cap_value(kw["cap"], kw.pop("force"), P.n)
+            payload, text, dot = body(P, **kw)
+            if fmt == "json":
+                report = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+            elif fmt == "text":
+                report = text(payload)
+            elif dot is None:
+                raise InputError(
+                    f"'{command}' has no dot view; use --format json or text"
+                )
+            else:
+                report = dot()
+            if output:
+                with open(output, "w", encoding="utf-8") as fh:
+                    fh.write(report)
+            else:
+                click.echo(report, nl=False)
+
+        run.__doc__ = body.__doc__
+        for deco in reversed((
+            click.argument("poset_file", metavar="POSET"),
+            *params,
+            *(_CAP_OPTIONS if capped else ()),
+            *_OUTPUT_OPTIONS,
+        )):
+            run = deco(run)
+        return group.command(name)(run)
+
+    return declare
+
+
+_MAP = click.argument("map_file", metavar="MAP")
+
+
+@_command("validate")
+def cmd_validate(P, cap):
     """Parse a poset file and report its order-theoretic shape."""
-    P = load_poset(poset_file)
-    c = _cap_value(cap, force, P.n)
-    view = validate_structure(P, c)
+    view = validate_structure(P, cap)
     bot = bottom_index(P)
     top = top_index(P)
     cov = covers(P)
@@ -321,27 +345,18 @@ def cmd_validate(poset_file, cap, force, fmt, output):
         )
         return "\n".join(lines) + "\n"
 
-    def dot():
-        return _dot_digraph(P.elements, cov)
-
-    _emit(_render(payload, fmt, txt, dot, "validate"), output)
+    return payload, txt, lambda: _dot_digraph(P.elements, cov)
 
 
-@cli.command("closure-systems")
-@click.argument("poset_file", metavar="POSET")
-@_cap_options
-@_output_options
-def cmd_closure_systems(poset_file, cap, force, fmt, output):
+@_command("closure-systems")
+def cmd_closure_systems(P, cap):
     """Enumerate every closure system and its closure operator."""
-    P = load_poset(poset_file)
-    c = _cap_value(cap, force, P.n)
-    rep = enumerate_cl_lattice(P, c)
+    rep = enumerate_cl_lattice(P, cap)
     systems = rep["closure_systems"]
-    ops = rep["closure_operators"]
     payload = {
         "count": len(systems),
         "systems": [list(S.labels) for S in systems],
-        "operators": [op.map.as_labels() for op in ops],
+        "operators": [op.map.as_labels() for op in rep["closure_operators"]],
     }
 
     def txt(p):
@@ -358,66 +373,54 @@ def cmd_closure_systems(poset_file, cap, force, fmt, output):
         )
         return _dot_digraph(names, edges)
 
-    _emit(_render(payload, fmt, txt, dot, "closure-systems"), output)
+    return payload, txt, dot
 
 
-@cli.command("generate")
-@click.argument("poset_file", metavar="POSET")
-@click.argument("map_files", metavar="MAP...", nargs=-1, required=True)
-@_output_options
-def cmd_generate(poset_file, map_files, fmt, output):
+@_command(
+    "generate",
+    click.argument("map_files", metavar="MAP...", nargs=-1, required=True),
+    capped=False,
+)
+def cmd_generate(P, map_files):
     """Least closure operator above the given preclosure maps.
 
     Runs the fixpoint-intersection route and the iteration route and
     checks they agree."""
-    P = load_poset(poset_file)
     named = [load_map(P, path) for path in map_files]
     maps = [m for _, m in named]
-    gamma = generate_closure(maps, P)
-    other = kleene_generate(maps, P)
-    if gamma.table != other.table:
-        raise TheoremBreach(
-            "fixpoint-intersection and iteration routes disagree on the "
-            "generated closure operator"
-        )
+    gamma = agree(
+        "generated closure operator",
+        maps,
+        fixpoint_intersection=generate_closure(maps, P),
+        iteration=kleene_generate(maps, P),
+    )
     payload = {
         "generators": [nm for nm, _ in named],
         "closure": gamma.map.as_labels(),
         "fixpoints": list(gamma.fix.labels),
     }
-
-    def txt(p):
-        return (
-            "generated closure operator:\n"
-            + _table_str(p["closure"])
-            + "\nfixpoints: "
-            + _set_str(p["fixpoints"])
-            + "\n"
-        )
-
-    _emit(_render(payload, fmt, txt, None, "generate"), output)
+    return payload, _table_view("generated closure operator", "closure"), None
 
 
-@cli.command("tarski")
-@click.argument("poset_file", metavar="POSET")
-@click.argument("map_file", metavar="MAP")
-@click.option(
-    "-x",
-    "--start",
-    default=None,
-    help="Least fixpoint at or above this element "
-    "(requires start <= f(start)); default: overall least fixpoint.",
+@_command(
+    "tarski",
+    _MAP,
+    click.option(
+        "-x",
+        "--start",
+        default=None,
+        help="Least fixpoint at or above this element "
+        "(requires start <= f(start)); default: overall least fixpoint.",
+    ),
+    capped=False,
 )
-@_output_options
-def cmd_tarski(poset_file, map_file, start, fmt, output):
+def cmd_tarski(P, map_file, start):
     """Least fixpoint of an increasing map."""
-    P = load_poset(poset_file)
     name, f = load_map(P, map_file)
-    lfp = tarski(f, start)
     payload = {
         "map": name,
         "start": start,
-        "least_fixpoint": lfp,
+        "least_fixpoint": tarski(f, start),
         "fixpoints": list(Subset(P, f.fix_mask).labels),
     }
 
@@ -428,18 +431,13 @@ def cmd_tarski(poset_file, map_file, start, fmt, output):
             f"all fixpoints: {_set_str(p['fixpoints'])}\n"
         )
 
-    _emit(_render(payload, fmt, txt, None, "tarski"), output)
+    return payload, txt, None
 
 
-@cli.command("nuclei")
-@click.argument("poset_file", metavar="POSET")
-@_cap_options
-@_output_options
-def cmd_nuclei(poset_file, cap, force, fmt, output):
+@_command("nuclei")
+def cmd_nuclei(P, cap):
     """Enumerate every nucleus on a preframe."""
-    P = load_poset(poset_file)
-    c = _cap_value(cap, force, P.n)
-    nucs = enumerate_nuclei(P, c)
+    nucs = enumerate_nuclei(P, cap)
     payload = {
         "count": len(nucs),
         "nuclei": [
@@ -465,19 +463,13 @@ def cmd_nuclei(poset_file, cap, force, fmt, output):
         )
         return _dot_digraph(names, edges)
 
-    _emit(_render(payload, fmt, txt, dot, "nuclei"), output)
+    return payload, txt, dot
 
 
-@cli.command("heyting")
-@click.argument("poset_file", metavar="POSET")
-@_cap_options
-@_output_options
-def cmd_heyting(poset_file, cap, force, fmt, output):
+@_command("heyting")
+def cmd_heyting(P, cap):
     """Heyting implication table of a frame."""
-    P = load_poset(poset_file)
-    c = _cap_value(cap, force, P.n)
-    require_frame(P, c)
-    table = implication_table(P, c)
+    table = implication_table(P, cap)
     payload = {
         "implication": {
             P.label(a): {
@@ -500,7 +492,7 @@ def cmd_heyting(poset_file, cap, force, fmt, output):
             )
         return "\n".join(lines) + "\n"
 
-    _emit(_render(payload, fmt, txt, None, "heyting"), output)
+    return payload, txt, None
 
 
 def _closure_from_file(P, path):
@@ -513,75 +505,38 @@ def _closure_from_file(P, path):
     return name, ClosureOperator(f)
 
 
-@cli.command("nuclear-core")
-@click.argument("poset_file", metavar="POSET")
-@click.argument("map_file", metavar="MAP")
-@_cap_options
-@_output_options
-def cmd_nuclear_core(poset_file, map_file, cap, force, fmt, output):
+@_command("nuclear-core", _MAP)
+def cmd_nuclear_core(P, map_file, cap):
     """Greatest nucleus below a closure operator on a frame."""
-    P = load_poset(poset_file)
     name, gamma = _closure_from_file(P, map_file)
-    c = _cap_value(cap, force, P.n)
-    nu = nuclear_core(P, gamma, c)
+    nu = nuclear_core(P, gamma, cap)
     payload = {
         "map": name,
         "closure": gamma.map.as_labels(),
         "nuclear_core": nu.op.map.as_labels(),
         "fixpoints": list(nu.fix.labels),
     }
-
-    def txt(p):
-        return (
-            "nuclear core:\n"
-            + _table_str(p["nuclear_core"])
-            + "\nfixpoints: "
-            + _set_str(p["fixpoints"])
-            + "\n"
-        )
-
-    _emit(_render(payload, fmt, txt, None, "nuclear-core"), output)
+    return payload, _table_view("nuclear core", "nuclear_core"), None
 
 
-@cli.command("least-nucleus")
-@click.argument("poset_file", metavar="POSET")
-@click.argument("map_file", metavar="MAP")
-@_cap_options
-@_output_options
-def cmd_least_nucleus(poset_file, map_file, cap, force, fmt, output):
+@_command("least-nucleus", _MAP)
+def cmd_least_nucleus(P, map_file, cap):
     """Least nucleus above a closure operator on a frame."""
-    P = load_poset(poset_file)
     name, gamma = _closure_from_file(P, map_file)
-    c = _cap_value(cap, force, P.n)
-    nu = least_nucleus_above(P, gamma, c)
+    nu = least_nucleus_above(P, gamma, cap)
     payload = {
         "map": name,
         "closure": gamma.map.as_labels(),
         "least_nucleus": nu.op.map.as_labels(),
         "fixpoints": list(nu.fix.labels),
     }
-
-    def txt(p):
-        return (
-            "least nucleus above:\n"
-            + _table_str(p["least_nucleus"])
-            + "\nfixpoints: "
-            + _set_str(p["fixpoints"])
-            + "\n"
-        )
-
-    _emit(_render(payload, fmt, txt, None, "least-nucleus"), output)
+    return payload, _table_view("least nucleus above", "least_nucleus"), None
 
 
-@cli.command("hmj")
-@click.argument("poset_file", metavar="POSET")
-@_cap_options
-@_output_options
-def cmd_hmj(poset_file, cap, force, fmt, output):
+@_command("hmj")
+def cmd_hmj(P, cap):
     """Match Scott-open filters with compact fitted quotients of a frame."""
-    P = load_poset(poset_file)
-    c = _cap_value(cap, force, P.n)
-    rep = hmj_correspondence(P, c)
+    rep = hmj_correspondence(P, cap)
     payload = {
         "count": rep["count"],
         "scott_open_filters": [list(t) for t in rep["scott_open_filters"]],
@@ -606,7 +561,7 @@ def cmd_hmj(poset_file, cap, force, fmt, output):
         )
         return "\n".join(lines) + "\n"
 
-    _emit(_render(payload, fmt, txt, None, "hmj"), output)
+    return payload, txt, None
 
 
 @cli.group("rules")
@@ -614,8 +569,8 @@ def cmd_rules():
     """Closure-rule systems: canonical rule sets and rule closure."""
 
 
-def _rules_payload(R):
-    return {
+def _rules_report(R):
+    payload = {
         "count": len(R),
         "rules": [
             {"body": list(r.body.labels), "head": r.head_label}
@@ -623,60 +578,48 @@ def _rules_payload(R):
         ],
     }
 
+    def txt(p):
+        lines = [f"{p['count']} rules"]
+        for r in p["rules"]:
+            lines.append(f"  {_set_str(r['body'])} |- {r['head']}")
+        return "\n".join(lines) + "\n"
 
-def _rules_txt(p):
-    lines = [f"{p['count']} rules"]
-    for r in p["rules"]:
-        lines.append(f"  {_set_str(r['body'])} |- {r['head']}")
-    return "\n".join(lines) + "\n"
+    return payload, txt, None
 
 
-@cmd_rules.command("default")
-@click.argument("poset_file", metavar="POSET")
-@_cap_options
-@_output_options
-def cmd_rules_default(poset_file, cap, force, fmt, output):
+@_command("default", group=cmd_rules)
+def cmd_rules_default(P, cap):
     """The default closure rules of a poset: each subset concludes its
     maximal lower bounds."""
-    P = load_poset(poset_file)
-    c = _cap_value(cap, force, P.n)
-    R = default_rules(P, c)
-    _emit(_render(_rules_payload(R), fmt, _rules_txt, None, "rules default"), output)
+    return _rules_report(default_rules(P, cap))
 
 
-@cmd_rules.command("nuclear")
-@click.argument("poset_file", metavar="POSET")
-@_output_options
-def cmd_rules_nuclear(poset_file, fmt, output):
+@_command("nuclear", group=cmd_rules, capped=False)
+def cmd_rules_nuclear(P):
     """The nuclear closure rules of a meet-semilattice."""
-    P = load_poset(poset_file)
-    R = nuclear_rules(P)
-    _emit(_render(_rules_payload(R), fmt, _rules_txt, None, "rules nuclear"), output)
+    return _rules_report(nuclear_rules(P))
 
 
-@cmd_rules.command("close")
-@click.argument("poset_file", metavar="POSET")
-@click.argument("rule_file", metavar="RULES")
-@click.option(
-    "--start",
-    default="",
-    help="Comma-separated labels to close under the rules (default: empty).",
+@_command(
+    "close",
+    click.argument("rule_file", metavar="RULES"),
+    click.option(
+        "--start",
+        default="",
+        help="Comma-separated labels to close under the rules (default: empty).",
+    ),
+    group=cmd_rules,
 )
-@_cap_options
-@_output_options
-def cmd_rules_close(poset_file, rule_file, start, cap, force, fmt, output):
+def cmd_rules_close(P, rule_file, start, cap):
     """Close a subset under a rule file's deductions."""
-    P = load_poset(poset_file)
     R = load_rules(P, rule_file)
-    c = _cap_value(cap, force, P.n)
     labels = [s for s in (t.strip() for t in start.split(",")) if s]
     X = Subset.of(P, labels)
-    closed = rule_closure(R, X)
     payload = {
         "start": list(X.labels),
-        "closure": list(closed.labels),
-        "reflexive": R.is_reflexive(c),
-        "transitive": R.is_transitive(c),
+        "closure": list(rule_closure(R, X).labels),
+        "reflexive": R.is_reflexive(cap),
+        "transitive": R.is_transitive(cap),
     }
 
     def txt(p):
@@ -686,29 +629,26 @@ def cmd_rules_close(poset_file, rule_file, start, cap, force, fmt, output):
             f"transitive: {p['transitive']}\n"
         )
 
-    _emit(_render(payload, fmt, txt, None, "rules close"), output)
+    return payload, txt, None
 
 
-@cli.command("convexity")
-@click.argument("poset_file", metavar="POSET")
-@click.option(
-    "--operator",
-    "which",
-    type=click.Choice(["clsys", "dcclsys"]),
-    default="clsys",
-    show_default=True,
-    help="Which powerset closure operator of the poset to analyse.",
+@_command(
+    "convexity",
+    click.option(
+        "--operator",
+        "which",
+        type=click.Choice(["clsys", "dcclsys"]),
+        default="clsys",
+        show_default=True,
+        help="Which powerset closure operator of the poset to analyse.",
+    ),
 )
-@_cap_options
-@_output_options
-def cmd_convexity(poset_file, which, cap, force, fmt, output):
+def cmd_convexity(P, which, cap):
     """Anti-exchange, funnel, and acyclicity analysis of a poset's
     closure-system operator."""
-    P = load_poset(poset_file)
-    c = _cap_value(cap, force, P.n)
-    op = clsys_operator(P, c) if which == "clsys" else dcclsys_operator(P, c)
-    conv = convexity_checks(op, c)
-    acy = acyclicity(op, "poset_order", c)
+    op = clsys_operator(P, cap) if which == "clsys" else dcclsys_operator(P, cap)
+    conv = convexity_checks(op, cap)
+    acy = acyclicity(op, "poset_order", cap)
     fun = acy["funnel_report"]
     payload = {
         "operator": which,
@@ -739,43 +679,26 @@ def cmd_convexity(poset_file, which, cap, force, fmt, output):
             )
         return "\n".join(lines) + "\n"
 
-    _emit(_render(payload, fmt, txt, None, "convexity"), output)
+    return payload, txt, None
 
 
-@cli.command("sccore")
-@click.argument("poset_file", metavar="POSET")
-@click.argument("map_file", metavar="MAP")
-@_cap_options
-@_output_options
-def cmd_sccore(poset_file, map_file, cap, force, fmt, output):
+@_command("sccore", _MAP)
+def cmd_sccore(P, map_file, cap):
     """Greatest Scott-continuous closure operator below a closure
     operator, by formula and by scan, compared."""
-    P = load_poset(poset_file)
     name, gamma = _closure_from_file(P, map_file)
-    c = _cap_value(cap, force, P.n)
-    s1 = sccore(gamma, c)
-    s2 = sccore_bruteforce(gamma, c)
-    if s1.table != s2.table:
-        raise TheoremBreach(
-            "way-below formula and candidate scan disagree on the "
-            "Scott-continuous core"
-        )
+    core = agree(
+        "Scott-continuous core",
+        gamma,
+        way_below_formula=sccore(gamma, cap),
+        candidate_scan=sccore_bruteforce(gamma, cap),
+    )
     payload = {
         "map": name,
-        "sccore": s1.map.as_labels(),
-        "fixpoints": list(s1.fix.labels),
+        "sccore": core.map.as_labels(),
+        "fixpoints": list(core.fix.labels),
     }
-
-    def txt(p):
-        return (
-            "Scott-continuous core:\n"
-            + _table_str(p["sccore"])
-            + "\nfixpoints: "
-            + _set_str(p["fixpoints"])
-            + "\n"
-        )
-
-    _emit(_render(payload, fmt, txt, None, "sccore"), output)
+    return payload, _table_view("Scott-continuous core", "sccore"), None
 
 
 # ---------------------------------------------------------------------------

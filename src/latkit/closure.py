@@ -24,6 +24,8 @@ from .errors import (
     NotIncreasing,
     NotPreclosure,
     TheoremBreach,
+    agree,
+    produced,
 )
 from .maps import (
     EndoMap,
@@ -46,6 +48,7 @@ from .order import (
     check_cap,
     derived,
     directed_subsets,
+    family_poset,
     join_of,
     least_of,
     popcount,
@@ -162,7 +165,8 @@ def duality(C) -> ClosureOperator:
     """
     if isinstance(C, Subset):
         C = ClosureSystem(C)
-    return ClosureOperator(EndoMap(C.poset, C._table))
+    with produced("duality"):
+        return ClosureOperator(EndoMap(C.poset, C._table))
 
 
 def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
@@ -203,9 +207,9 @@ def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
 
     The two lists are aligned: operators[i] has fixpoint set systems[i].
     """
-    systems = [
-        ClosureSystem(Subset(P, m)) for m in closure_system_masks(P, cap)
-    ]
+    masks = closure_system_masks(P, cap)
+    with produced("closure-system enumeration"):
+        systems = [ClosureSystem(Subset(P, m)) for m in masks]
     return {
         "closure_systems": systems,
         "closure_operators": [duality(c) for c in systems],
@@ -224,14 +228,7 @@ def _check_generators(
             raise NotPreclosure(
                 f"generator {g!r} is not a preclosure map"
             )
-    if G:
-        P = same_poset(*(g.poset for g in G))
-        if poset is not None:
-            same_poset(P, poset)
-        return P
-    if poset is None:
-        raise ValueError("an empty family of generators needs an explicit poset")
-    return poset
+    return family_poset(G, poset)
 
 
 def generate_closure(
@@ -248,12 +245,8 @@ def generate_closure(
     fixes = P.full_mask
     for g in G:
         fixes &= g.fix_mask
-    if not is_closure_system_mask(P, fixes):
-        raise TheoremBreach(
-            "common fixpoints of a preclosure family failed to form a "
-            f"closure system on {P!r}"
-        )
-    result = duality(ClosureSystem(Subset(P, fixes)))
+    with produced("fixpoint intersection"):
+        result = duality(ClosureSystem(Subset(P, fixes)))
     for g in G:
         if not pointwise_leq(g, result.map):
             raise TheoremBreach(
@@ -286,12 +279,8 @@ def kleene_generate(
                     v = nv
                     changed = True
         table.append(v)
-    try:
+    with produced("round-robin iteration"):
         return ClosureOperator(EndoMap(P, tuple(table)))
-    except InputError as e:
-        raise TheoremBreach(
-            f"round-robin iteration of preclosures did not yield a closure operator: {e}"
-        ) from e
 
 
 def induction_check(
@@ -419,25 +408,19 @@ def cl_meet(
     checked.
     """
     ops = list(ops)
-    if ops:
-        P = same_poset(*(o.poset for o in ops))
-        if poset is not None:
-            same_poset(P, poset)
-    elif poset is None:
-        raise ValueError("an empty family needs an explicit poset")
-    else:
-        P = poset
+    P = family_poset(ops, poset)
     union = 0
     for o in ops:
         union |= o.fix_mask
     result = duality(clsys(Subset(P, union), cap))
-    if ops:
-        pw = pointwise_meet([o.map for o in ops])
-        if pw is not None and pw.table != result.table:
-            raise TheoremBreach(
-                "pointwise meet of closure operators exists but is not "
-                "their meet in the operator lattice"
-            )
+    pw = pointwise_meet([o.map for o in ops])
+    if pw is not None:
+        agree(
+            "meet of closure operators",
+            ops,
+            pointwise=pw,
+            operator_lattice=result.map,
+        )
     return result
 
 
@@ -450,34 +433,26 @@ def clsys(
 ) -> ClosureSystem:
     """Least closure system containing X.
 
-    method 'enumerate' intersects all systems containing X; 'rules'
-    closes X under the poset's default rules; 'both' runs the two and
-    insists they agree.
+    method 'enumerate' intersects all systems containing X; 'both' also
+    closes X under the poset's default rules and insists the two agree.
     """
     P = X.poset
-    if method not in ("enumerate", "rules", "both"):
+    if method not in ("enumerate", "both"):
         raise ValueError(f"unknown method {method!r}")
-    by_enum = by_rules = None
-    if method in ("enumerate", "both"):
-        inter = P.full_mask
-        for m in closure_system_masks(P, cap):
-            if X.mask & ~m == 0:
-                inter &= m
-        if not is_closure_system_mask(P, inter):
-            raise TheoremBreach(
-                "intersection of closure systems is not a closure system"
-            )
-        by_enum = inter
-    if method in ("rules", "both"):
-        closed = _rules.rule_closure(_rules.default_rules(P, cap), X)
-        by_rules = closed.mask
-    if method == "both" and by_enum != by_rules:
-        raise TheoremBreach(
-            "system-intersection and default-rule closure disagree on "
-            f"clsys of {{{', '.join(X.labels)}}}"
+    inter = P.full_mask
+    for m in closure_system_masks(P, cap):
+        if X.mask & ~m == 0:
+            inter &= m
+    with produced("closure-system intersection"):
+        result = ClosureSystem(Subset(P, inter))
+    if method == "both":
+        agree(
+            "least closure system",
+            X,
+            system_intersection=result.subset,
+            default_rules=_rules.rule_closure(_rules.default_rules(P, cap), X),
         )
-    mask = by_enum if by_enum is not None else by_rules
-    return ClosureSystem(Subset(P, mask))
+    return result
 
 
 def dcclsys(X: Subset, cap: Optional[int] = None) -> ClosureSystem:
@@ -531,10 +506,8 @@ def sccore(gamma: ClosureOperator, cap: Optional[int] = None) -> ClosureOperator
                 "has no join; the Scott core formula broke down"
             )
         table.append(v)
-    try:
+    with produced("Scott core formula"):
         return ClosureOperator(EndoMap(P, tuple(table)))
-    except InputError as e:
-        raise TheoremBreach(f"Scott core formula left the operator class: {e}") from e
 
 
 def sccore_bruteforce(
@@ -595,12 +568,10 @@ def tarski(f: EndoMap, x: Optional[str] = None) -> str:
     back = {o: k for k, o in enumerate(old)}
     ftable = tuple(back[f.table[o]] for o in old)
     cl = generate_closure([EndoMap(Q, ftable)], Q)
-    result = old[cl(back[xi])]
     scan = least_of(P, f.fix_mask & P.le[xi])
-    if scan != result:
-        raise TheoremBreach(
-            f"least fixpoint via restriction ({P.label(result)!r}) does "
-            f"not match the fixpoint scan "
-            f"({None if scan is None else P.label(scan)!r})"
-        )
-    return P.label(result)
+    return agree(
+        "least fixpoint",
+        (f, P.label(xi)),
+        restriction=P.label(old[cl(back[xi])]),
+        scan=None if scan is None else P.label(scan),
+    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import InputError, NotAPreorder, TheoremBreach
+from .errors import InputError, NotAPreorder, TheoremBreach, agree
 from .closure import closure_system_masks
 from .maps import directed_closed
 from .order import (
@@ -223,11 +223,12 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
                 break
         if cas_witness:
             break
-    if (ae_witness is None) != (cas_witness is None):
-        raise TheoremBreach(
-            "anti-exchange and its closed-set reformulation disagree: "
-            f"{ae_witness!r} versus {cas_witness!r}"
-        )
+    agree(
+        "anti-exchange",
+        (ae_witness, cas_witness),
+        anti_exchange=ae_witness is None,
+        closed_set_form=cas_witness is None,
+    )
     return {
         "anti_exchange": ae_witness is None,
         "anti_exchange_witness": ae_witness,
@@ -343,12 +344,13 @@ def funnel_check(
         if not cond3:
             break
 
-    if not cond1 == cond2 == cond3:
-        raise TheoremBreach(
-            "the three funnel formulations disagree: "
-            f"{cond1}/{cond2}/{cond3} with witnesses "
-            f"{wit1!r} {wit2!r} {wit3!r}"
-        )
+    agree(
+        "funnel status",
+        (wit1, wit2, wit3),
+        witness_definition=cond1,
+        upper_set_form=cond2,
+        principal_form=cond3,
+    )
 
     antisymmetric = all(
         not (rows[i] >> j & 1 and rows[j] >> i & 1)

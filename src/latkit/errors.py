@@ -1,9 +1,15 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the two-route contract.
 
 Errors fall into three families, matching how the command-line layer
 reports them: invalid input (exit code 1), an enumeration that would
 exceed its configured cap (exit code 2), and a breach of a law the
 library is built on (exit code 3, always a bug worth reporting).
+
+Every comparison of two or more routes to one answer goes through
+agree, which returns the common answer or raises TheoremBreach naming
+each route's answer.  A result the library built itself is validated
+inside produced, so a validating constructor that rejects it reports a
+breach, not bad input.
 """
 
 
@@ -105,5 +111,50 @@ class TheoremBreach(LatkitError):
 
     This never indicates bad input.  It means the implementation (or the
     mathematics it encodes) is wrong, so it is reported loudly and never
-    caught internally.
+    caught internally.  `routes` maps each route's name to its answer
+    when routes disagreed, and is empty otherwise.
     """
+
+    def __init__(self, message, routes=None):
+        super().__init__(message)
+        self.routes = dict(routes or {})
+
+
+def agree(what, subject, /, **routes):
+    """The answer every route gave for `what` on `subject`.
+
+    Raises TheoremBreach when two answers differ.  Nothing is formatted
+    unless they do, so the check costs one comparison per extra route.
+    """
+    answers = iter(routes.values())
+    first = next(answers)
+    for answer in answers:
+        if answer != first:
+            shown = ", ".join(f"{k}={v!r}" for k, v in routes.items())
+            raise TheoremBreach(
+                f"routes disagree on {what} of {subject!r}: {shown}", routes
+            )
+    return first
+
+
+class produced:
+    """Context for validating a result built by `route`.
+
+    An InputError raised inside means a validating constructor rejected
+    something the library built, so it becomes a TheoremBreach naming
+    the route, chained to the rejection.  Validate the caller's input
+    outside this context.
+    """
+
+    def __init__(self, route):
+        self.route = route
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, tb):
+        if isinstance(error, InputError):
+            raise TheoremBreach(
+                f"{self.route} built a result its own class rejects: {error}"
+            ) from error
+        return False

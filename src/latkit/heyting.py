@@ -41,6 +41,8 @@ from .errors import (
     NotPreframe,
     NotPrenucleus,
     TheoremBreach,
+    agree,
+    produced,
 )
 from .closure import (
     ClosureOperator,
@@ -65,6 +67,7 @@ from .order import (
     check_cap,
     derived,
     directed_subsets,
+    family_poset,
     image_masks,
     join_meet_tables,
     join_of,
@@ -207,15 +210,24 @@ def _imp_table(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
                 )
             row.append(r)
         imp.append(tuple(row))
-    for x in range(n):
-        for a in range(n):
-            for b in range(n):
-                if (P.le[x] >> imp[a][b] & 1) != (P.le[mt[x][a]] >> b & 1):
-                    raise TheoremBreach(
-                        "implication adjunction failed at "
-                        f"x={P.label(x)!r} a={P.label(a)!r} b={P.label(b)!r}"
-                    )
+    failed = _adjunction_failure(P, imp, mt)
+    if failed is not None:
+        x, a, b = map(P.label, failed)
+        raise TheoremBreach(
+            f"implication adjunction failed at x={x!r} a={a!r} b={b!r}"
+        )
     return tuple(imp)
+
+
+def _adjunction_failure(P: FinitePoset, imp, mt) -> Optional[tuple[int, int, int]]:
+    """The first triple (x, a, b) where x <= (a => b) and x meet a <= b
+    differ, or None when the adjunction holds."""
+    for x in range(P.n):
+        for a in range(P.n):
+            for b in range(P.n):
+                if (P.le[x] >> imp[a][b] & 1) != (P.le[mt[x][a]] >> b & 1):
+                    return x, a, b
+    return None
 
 
 def implication_table(L: Frameish, cap: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
@@ -232,14 +244,7 @@ def heyting_implication(L: Frameish, a: str, b: str, cap: Optional[int] = None) 
 def adjunction_check(L: Frameish, cap: Optional[int] = None) -> bool:
     """x <= (a => b) iff x meet a <= b, for all triples."""
     P = require_frame(L, cap)
-    imp = derived(P, _imp_table)
-    mt = meet_table(P)
-    for x in range(P.n):
-        for a in range(P.n):
-            for b in range(P.n):
-                if (P.le[x] >> imp[a][b] & 1) != (P.le[mt[x][a]] >> b & 1):
-                    return False
-    return True
+    return _adjunction_failure(P, derived(P, _imp_table), meet_table(P)) is None
 
 
 def impl_image_mask(P: FinitePoset, amask: int, bmask: int) -> int:
@@ -326,27 +331,24 @@ def nucleus_meet(a: Nucleus, b: Nucleus) -> Nucleus:
     if mt is None:
         raise NotMeetSemilattice("nucleus meet needs pairwise meets")
     table = tuple(mt[x][y] for x, y in zip(a.table, b.table))
-    try:
+    with produced("pointwise nucleus meet"):
         return Nucleus(ClosureOperator(EndoMap(P, table)))
-    except Exception as e:
-        raise TheoremBreach(
-            f"pointwise meet of two nuclei is not a nucleus: {e}"
-        ) from e
 
 
 def fix_of_meet_check(a: Nucleus, b: Nucleus) -> bool:
     """Fixpoints of the meet are exactly pairwise meets of fixpoints."""
     P = same_poset(a.poset, b.poset)
     mt = meet_table(P)
-    got = nucleus_meet(a, b).fix_mask
     want = 0
     for x in bits(a.fix_mask):
         for y in bits(b.fix_mask):
             want |= 1 << mt[x][y]
-    if got != want:
-        raise TheoremBreach(
-            "fixpoints of a nucleus meet are not the meets of fixpoints"
-        )
+    agree(
+        "fixpoints of a nucleus meet",
+        (a, b),
+        meet=nucleus_meet(a, b).fix,
+        meets_of_fixpoints=Subset(P, want),
+    )
     return True
 
 
@@ -359,25 +361,14 @@ def nucleus_join(
     closure operator, which the generation theorem promises is a
     nucleus.  The empty family yields the identity."""
     maps = [g.op.map if isinstance(g, Nucleus) else g for g in Gamma]
-    if maps:
-        P = same_poset(*(m.poset for m in maps))
-        if poset is not None:
-            same_poset(P, poset)
-    elif poset is None:
-        raise ValueError("an empty family needs an explicit poset")
-    else:
-        P = poset
+    P = family_poset(maps, poset)
     require_preframe(P, cap)
     for m in maps:
         if not is_prenucleus(m):
             raise NotPrenucleus(f"{m!r} is not a prenucleus")
     gen = generate_closure(maps, P)
-    try:
+    with produced("generated join of prenuclei"):
         return Nucleus(gen)
-    except NotANucleus as e:
-        raise TheoremBreach(
-            f"generated join of prenuclei failed to preserve meets: {e}"
-        ) from e
 
 
 def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
@@ -409,9 +400,10 @@ def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
                     grown.append((m, t))
         states = grown
     states.sort(key=lambda s: (-popcount(s[0]), s[0]))
-    return tuple(
-        Nucleus(ClosureOperator(EndoMap(P, tuple(c)))) for _, c in states
-    )
+    with produced("nuclei descent"):
+        return tuple(
+            Nucleus(ClosureOperator(EndoMap(P, tuple(c)))) for _, c in states
+        )
 
 
 def _nuclei_masks(P: FinitePoset) -> frozenset[int]:
@@ -456,48 +448,34 @@ def is_nuclear_system(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool
     by_impl = is_closure_system(X) and (
         impl_image_mask(P, P.full_mask, X.mask) & ~X.mask == 0
     )
-    if by_enum != by_impl:
-        raise TheoremBreach(
-            "nuclear-system characterization through implication "
-            f"disagrees with enumeration on {{{', '.join(X.labels)}}}"
-        )
-    return by_enum
+    return agree(
+        "nuclear-system status", X, enumeration=by_enum, implication=by_impl
+    )
 
 
-def nucsys(
-    L: Frameish, X: Subset, cap: Optional[int] = None, method: str = "both"
-) -> Subset:
-    """Least nuclear system containing X.
-
-    'definitional' intersects the nuclear systems containing X;
-    'formula' closes the implication image L => X under clsys; 'both'
-    compares them.
+def nucsys(L: Frameish, X: Subset, cap: Optional[int] = None) -> Subset:
+    """Least nuclear system containing X, computed twice and compared:
+    the intersection of the nuclear systems containing X, and clsys of
+    the implication image L => X.
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    if method not in ("definitional", "formula", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    by_def = by_formula = None
-    if method in ("definitional", "both"):
-        inter = P.full_mask
-        for m in derived(P, _nuclei_masks):
-            if X.mask & ~m == 0:
-                inter &= m
-        if inter not in derived(P, _nuclei_masks):
-            raise TheoremBreach(
-                "intersection of nuclear systems is not a nuclear system"
-            )
-        by_def = inter
-    if method in ("formula", "both"):
-        by_formula = clsys(
-            Subset(P, impl_image_mask(P, P.full_mask, X.mask)), cap
-        ).mask
-    if method == "both" and by_def != by_formula:
+    systems = derived(P, _nuclei_masks)
+    inter = P.full_mask
+    for m in systems:
+        if X.mask & ~m == 0:
+            inter &= m
+    if inter not in systems:
         raise TheoremBreach(
-            "least nuclear system by intersection and by the implication "
-            f"formula disagree on {{{', '.join(X.labels)}}}"
+            "intersection of nuclear systems is not a nuclear system"
         )
-    return Subset(P, by_def if by_def is not None else by_formula)
+    formula = clsys(Subset(P, impl_image_mask(P, P.full_mask, X.mask)), cap)
+    return agree(
+        "least nuclear system",
+        X,
+        intersection=Subset(P, inter),
+        implication_formula=formula.subset,
+    )
 
 
 def nuc_map(L: Frameish, X: Subset, cap: Optional[int] = None) -> Nucleus:
@@ -518,18 +496,14 @@ def nuc_map(L: Frameish, X: Subset, cap: Optional[int] = None) -> Nucleus:
         if v is None:
             raise TheoremBreach("double-implication meet does not exist")
         table.append(v)
-    try:
+    with produced("double-implication formula"):
         nu = Nucleus(ClosureOperator(EndoMap(P, tuple(table))))
-    except Exception as e:
-        raise TheoremBreach(
-            f"double-implication formula did not produce a nucleus: {e}"
-        ) from e
-    want = nucsys(L, X, cap, method="both").mask
-    if nu.fix_mask != want:
-        raise TheoremBreach(
-            "fixpoints of the double-implication nucleus differ from the "
-            f"least nuclear system around {{{', '.join(X.labels)}}}"
-        )
+    agree(
+        "least nuclear system",
+        X,
+        double_implication=nu.fix,
+        nucsys=nucsys(L, X, cap),
+    )
     return nu
 
 
@@ -538,11 +512,12 @@ def regular_nucleus(L: Frameish, x: str, cap: Optional[int] = None) -> Nucleus:
     P = require_frame(L, cap)
     nu = nuc_map(L, Subset.of(P, [x]), cap)
     want = impl_image_mask(P, P.full_mask, 1 << P.index(x))
-    if nu.fix_mask != want:
-        raise TheoremBreach(
-            f"fixpoints of the regular nucleus at {x!r} are not the "
-            "implication image of the poset into it"
-        )
+    agree(
+        "regular nucleus fixpoints",
+        x,
+        nuc_map=nu.fix,
+        implication_image=Subset(P, want),
+    )
     return nu
 
 
@@ -580,12 +555,8 @@ def least_nucleus_above(
         if v is None:
             raise TheoremBreach("meet of regular nuclei does not exist")
         table.append(v)
-    try:
+    with produced("meet of regular nuclei"):
         nu = Nucleus(ClosureOperator(EndoMap(P, tuple(table))))
-    except Exception as e:
-        raise TheoremBreach(
-            f"meet of regular nuclei is not a nucleus: {e}"
-        ) from e
     # fixpoint set, two descriptions
     want_in_c = 0
     for x in bits(cmask):
@@ -595,11 +566,13 @@ def least_nucleus_above(
     for x in range(P.n):
         if impl_image_mask(P, P.full_mask, 1 << x) & ~cmask == 0:
             want_in_l |= 1 << x
-    if not (nu.fix_mask == want_in_c == want_in_l):
-        raise TheoremBreach(
-            "fixpoint set of the least nucleus above an operator does not "
-            "match its implication description"
-        )
+    agree(
+        "fixpoints of the least nucleus above",
+        gamma,
+        formula=nu.fix,
+        implication_in_fixpoints=Subset(P, want_in_c),
+        implication_in_poset=Subset(P, want_in_l),
+    )
     # brute force
     above = [
         n2
@@ -611,12 +584,7 @@ def least_nucleus_above(
         if all(pointwise_leq(n2.op.map, o.op.map) for o in above):
             least = n2
             break
-    if least is None or least.table != nu.table:
-        raise TheoremBreach(
-            "formula and enumeration disagree on the least nucleus above "
-            "a closure operator"
-        )
-    return nu
+    return agree("least nucleus above", gamma, formula=nu, enumeration=least)
 
 
 def nuclear_core(
@@ -643,11 +611,7 @@ def nuclear_core(
         if all(pointwise_leq(o.op.map, n2.op.map) for o in below):
             greatest = n2
             break
-    if greatest is None or greatest.table != nu.table:
-        raise TheoremBreach(
-            "formula and enumeration disagree on the greatest nucleus "
-            "below a closure operator"
-        )
+    agree("greatest nucleus below", gamma, formula=nu, enumeration=greatest)
     if not pointwise_leq(nu.op.map, gamma.map):
         raise TheoremBreach("nuclear core sits above its operator")
     return nu

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from typing import Optional
 
-from .errors import InputError, TheoremBreach
+from .errors import InputError, TheoremBreach, agree, produced
 from .closure import ClosureOperator
 from .heyting import (
     Frameish,
@@ -26,7 +26,7 @@ from .heyting import (
     nucleus_join,
     require_frame,
 )
-from .maps import EndoMap, pointwise_leq
+from .maps import EndoMap, inaccessible_by_directed_joins, pointwise_leq
 from .order import (
     SUBSET_CAP,
     FinitePoset,
@@ -130,20 +130,17 @@ def _open_nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     imp = derived(P, _imp_table)
     out = []
     for ai, row in enumerate(imp):
-        try:
+        with produced("open nuclei"):
             nu = Nucleus(ClosureOperator(EndoMap(P, row)))
-        except InputError as e:
-            raise TheoremBreach(
-                f"open map at {P.label(ai)!r} is not a nucleus: {e}"
-            ) from e
         want = 0
         for v in row:
             want |= 1 << v
-        if nu.fix_mask != want:
-            raise TheoremBreach(
-                f"fixpoints of the open nucleus at {P.label(ai)!r} are not "
-                "its implication image"
-            )
+        agree(
+            "open nucleus fixpoints",
+            P.label(ai),
+            nucleus=nu.fix,
+            implication_image=Subset(P, want),
+        )
         out.append(nu)
     return tuple(out)
 
@@ -162,11 +159,13 @@ def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
     t = top_index(P)
     if t is None:
         raise InputError("kernel at the top needs a top element")
+    require_frame(P, cap)
     mask = 0
     for i, v in enumerate(nu.table):
         if v == t:
             mask |= 1 << i
-    return FilterSet(Subset(P, mask), cap)
+    with produced("oneker"):
+        return FilterSet(Subset(P, mask), cap)
 
 
 def fitnuc(L: Frameish, S: Subset, cap: Optional[int] = None) -> Nucleus:
@@ -216,10 +215,7 @@ def is_scott_open(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
     same_poset(P, X.poset)
     if upper_closure_mask(P, X.mask) != X.mask:
         return False
-    for dmask, top in directed_subsets(P, cap):
-        if X.mask >> top & 1 and not dmask & X.mask:
-            return False
-    return True
+    return inaccessible_by_directed_joins(X, cap)
 
 
 def is_nuclear_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
@@ -235,12 +231,9 @@ def is_nuclear_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool
         oneker(nu, cap).mask == X.mask for nu in enumerate_nuclei(L, cap)
     )
     by_galois = is_filter(L, X, cap) and nucfilt(L, X, cap).mask == X.mask
-    if by_scan != by_galois:
-        raise TheoremBreach(
-            "kernel scan and Galois closure disagree on nuclear-filter "
-            f"status of {{{', '.join(X.labels)}}}"
-        )
-    return by_scan
+    return agree(
+        "nuclear-filter status", X, kernel_scan=by_scan, galois_closure=by_galois
+    )
 
 
 def filters_report(L: Frameish, X: Subset, cap: Optional[int] = None) -> dict:

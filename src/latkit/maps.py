@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, TheoremBreach
+from .errors import ParseError, agree
 from .order import (
     FinitePoset,
     Subset,
     bits,
     derived,
     directed_subsets,
+    family_poset,
     join_of,
     meet_table,
     same_poset,
@@ -157,14 +158,12 @@ def scott_continuous_definitional(f: EndoMap, cap: Optional[int] = None) -> bool
 def is_scott_continuous(f: EndoMap, cap: Optional[int] = None) -> bool:
     """Definitional Scott continuity, cross-checked against the finite
     shortcut (continuity coincides with being increasing)."""
-    definitional = scott_continuous_definitional(f, cap)
-    shortcut = is_increasing(f)
-    if definitional != shortcut:
-        raise TheoremBreach(
-            "Scott continuity disagrees with the increasing shortcut "
-            f"for {f!r}: definitional={definitional} shortcut={shortcut}"
-        )
-    return definitional
+    return agree(
+        "Scott continuity",
+        f,
+        definitional=scott_continuous_definitional(f, cap),
+        shortcut=is_increasing(f),
+    )
 
 
 def preserves_binary_meets(f: EndoMap) -> Optional[bool]:
@@ -276,13 +275,7 @@ def pointwise_meet(
 def fix(maps: Iterable[EndoMap], poset: Optional[FinitePoset] = None) -> Subset:
     """Common fixpoints of a family; the empty family fixes everything."""
     maps = list(maps)
-    if not maps:
-        if poset is None:
-            raise ValueError("empty family needs an explicit poset")
-        return Subset(poset, poset.full_mask)
-    P = same_poset(*(m.poset for m in maps))
-    if poset is not None:
-        same_poset(P, poset)
+    P = family_poset(maps, poset)
     out = P.full_mask
     for m in maps:
         out &= m.fix_mask

@@ -205,6 +205,17 @@ def same_poset(*posets) -> FinitePoset:
     return first
 
 
+def family_poset(members, poset: Optional[FinitePoset] = None) -> FinitePoset:
+    """The poset shared by a family's members and the explicit poset,
+    if given; an empty family needs the explicit poset."""
+    if members:
+        P = same_poset(*(m.poset for m in members))
+        return P if poset is None else same_poset(P, poset)
+    if poset is None:
+        raise ValueError("an empty family needs an explicit poset")
+    return poset
+
+
 def build_poset(labels: Sequence[str], pairs: Iterable[Sequence[str]]) -> FinitePoset:
     """Construct a poset from labels and generating <= assertions.
 

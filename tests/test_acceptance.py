@@ -195,7 +195,7 @@ def test_criterion_06_frame_formulas(frame_corpus):
         nucs = enumerate_nuclei(L)
         for m in range(L.full_mask + 1):
             X = Subset(L, m)
-            nucsys(L, X, method="both")  # breach-compares the two routes
+            nucsys(L, X)  # breach-compares the two routes
             nu = nuc_map(L, X)
             cands = [n for n in nucs if n.fix_mask & m == m]
             # nu is the nucleus of the least nuclear system containing

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, formats, determinism, caps."""
 
 import json
+import pathlib
 import sys
 
 import pytest
@@ -365,3 +366,92 @@ def test_text_format(files, capsys):
     rc, out, _ = run(capsys, ["closure-systems", files["c3"], "--format", "text"])
     assert rc == 0
     assert out.splitlines()[0] == "4 closure systems"
+
+
+# Every command's stdout and exit code in each format, and every --help
+# page, recorded byte for byte in cli_golden.json.  An argument "@key"
+# stands for the file files[key]; stderr is left out because its
+# messages name the temporary paths.  After an intended change of
+# output, write golden_outputs() to the file again with
+# json.dumps(..., indent=1, ensure_ascii=False).
+GOLDEN_ARGV = [
+    ["validate", "@b2"],
+    ["validate", "@c3"],
+    ["validate", "@b3"],
+    ["validate", "@cyclic"],
+    ["closure-systems", "@c3"],
+    ["closure-systems", "@b2"],
+    ["closure-systems", "@chain15"],
+    ["generate", "@c3", "@step"],
+    ["tarski", "@c3", "@step"],
+    ["tarski", "@c3", "@step", "-x", "1"],
+    ["tarski", "@c3", "@partial"],
+    ["nuclei", "@b2"],
+    ["nuclei", "@b3"],
+    ["heyting", "@b2"],
+    ["heyting", "@b3"],
+    ["nuclear-core", "@b2", "@gam"],
+    ["nuclear-core", "@b3", "@b3join_a"],
+    ["least-nucleus", "@b2", "@gam"],
+    ["least-nucleus", "@b3", "@b3join_a"],
+    ["hmj", "@b2"],
+    ["hmj", "@b3"],
+    ["rules", "default", "@c3"],
+    ["rules", "nuclear", "@b2"],
+    ["rules", "close", "@c3", "@rules", "--start", ""],
+    ["rules", "close", "@c3", "@rules", "--start", "0"],
+    ["convexity", "@c3"],
+    ["convexity", "@b2", "--operator", "dcclsys"],
+    ["sccore", "@b2", "@gam"],
+    ["sccore", "@b3", "@b3join_a"],
+    ["sccore", "@c3", "@step"],
+]
+
+GOLDEN_HELP = [
+    [],
+    ["validate"],
+    ["closure-systems"],
+    ["generate"],
+    ["tarski"],
+    ["nuclei"],
+    ["heyting"],
+    ["nuclear-core"],
+    ["least-nucleus"],
+    ["hmj"],
+    ["rules"],
+    ["rules", "default"],
+    ["rules", "nuclear"],
+    ["rules", "close"],
+    ["convexity"],
+    ["sccore"],
+]
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
+
+
+def golden_outputs(files, capsys, monkeypatch) -> dict:
+    """Exit code and stdout of every golden command line, keyed by the
+    command line with fixture keys in place of paths."""
+    monkeypatch.setenv("COLUMNS", "80")  # help pages wrap to the terminal
+    monkeypatch.delenv("LATKIT_CAP", raising=False)
+    out = {}
+    for argv in GOLDEN_ARGV:
+        for fmt in ("json", "text", "dot"):
+            full = [files[a[1:]] if a.startswith("@") else a for a in argv]
+            full += ["--format", fmt]
+            rc, stdout, _ = run(capsys, full)
+            out[" ".join(argv + ["--format", fmt])] = {
+                "exit": rc, "stdout": stdout,
+            }
+    for argv in GOLDEN_HELP:
+        rc, stdout, _ = run(capsys, argv + ["--help"])
+        out[" ".join(argv + ["--help"])] = {"exit": rc, "stdout": stdout}
+    return out
+
+
+def test_cli_output_matches_golden(files, capsys, monkeypatch):
+    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    got = golden_outputs(files, capsys, monkeypatch)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key

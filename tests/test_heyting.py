@@ -298,7 +298,7 @@ def test_nuclear_systems_and_nucsys():
     P = fx.b2()
     for m in range(P.full_mask + 1):
         X = Subset(P, m)
-        C = nucsys(P, X, method="both")
+        C = nucsys(P, X)
         assert is_nuclear_system(P, Subset(P, C.mask))
         assert C.mask & m == m
     # nuclear systems are scarcer than closure systems

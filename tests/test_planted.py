@@ -1,10 +1,11 @@
-"""Planted bugs in the enumerated lists that route pairs read.
+"""Planted bugs in the enumerated lists that route pairs read, and in
+the routes themselves.
 
-Each test first runs the route pair clean, then makes one list wrong
-and expects the cross-check to raise TheoremBreach in the library and,
-where a command runs the pair, the CLI to exit 3.  Derived data is kept
-on the poset that it was built for, so a planted builder is run on a
-poset built after planting.
+Each test first runs the route pair clean, then makes one list or
+route wrong and expects the cross-check to raise TheoremBreach in the
+library and, where a command runs the pair, the CLI to exit 3.  Derived
+data is kept on the poset that it was built for, so a planted builder
+is run on a poset built after planting.
 """
 
 import json
@@ -12,12 +13,13 @@ import json
 import pytest
 
 from latkit import fixtures as fx
-from latkit import closure, convexity, heyting, order
+from latkit import cli, closure, convexity, heyting, order
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
-from latkit.errors import TheoremBreach
+from latkit.errors import InputError, TheoremBreach
 from latkit.heyting import is_nuclear_system, least_nucleus_above, nuclear_core
-from latkit.maps import identity_map, is_scott_continuous
+from latkit.hmj import is_nuclear_filter
+from latkit.maps import EndoMap, identity_map, is_scott_continuous
 from latkit.order import Subset
 
 
@@ -166,3 +168,151 @@ def test_dropped_empty_closed_set_breaks_anti_exchange(monkeypatch):
     )
     with pytest.raises(TheoremBreach):
         convexity.convexity_checks(bad)
+
+
+def test_wrong_least_member_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
+    # a least_of that answers the bottom for every nonempty mask sends
+    # left-out elements below themselves, so the descent's leaves fail
+    # their own Nucleus validation: a breach, not bad input
+    assert len(heyting.enumerate_nuclei(fx.b2())) == 4
+    argv = ["nuclei", b2_files["poset"]]
+    assert main(argv) == 0
+    monkeypatch.setattr(
+        heyting,
+        "least_of",
+        lambda Q, mask: order.bottom_index(Q) if mask else None,
+    )
+    with pytest.raises(TheoremBreach) as info:
+        heyting.enumerate_nuclei(fx.b2())
+    assert "nuclei descent" in str(info.value)
+    assert isinstance(info.value.__cause__, InputError)
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def test_wrong_iteration_route_breaks_generate(monkeypatch, tmp_path, capsys):
+    poset = tmp_path / "c3.json"
+    poset.write_text(
+        json.dumps({"elements": ["0", "1", "2"], "le": [["0", "1"], ["1", "2"]]})
+    )
+    step = tmp_path / "step.json"
+    step.write_text(json.dumps({"table": {"0": "1", "1": "2", "2": "2"}}))
+    argv = ["generate", str(poset), str(step)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(
+        cli, "kleene_generate", lambda G, Q: ClosureOperator(identity_map(Q))
+    )
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "fixpoint_intersection=" in err and "iteration=" in err
+
+
+def test_dropped_nucleus_breaks_nuclear_filter_check(monkeypatch):
+    # {a, 1} is the kernel of the nucleus whose fixpoints are {b, 1};
+    # once that nucleus is dropped the kernel scan misses {a, 1}, while
+    # the Galois closure still finds it
+    P = fx.b2()
+    assert is_nuclear_filter(P, Subset.of(P, ["a", "1"]))
+    _plant_dropped_nucleus(monkeypatch, P.mask_of(["b", "1"]))
+    P = fx.b2()
+    with pytest.raises(TheoremBreach) as info:
+        is_nuclear_filter(P, Subset.of(P, ["a", "1"]))
+    assert info.value.routes == {"kernel_scan": False, "galois_closure": True}
+
+
+def _full(X):
+    return Subset(X.poset, X.poset.full_mask)
+
+
+def _nucsys_case():
+    P = fx.b2()
+    return heyting.nucsys(P, Subset.of(P, ["a"]))
+
+
+def _nuc_map_case():
+    P = fx.b2()
+    return heyting.nuc_map(P, Subset.of(P, ["a"]))
+
+
+def _tarski_case():
+    P = fx.c3()
+    return closure.tarski(EndoMap(P, (1, 2, 2)))
+
+
+def _cl_meet_case():
+    P = fx.c3()
+    top = closure.duality(Subset.of(P, ["2"]))
+    return closure.cl_meet([top, ClosureOperator(identity_map(P))])
+
+
+def _fix_of_meet_case():
+    P = fx.b2()
+    nucs = heyting.enumerate_nuclei(P)
+    return heyting.fix_of_meet_check(nucs[-1], nucs[0])
+
+
+# route pair -> (module, name, planted replacement, expected routes)
+ROUTE_PAIRS = {
+    "nucsys": (
+        heyting,
+        "clsys",
+        lambda X, cap=None: closure.clsys(_full(X), cap),
+        _nucsys_case,
+        ["intersection", "implication_formula"],
+    ),
+    "nuc_map": (
+        heyting,
+        "nucsys",
+        lambda L, X, cap=None: _full(X),
+        _nuc_map_case,
+        ["double_implication", "nucsys"],
+    ),
+    "tarski": (
+        closure,
+        "generate_closure",
+        lambda G, Q=None: ClosureOperator(identity_map(Q)),
+        _tarski_case,
+        ["restriction", "scan"],
+    ),
+    "cl_meet": (
+        closure,
+        "pointwise_meet",
+        lambda maps, poset=None: maps[0],
+        _cl_meet_case,
+        ["pointwise", "operator_lattice"],
+    ),
+    "fix_of_meet": (
+        heyting,
+        "nucleus_meet",
+        lambda a, b: a,
+        _fix_of_meet_case,
+        ["meet", "meets_of_fixpoints"],
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", list(ROUTE_PAIRS))
+def test_planted_route_names_its_routes(monkeypatch, pair):
+    module, name, planted, call, routes = ROUTE_PAIRS[pair]
+    call()
+    monkeypatch.setattr(module, name, planted)
+    with pytest.raises(TheoremBreach) as info:
+        call()
+    assert list(info.value.routes) == routes
+    for route in routes:
+        assert f"{route}=" in str(info.value)
+
+
+def test_wrong_scan_route_breaks_sccore(monkeypatch, b2_files, capsys):
+    argv = ["sccore", b2_files["poset"], b2_files["gam"]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(
+        cli,
+        "sccore_bruteforce",
+        lambda gamma, cap=None: ClosureOperator(identity_map(gamma.poset)),
+    )
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "way_below_formula=" in err and "candidate_scan=" in err
