@@ -43,13 +43,17 @@ class PowersetOperator:
     keeps the images in `table`, indexed by mask.  It then checks, on
     every subset, that no image escapes the universe and that the
     operator is ascending, idempotent and monotone; each constructor
-    gates the size by its cap first.
+    gates the size by its cap first.  `_anti_exchange` holds the verdict
+    of the last convexity_checks sweep on this table, None before one.
     """
 
     universe: FinitePoset
     kind: str
     fn: InitVar[Callable]
     table: tuple = field(init=False, repr=False, compare=False)
+    _anti_exchange: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self, fn: Callable):
         full = self.universe.full_mask
@@ -141,7 +145,7 @@ def rule_closure_operator(R: RuleSet, cap: Optional[int] = None) -> PowersetOper
     check_cap("rule powerset operator", P.n, cap, SUBSET_CAP)
     full = P.full_mask
     heads = [0] * (full + 1)
-    for b, h in R._heads_by_body().items():
+    for b, h in R._heads.items():
         heads[b] |= h
     for e in range(P.n):
         bit = 1 << e
@@ -182,7 +186,8 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
     enters when y is added then y does not enter when x is added.
     Closed-set form: from a closed set, adding distinct outside points
     never closes to the same set.  Their equivalence is enforced, not
-    assumed.
+    assumed.  Every call sweeps; the verdict is kept on the operator for
+    funnel_check to reuse.
     """
     P = op.universe
     check_cap("convexity analysis", P.n, cap, CONVEXITY_CAP)
@@ -229,6 +234,7 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
         anti_exchange=ae_witness is None,
         closed_set_form=cas_witness is None,
     )
+    object.__setattr__(op, "_anti_exchange", ae_witness is None)
     return {
         "anti_exchange": ae_witness is None,
         "anti_exchange_witness": ae_witness,
@@ -280,7 +286,8 @@ def funnel_check(
     upper sets, and the principal-upper-set form.  Disagreement raises.
     When the preorder is antisymmetric and is a funnel, the two
     consequences (new points sit above the point they pull in;
-    anti-exchange in closed-set form) are verified as well.
+    anti-exchange, read from the operator's sweep, which runs here only
+    if none has) are verified as well.
     """
     P = op.universe
     check_cap("funnel analysis", P.n, cap, CONVEXITY_CAP)
@@ -369,8 +376,9 @@ def funnel_check(
                             "an antisymmetric funnel admitted a new point "
                             "not below the point that pulled it in"
                         )
-        checks = convexity_checks(op, cap)
-        if not checks["anti_exchange"]:
+        if op._anti_exchange is None:
+            convexity_checks(op, cap)
+        if not op._anti_exchange:
             raise TheoremBreach(
                 "an operator with an antisymmetric funnel fails "
                 "anti-exchange"

@@ -1,9 +1,10 @@
 """Closure rules: body-head deductions over a poset's elements.
 
 A rule (B, c) is obeyed by a subset X when B inside X forces c into X.
-The engine closes a subset under a rule set by chaotic iteration with a
-worklist: each unsatisfied rule waits on one missing body element and is
-woken when that element arrives.
+A rule set is indexed by body: each body mask maps to the mask of the
+heads it concludes.  The engine closes a subset under a rule set by
+chaotic iteration with a worklist over that index: each body not yet
+inside waits on one missing element and is woken when it arrives.
 
 Two rule families are derived from the order itself.  Default rules
 conclude a maximal lower bound from a body; nuclear rules conclude, from
@@ -14,7 +15,7 @@ respectively, which is what the tests lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotMeetSemilattice
@@ -63,18 +64,48 @@ class ClosureRule:
         return f"{{{', '.join(self.body.labels)}}} |- {self.head_label}"
 
 
-@dataclass(frozen=True)
 class RuleSet:
-    poset: FinitePoset
-    rules: tuple[ClosureRule, ...]
-    _pairs: frozenset = field(init=False, repr=False, compare=False)
+    """A set of rules over one poset, indexed by body.
 
-    def __post_init__(self):
-        for r in self.rules:
-            same_poset(self.poset, r.poset)
-        object.__setattr__(
-            self, "_pairs", frozenset((r.body_mask, r.head) for r in self.rules)
-        )
+    `_heads` maps each body mask to the mask of the heads it concludes,
+    and every query reads it.  A rule set built from ClosureRules keeps
+    its tuple; one built by the library from the index alone builds
+    `rules` on first access, in body-mask order, then head order.
+    Equality, hashing and repr read `rules`.
+    """
+
+    __slots__ = ("poset", "_heads", "_rules")
+
+    def __init__(self, poset: FinitePoset, rules: Sequence[ClosureRule]):
+        rules = tuple(rules)
+        heads: dict = {}
+        for r in rules:
+            same_poset(poset, r.poset)
+            heads[r.body_mask] = heads.get(r.body_mask, 0) | 1 << r.head
+        self._set(poset, heads, rules)
+
+    @classmethod
+    def _indexed(cls, poset: FinitePoset, heads: dict) -> "RuleSet":
+        """Trusted construction from a body-to-heads index built inside
+        the library, with no entry for a body that concludes nothing;
+        only the masks are checked against the poset."""
+        full = poset.full_mask
+        for b, h in heads.items():
+            if b & ~full:
+                raise ValueError("rule body outside the poset")
+            if h & ~full:
+                raise ValueError("rule head outside the poset")
+        R = cls.__new__(cls)
+        R._set(poset, heads, None)
+        return R
+
+    def _set(self, poset, heads, rules):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "_heads", heads)
+        object.__setattr__(self, "_rules", rules)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RuleSet is immutable: cannot set {name!r}")
 
     @classmethod
     def of(cls, poset: FinitePoset, items: Iterable) -> "RuleSet":
@@ -83,20 +114,43 @@ class RuleSet:
             poset, tuple(ClosureRule.of(poset, b, h) for b, h in items)
         )
 
-    def has(self, body_mask: int, head: int) -> bool:
-        return (body_mask, head) in self._pairs
+    @property
+    def rules(self) -> tuple[ClosureRule, ...]:
+        if self._rules is None:
+            P = self.poset
+            object.__setattr__(
+                self,
+                "_rules",
+                tuple(
+                    ClosureRule(P, b, h)
+                    for b, hs in sorted(self._heads.items())
+                    for h in bits(hs)
+                ),
+            )
+        return self._rules
 
-    def _heads_by_body(self) -> dict:
-        out: dict = {}
-        for b, h in self._pairs:
-            out[b] = out.get(b, 0) | 1 << h
-        return out
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poset, self.rules) == (other.poset, other.rules)
+
+    def __hash__(self):
+        return hash((self.poset, self.rules))
+
+    def __repr__(self):
+        return f"RuleSet(poset={self.poset!r}, rules={self.rules!r})"
+
+    def __len__(self):
+        return len(self.rules)
+
+    def has(self, body_mask: int, head: int) -> bool:
+        return head >= 0 and bool(self._heads.get(body_mask, 0) >> head & 1)
 
     def is_reflexive(self, cap: Optional[int] = None) -> bool:
         """Contains every rule that concludes a member of its own body."""
         P = self.poset
         check_cap("rule reflexivity", P.n, cap, SUBSET_CAP)
-        heads = self._heads_by_body()
+        heads = self._heads
         for bmask in range(P.full_mask + 1):
             if bmask & ~heads.get(bmask, 0):
                 return False
@@ -107,21 +161,18 @@ class RuleSet:
         then B concludes d."""
         P = self.poset
         check_cap("rule transitivity", P.n, cap, SUBSET_CAP)
-        heads = self._heads_by_body()
+        heads = self._heads
         for bmask in range(P.full_mask + 1):
             sb = heads.get(bmask, 0)
-            for cmask, d in self._pairs:
-                if cmask & ~sb == 0 and not sb >> d & 1:
+            for cmask, ds in heads.items():
+                if cmask & ~sb == 0 and ds & ~sb:
                     return False
         return True
 
-    def __len__(self):
-        return len(self.rules)
-
 
 def obeys_mask(R: RuleSet, mask: int) -> bool:
-    for r in R.rules:
-        if r.body_mask & ~mask == 0 and not mask >> r.head & 1:
+    for b, hs in R._heads.items():
+        if b & ~mask == 0 and hs & ~mask:
             return False
     return True
 
@@ -132,19 +183,28 @@ def obeys(X: Subset, R: RuleSet) -> bool:
 
 
 def rule_closure_mask(R: RuleSet, mask: int) -> int:
-    parked: list[list[ClosureRule]] = [[] for _ in range(R.poset.n)]
-    ready = list(R.rules)
+    """Least superset of mask obeying every rule.
+
+    A worklist over the index's (body, heads) entries: an entry whose
+    body is not yet inside waits on its lowest missing element and is
+    woken when that element arrives, so each entry is parked at most
+    once per body element."""
+    parked: list[list[tuple[int, int]]] = [[] for _ in range(R.poset.n)]
+    ready = list(R._heads.items())
     while ready:
-        r = ready.pop()
-        need = r.body_mask & ~mask
+        entry = ready.pop()
+        need = entry[0] & ~mask
         if need:
-            parked[next(bits(need))].append(r)
+            parked[(need & -need).bit_length() - 1].append(entry)
             continue
-        if not mask >> r.head & 1:
-            mask |= 1 << r.head
-            woken = parked[r.head]
-            parked[r.head] = []
-            ready.extend(woken)
+        new = entry[1] & ~mask
+        mask |= new
+        while new:
+            low = new & -new
+            h = low.bit_length() - 1
+            ready.extend(parked[h])
+            parked[h] = []
+            new ^= low
     return mask
 
 
@@ -173,12 +233,17 @@ def rho(P: FinitePoset, family: Sequence[Subset], cap: Optional[int] = None) -> 
     for X in family:
         same_poset(P, X.poset)
         masks.append(X.mask)
-    out = []
-    for bmask in range(P.full_mask + 1):
-        for h in range(P.n):
-            if all(bmask & ~m or m >> h & 1 for m in masks):
-                out.append(ClosureRule(P, bmask, h))
-    return RuleSet(P, tuple(out))
+    full = P.full_mask
+    heads = {}
+    for bmask in range(full + 1):
+        # the heads are the members of every set containing the body
+        hs = full
+        for m in masks:
+            if bmask & ~m == 0:
+                hs &= m
+        if hs:
+            heads[bmask] = hs
+    return RuleSet._indexed(P, heads)
 
 
 def rul(op, cap: Optional[int] = None) -> RuleSet:
@@ -186,12 +251,12 @@ def rul(op, cap: Optional[int] = None) -> RuleSet:
     exactly when c lands in the closure of B."""
     P = op.universe
     check_cap("rule-set extraction", P.n, cap, SUBSET_CAP)
-    out = []
+    heads = {}
     for bmask in range(P.full_mask + 1):
         closed = op.apply_mask(bmask)
-        for h in bits(closed):
-            out.append(ClosureRule(P, bmask, h))
-    return RuleSet(P, tuple(out))
+        if closed:
+            heads[bmask] = closed
+    return RuleSet._indexed(P, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +265,9 @@ def rul(op, cap: Optional[int] = None) -> RuleSet:
 
 def _default_rules(P: FinitePoset) -> RuleSet:
     lower = bound_sets(P, P.down)
-    heads = {lb: tuple(bits(maximal_mask(P, lb))) for lb in set(lower)}
-    return RuleSet(
-        P,
-        tuple(
-            ClosureRule(P, bmask, h)
-            for bmask, lb in enumerate(lower)
-            for h in heads[lb]
-        ),
+    tops = {lb: maximal_mask(P, lb) for lb in set(lower)}
+    return RuleSet._indexed(
+        P, {bmask: tops[lb] for bmask, lb in enumerate(lower) if tops[lb]}
     )
 
 

@@ -220,6 +220,28 @@ def test_convexity_command_checks_the_funnel_once(files, capsys, monkeypatch):
         assert doc["acyclic"] == doc["poset_order_is_funnel"]
 
 
+def test_convexity_command_sweeps_anti_exchange_once(files, capsys, monkeypatch):
+    # the poset order of c3 is an antisymmetric funnel for clsys, so the
+    # funnel check needs the anti-exchange verdict the command computed
+    import latkit.cli
+    import latkit.convexity
+
+    calls = []
+    real = latkit.convexity.convexity_checks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(latkit.convexity, "convexity_checks", counted)
+    monkeypatch.setattr(latkit.cli, "convexity_checks", counted)
+    rc, out, _ = run(capsys, ["convexity", files["c3"]])
+    assert rc == 0
+    assert len(calls) == 1
+    doc = json.loads(out)
+    assert doc["poset_order_is_funnel"] and doc["anti_exchange"]
+
+
 def test_sccore_command(files, capsys):
     rc, out, _ = run(capsys, ["sccore", files["b2"], files["gam"]])
     assert rc == 0

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from latkit import fixtures as fx
-from latkit import cli, closure, convexity, heyting, order
+from latkit import cli, closure, convexity, heyting, order, rules
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
 from latkit.errors import InputError, TheoremBreach
@@ -21,6 +21,7 @@ from latkit.heyting import is_nuclear_system, least_nucleus_above, nuclear_core
 from latkit.hmj import is_nuclear_filter
 from latkit.maps import EndoMap, identity_map, is_scott_continuous
 from latkit.order import Subset
+from latkit.rules import RuleSet
 
 
 @pytest.fixture
@@ -63,6 +64,72 @@ def test_dropped_closure_system_breaks_clsys(monkeypatch):
     X = Subset.of(P, ["1", "2"])
     with pytest.raises(TheoremBreach):
         clsys(X, method="both")
+
+
+def _plant_default_heads(monkeypatch, edit):
+    # a default-rule builder whose body-to-heads index is edited
+    real = rules._default_rules
+    monkeypatch.setattr(
+        rules,
+        "_default_rules",
+        lambda Q: RuleSet._indexed(Q, edit(dict(real(Q)._heads))),
+    )
+
+
+def _empty_set_breach():
+    # the least closure system containing the empty set of c3 is {2}:
+    # the empty body concludes the top
+    P = fx.c3()
+    with pytest.raises(TheoremBreach) as info:
+        clsys(Subset(P, 0), method="both")
+    assert list(info.value.routes) == ["system_intersection", "default_rules"]
+    return info.value.routes
+
+
+def _assert_clean_empty_set():
+    P = fx.c3()
+    assert clsys(Subset(P, 0), method="both").labels == ("2",)
+
+
+def test_dropped_body_breaks_default_rules(monkeypatch):
+    _assert_clean_empty_set()
+    _plant_default_heads(
+        monkeypatch, lambda heads: {b: h for b, h in heads.items() if b}
+    )
+    routes = _empty_set_breach()
+    assert routes["default_rules"].labels == ()
+
+
+def test_wrong_head_breaks_default_rules(monkeypatch):
+    _assert_clean_empty_set()
+    _plant_default_heads(monkeypatch, lambda heads: {**heads, 0: 0b010})
+    routes = _empty_set_breach()
+    assert routes["default_rules"].labels == ("1",)
+
+
+def test_identity_rule_closure_breaks_clsys(monkeypatch):
+    _assert_clean_empty_set()
+    monkeypatch.setattr(rules, "rule_closure_mask", lambda R, mask: mask)
+    routes = _empty_set_breach()
+    assert routes["system_intersection"].labels == ("2",)
+
+
+def test_wrong_double_implication_breaks_nuc_map(monkeypatch):
+    # a meet that always answers the top turns the double-implication
+    # formula into the constant-top nucleus, a valid nucleus whose
+    # fixpoints miss a
+    P = fx.b2()
+    X = Subset.of(P, ["a"])
+    assert heyting.nuc_map(P, X).fix.labels == ("a", "1")
+    monkeypatch.setattr(heyting, "meet_of", lambda Q, mask: order.top_index(Q))
+    P = fx.b2()
+    X = Subset.of(P, ["a"])
+    with pytest.raises(TheoremBreach) as info:
+        heyting.nuc_map(P, X)
+    routes = info.value.routes
+    assert list(routes) == ["double_implication", "nucsys"]
+    assert routes["double_implication"].labels == ("1",)
+    assert routes["nucsys"].labels == ("a", "1")
 
 
 def test_wrong_directed_top_breaks_scott_continuity(

@@ -176,3 +176,16 @@ def test_rule_with_unknown_labels_rejected():
 
     with pytest.raises(UnknownLabel):
         ClosureRule.of(P, ["0"], "zz")
+
+
+def test_indexed_rule_set_checks_masks_against_the_poset():
+    P = fx.c3()
+    R = RuleSet._indexed(P, {0: 0b100, 0b011: 0b001})
+    assert R.rules == RuleSet.of(P, [((), "2"), (("0", "1"), "0")]).rules
+    assert R.has(0b011, 0) and not R.has(0b011, 1)
+    with pytest.raises(ValueError, match="body"):
+        RuleSet._indexed(P, {0b1000: 0b001})
+    with pytest.raises(ValueError, match="head"):
+        RuleSet._indexed(P, {0: 0b1000})
+    with pytest.raises(ValueError, match="head"):
+        RuleSet._indexed(P, {0: -1})
