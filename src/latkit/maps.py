@@ -18,11 +18,13 @@ from .order import (
     Subset,
     bits,
     derived,
+    directed_columns,
     directed_subsets,
     family_poset,
     join_of,
     meet_table,
     same_poset,
+    union_of,
 )
 
 
@@ -301,18 +303,18 @@ def inversely_closed_under(A: Subset, maps: Iterable[EndoMap]) -> bool:
 
 
 def directed_closed(A: Subset, cap: Optional[int] = None) -> bool:
-    """A contains the join of each of its directed subsets."""
+    """A contains the join of each of its directed subsets: no directed
+    set that avoids the complement of A has its maximum outside A.
+    Decided over every directed subset at once, on its bit columns."""
     P = A.poset
-    for dmask, top in directed_subsets(P, cap):
-        if dmask & ~A.mask == 0 and not A.mask >> top & 1:
-            return False
-    return True
+    members, tops = directed_columns(P, cap)
+    out = P.full_mask & ~A.mask
+    return not union_of(tops, out) & ~union_of(members, out)
 
 
 def inaccessible_by_directed_joins(A: Subset, cap: Optional[int] = None) -> bool:
-    """No directed set outside A has its join inside A."""
+    """No directed set outside A has its join inside A.  Decided over
+    every directed subset at once, on its bit columns."""
     P = A.poset
-    for dmask, top in directed_subsets(P, cap):
-        if A.mask >> top & 1 and not dmask & A.mask:
-            return False
-    return True
+    members, tops = directed_columns(P, cap)
+    return not union_of(tops, A.mask) & ~union_of(members, A.mask)

@@ -402,6 +402,14 @@ def lower_closure_mask(P: FinitePoset, mask: int) -> int:
     return out
 
 
+def union_of(rows: Sequence[int], mask: int) -> int:
+    """The union of rows[i] over the members i of mask."""
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
+
+
 def upper_closure_mask(P: FinitePoset, mask: int) -> int:
     out = 0
     for i in bits(mask):
@@ -507,20 +515,73 @@ def directed_subsets(P: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[i
     with each subset of the elements strictly below t, and then sorted:
     its cost follows the number of directed subsets, not 2^n.  The
     tests check it against the pairwise definition (is_directed_mask).
+
+    This call is also the cap gate of every quantifier over directed
+    subsets.  Those that need no masks read directed_columns instead of
+    walking the list; the frame check, dj and the definitional Scott
+    continuity test walk it.
     """
     check_cap("directed-subset enumeration", P.n, cap, DIRECTED_CAP)
     return derived(P, _directed_subsets)
 
 
+def _bit_columns(j: int, size: int) -> int:
+    """The k < size with bit j of k set, as a mask."""
+    half = 1 << j
+    period = half << 1
+    unit = ((1 << half) - 1) << half
+    return unit * (((1 << size) - 1) // ((1 << period) - 1))
+
+
+def _directed_columns(P: FinitePoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    members = [0] * P.n
+    tops = [0] * P.n
+    width = 0
+    for t in range(P.n):
+        below = tuple(bits(P.down[t] & ~(1 << t)))
+        size = 1 << len(below)
+        block = ((1 << size) - 1) << width
+        tops[t] = block
+        members[t] |= block
+        for j, b in enumerate(below):
+            members[b] |= _bit_columns(j, size) << width
+        width += size
+    return tuple(members), tuple(tops)
+
+
+def directed_columns(
+    P: FinitePoset, cap: Optional[int] = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The directed subsets as bit columns: (members, tops), where bit
+    k of members[i] is set iff i lies in the k-th directed subset, and
+    bit k of tops[t] iff t is its maximum.
+
+    The subsets are numbered block by block per top t: t together with
+    each subset of the elements strictly below t, counted in binary over
+    them, so each column is a periodic bit pattern per block.  A
+    quantifier over every directed subset is then a few ORs and ANDs of
+    these columns.  Runs the directed_subsets gate first.
+    """
+    directed_subsets(P, cap)
+    return derived(P, _directed_columns)
+
+
 def _way_below(P: FinitePoset) -> tuple[int, ...]:
-    """wb[x] = mask of all y with x way below y."""
-    n = P.n
-    wb = list(P.le)  # x way below y forces x <= y (take D = {y})
-    for dmask, top in derived(P, _directed_subsets):
-        ys = P.down[top]
-        for x in range(n):
-            if not P.le[x] & dmask:
-                wb[x] &= ~ys
+    """wb[x] = mask of all y with x way below y: x <= y, and no directed
+    set with join at or above y misses the upper set of x."""
+    members, tops = derived(P, _directed_columns)
+    reach = [0] * P.n  # the directed sets whose join is at or above y
+    for t, col in enumerate(tops):
+        for y in bits(P.down[t]):
+            reach[y] |= col
+    wb = []
+    for x in range(P.n):
+        hit = union_of(members, P.le[x])
+        out = 0
+        for y in bits(P.le[x]):
+            if not reach[y] & ~hit:
+                out |= 1 << y
+        wb.append(out)
     return tuple(wb)
 
 

@@ -11,6 +11,12 @@ given by a set of upper-triangular pairs on 5 elements (also with the
 labels listed in a shuffled order) and random posets of up to 10
 elements.  The nuclei are compared on those with all binary meets, on
 random frames and on larger grids.
+
+The quantifiers over directed subsets (directed_closed,
+inaccessible_by_directed_joins, is_compact_quotient and the way-below
+relation) read bit columns instead of walking the list, and filters
+come from a descent over upper sets; the per-subset loops and the 2^n
+filter scan they replaced are kept here too.
 """
 
 import itertools
@@ -26,11 +32,17 @@ from latkit.closure import (
     is_closure_system_mask,
 )
 from latkit.heyting import enumerate_nuclei
-from latkit.maps import preserves_binary_meets
+from latkit.hmj import _is_filter_mask, enumerate_filters, is_compact_quotient
+from latkit.maps import (
+    directed_closed,
+    inaccessible_by_directed_joins,
+    preserves_binary_meets,
+)
 from latkit.order import (
     Subset,
     bits,
     build_poset,
+    directed_columns,
     directed_subsets,
     greatest_of,
     has_ceiling_mask,
@@ -39,7 +51,10 @@ from latkit.order import (
     is_meet_semilattice,
     lower_bounds_mask,
     maximal_mask,
+    meet_table,
     popcount,
+    top_index,
+    way_below_relation,
 )
 from latkit.rules import default_rules
 
@@ -53,6 +68,81 @@ def reference_directed_subsets(P):
             assert g is not None
             out.append((mask, g))
     return tuple(out)
+
+
+def decode_directed_columns(P):
+    """The (mask, top) pairs that the columns of directed_columns
+    describe, one per bit position, in that order."""
+    members, tops = directed_columns(P, P.n)
+    width = max((col.bit_length() for col in tops), default=0)
+    out = []
+    for k in range(width):
+        mask = sum(1 << i for i in range(P.n) if members[i] >> k & 1)
+        (top,) = [t for t in range(P.n) if tops[t] >> k & 1]
+        out.append((mask, top))
+    return out
+
+
+def reference_directed_closed(P, mask):
+    for dmask, top in directed_subsets(P, P.n):
+        if dmask & ~mask == 0 and not mask >> top & 1:
+            return False
+    return True
+
+
+def reference_inaccessible(P, mask):
+    for dmask, top in directed_subsets(P, P.n):
+        if mask >> top & 1 and not dmask & mask:
+            return False
+    return True
+
+
+def reference_way_below(P):
+    wb = list(P.le)
+    for dmask, top in directed_subsets(P, P.n):
+        for x in range(P.n):
+            if not P.le[x] & dmask:
+                wb[x] &= ~P.down[top]
+    return tuple(wb)
+
+
+def reference_compact_quotient(P, nu):
+    t, fm = top_index(P), nu.fix_mask
+    for dmask, dtop in directed_subsets(P, P.n):
+        if dmask & ~fm == 0 and nu.table[dtop] == t and not dmask >> t & 1:
+            return False
+    return True
+
+
+def reference_filter_masks(P):
+    t, mt = top_index(P), meet_table(P)
+    return [
+        m for m in range(P.full_mask + 1) if _is_filter_mask(P, t, mt, m)
+    ]
+
+
+def assert_directed_routes_match(P, masks=None):
+    """Columns decode to the list; every column route matches its
+    per-subset loop on every mask (or on the masks given)."""
+    decoded = decode_directed_columns(P)
+    assert sorted(decoded) == list(directed_subsets(P, P.n)), P
+    assert way_below_relation(P, P.n) == reference_way_below(P), P
+    for m in range(P.full_mask + 1) if masks is None else masks:
+        X = Subset(P, m)
+        assert directed_closed(X, P.n) == reference_directed_closed(P, m)
+        assert inaccessible_by_directed_joins(X, P.n) == reference_inaccessible(
+            P, m
+        )
+
+
+def assert_frame_routes_match(P):
+    """Filters in mask order and compactness of every nucleus."""
+    got = [F.mask for F in enumerate_filters(P, P.n)]
+    assert got == reference_filter_masks(P), P
+    for nu in enumerate_nuclei(P, P.n):
+        assert is_compact_quotient(P, nu, P.n) == reference_compact_quotient(
+            P, nu
+        )
 
 
 def reference_closure_system_masks(P):
@@ -172,3 +262,35 @@ def test_nuclei_of_b4_match_closure_system_filter():
     got = nucleus_tables(P, 16)
     assert len(got) == 16
     assert got == reference_nuclei(P, 16)
+
+
+def test_directed_columns_match_per_subset_loops(posets):
+    for P in posets:
+        if P.n <= 8:
+            assert_directed_routes_match(P)
+        else:
+            assert sorted(decode_directed_columns(P)) == list(
+                directed_subsets(P, P.n)
+            ), P
+
+
+def test_directed_columns_on_grids_and_frames():
+    # the 5x3 grid has about 20,000 directed subsets, so its loops run
+    # on the masks hmj asks about: every upper set, every down-set and
+    # every fixpoint set of a nucleus
+    G = grid(5, 3)
+    nucs = enumerate_nuclei(G, G.n)
+    uppers = [m for m in range(G.full_mask + 1) if _upper(G, m)]
+    downs = [G.full_mask & ~m for m in uppers]
+    assert len(uppers) == 56 and len(nucs) == 64
+    assert_directed_routes_match(G, uppers + downs + [nu.fix_mask for nu in nucs])
+    assert_frame_routes_match(G)
+    rng = random.Random(59)
+    frames = [random_frame(rng, 12, max_q=5) for _ in range(12)]
+    for L in [fx.point(), fx.c3(), fx.b2(), fx.chain(6), grid(2, 4)] + frames:
+        assert_directed_routes_match(L)
+        assert_frame_routes_match(L)
+
+
+def _upper(P, mask):
+    return all(P.le[i] & ~mask == 0 for i in bits(mask))

@@ -13,12 +13,17 @@ import json
 import pytest
 
 from latkit import fixtures as fx
-from latkit import cli, closure, convexity, heyting, order, rules
+from latkit import cli, closure, convexity, heyting, hmj, order, rules
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
 from latkit.errors import InputError, TheoremBreach
-from latkit.heyting import is_nuclear_system, least_nucleus_above, nuclear_core
-from latkit.hmj import is_nuclear_filter
+from latkit.heyting import (
+    Nucleus,
+    is_nuclear_system,
+    least_nucleus_above,
+    nuclear_core,
+)
+from latkit.hmj import hmj_correspondence, is_nuclear_filter
 from latkit.maps import EndoMap, identity_map, is_scott_continuous
 from latkit.order import Subset
 from latkit.rules import RuleSet
@@ -383,3 +388,55 @@ def test_wrong_scan_route_breaks_sccore(monkeypatch, b2_files, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "way_below_formula=" in err and "candidate_scan=" in err
+
+
+def test_swapped_open_nucleus_row_breaks_hmj(monkeypatch, b2_files, capsys):
+    # the open nucleus at a replaced by the one at b: the membership
+    # lemma in fitting no longer holds for the real open nucleus at a
+    argv = ["hmj", b2_files["poset"]]
+    assert hmj_correspondence(fx.b2())["count"] == 4
+    assert main(argv) == 0
+    real = hmj._open_nuclei
+
+    def swapped(Q):
+        opens = list(real(Q))
+        opens[Q.index("a")] = opens[Q.index("b")]
+        return tuple(opens)
+
+    monkeypatch.setattr(hmj, "_open_nuclei", swapped)
+    with pytest.raises(TheoremBreach):
+        hmj_correspondence(fx.b2())
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def test_identity_fitnuc_breaks_hmj_also_from_the_kernel_cache(
+    monkeypatch, b2_files, capsys
+):
+    # fitnuc answers the identity for the filter {a, 1}; fitting keeps
+    # that answer per kernel, and a later call that reads it from there
+    # instead of calling fitnuc must still raise
+    argv = ["hmj", b2_files["poset"]]
+    assert hmj_correspondence(fx.b2())["count"] == 4
+    assert main(argv) == 0
+    real = hmj.fitnuc
+
+    def planted(L, S, cap=None):
+        if S.labels == ("a", "1"):
+            return Nucleus(ClosureOperator(identity_map(S.poset)))
+        return real(L, S, cap)
+
+    monkeypatch.setattr(hmj, "fitnuc", planted)
+    P = fx.b2()
+    with pytest.raises(TheoremBreach):
+        hmj_correspondence(P)
+    kernel = P.mask_of(["a", "1"])
+    cached = order.derived(P, hmj._fitted_by_kernel)[kernel]
+    assert cached.table == tuple(range(P.n))
+    assert main(argv) == 3
+    capsys.readouterr()
+    # fitnuc mended: only the kept fitting is wrong now
+    monkeypatch.setattr(hmj, "fitnuc", real)
+    with pytest.raises(TheoremBreach):
+        hmj_correspondence(P)
+    assert hmj_correspondence(fx.b2())["count"] == 4

@@ -6,12 +6,14 @@ generator draws a few sets, closes them under intersection and orders
 the family by inclusion, listing its members in a drawn order.  Plain
 posets are drawn as a set of edges along a drawn linear order, so no
 edge closes a cycle; rule sets are drawn as (body mask, head) pairs.
+Frames are drawn as the down-set lattices of small posets, which are
+exactly the finite distributive lattices.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from latkit.closure import clsys  # noqa: E402
 from latkit.convexity import rule_closure_operator  # noqa: E402
@@ -24,6 +26,8 @@ from latkit.rules import (  # noqa: E402
     rule_closure_mask,
 )
 from test_enumerations import (  # noqa: E402
+    assert_directed_routes_match,
+    assert_frame_routes_match,
     nucleus_tables,
     reference_default_rules,
     reference_nuclei,
@@ -120,3 +124,36 @@ def test_default_rules_list_matches_per_body_scan(P):
     assert [(r.body_mask, r.head) for r in R.rules] == reference_default_rules(P)
     again = RuleSet(P, R.rules)
     assert R == again and hash(R) == hash(again)
+
+
+@st.composite
+def frames(draw, max_n=12):
+    Q = draw(posets(max_n=4))
+    downs = [
+        m
+        for m in range(Q.full_mask + 1)
+        if all(Q.down[i] & ~m == 0 for i in range(Q.n) if m >> i & 1)
+    ]
+    assume(len(downs) <= max_n)
+    downs = draw(st.permutations(downs))
+    labels = [f"d{m}" for m in downs]
+    pairs = [
+        (labels[i], labels[j])
+        for i, a in enumerate(downs)
+        for j, b in enumerate(downs)
+        if i != j and a & ~b == 0
+    ]
+    return build_poset(labels, pairs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(posets(max_n=7))
+def test_directed_columns_match_per_subset_loops(P):
+    assert_directed_routes_match(P)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(frames())
+def test_frame_routes_match_scans(L):
+    assert_directed_routes_match(L)
+    assert_frame_routes_match(L)
