@@ -356,7 +356,7 @@ def cmd_closure_systems(P, cap):
     payload = {
         "count": len(systems),
         "systems": [list(S.labels) for S in systems],
-        "operators": [op.map.as_labels() for op in rep["closure_operators"]],
+        "operators": [op.as_labels() for op in rep["closure_operators"]],
     }
 
     def txt(p):
@@ -396,7 +396,7 @@ def cmd_generate(P, map_files):
     )
     payload = {
         "generators": [nm for nm, _ in named],
-        "closure": gamma.map.as_labels(),
+        "closure": gamma.as_labels(),
         "fixpoints": list(gamma.fix.labels),
     }
     return payload, _table_view("generated closure operator", "closure"), None
@@ -442,7 +442,7 @@ def cmd_nuclei(P, cap):
         "count": len(nucs),
         "nuclei": [
             {
-                "table": nu.op.map.as_labels(),
+                "table": nu.as_labels(),
                 "fixpoints": list(nu.fix.labels),
             }
             for nu in nucs
@@ -512,8 +512,8 @@ def cmd_nuclear_core(P, map_file, cap):
     nu = nuclear_core(P, gamma, cap)
     payload = {
         "map": name,
-        "closure": gamma.map.as_labels(),
-        "nuclear_core": nu.op.map.as_labels(),
+        "closure": gamma.as_labels(),
+        "nuclear_core": nu.as_labels(),
         "fixpoints": list(nu.fix.labels),
     }
     return payload, _table_view("nuclear core", "nuclear_core"), None
@@ -526,8 +526,8 @@ def cmd_least_nucleus(P, map_file, cap):
     nu = least_nucleus_above(P, gamma, cap)
     payload = {
         "map": name,
-        "closure": gamma.map.as_labels(),
-        "least_nucleus": nu.op.map.as_labels(),
+        "closure": gamma.as_labels(),
+        "least_nucleus": nu.as_labels(),
         "fixpoints": list(nu.fix.labels),
     }
     return payload, _table_view("least nucleus above", "least_nucleus"), None
@@ -695,7 +695,7 @@ def cmd_sccore(P, map_file, cap):
     )
     payload = {
         "map": name,
-        "sccore": core.map.as_labels(),
+        "sccore": core.as_labels(),
         "fixpoints": list(core.fix.labels),
     }
     return payload, _table_view("Scott-continuous core", "sccore"), None

@@ -1,10 +1,14 @@
 """Closure operators, closure systems, generation, fixpoints.
 
-The two sides of the subject are kept as distinct types.  A
-ClosureOperator is an ascending increasing idempotent endomap; a
-ClosureSystem is a subset in which every principal upper set has a
-least member.  duality and duality_inv translate between them and are
-mutually inverse.
+The two sides of the subject are kept as distinct types, each a
+subclass of the plain value it refines.  A ClosureOperator is an
+EndoMap that is ascending, increasing and idempotent; a ClosureSystem
+is a Subset in which every principal upper set has a least member.
+Each constructor checks its base class's laws and then its own, so a
+value of either type has passed every law its type names and can be
+passed wherever its base value is expected.  Their .map and .subset
+give the plain value back, for comparing with one.  duality and
+duality_inv translate between the two sides and are mutually inverse.
 
 Generation from a family of preclosure maps is implemented twice, on
 purpose: once through intersection of fixpoint sets, once as iterated
@@ -54,52 +58,39 @@ from .order import (
     popcount,
     same_poset,
     subposet,
-    way_below_relation,
+    way_down_sets,
 )
 from . import rules as _rules
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
-    """An ascending, increasing, idempotent endomap."""
+@dataclass(frozen=True, init=False, repr=False)
+class ClosureOperator(EndoMap):
+    """An ascending, increasing, idempotent endomap.
 
-    map: EndoMap
+    ClosureOperator(f) takes any EndoMap f and checks these laws after
+    EndoMap's own.
+    """
+
+    def __init__(self, f: EndoMap):
+        super().__init__(f.poset, f.table)
 
     def __post_init__(self):
-        if not is_preclosure(self.map):
+        super().__post_init__()
+        if not is_preclosure(self):
             raise NotPreclosure(
-                f"{self.map!r} is not a preclosure map (ascending and increasing)"
+                f"{EndoMap.__repr__(self)} is not a preclosure map "
+                "(ascending and increasing)"
             )
-        if not is_idempotent(self.map):
-            raise InputError(f"{self.map!r} is not idempotent")
+        if not is_idempotent(self):
+            raise InputError(f"{EndoMap.__repr__(self)} is not idempotent")
 
     @property
-    def poset(self) -> FinitePoset:
-        return self.map.poset
-
-    @property
-    def table(self) -> tuple[int, ...]:
-        return self.map.table
-
-    def __call__(self, i: int) -> int:
-        return self.map.table[i]
-
-    def apply_label(self, label: str) -> str:
-        return self.map.apply_label(label)
-
-    @property
-    def fix_mask(self) -> int:
-        return self.map.fix_mask
-
-    @property
-    def fix(self) -> Subset:
-        return Subset(self.poset, self.map.fix_mask)
-
-    def leq(self, other: "ClosureOperator") -> bool:
-        return pointwise_leq(self.map, other.map)
+    def map(self) -> EndoMap:
+        """The same table as a plain EndoMap."""
+        return EndoMap(self.poset, self.table)
 
     def __repr__(self):
-        return f"ClosureOperator({self.map.as_labels()!r})"
+        return f"{type(self).__name__}({self.as_labels()!r})"
 
 
 def _closure_table(P: FinitePoset, mask: int) -> Optional[tuple[int, ...]]:
@@ -123,47 +114,41 @@ def is_closure_system(X: Subset) -> bool:
     return is_closure_system_mask(X.poset, X.mask)
 
 
-@dataclass(frozen=True)
-class ClosureSystem:
-    """A subset validated to be a closure system.
+@dataclass(frozen=True, init=False, repr=False)
+class ClosureSystem(Subset):
+    """A subset in which every principal upper set has a least member.
 
-    The validation computes the least member above every element, and
-    that table is kept for duality.
+    ClosureSystem(X) takes any Subset X.  The check computes the least
+    member above every element, and that table is kept for duality.
     """
 
-    subset: Subset
     _table: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
+    def __init__(self, X: Subset):
+        super().__init__(X.poset, X.mask)
+
     def __post_init__(self):
-        table = _closure_table(self.subset.poset, self.subset.mask)
+        super().__post_init__()
+        table = _closure_table(self.poset, self.mask)
         if table is None:
             raise NotAClosureSystem(
-                f"{{{', '.join(self.subset.labels)}}} is not a closure system"
+                f"{{{', '.join(self.labels)}}} is not a closure system"
             )
         object.__setattr__(self, "_table", table)
 
     @property
-    def poset(self) -> FinitePoset:
-        return self.subset.poset
-
-    @property
-    def mask(self) -> int:
-        return self.subset.mask
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.subset.labels
-
-    def __repr__(self):
-        return f"ClosureSystem({{{', '.join(self.labels)}}})"
+    def subset(self) -> Subset:
+        """The same members as a plain Subset."""
+        return Subset(self.poset, self.mask)
 
 
-def duality(C) -> ClosureOperator:
+def duality(C: Subset) -> ClosureOperator:
     """The closure operator whose fixpoints are exactly C.
 
-    Sends x to the least element of C at or above x.
+    Sends x to the least element of C at or above x.  C is checked as a
+    closure system unless it is one already.
     """
-    if isinstance(C, Subset):
+    if not isinstance(C, ClosureSystem):
         C = ClosureSystem(C)
     with produced("duality"):
         return ClosureOperator(EndoMap(C.poset, C._table))
@@ -248,7 +233,7 @@ def generate_closure(
     with produced("fixpoint intersection"):
         result = duality(ClosureSystem(Subset(P, fixes)))
     for g in G:
-        if not pointwise_leq(g, result.map):
+        if not pointwise_leq(g, result):
             raise TheoremBreach(
                 "generated closure operator is not above a generator"
             )
@@ -302,7 +287,7 @@ def induction_check(
     dc = directed_closed(A, cap)
     cu = closed_under(A, G)
     gen = generate_closure(G, P)
-    concl = closed_under(A, [gen.map])
+    concl = closed_under(A, [gen])
     if dc and cu and not concl:
         raise TheoremBreach(
             f"induction principle failed on {A!r} with generators {G!r}"
@@ -333,7 +318,7 @@ def obverse_induction_check(
     inac = inaccessible_by_directed_joins(A, cap)
     icu = inversely_closed_under(A, G)
     gen = generate_closure(G, P)
-    concl = inversely_closed_under(A, [gen.map])
+    concl = inversely_closed_under(A, [gen])
     if inac and icu and not concl:
         raise TheoremBreach(
             f"obverse induction failed on {A!r} with generators {G!r}"
@@ -367,7 +352,7 @@ def default_induction_check(
     within = is_default_enabled_within(P, A, cap)
     cu = closed_under(A, G)
     gen = generate_closure(G, P)
-    concl = closed_under(A, [gen.map])
+    concl = closed_under(A, [gen])
     if ambient and within and cu and not concl:
         raise TheoremBreach(
             f"default induction failed on {A!r} with generators {G!r}"
@@ -392,7 +377,7 @@ def cl_join(
 
     Closure operators are preclosure maps, so the join is generation.
     """
-    return generate_closure([o.map for o in ops], poset)
+    return generate_closure(ops, poset)
 
 
 def cl_meet(
@@ -413,7 +398,7 @@ def cl_meet(
     for o in ops:
         union |= o.fix_mask
     result = duality(clsys(Subset(P, union), cap))
-    pw = pointwise_meet([o.map for o in ops])
+    pw = pointwise_meet(ops)
     if pw is not None:
         agree(
             "meet of closure operators",
@@ -492,14 +477,9 @@ def sccore(gamma: ClosureOperator, cap: Optional[int] = None) -> ClosureOperator
     below x.
     """
     P = gamma.poset
-    wb = way_below_relation(P, cap)
     table = []
-    for x in range(P.n):
-        dd = 0
-        for y in range(P.n):
-            if wb[y] >> x & 1:
-                dd |= 1 << y
-        v = join_of(P, gamma.map.image_mask(dd))
+    for dd in way_down_sets(P, cap):
+        v = join_of(P, gamma.image_mask(dd))
         if v is None:
             raise TheoremBreach(
                 "image of a way-below set under a closure operator "
@@ -519,10 +499,10 @@ def sccore_bruteforce(
     candidates = []
     for m in closure_system_masks(P, cap):
         op = duality(ClosureSystem(Subset(P, m)))
-        if pointwise_leq(op.map, gamma.map) and is_scott_continuous(op.map, cap):
+        if pointwise_leq(op, gamma) and is_scott_continuous(op, cap):
             candidates.append(op)
     for op in candidates:
-        if all(pointwise_leq(other.map, op.map) for other in candidates):
+        if all(pointwise_leq(other, op) for other in candidates):
             return op
     raise TheoremBreach(
         "the Scott-continuous closure operators below the given one "

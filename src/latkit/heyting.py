@@ -17,10 +17,13 @@ list against the pairwise definition of directedness.
 Implication a => b is the largest x with x meet a <= b.  The table is
 built once per frame and the adjunction law is verified at build time.
 
-A nucleus is a closure operator preserving binary meets.  The formulas
-here (nucsys, the double-implication nucleus, regular nuclei, core and
-least nucleus above) are each paired with an independent brute-force
-route over the full enumeration of nuclei; disagreement raises, loudly.
+A Nucleus is a ClosureOperator, and so an EndoMap, that preserves
+binary meets: its constructor runs the ClosureOperator checks and then
+that one, and .op and .map give the plain ClosureOperator and EndoMap
+back.  The formulas here (nucsys, the double-implication nucleus,
+regular nuclei, core and least nucleus above) are each paired with an
+independent brute-force route over the full enumeration of nuclei;
+disagreement raises, loudly.
 That enumeration rests on the definition alone, never on implication:
 a top-down descent over partial closure tables keeps a branch only
 while it preserves the meets it has decided, so the cost follows the
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     NotAFrame,
@@ -46,6 +49,7 @@ from .errors import (
 )
 from .closure import (
     ClosureOperator,
+    _closure_table,
     clsys,
     generate_closure,
     is_closure_system,
@@ -86,20 +90,6 @@ class FrameView:
     poset: FinitePoset
     level: Optional[str]  # None | "meet_semilattice" | "preframe" | "frame"
     witness: Optional[str]
-
-    def at_least(self, level: str) -> bool:
-        ladder = [None, "meet_semilattice", "preframe", "frame"]
-        return (
-            self.level is not None
-            and ladder.index(self.level) >= ladder.index(level)
-        )
-
-
-Frameish = Union[FinitePoset, FrameView]
-
-
-def _poset_of(L: Frameish) -> FinitePoset:
-    return L.poset if isinstance(L, FrameView) else L
 
 
 def _first_difference(a: bytes, b: bytes) -> int:
@@ -167,16 +157,14 @@ def validate_structure(P: FinitePoset, cap: Optional[int] = None) -> FrameView:
     return derived(P, _validate_structure)
 
 
-def require_frame(L: Frameish, cap: Optional[int] = None) -> FinitePoset:
-    P = _poset_of(L)
+def require_frame(P: FinitePoset, cap: Optional[int] = None) -> FinitePoset:
     fv = validate_structure(P, cap)
     if fv.level != "frame":
         raise NotAFrame(f"not a frame: {fv.witness or 'no meets'}")
     return P
 
 
-def require_preframe(L: Frameish, cap: Optional[int] = None) -> FinitePoset:
-    P = _poset_of(L)
+def require_preframe(P: FinitePoset, cap: Optional[int] = None) -> FinitePoset:
     fv = validate_structure(P, cap)
     if fv.level not in ("preframe", "frame"):
         raise NotPreframe(f"not a preframe: {fv.witness or 'no meets'}")
@@ -230,18 +218,18 @@ def _adjunction_failure(P: FinitePoset, imp, mt) -> Optional[tuple[int, int, int
     return None
 
 
-def implication_table(L: Frameish, cap: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+def implication_table(L: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     P = require_frame(L, cap)
     return derived(P, _imp_table)
 
 
-def heyting_implication(L: Frameish, a: str, b: str, cap: Optional[int] = None) -> str:
+def heyting_implication(L: FinitePoset, a: str, b: str, cap: Optional[int] = None) -> str:
     P = require_frame(L, cap)
     imp = derived(P, _imp_table)
     return P.label(imp[P.index(a)][P.index(b)])
 
 
-def adjunction_check(L: Frameish, cap: Optional[int] = None) -> bool:
+def adjunction_check(L: FinitePoset, cap: Optional[int] = None) -> bool:
     """x <= (a => b) iff x meet a <= b, for all triples."""
     P = require_frame(L, cap)
     return _adjunction_failure(P, derived(P, _imp_table), meet_table(P)) is None
@@ -281,47 +269,27 @@ def is_nucleus_map(f: EndoMap) -> bool:
     return is_prenucleus(f) and is_idempotent(f)
 
 
-@dataclass(frozen=True)
-class Nucleus:
-    """A closure operator preserving binary meets."""
+@dataclass(frozen=True, init=False, repr=False)
+class Nucleus(ClosureOperator):
+    """A closure operator preserving binary meets.
 
-    op: ClosureOperator
+    Nucleus(f) takes any EndoMap f and checks these laws after
+    ClosureOperator's own.
+    """
 
     def __post_init__(self):
-        if meet_table(self.op.poset) is None:
+        super().__post_init__()
+        if meet_table(self.poset) is None:
             raise NotMeetSemilattice("nuclei need pairwise meets")
-        if not preserves_binary_meets(self.op.map):
+        if not preserves_binary_meets(self):
             raise NotANucleus(
-                f"{self.op.map!r} does not preserve binary meets"
+                f"{EndoMap.__repr__(self)} does not preserve binary meets"
             )
 
     @property
-    def poset(self) -> FinitePoset:
-        return self.op.poset
-
-    @property
-    def table(self) -> tuple[int, ...]:
-        return self.op.table
-
-    def __call__(self, i: int) -> int:
-        return self.op.table[i]
-
-    def apply_label(self, label: str) -> str:
-        return self.op.apply_label(label)
-
-    @property
-    def fix_mask(self) -> int:
-        return self.op.fix_mask
-
-    @property
-    def fix(self) -> Subset:
-        return self.op.fix
-
-    def leq(self, other: "Nucleus") -> bool:
-        return pointwise_leq(self.op.map, other.op.map)
-
-    def __repr__(self):
-        return f"Nucleus({self.op.map.as_labels()!r})"
+    def op(self) -> ClosureOperator:
+        """The same table as a plain ClosureOperator."""
+        return ClosureOperator(self)
 
 
 def nucleus_meet(a: Nucleus, b: Nucleus) -> Nucleus:
@@ -332,7 +300,7 @@ def nucleus_meet(a: Nucleus, b: Nucleus) -> Nucleus:
         raise NotMeetSemilattice("nucleus meet needs pairwise meets")
     table = tuple(mt[x][y] for x, y in zip(a.table, b.table))
     with produced("pointwise nucleus meet"):
-        return Nucleus(ClosureOperator(EndoMap(P, table)))
+        return Nucleus(EndoMap(P, table))
 
 
 def fix_of_meet_check(a: Nucleus, b: Nucleus) -> bool:
@@ -362,13 +330,12 @@ def nucleus_join(
     nucleus.  The empty family yields the identity.  Members given as
     Nucleus objects were validated when built and are not tested again;
     the generated join is validated as a nucleus on every call."""
-    maps = [g.op.map if isinstance(g, Nucleus) else g for g in Gamma]
-    P = family_poset(maps, poset)
+    P = family_poset(Gamma, poset)
     require_preframe(P, cap)
     for g in Gamma:
         if not isinstance(g, Nucleus) and not is_prenucleus(g):
             raise NotPrenucleus(f"{g!r} is not a prenucleus")
-    gen = generate_closure(maps, P)
+    gen = generate_closure(Gamma, P)
     with produced("generated join of prenuclei"):
         return Nucleus(gen)
 
@@ -404,7 +371,7 @@ def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     states.sort(key=lambda s: (-popcount(s[0]), s[0]))
     with produced("nuclei descent"):
         return tuple(
-            Nucleus(ClosureOperator(EndoMap(P, tuple(c)))) for _, c in states
+            Nucleus(EndoMap(P, tuple(c))) for _, c in states
         )
 
 
@@ -413,7 +380,7 @@ def _nuclei_masks(P: FinitePoset) -> frozenset[int]:
     return frozenset(nu.fix_mask for nu in derived(P, _nuclei))
 
 
-def enumerate_nuclei(L: Frameish, cap: Optional[int] = None) -> list[Nucleus]:
+def enumerate_nuclei(P: FinitePoset, cap: Optional[int] = None) -> list[Nucleus]:
     """All nuclei, listed along a linear extension of the pointwise
     order: larger fixpoint sets (smaller nuclei) first.
 
@@ -426,7 +393,6 @@ def enumerate_nuclei(L: Frameish, cap: Optional[int] = None) -> list[Nucleus]:
     is validated once through the Nucleus constructor.  The nuclei are
     built once per poset; later calls pass the same gates and return
     the same nuclei."""
-    P = _poset_of(L)
     if meet_table(P) is None:
         raise NotMeetSemilattice("nuclei need pairwise meets")
     check_cap("nucleus enumeration", P.n, cap, SUBSET_CAP)
@@ -437,7 +403,7 @@ def enumerate_nuclei(L: Frameish, cap: Optional[int] = None) -> list[Nucleus]:
 # nuclear systems
 
 
-def is_nuclear_system(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
+def is_nuclear_system(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> bool:
     """X is the fixpoint set of some nucleus.
 
     Decided two ways: by membership in the enumerated fixpoint sets, and
@@ -455,7 +421,7 @@ def is_nuclear_system(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool
     )
 
 
-def nucsys(L: Frameish, X: Subset, cap: Optional[int] = None) -> Subset:
+def nucsys(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Subset:
     """Least nuclear system containing X, computed twice and compared:
     the intersection of the nuclear systems containing X, and clsys of
     the implication image L => X.
@@ -480,7 +446,7 @@ def nucsys(L: Frameish, X: Subset, cap: Optional[int] = None) -> Subset:
     )
 
 
-def nuc_map(L: Frameish, X: Subset, cap: Optional[int] = None) -> Nucleus:
+def nuc_map(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Nucleus:
     """The nucleus y -> meet over x in X of ((y => x) => x).
 
     Its fixpoints are the least nuclear system containing X; that
@@ -499,7 +465,7 @@ def nuc_map(L: Frameish, X: Subset, cap: Optional[int] = None) -> Nucleus:
             raise TheoremBreach("double-implication meet does not exist")
         table.append(v)
     with produced("double-implication formula"):
-        nu = Nucleus(ClosureOperator(EndoMap(P, tuple(table))))
+        nu = Nucleus(EndoMap(P, tuple(table)))
     agree(
         "least nuclear system",
         X,
@@ -509,7 +475,7 @@ def nuc_map(L: Frameish, X: Subset, cap: Optional[int] = None) -> Nucleus:
     return nu
 
 
-def regular_nucleus(L: Frameish, x: str, cap: Optional[int] = None) -> Nucleus:
+def regular_nucleus(L: FinitePoset, x: str, cap: Optional[int] = None) -> Nucleus:
     """The nucleus y -> ((y => x) => x); fixpoints are L => x."""
     P = require_frame(L, cap)
     nu = nuc_map(L, Subset.of(P, [x]), cap)
@@ -524,7 +490,7 @@ def regular_nucleus(L: Frameish, x: str, cap: Optional[int] = None) -> Nucleus:
 
 
 def least_nucleus_above(
-    L: Frameish, gamma: ClosureOperator, cap: Optional[int] = None
+    L: FinitePoset, gamma: ClosureOperator, cap: Optional[int] = None
 ) -> Nucleus:
     """Least nucleus above a closure operator on a frame.
 
@@ -558,7 +524,7 @@ def least_nucleus_above(
             raise TheoremBreach("meet of regular nuclei does not exist")
         table.append(v)
     with produced("meet of regular nuclei"):
-        nu = Nucleus(ClosureOperator(EndoMap(P, tuple(table))))
+        nu = Nucleus(EndoMap(P, tuple(table)))
     # fixpoint set, two descriptions
     want_in_c = 0
     for x in bits(cmask):
@@ -579,18 +545,18 @@ def least_nucleus_above(
     above = [
         n2
         for n2 in enumerate_nuclei(L, cap)
-        if pointwise_leq(gamma.map, n2.op.map)
+        if pointwise_leq(gamma, n2)
     ]
     least = None
     for n2 in above:
-        if all(pointwise_leq(n2.op.map, o.op.map) for o in above):
+        if all(pointwise_leq(n2, o) for o in above):
             least = n2
             break
     return agree("least nucleus above", gamma, formula=nu, enumeration=least)
 
 
 def nuclear_core(
-    L: Frameish, gamma: ClosureOperator, cap: Optional[int] = None
+    L: FinitePoset, gamma: ClosureOperator, cap: Optional[int] = None
 ) -> Nucleus:
     """Greatest nucleus below a closure operator on a frame.
 
@@ -606,15 +572,15 @@ def nuclear_core(
     below = [
         n2
         for n2 in enumerate_nuclei(L, cap)
-        if pointwise_leq(n2.op.map, gamma.map)
+        if pointwise_leq(n2, gamma)
     ]
     greatest = None
     for n2 in below:
-        if all(pointwise_leq(o.op.map, n2.op.map) for o in below):
+        if all(pointwise_leq(o, n2) for o in below):
             greatest = n2
             break
     agree("greatest nucleus below", gamma, formula=nu, enumeration=greatest)
-    if not pointwise_leq(nu.op.map, gamma.map):
+    if not pointwise_leq(nu, gamma):
         raise TheoremBreach("nuclear core sits above its operator")
     return nu
 
@@ -623,19 +589,21 @@ def nuclear_core(
 # the lattice of nuclei
 
 
-def frame_of_nuclei_check(
-    L: Frameish,
-    cap: Optional[int] = None,
-    exhaustive_limit: int = 8,
-    sample_count: int = 40,
-) -> dict:
+# frame_of_nuclei_check quantifies every family of nuclei when there
+# are at most EXHAUSTIVE_LIMIT of them; above that it draws SAMPLE_COUNT
+# pairs (when all pairs are too many) and SAMPLE_COUNT larger families
+EXHAUSTIVE_LIMIT = 8
+SAMPLE_COUNT = 40
+
+
+def frame_of_nuclei_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     """Structure report for the poset of all nuclei on a preframe.
 
     Verifies: complete lattice; joins agree with fixpoint-set
     intersection (the generation route); nonempty family meets are
     pointwise; binary meets distribute over joins of families; every
     nucleus is Scott continuous.  Families
-    are quantified exhaustively when at most exhaustive_limit nuclei
+    are quantified exhaustively when at most EXHAUSTIVE_LIMIT nuclei
     exist, else over all pairs (or a pair sample when even pairs blow
     up) plus a fixed-seed sample of larger families.  Any law failure
     raises; the returned report is for humans.
@@ -682,16 +650,12 @@ def frame_of_nuclei_check(
         fm = P.full_mask
         for i in idxs:
             fm &= fixes[i]
-        out = []
-        for x in range(P.n):
-            v = least_of(P, fm & le[x])
-            if v is None:
-                raise TheoremBreach(
-                    "intersection of nuclear fixpoint sets is not a "
-                    "closure system"
-                )
-            out.append(v)
-        return tuple(out)
+        table = _closure_table(P, fm)
+        if table is None:
+            raise TheoremBreach(
+                "intersection of nuclear fixpoint sets is not a closure system"
+            )
+        return table
 
     def meet_table_of(idxs) -> tuple[int, ...]:
         out = []
@@ -702,7 +666,7 @@ def frame_of_nuclei_check(
             out.append(v)
         return tuple(out)
 
-    exhaustive = k <= exhaustive_limit
+    exhaustive = k <= EXHAUSTIVE_LIMIT
     rng = random.Random(97)
     families: list[tuple[int, ...]] = []
     if exhaustive:
@@ -716,9 +680,9 @@ def frame_of_nuclei_check(
                 for j in range(i, k):
                     families.append((i, j))
         else:
-            for _ in range(sample_count):
+            for _ in range(SAMPLE_COUNT):
                 families.append((rng.randrange(k), rng.randrange(k)))
-        for _ in range(sample_count):
+        for _ in range(SAMPLE_COUNT):
             size = rng.randrange(1, min(k, 6) + 1)
             families.append(tuple(sorted(rng.sample(range(k), size))))
 
@@ -761,8 +725,7 @@ def frame_of_nuclei_check(
             fm = P.full_mask
             for f in met_fixes:
                 fm &= f
-            rhs = tuple(least_of(P, fm & le[x]) for x in range(P.n))
-            if lhs != rhs:
+            if lhs != _closure_table(P, fm):
                 raise TheoremBreach(
                     "binary meet fails to distribute over a join of nuclei"
                 )
@@ -777,7 +740,7 @@ def frame_of_nuclei_check(
             )
 
     for nu in nucs:
-        if not is_scott_continuous(nu.op.map, cap):
+        if not is_scott_continuous(nu, cap):
             raise TheoremBreach("a nucleus failed Scott continuity")
 
     bot = glb(tuple(range(k)))

@@ -2,7 +2,8 @@
 
 The open nucleus at a sends x to a => x.  A nucleus is fitted when it
 is a join of opens.  The kernel at the top, oneker, turns a nucleus
-into a filter; fitnuc turns any subset into the join of its opens.
+into a filter (a FilterSet: a Subset whose constructor also checks the
+filter laws); fitnuc turns any subset into the join of its opens.
 These two form a Galois connection whose closure on the nucleus side is
 the fitting operation and whose closure on the subset side lands on
 nuclear filters.  The correspondence report walks the resulting
@@ -20,16 +21,13 @@ membership lemma and that the fitting lies below its nucleus.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, TheoremBreach, agree, produced
-from .closure import ClosureOperator
 from .heyting import (
-    Frameish,
     Nucleus,
     _imp_table,
-    _poset_of,
     enumerate_nuclei,
     nucleus_join,
     require_frame,
@@ -68,47 +66,43 @@ def _is_filter_mask(P: FinitePoset, t: int, mt, mask: int) -> bool:
     return True
 
 
-def is_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
+def is_filter(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> bool:
     """Upper set containing the top and closed under binary meets."""
     P = require_frame(L, cap)
     same_poset(P, X.poset)
     return _is_filter_mask(P, top_index(P), meet_table(P), X.mask)
 
 
-@dataclass(frozen=True)
-class FilterSet:
-    """A subset of a frame validated to be a filter."""
+@dataclass(frozen=True, init=False, repr=False)
+class FilterSet(Subset):
+    """A subset of a frame validated to be a filter.
 
-    subset: Subset
-    cap: InitVar[Optional[int]] = None
+    FilterSet(X, cap) takes any Subset X and checks the filter laws,
+    under cap, after Subset's own.
+    """
 
-    def __post_init__(self, cap):
-        if not is_filter(self.subset.poset, self.subset, cap):
-            raise InputError(
-                f"{{{', '.join(self.subset.labels)}}} is not a filter"
-            )
+    def __init__(self, X: Subset, cap: Optional[int] = None):
+        object.__setattr__(self, "poset", X.poset)
+        object.__setattr__(self, "mask", X.mask)
+        self.__post_init__(cap)
 
-    @property
-    def poset(self) -> FinitePoset:
-        return self.subset.poset
-
-    @property
-    def mask(self) -> int:
-        return self.subset.mask
+    def __post_init__(self, cap: Optional[int] = None):
+        super().__post_init__()
+        if not is_filter(self.poset, self, cap):
+            raise InputError(f"{{{', '.join(self.labels)}}} is not a filter")
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return self.subset.labels
-
-    def __repr__(self):
-        return f"FilterSet({{{', '.join(self.labels)}}})"
+    def subset(self) -> Subset:
+        """The same members as a plain Subset."""
+        return Subset(self.poset, self.mask)
 
     @classmethod
-    def _trusted(cls, subset: Subset) -> "FilterSet":
+    def _trusted(cls, X: Subset) -> "FilterSet":
         # for a subset its caller has just passed through _is_filter_mask
         # on a checked frame; skips repeating that test
         F = object.__new__(cls)
-        object.__setattr__(F, "subset", subset)
+        object.__setattr__(F, "poset", X.poset)
+        object.__setattr__(F, "mask", X.mask)
         return F
 
 
@@ -126,7 +120,7 @@ def _upper_sets_with_top(P: FinitePoset, t: int) -> list[int]:
     return states
 
 
-def enumerate_filters(L: Frameish, cap: Optional[int] = None) -> list[FilterSet]:
+def enumerate_filters(L: FinitePoset, cap: Optional[int] = None) -> list[FilterSet]:
     """Every filter, in mask order.
 
     The candidates are the upper sets containing the top, listed by a
@@ -145,7 +139,7 @@ def enumerate_filters(L: Frameish, cap: Optional[int] = None) -> list[FilterSet]
 
 
 def modus_ponens_check(
-    L: Frameish, F: FilterSet, cap: Optional[int] = None
+    L: FinitePoset, F: FilterSet, cap: Optional[int] = None
 ) -> bool:
     """Filters absorb implications: a and a => b in F force b in F."""
     P = require_frame(L, cap)
@@ -167,7 +161,7 @@ def _open_nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     out = []
     for ai, row in enumerate(imp):
         with produced("open nuclei"):
-            nu = Nucleus(ClosureOperator(EndoMap(P, row)))
+            nu = Nucleus(EndoMap(P, row))
         want = 0
         for v in row:
             want |= 1 << v
@@ -181,7 +175,7 @@ def _open_nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     return tuple(out)
 
 
-def open_nucleus(L: Frameish, a: str, cap: Optional[int] = None) -> Nucleus:
+def open_nucleus(L: FinitePoset, a: str, cap: Optional[int] = None) -> Nucleus:
     """x -> (a => x).  Fixpoints are the implications out of a.  The
     open nuclei of a frame are built and checked once per poset."""
     P = require_frame(L, cap)
@@ -204,7 +198,7 @@ def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
         return FilterSet(Subset(P, mask), cap)
 
 
-def fitnuc(L: Frameish, S: Subset, cap: Optional[int] = None) -> Nucleus:
+def fitnuc(L: FinitePoset, S: Subset, cap: Optional[int] = None) -> Nucleus:
     """Join of the open nuclei at the members of S.  Built afresh on
     every call."""
     P = require_frame(L, cap)
@@ -234,7 +228,7 @@ def _fitted_by_kernel(P: FinitePoset) -> dict[int, Nucleus]:
     return {}
 
 
-def fitting(L: Frameish, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
+def fitting(L: FinitePoset, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
     """Greatest fitted nucleus below nu: the join of the opens at the
     kernel of nu.
 
@@ -263,17 +257,17 @@ def fitting(L: Frameish, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
     fitted = derived(P, _fitted_by_kernel)
     result = fitted.get(kernel)
     if result is None:
-        result = fitted[kernel] = fitnuc(L, oneker(nu, cap).subset, cap)
-    if not pointwise_leq(result.op.map, nu.op.map):
+        result = fitted[kernel] = fitnuc(L, oneker(nu, cap), cap)
+    if not pointwise_leq(result, nu):
         raise TheoremBreach("fitting escaped above its nucleus")
     return result
 
 
-def is_fitted(L: Frameish, nu: Nucleus, cap: Optional[int] = None) -> bool:
+def is_fitted(L: FinitePoset, nu: Nucleus, cap: Optional[int] = None) -> bool:
     return fitting(L, nu, cap).table == nu.table
 
 
-def nucfilt(L: Frameish, S: Subset, cap: Optional[int] = None) -> FilterSet:
+def nucfilt(L: FinitePoset, S: Subset, cap: Optional[int] = None) -> FilterSet:
     """Least nuclear filter containing S."""
     return oneker(fitnuc(L, S, cap), cap)
 
@@ -282,16 +276,15 @@ def nucfilt(L: Frameish, S: Subset, cap: Optional[int] = None) -> FilterSet:
 # Scott-open and nuclear filters
 
 
-def is_scott_open(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
+def is_scott_open(P: FinitePoset, X: Subset, cap: Optional[int] = None) -> bool:
     """Upper set inaccessible by directed joins, both definitional."""
-    P = _poset_of(L)
     same_poset(P, X.poset)
     if upper_closure_mask(P, X.mask) != X.mask:
         return False
     return inaccessible_by_directed_joins(X, cap)
 
 
-def is_nuclear_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool:
+def is_nuclear_filter(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> bool:
     """X is the kernel of some nucleus.
 
     Two independent routes: scan the kernels of all nuclei, and test
@@ -309,15 +302,14 @@ def is_nuclear_filter(L: Frameish, X: Subset, cap: Optional[int] = None) -> bool
     )
 
 
-def filters_report(L: Frameish, X: Subset, cap: Optional[int] = None) -> dict:
+def filters_report(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> dict:
+    filt = is_filter(L, X, cap)
     return {
-        "is_filter": is_filter(L, X, cap),
+        "is_filter": filt,
         "is_scott_open": is_scott_open(L, X, cap),
         "is_nuclear_filter": is_nuclear_filter(L, X, cap),
         "modus_ponens": (
-            modus_ponens_check(L, FilterSet(X, cap), cap)
-            if is_filter(L, X, cap)
-            else None
+            modus_ponens_check(L, FilterSet._trusted(X), cap) if filt else None
         ),
     }
 
@@ -327,7 +319,7 @@ def filters_report(L: Frameish, X: Subset, cap: Optional[int] = None) -> dict:
 
 
 def is_compact_quotient(
-    L: Frameish, nu: Nucleus, cap: Optional[int] = None
+    L: FinitePoset, nu: Nucleus, cap: Optional[int] = None
 ) -> bool:
     """The quotient frame of nu is compact: a directed family of
     fixpoints whose quotient join is the top must contain the top.
@@ -346,7 +338,7 @@ def is_compact_quotient(
 
 
 def quotient_frame_check(
-    L: Frameish, nu: Nucleus, cap: Optional[int] = None
+    L: FinitePoset, nu: Nucleus, cap: Optional[int] = None
 ) -> dict:
     """The fixpoint set of a nucleus is a frame under inherited meets
     and reflected joins, and the corestricted nucleus is a surjective
@@ -392,7 +384,7 @@ def quotient_frame_check(
                     "corestriction does not preserve binary meets"
                 )
     for mask in range(P.full_mask + 1):
-        img = nu.op.map.image_mask(mask)
+        img = nu.image_mask(mask)
         if nu.table[join_of(P, mask)] != qjoin(img):
             raise TheoremBreach("corestriction does not preserve joins")
     return {
@@ -407,7 +399,7 @@ def quotient_frame_check(
 # the Galois connection and the correspondence
 
 
-def galois_identities_check(L: Frameish, cap: Optional[int] = None) -> dict:
+def galois_identities_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     """fitnuc and oneker form a Galois connection, and the promised
     identities hold: each side composed around the other reproduces
     itself, and the round trip on nuclei is the fitting."""
@@ -418,28 +410,26 @@ def galois_identities_check(L: Frameish, cap: Optional[int] = None) -> dict:
         S = Subset(P, smask)
         fS = fitnuc(L, S, cap)
         for nu in nucs:
-            lhs = pointwise_leq(fS.op.map, nu.op.map)
+            lhs = pointwise_leq(fS, nu)
             rhs = smask & ~oneker(nu, cap).mask == 0
             if lhs != rhs:
                 raise TheoremBreach(
                     "Galois adjunction between fitnuc and oneker failed at "
                     f"S={{{', '.join(S.labels)}}}"
                 )
-        if nucfilt(L, nucfilt(L, S, cap).subset, cap).mask != nucfilt(
-            L, S, cap
-        ).mask:
+        if nucfilt(L, nucfilt(L, S, cap), cap).mask != nucfilt(L, S, cap).mask:
             raise TheoremBreach("nuclear-filter closure is not idempotent")
-        if fitnuc(L, oneker(fS, cap).subset, cap).table != fS.table:
+        if fitnuc(L, oneker(fS, cap), cap).table != fS.table:
             raise TheoremBreach(
                 "fitnuc of oneker of fitnuc did not reproduce fitnuc"
             )
     for nu in nucs:
         V = oneker(nu, cap)
-        if oneker(fitnuc(L, V.subset, cap), cap).mask != V.mask:
+        if oneker(fitnuc(L, V, cap), cap).mask != V.mask:
             raise TheoremBreach(
                 "oneker of fitnuc of oneker did not reproduce oneker"
             )
-        if fitnuc(L, V.subset, cap).table != fitting(L, nu, cap).table:
+        if fitnuc(L, V, cap).table != fitting(L, nu, cap).table:
             raise TheoremBreach(
                 "the Galois round trip on a nucleus is not its fitting"
             )
@@ -447,19 +437,19 @@ def galois_identities_check(L: Frameish, cap: Optional[int] = None) -> dict:
 
 
 def scott_open_filter_is_nuclear_check(
-    L: Frameish, cap: Optional[int] = None
+    L: FinitePoset, cap: Optional[int] = None
 ) -> bool:
     """Every Scott-open filter is a nuclear filter."""
     for F in enumerate_filters(L, cap):
-        if is_scott_open(L, F.subset, cap):
-            if not is_nuclear_filter(L, F.subset, cap):
+        if is_scott_open(L, F, cap):
+            if not is_nuclear_filter(L, F, cap):
                 raise TheoremBreach(
                     f"Scott-open filter {{{', '.join(F.labels)}}} is not nuclear"
                 )
     return True
 
 
-def hmj_correspondence(L: Frameish, cap: Optional[int] = None) -> dict:
+def hmj_correspondence(L: FinitePoset, cap: Optional[int] = None) -> dict:
     """The bijection between Scott-open filters and compact fitted
     quotients, exhibited pair by pair and verified in both directions,
     including order reversal into the quotient frames.
@@ -474,7 +464,7 @@ def hmj_correspondence(L: Frameish, cap: Optional[int] = None) -> dict:
     filters = [
         F
         for F in enumerate_filters(L, cap)
-        if is_scott_open(L, F.subset, cap)
+        if is_scott_open(L, F, cap)
     ]
     nucs = enumerate_nuclei(L, cap)
     compact_fitted = [
@@ -485,7 +475,7 @@ def hmj_correspondence(L: Frameish, cap: Optional[int] = None) -> dict:
     pairs = []
     seen_tables = set()
     for F in filters:
-        nu = fitnuc(L, F.subset, cap)
+        nu = fitnuc(L, F, cap)
         if not is_fitted(L, nu, cap):
             raise TheoremBreach("fitnuc of a filter is not fitted")
         if not is_compact_quotient(L, nu, cap):
@@ -500,11 +490,11 @@ def hmj_correspondence(L: Frameish, cap: Optional[int] = None) -> dict:
         seen_tables.add(nu.table)
     for nu in compact_fitted:
         V = oneker(nu, cap)
-        if not is_scott_open(L, V.subset, cap):
+        if not is_scott_open(L, V, cap):
             raise TheoremBreach(
                 "kernel of a compact fitted nucleus is not Scott-open"
             )
-        if fitnuc(L, V.subset, cap).table != nu.table:
+        if fitnuc(L, V, cap).table != nu.table:
             raise TheoremBreach(
                 "fitnuc does not invert oneker on a compact fitted nucleus"
             )
@@ -521,7 +511,7 @@ def hmj_correspondence(L: Frameish, cap: Optional[int] = None) -> dict:
     for F1, n1 in pairs:
         for F2, n2 in pairs:
             incl = F1.mask & ~F2.mask == 0
-            if incl != pointwise_leq(n1.op.map, n2.op.map):
+            if incl != pointwise_leq(n1, n2):
                 raise TheoremBreach(
                     "filter inclusion does not match the nucleus order"
                 )

@@ -80,6 +80,14 @@ class EndoMap:
                 out |= 1 << i
         return out
 
+    @property
+    def fix(self) -> Subset:
+        return Subset(self.poset, self.fix_mask)
+
+    def leq(self, other: "EndoMap") -> bool:
+        """Pointwise order: self(x) <= other(x) for every x."""
+        return pointwise_leq(self, other)
+
     def as_labels(self) -> dict:
         els = self.poset.elements
         return {els[i]: els[v] for i, v in enumerate(self.table)}

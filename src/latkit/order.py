@@ -193,7 +193,7 @@ class Subset:
         return self.mask & ~other.mask == 0
 
     def __repr__(self):
-        return f"Subset({{{', '.join(self.labels)}}})"
+        return f"{type(self).__name__}({{{', '.join(self.labels)}}})"
 
 
 def same_poset(*posets) -> FinitePoset:
@@ -429,12 +429,22 @@ def is_directed_mask(P: FinitePoset, mask: int) -> bool:
     return True
 
 
-def bottom_index(P: FinitePoset) -> Optional[int]:
+def _bottom(P: FinitePoset) -> Optional[int]:
     return least_of(P, P.full_mask)
 
 
-def top_index(P: FinitePoset) -> Optional[int]:
+def _top(P: FinitePoset) -> Optional[int]:
     return greatest_of(P, P.full_mask)
+
+
+def bottom_index(P: FinitePoset) -> Optional[int]:
+    """The least element, or None; found once per poset."""
+    return derived(P, _bottom)
+
+
+def top_index(P: FinitePoset) -> Optional[int]:
+    """The greatest element, or None; found once per poset."""
+    return derived(P, _top)
 
 
 def covers(P: FinitePoset) -> list[tuple[int, int]]:
@@ -590,6 +600,22 @@ def way_below_relation(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, 
     return derived(P, _way_below)
 
 
+def _way_down(P: FinitePoset) -> tuple[int, ...]:
+    """down[y] = mask of all x way below y: the columns of _way_below."""
+    down = [0] * P.n
+    for x, row in enumerate(derived(P, _way_below)):
+        for y in bits(row):
+            down[y] |= 1 << x
+    return tuple(down)
+
+
+def way_down_sets(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
+    """For each element y, the mask of the elements way below y.  Runs
+    the way_below_relation gate first."""
+    way_below_relation(P, cap)
+    return derived(P, _way_down)
+
+
 def way_below(P: FinitePoset, a: str, b: str, cap: Optional[int] = None) -> bool:
     """a is way below b: every directed set with join at or above b
     already contains a member at or above a."""
@@ -599,23 +625,12 @@ def way_below(P: FinitePoset, a: str, b: str, cap: Optional[int] = None) -> bool
 
 def way_below_set(P: FinitePoset, b: str, cap: Optional[int] = None) -> Subset:
     """All elements way below b."""
-    wb = way_below_relation(P, cap)
-    j = P.index(b)
-    m = 0
-    for i in range(P.n):
-        if wb[i] >> j & 1:
-            m |= 1 << i
-    return Subset(P, m)
+    return Subset(P, way_down_sets(P, cap)[P.index(b)])
 
 
 def is_continuous_poset(P: FinitePoset, cap: Optional[int] = None) -> bool:
     """Every element is the directed join of the elements way below it."""
-    wb = way_below_relation(P, cap)
-    for x in range(P.n):
-        dd = 0
-        for y in range(P.n):
-            if wb[y] >> x & 1:
-                dd |= 1 << y
+    for x, dd in enumerate(way_down_sets(P, cap)):
         if not is_directed_mask(P, dd):
             return False
         if join_of(P, dd) != x:

@@ -440,3 +440,27 @@ def test_identity_fitnuc_breaks_hmj_also_from_the_kernel_cache(
     with pytest.raises(TheoremBreach):
         hmj_correspondence(P)
     assert hmj_correspondence(fx.b2())["count"] == 4
+
+
+def test_wrong_implication_in_its_candidates_breaks_adjunction(
+    monkeypatch, b2_files, capsys
+):
+    # a => 0 answered by the least x with x meet a <= 0 instead of the
+    # greatest: 0 still lies in that candidate set, so only the
+    # adjunction check can tell it from b, the right answer
+    argv = ["heyting", b2_files["poset"]]
+    assert heyting.heyting_implication(fx.b2(), "a", "0") == "b"
+    assert main(argv) == 0
+    real = heyting.join_of
+
+    def planted(Q, mask):
+        if mask == Q.mask_of(["0", "b"]):
+            return order.least_of(Q, mask)
+        return real(Q, mask)
+
+    monkeypatch.setattr(heyting, "join_of", planted)
+    with pytest.raises(TheoremBreach) as info:
+        heyting.implication_table(fx.b2())
+    assert str(info.value) == "implication adjunction failed at x='b' a='a' b='0'"
+    assert main(argv) == 3
+    capsys.readouterr()

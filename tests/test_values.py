@@ -1,0 +1,181 @@
+"""Refined values are their base values: a nucleus is a closure
+operator, which is an endomap, and a closure system or a filter is a
+subset.  Each constructor checks its own laws after its base class's,
+and a value that breaks a law is rejected with a fixed error."""
+
+import pytest
+
+from latkit import fixtures as fx
+from latkit.closure import ClosureOperator, ClosureSystem, clsys, duality
+from latkit.errors import (
+    CapExceeded,
+    InputError,
+    NotAClosureSystem,
+    NotAFrame,
+    NotANucleus,
+    NotMeetSemilattice,
+    NotPreclosure,
+)
+from latkit.heyting import Nucleus, enumerate_nuclei
+from latkit.hmj import FilterSet, enumerate_filters
+from latkit.maps import EndoMap
+from latkit.order import Subset
+
+
+def test_results_carry_the_type_chain():
+    P = fx.b2()
+    nucs = enumerate_nuclei(P)
+    assert len(nucs) == 4
+    for nu in nucs:
+        assert isinstance(nu, Nucleus)
+        assert isinstance(nu, ClosureOperator)
+        assert isinstance(nu, EndoMap)
+        assert type(nu.op) is ClosureOperator and nu.op.table == nu.table
+        assert type(nu.map) is EndoMap and nu.map.table == nu.table
+        assert type(nu.op.map) is EndoMap
+    C = clsys(Subset.of(P, ["a"]))
+    assert isinstance(C, ClosureSystem) and isinstance(C, Subset)
+    assert type(C.subset) is Subset and C.subset.mask == C.mask
+    gamma = duality(C)
+    assert type(gamma) is ClosureOperator and type(gamma.map) is EndoMap
+    assert gamma.fix_mask == C.mask
+    filters = enumerate_filters(P)
+    assert [F.labels for F in filters] == [
+        ("1",), ("a", "1"), ("b", "1"), ("0", "a", "b", "1")
+    ]
+    for F in filters:
+        assert isinstance(F, FilterSet) and isinstance(F, Subset)
+        assert type(F.subset) is Subset and F.subset.mask == F.mask
+
+
+def test_duality_takes_a_closure_system_as_it_is(monkeypatch):
+    P = fx.b2()
+    C = clsys(Subset.of(P, ["a"]))
+    checks = []
+    real = ClosureSystem.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        real(self)
+
+    monkeypatch.setattr(ClosureSystem, "__post_init__", counting)
+    assert duality(C).fix_mask == C.mask
+    assert checks == []
+    assert duality(Subset.of(P, ["a", "1"])).fix_mask == C.mask
+    assert len(checks) == 1
+
+
+def _labels(P, mapping):
+    return EndoMap.from_labels(P, mapping)
+
+
+# (law, build, exception class, message); each build breaks one law
+BROKEN = [
+    (
+        "table covers the poset",
+        lambda: EndoMap(fx.b2(), (0, 1, 2)),
+        ValueError,
+        "map table must cover every element",
+    ),
+    (
+        "table values in range",
+        lambda: EndoMap(fx.b2(), (0, 1, 2, 4)),
+        ValueError,
+        "map table value 4 out of range",
+    ),
+    (
+        "closure operator: ascending",
+        lambda: ClosureOperator(
+            _labels(fx.b2(), {"0": "0", "a": "0", "b": "b", "1": "1"})
+        ),
+        NotPreclosure,
+        "EndoMap(0->0, a->0, b->b, 1->1) is not a preclosure map "
+        "(ascending and increasing)",
+    ),
+    (
+        "closure operator: increasing",
+        lambda: ClosureOperator(
+            _labels(fx.b2(), {"0": "a", "a": "1", "b": "b", "1": "1"})
+        ),
+        NotPreclosure,
+        "EndoMap(0->a, a->1, b->b, 1->1) is not a preclosure map "
+        "(ascending and increasing)",
+    ),
+    (
+        "closure operator: idempotent",
+        lambda: ClosureOperator(_labels(fx.c3(), {"0": "1", "1": "2", "2": "2"})),
+        InputError,
+        "EndoMap(0->1, 1->2, 2->2) is not idempotent",
+    ),
+    (
+        "nucleus: pairwise meets",
+        lambda: Nucleus(ClosureOperator(_labels(
+            fx.v4(), {"a": "a", "b": "b", "c": "c", "d": "d"}
+        ))),
+        NotMeetSemilattice,
+        "nuclei need pairwise meets",
+    ),
+    (
+        "nucleus: preserves binary meets",
+        lambda: Nucleus(ClosureOperator(_labels(
+            fx.b2(), {"0": "0", "a": "1", "b": "1", "1": "1"}
+        ))),
+        NotANucleus,
+        "EndoMap(0->0, a->1, b->1, 1->1) does not preserve binary meets",
+    ),
+    (
+        "closure system: least member above each element",
+        lambda: ClosureSystem(Subset.of(fx.b2(), ["a", "b"])),
+        NotAClosureSystem,
+        "{a, b} is not a closure system",
+    ),
+    (
+        "filter: upper set closed under meets",
+        lambda: FilterSet(Subset.of(fx.b2(), ["a"])),
+        InputError,
+        "{a} is not a filter",
+    ),
+    (
+        "filter: on a frame",
+        lambda: FilterSet(Subset.of(fx.diamond(), ["1"])),
+        NotAFrame,
+        "not a frame: meet with 'a' does not distribute over the join of "
+        "{b, c}",
+    ),
+    (
+        "filter: within the cap",
+        lambda: FilterSet(Subset.of(fx.b2(), ["1"]), 3),
+        CapExceeded,
+        "structure validation: size 4 exceeds cap 3; raise the cap to force "
+        "the computation",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [case[1:] for case in BROKEN],
+    ids=[case[0] for case in BROKEN],
+)
+def test_each_broken_law_raises_its_error(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"0": "0", "a": "0", "b": "b", "1": "1"},  # not ascending
+        {"0": "0", "a": "1", "b": "1", "1": "1"},  # does not keep a meet b
+    ],
+)
+def test_nucleus_of_a_plain_map_checks_every_law(table):
+    f = _labels(fx.b2(), table)
+    errors = []
+    for build in (lambda: Nucleus(f), lambda: Nucleus(ClosureOperator(f))):
+        with pytest.raises(InputError) as info:
+            build()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
