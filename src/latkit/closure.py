@@ -4,11 +4,13 @@ The two sides of the subject are kept as distinct types, each a
 subclass of the plain value it refines.  A ClosureOperator is an
 EndoMap that is ascending, increasing and idempotent; a ClosureSystem
 is a Subset in which every principal upper set has a least member.
-Each constructor checks its base class's laws and then its own, so a
-value of either type has passed every law its type names and can be
-passed wherever its base value is expected.  Their .map and .subset
-give the plain value back, for comparing with one.  duality and
-duality_inv translate between the two sides and are mutually inverse.
+Each constructor checks, base class first, the laws its argument has
+not passed yet (an EndoMap has passed EndoMap's, a ClosureOperator
+also its own), so a value of either type has passed every law its
+type names and can be passed wherever its base value is expected.
+Their .map and .subset give the plain value back, for comparing with
+one.  duality and duality_inv translate between the two sides and are
+mutually inverse.
 
 Generation from a family of preclosure maps is implemented twice, on
 purpose: once through intersection of fixpoint sets, once as iterated
@@ -56,6 +58,7 @@ from .order import (
     join_of,
     least_of,
     popcount,
+    refine,
     same_poset,
     subposet,
     way_down_sets,
@@ -67,15 +70,14 @@ from . import rules as _rules
 class ClosureOperator(EndoMap):
     """An ascending, increasing, idempotent endomap.
 
-    ClosureOperator(f) takes any EndoMap f and checks these laws after
-    EndoMap's own.
+    ClosureOperator(f) takes any EndoMap f and checks these laws, unless
+    f is a ClosureOperator already.
     """
 
     def __init__(self, f: EndoMap):
-        super().__init__(f.poset, f.table)
+        refine(self, f)
 
     def __post_init__(self):
-        super().__post_init__()
         if not is_preclosure(self):
             raise NotPreclosure(
                 f"{EndoMap.__repr__(self)} is not a preclosure map "
@@ -119,16 +121,16 @@ class ClosureSystem(Subset):
     """A subset in which every principal upper set has a least member.
 
     ClosureSystem(X) takes any Subset X.  The check computes the least
-    member above every element, and that table is kept for duality.
+    member above every element, and that table is kept for duality; a
+    ClosureSystem X hands its table on unchecked.
     """
 
     _table: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, X: Subset):
-        super().__init__(X.poset, X.mask)
+        refine(self, X)
 
     def __post_init__(self):
-        super().__post_init__()
         table = _closure_table(self.poset, self.mask)
         if table is None:
             raise NotAClosureSystem(
@@ -209,7 +211,7 @@ def _check_generators(
     G: Sequence[EndoMap], poset: Optional[FinitePoset]
 ) -> FinitePoset:
     for g in G:
-        if not is_preclosure(g):
+        if not isinstance(g, ClosureOperator) and not is_preclosure(g):
             raise NotPreclosure(
                 f"generator {g!r} is not a preclosure map"
             )

@@ -18,22 +18,26 @@ Implication a => b is the largest x with x meet a <= b.  The table is
 built once per frame and the adjunction law is verified at build time.
 
 A Nucleus is a ClosureOperator, and so an EndoMap, that preserves
-binary meets: its constructor runs the ClosureOperator checks and then
-that one, and .op and .map give the plain ClosureOperator and EndoMap
-back.  The formulas here (nucsys, the double-implication nucleus,
-regular nuclei, core and least nucleus above) are each paired with an
-independent brute-force route over the full enumeration of nuclei;
-disagreement raises, loudly.
+binary meets: its constructor runs the ClosureOperator checks its
+argument has not passed yet and then that one, and .op and .map give
+the plain ClosureOperator and EndoMap back.  The formulas here
+(nucsys, the double-implication nucleus, regular nuclei, core and
+least nucleus above) are each paired with an independent brute-force
+route over the full enumeration of nuclei; disagreement raises,
+loudly.
 That enumeration rests on the definition alone, never on implication:
 a top-down descent over partial closure tables keeps a branch only
 while it preserves the meets it has decided, so the cost follows the
 number of nuclei rather than the number of closure systems, and the
 tests check the list against a filter of every closure system.
+
+The nuclei form a frame N(L), checked exactly on pairs of nuclei,
+which carry the laws to every family by induction; distributivity is
+decided by Birkhoff's test and by its dual, in O(k^2) for k nuclei.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,7 +53,6 @@ from .errors import (
 )
 from .closure import (
     ClosureOperator,
-    _closure_table,
     clsys,
     generate_closure,
     is_closure_system,
@@ -68,9 +71,11 @@ from .order import (
     FinitePoset,
     Subset,
     bits,
+    bottom_index,
     check_cap,
     derived,
     directed_subsets,
+    distributivity_failure,
     family_poset,
     image_masks,
     join_meet_tables,
@@ -80,6 +85,8 @@ from .order import (
     meet_table,
     popcount,
     same_poset,
+    top_index,
+    union_of,
 )
 
 
@@ -274,11 +281,11 @@ class Nucleus(ClosureOperator):
     """A closure operator preserving binary meets.
 
     Nucleus(f) takes any EndoMap f and checks these laws after
-    ClosureOperator's own.
+    ClosureOperator's own, skipping those f has passed as a
+    ClosureOperator or Nucleus already.
     """
 
     def __post_init__(self):
-        super().__post_init__()
         if meet_table(self.poset) is None:
             raise NotMeetSemilattice("nuclei need pairwise meets")
         if not preserves_binary_meets(self):
@@ -375,9 +382,9 @@ def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
         )
 
 
-def _nuclei_masks(P: FinitePoset) -> frozenset[int]:
-    # the fixpoint sets of the nuclei; cap-free, like _nuclei
-    return frozenset(nu.fix_mask for nu in derived(P, _nuclei))
+def _nuclei_by_fix(P: FinitePoset) -> dict[int, int]:
+    # fixpoint set -> index of its nucleus in _nuclei; cap-free, like it
+    return {nu.fix_mask: i for i, nu in enumerate(derived(P, _nuclei))}
 
 
 def enumerate_nuclei(P: FinitePoset, cap: Optional[int] = None) -> list[Nucleus]:
@@ -412,7 +419,7 @@ def is_nuclear_system(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> b
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    by_enum = X.mask in derived(P, _nuclei_masks)
+    by_enum = X.mask in derived(P, _nuclei_by_fix)
     by_impl = is_closure_system(X) and (
         impl_image_mask(P, P.full_mask, X.mask) & ~X.mask == 0
     )
@@ -428,7 +435,7 @@ def nucsys(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Subset:
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    systems = derived(P, _nuclei_masks)
+    systems = derived(P, _nuclei_by_fix)
     inter = P.full_mask
     for m in systems:
         if X.mask & ~m == 0:
@@ -589,169 +596,101 @@ def nuclear_core(
 # the lattice of nuclei
 
 
-# frame_of_nuclei_check quantifies every family of nuclei when there
-# are at most EXHAUSTIVE_LIMIT of them; above that it draws SAMPLE_COUNT
-# pairs (when all pairs are too many) and SAMPLE_COUNT larger families
-EXHAUSTIVE_LIMIT = 8
-SAMPLE_COUNT = 40
-
-
 def frame_of_nuclei_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
-    """Structure report for the poset of all nuclei on a preframe.
+    """Structure report for N(L), the nuclei on a preframe L in the
+    pointwise order, checked exactly on every input.
 
-    Verifies: complete lattice; joins agree with fixpoint-set
-    intersection (the generation route); nonempty family meets are
-    pointwise; binary meets distribute over joins of families; every
-    nucleus is Scott continuous.  Families
-    are quantified exhaustively when at most EXHAUSTIVE_LIMIT nuclei
-    exist, else over all pairs (or a pair sample when even pairs blow
-    up) plus a fixed-seed sample of larger families.  Any law failure
-    raises; the returned report is for humans.
-
-    Law comparisons run on raw tables.  The theorem that a generated
-    join is itself a nucleus is probed through the validating
-    constructor on a bounded slice of the families.
+    N(L) is finite, so pairs suffice: a nonempty family's join or meet
+    is an iterated binary one, the empty family's are the bottom and
+    the top, and a finite lattice is a frame iff it is distributive.
+    N(L) is built as a FinitePoset from the pointwise order.  The join
+    of each pair must be the nucleus fixing the intersection of their
+    fixpoints (the generation route), with the intersection of their up
+    rows as its up row; the meet must be pointwise, with the
+    intersection of their down rows.  Distributivity is decided twice
+    and compared: Birkhoff's test on those joins, and the dual test on
+    those meets.  Every nucleus must be Scott continuous, and the
+    validating nucleus_join must give the bottom, the top and each join
+    of neighbours in enumeration order.  Any failure raises
+    TheoremBreach; the returned report is for humans.
     """
     P = require_preframe(L, cap)
     nucs = enumerate_nuclei(L, cap)
-    k = len(nucs)
+    k, n = len(nucs), P.n
     mt = meet_table(P)
     tables = [nu.table for nu in nucs]
     fixes = [nu.fix_mask for nu in nucs]
-    le = P.le
-    leq = [
-        [
-            all(le[a[y]] >> b[y] & 1 for y in range(P.n))
-            for b in tables
-        ]
-        for a in tables
-    ]
-    order_pairs = [
-        (i, j) for i in range(k) for j in range(k) if i != j and leq[i][j]
-    ]
-
-    def glb(idxs) -> Optional[int]:
-        cand = [m for m in range(k) if all(leq[m][i] for i in idxs)]
-        for c in cand:
-            if all(leq[o][c] for o in cand):
-                return c
-        return None
-
-    def lub(idxs) -> Optional[int]:
-        cand = [m for m in range(k) if all(leq[i][m] for i in idxs)]
-        for c in cand:
-            if all(leq[c][o] for o in cand):
-                return c
-        return None
-
-    def join_table(idxs) -> tuple[int, ...]:
-        # the generation route: intersect fixpoint sets, read the
-        # operator back off the intersection
-        fm = P.full_mask
-        for i in idxs:
-            fm &= fixes[i]
-        table = _closure_table(P, fm)
-        if table is None:
-            raise TheoremBreach(
-                "intersection of nuclear fixpoint sets is not a closure system"
-            )
-        return table
-
-    def meet_table_of(idxs) -> tuple[int, ...]:
-        out = []
-        for y in range(P.n):
-            v = None
-            for i in idxs:
-                v = tables[i][y] if v is None else mt[v][tables[i][y]]
-            out.append(v)
-        return tuple(out)
-
-    exhaustive = k <= EXHAUSTIVE_LIMIT
-    rng = random.Random(97)
-    families: list[tuple[int, ...]] = []
-    if exhaustive:
-        for m in range(1 << k):
-            families.append(tuple(bits(m)))
-    else:
-        families.append(())
-        families.append(tuple(range(k)))
-        if k * k <= 4096:
-            for i in range(k):
-                for j in range(i, k):
-                    families.append((i, j))
-        else:
-            for _ in range(SAMPLE_COUNT):
-                families.append((rng.randrange(k), rng.randrange(k)))
-        for _ in range(SAMPLE_COUNT):
-            size = rng.randrange(1, min(k, 6) + 1)
-            families.append(tuple(sorted(rng.sample(range(k), size))))
-
+    # up[i] holds the j with nucs[i] <= nucs[j] pointwise: over every y,
+    # the j whose value at y lies above nucs[i]'s
+    at = [[0] * n for _ in range(n)]  # at[y][v]: the j with nucs[j](y) = v
+    for j, t in enumerate(tables):
+        for y, v in enumerate(t):
+            at[y][v] |= 1 << j
+    above = [[union_of(row, P.le[v]) for v in range(n)] for row in at]
+    up = []
+    for t in tables:
+        row = (1 << k) - 1
+        for y, v in enumerate(t):
+            row &= above[y][v]
+        up.append(row)
+    try:
+        N = FinitePoset(tuple(map(str, range(k))), tuple(up))
+    except ValueError as e:
+        raise TheoremBreach(f"pointwise order on nuclei: {e}") from e
+    down = N.down
+    by_fix = derived(P, _nuclei_by_fix)
     by_table = {t: i for i, t in enumerate(tables)}
-
-    for fam in families:
-        g, l = glb(fam), lub(fam)
-        if g is None or l is None:
-            raise TheoremBreach(
-                f"nuclei do not form a complete lattice: {fam!r} lacks a bound"
-            )
-        jt = join_table(fam)
-        if jt not in by_table or by_table[jt] != l:
-            raise TheoremBreach(
-                "join of nuclei by fixpoint intersection is not their "
-                "least upper bound"
-            )
-        if fam:
-            # nonempty pointwise meets always exist here, and the meet
-            # of nuclei must be pointwise; frames get no special case
-            if meet_table_of(fam) != tables[g]:
+    join = [[0] * k for _ in range(k)]
+    meet = [[0] * k for _ in range(k)]
+    for i, (ti, fi, ui, di) in enumerate(zip(tables, fixes, up, down)):
+        for j in range(i, k):
+            z = by_fix.get(fi & fixes[j])
+            if z is None or up[z] != ui & up[j]:
                 raise TheoremBreach(
-                    "meet of a nonempty nucleus family is not pointwise"
+                    "join of nuclei by fixpoint intersection is not their "
+                    "least upper bound"
                 )
-
-    # frame law: binary meets distribute over family joins
-    for b in range(k):
-        tb = tables[b]
-        for fam in families:
-            jt = join_table(fam)
-            lhs = tuple(mt[x][y] for x, y in zip(tb, jt))
-            met_fixes = []
-            for i in fam:
-                t = tuple(mt[x][y] for x, y in zip(tb, tables[i]))
-                fmask = 0
-                for z, v in enumerate(t):
-                    if z == v:
-                        fmask |= 1 << z
-                met_fixes.append(fmask)
-            fm = P.full_mask
-            for f in met_fixes:
-                fm &= f
-            if lhs != _closure_table(P, fm):
-                raise TheoremBreach(
-                    "binary meet fails to distribute over a join of nuclei"
-                )
-
-    # theorem probe with full validation on a bounded slice
-    probe = families if exhaustive else families[:18]
-    for fam in probe:
-        gen = nucleus_join([nucs[i] for i in fam], P, cap)
-        if gen.table != join_table(fam):
-            raise TheoremBreach(
-                "validated generation disagrees with fixpoint intersection"
-            )
+            m = by_table.get(tuple(mt[a][b] for a, b in zip(ti, tables[j])))
+            if m is None or down[m] != di & down[j]:
+                raise TheoremBreach("meet of two nuclei is not pointwise")
+            join[i][j] = join[j][i] = z
+            meet[i][j] = meet[j][i] = m
+    bot, top = bottom_index(N), top_index(N)
+    if bot is None or top is None:
+        raise TheoremBreach("nuclei do not form a complete lattice")
+    distributive = agree(
+        "distributivity of the nuclei",
+        L,
+        join_prime=distributivity_failure(down, join) is None,
+        meet_prime=distributivity_failure(up, meet) is None,
+    )
+    if not distributive:
+        raise TheoremBreach(
+            "binary meet fails to distribute over a join of nuclei"
+        )
 
     for nu in nucs:
         if not is_scott_continuous(nu, cap):
             raise TheoremBreach("a nucleus failed Scott continuity")
 
-    bot = glb(tuple(range(k)))
-    top = lub(tuple(range(k)))
+    probe = [((), bot), (tuple(range(k)), top)]
+    probe += [((i, i + 1), join[i][i + 1]) for i in range(k - 1)]
+    for fam, want in probe:
+        gen = nucleus_join([nucs[i] for i in fam], P, cap)
+        if gen.table != tables[want]:
+            raise TheoremBreach(
+                "validated generation disagrees with the join of nuclei"
+            )
+
     return {
         "nucleus_count": k,
         "nuclei": [nu.fix.labels for nu in nucs],
-        "order_pairs": order_pairs,
+        "order_pairs": [
+            (i, j) for i in range(k) for j in bits(up[i] & ~(1 << i))
+        ],
         "is_complete_lattice": True,
-        "exhaustive": exhaustive,
-        "bottom_is_identity": tables[bot] == tuple(range(P.n)),
+        "exhaustive": True,
+        "bottom_is_identity": tables[bot] == tuple(range(n)),
         "top_fix": nucs[top].fix.labels,
         "meets_pointwise": True,
         "all_scott_continuous": True,

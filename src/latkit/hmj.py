@@ -44,6 +44,7 @@ from .order import (
     join_of,
     meet_table,
     popcount,
+    refine,
     same_poset,
     top_index,
     union_of,
@@ -78,16 +79,13 @@ class FilterSet(Subset):
     """A subset of a frame validated to be a filter.
 
     FilterSet(X, cap) takes any Subset X and checks the filter laws,
-    under cap, after Subset's own.
+    under cap, unless X is a FilterSet already.
     """
 
     def __init__(self, X: Subset, cap: Optional[int] = None):
-        object.__setattr__(self, "poset", X.poset)
-        object.__setattr__(self, "mask", X.mask)
-        self.__post_init__(cap)
+        refine(self, X, cap)
 
     def __post_init__(self, cap: Optional[int] = None):
-        super().__post_init__()
         if not is_filter(self.poset, self, cap):
             raise InputError(f"{{{', '.join(self.labels)}}} is not a filter")
 

@@ -51,7 +51,8 @@ class EndoMap:
         for key in mapping:
             poset.index(key)  # UnknownLabel on stray keys
         table = tuple(poset.index(mapping[lab]) for lab in poset.elements)
-        return cls(poset, table)
+        f = EndoMap(poset, table)
+        return f if cls is EndoMap else cls(f)
 
     def __call__(self, i: int) -> int:
         return self.table[i]

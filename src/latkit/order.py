@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -157,7 +157,8 @@ class Subset:
 
     @classmethod
     def of(cls, poset: FinitePoset, labels: Iterable[str]) -> "Subset":
-        return cls(poset, poset.mask_of(labels))
+        X = Subset(poset, poset.mask_of(labels))
+        return X if cls is Subset else cls(X)
 
     @classmethod
     def from_indices(cls, poset: FinitePoset, indices: Iterable[int]) -> "Subset":
@@ -166,7 +167,8 @@ class Subset:
             if not 0 <= i < poset.n:
                 raise ValueError(f"element index {i} out of range")
             m |= 1 << i
-        return cls(poset, m)
+        X = Subset(poset, m)
+        return X if cls is Subset else cls(X)
 
     @property
     def members(self) -> frozenset[int]:
@@ -194,6 +196,20 @@ class Subset:
 
     def __repr__(self):
         return f"{type(self).__name__}({{{', '.join(self.labels)}}})"
+
+
+def refine(value, base, *args) -> None:
+    """Build value, of a refining subclass, from base: copy base's
+    fields, then run with args the __post_init__ of each class of value
+    that base is not an instance of, base classes first.  base passed
+    its own classes' checks when it was built."""
+    for f in fields(value):
+        if hasattr(base, f.name):
+            object.__setattr__(value, f.name, getattr(base, f.name))
+    for cls in reversed(type(value).__mro__):
+        check = vars(cls).get("__post_init__")
+        if check is not None and not isinstance(base, cls):
+            check(value, *args)
 
 
 def same_poset(*posets) -> FinitePoset:
@@ -743,6 +759,40 @@ def _meet_table(P: FinitePoset) -> Optional[tuple[tuple[int, ...], ...]]:
 
 def is_meet_semilattice(P: FinitePoset) -> bool:
     return meet_table(P) is not None
+
+
+def join_irreducibles(down: Sequence[int]) -> int:
+    """The join-irreducible elements of a finite lattice, as a mask,
+    read off its down rows (bit j of down[i] set iff j <= i): the
+    elements whose strictly smaller elements have a greatest one.  The
+    up rows give the meet-irreducibles."""
+    out = 0
+    for x, row in enumerate(down):
+        below = row & ~(1 << x)
+        if any(down[z] & below == below for z in bits(below)):
+            out |= 1 << x
+    return out
+
+
+def distributivity_failure(
+    down: Sequence[int], join: Sequence[Sequence[int]]
+) -> Optional[tuple[int, int]]:
+    """Birkhoff's test on a finite lattice given by its down rows and
+    its join table: the first pair (x, y) where the join-irreducibles
+    below x join y are not those below x or below y, or None.
+
+    A finite lattice is distributive iff there is no such pair, that
+    is, iff every join-irreducible is join-prime (Davey and Priestley,
+    Introduction to Lattices and Order, ch. 10).  The up rows with the
+    meet table run the dual test, over the meet-irreducibles.
+    """
+    irr = join_irreducibles(down)
+    for x, row in enumerate(join):
+        dx = down[x]
+        for y in range(x, len(row)):
+            if (down[row[y]] ^ (dx | down[y])) & irr:
+                return x, y
+    return None
 
 
 def subposet(P: FinitePoset, X: Subset) -> tuple[FinitePoset, tuple[int, ...]]:

@@ -12,6 +12,10 @@ labels listed in a shuffled order) and random posets of up to 10
 elements.  The nuclei are compared on those with all binary meets, on
 random frames and on larger grids.
 
+frame_of_nuclei_check decides the lattice of nuclei on pairs of nuclei
+and two distributivity tests; the check of every family of nuclei it
+replaced is kept here for up to 8 nuclei.
+
 The quantifiers over directed subsets (directed_closed,
 inaccessible_by_directed_joins, is_compact_quotient and the way-below
 relation) read bit columns instead of walking the list, and filters
@@ -24,18 +28,19 @@ import random
 
 import pytest
 
-from corpus import random_frame, random_poset
+from corpus import random_frame, random_meet_semilattice, random_poset
 from latkit import fixtures as fx
 from latkit.closure import (
     closure_system_masks,
     duality,
     is_closure_system_mask,
 )
-from latkit.heyting import enumerate_nuclei
+from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check
 from latkit.hmj import _is_filter_mask, enumerate_filters, is_compact_quotient
 from latkit.maps import (
     directed_closed,
     inaccessible_by_directed_joins,
+    is_scott_continuous,
     preserves_binary_meets,
 )
 from latkit.order import (
@@ -175,6 +180,69 @@ def reference_nuclei(P, cap=None):
     return [op.table for op in kept]
 
 
+def reference_frame_of_nuclei(L):
+    """The frame-of-nuclei report from every family of nuclei: its
+    greatest lower and least upper bound by a scan of the pointwise
+    order, its join by fixpoint intersection, its meet pointwise when
+    nonempty, and each nucleus's meet distributing over its join."""
+    nucs = enumerate_nuclei(L)
+    k, full = len(nucs), L.full_mask
+    mt = meet_table(L)
+    tables = [nu.table for nu in nucs]
+    leq = [
+        [all(L.le[x] >> y & 1 for x, y in zip(a, b)) for b in tables]
+        for a in tables
+    ]
+
+    def glb(fam):
+        cand = [m for m in range(k) if all(leq[m][i] for i in fam)]
+        return next(c for c in cand if all(leq[o][c] for o in cand))
+
+    def lub(fam):
+        cand = [m for m in range(k) if all(leq[i][m] for i in fam)]
+        return next(c for c in cand if all(leq[c][o] for o in cand))
+
+    def joined(fixes):
+        fm = full
+        for f in fixes:
+            fm &= f
+        return duality(Subset(L, fm)).table
+
+    def met(a, b):
+        return tuple(mt[x][y] for x, y in zip(a, b))
+
+    def fix_mask(t):
+        return sum(1 << z for z, v in enumerate(t) if z == v)
+
+    families = [tuple(bits(m)) for m in range(1 << k)]
+    for fam in families:
+        jt = joined(nucs[i].fix_mask for i in fam)
+        assert jt == tables[lub(fam)]
+        if fam:
+            meets = tables[fam[0]]
+            for i in fam[1:]:
+                meets = met(meets, tables[i])
+            assert meets == tables[glb(fam)]
+        for tb in tables:
+            rhs = joined(fix_mask(met(tb, tables[i])) for i in fam)
+            assert met(tb, jt) == rhs
+    assert all(is_scott_continuous(nu) for nu in nucs)
+    bot, top = glb(range(k)), lub(range(k))
+    return {
+        "nucleus_count": k,
+        "nuclei": [nu.fix.labels for nu in nucs],
+        "order_pairs": [
+            (i, j) for i in range(k) for j in range(k) if i != j and leq[i][j]
+        ],
+        "is_complete_lattice": True,
+        "exhaustive": True,
+        "bottom_is_identity": tables[bot] == tuple(range(L.n)),
+        "top_fix": nucs[top].fix.labels,
+        "meets_pointwise": True,
+        "all_scott_continuous": True,
+    }
+
+
 def nucleus_tables(P, cap=None):
     return [nu.table for nu in enumerate_nuclei(P, cap)]
 
@@ -255,6 +323,20 @@ def test_nuclei_match_closure_system_filter(posets):
     frames = [random_frame(rng, 12, max_q=5) for _ in range(30)]
     for P in semilattices + frames + [grid(5, 3), grid(2, 7)]:
         assert nucleus_tables(P, P.n) == reference_nuclei(P, P.n), P
+
+
+def test_frame_of_nuclei_matches_every_family_check():
+    rng = random.Random(61)
+    semilattices = [
+        fx.point(), fx.c2(), fx.c3(), fx.b2(), fx.topfree(), fx.diamond(),
+        fx.chain(4),
+    ] + [random_meet_semilattice(rng, 6) for _ in range(40)]
+    checked = 0
+    for P in semilattices:
+        if len(enumerate_nuclei(P)) <= 8:
+            assert frame_of_nuclei_check(P) == reference_frame_of_nuclei(P), P
+            checked += 1
+    assert checked > 30
 
 
 def test_nuclei_of_b4_match_closure_system_filter():

@@ -29,10 +29,13 @@ from latkit import (
 from latkit import fixtures as fx
 from latkit.errors import MixedPosets
 from latkit.order import (
+    bits,
     bottom_index,
     covers,
+    distributivity_failure,
     greatest_of,
     is_directed_mask,
+    join_irreducibles,
     join_of,
     least_of,
     lower_closure_mask,
@@ -186,3 +189,60 @@ def test_subposet_keeps_relative_order():
     assert Q.elements == ("0", "a", "1")
     assert [P.label(i) for i in kept] == ["0", "a", "1"]
     assert Q.leq_labels("0", "1") and not Q.leq_labels("1", "a")
+
+
+def reference_join_irreducibles(P):
+    """The elements other than the bottom that are no join of two
+    elements strictly below them, as a mask."""
+    out = 0
+    for x in range(P.n):
+        below = P.down[x] & ~(1 << x)
+        if below and all(
+            join_of(P, 1 << a | 1 << b) != x
+            for a in bits(below)
+            for b in bits(below)
+        ):
+            out |= 1 << x
+    return out
+
+
+def _pentagon():
+    # 0 < a < c < 1 and 0 < b < 1: the smallest non-modular lattice
+    return build_poset(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")],
+    )
+
+
+def _grid23():
+    labels = [f"{i}{j}" for i in range(2) for j in range(3)]
+    pairs = [(f"0{j}", f"1{j}") for j in range(3)]
+    pairs += [(f"{i}{j}", f"{i}{j + 1}") for i in range(2) for j in range(2)]
+    return build_poset(labels, pairs)
+
+
+@pytest.mark.parametrize(
+    "P, distributive",
+    [
+        (fx.point(), True),
+        (fx.chain(4), True),
+        (fx.b2(), True),
+        (_grid23(), True),
+        (fx.diamond(), False),
+        (_pentagon(), False),
+    ],
+    ids=["point", "chain4", "b2", "grid23", "diamond", "pentagon"],
+)
+def test_birkhoff_test_and_its_dual_decide_distributivity(P, distributive):
+    mt = meet_table(P)
+    join = [[join_of(P, 1 << x | 1 << y) for y in range(P.n)] for x in range(P.n)]
+    assert join_irreducibles(P.down) == reference_join_irreducibles(P)
+    by_law = all(
+        mt[x][join[y][z]] == join[mt[x][y]][mt[x][z]]
+        for x in range(P.n)
+        for y in range(P.n)
+        for z in range(P.n)
+    )
+    assert by_law == distributive
+    assert (distributivity_failure(P.down, join) is None) == distributive
+    assert (distributivity_failure(P.le, mt) is None) == distributive

@@ -464,3 +464,84 @@ def test_wrong_implication_in_its_candidates_breaks_adjunction(
     assert str(info.value) == "implication adjunction failed at x='b' a='a' b='0'"
     assert main(argv) == 3
     capsys.readouterr()
+
+
+def test_wrong_join_index_breaks_frame_of_nuclei(monkeypatch):
+    # the nuclei fixing {a, 1} and {b, 1} swap indices in the lookup
+    # the fixpoint-intersection joins read, so the join of the identity
+    # and the first of them lands on the second
+    assert heyting.frame_of_nuclei_check(fx.b2())["nucleus_count"] == 4
+    real = heyting._nuclei_by_fix
+
+    def swapped(Q):
+        index = dict(real(Q))
+        a, b = Q.mask_of(["a", "1"]), Q.mask_of(["b", "1"])
+        index[a], index[b] = index[b], index[a]
+        return index
+
+    monkeypatch.setattr(heyting, "_nuclei_by_fix", swapped)
+    with pytest.raises(TheoremBreach) as info:
+        heyting.frame_of_nuclei_check(fx.b2())
+    assert "fixpoint intersection is not their least upper bound" in str(
+        info.value
+    )
+
+
+def test_lost_order_pair_breaks_the_meets_of_nuclei(monkeypatch):
+    # the down row of the top nucleus loses the identity, the bottom:
+    # the pointwise meet of the two is the identity, whose down row is
+    # then no longer the intersection of theirs
+    real = heyting.FinitePoset
+
+    def planted(labels, le):
+        N = real(labels, le)
+        down = list(N.down)
+        down[-1] &= ~1
+        object.__setattr__(N, "down", tuple(down))
+        return N
+
+    monkeypatch.setattr(heyting, "FinitePoset", planted)
+    with pytest.raises(TheoremBreach) as info:
+        heyting.frame_of_nuclei_check(fx.b2())
+    assert str(info.value) == "meet of two nuclei is not pointwise"
+
+
+def test_one_wrong_distributivity_route_breaks_frame_of_nuclei(monkeypatch):
+    # the second call is the dual test on the pointwise meets
+    real = heyting.distributivity_failure
+    calls = []
+
+    def planted(rows, table):
+        calls.append(rows)
+        return (0, 0) if len(calls) == 2 else real(rows, table)
+
+    monkeypatch.setattr(heyting, "distributivity_failure", planted)
+    with pytest.raises(TheoremBreach) as info:
+        heyting.frame_of_nuclei_check(fx.b2())
+    assert info.value.routes == {"join_prime": True, "meet_prime": False}
+    assert "join_prime=True" in str(info.value)
+    # both routes wrong: they agree, and the frame law fails
+    monkeypatch.setattr(heyting, "distributivity_failure", lambda r, t: (0, 0))
+    with pytest.raises(TheoremBreach) as info:
+        heyting.frame_of_nuclei_check(fx.b2())
+    assert info.value.routes == {}
+    assert "fails to distribute" in str(info.value)
+
+
+def test_wrong_open_nucleus_breaks_its_fixpoint_check(
+    monkeypatch, b2_files, capsys
+):
+    # every open nucleus built as the identity: its fixpoints are the
+    # whole frame, not the implications out of a
+    argv = ["hmj", b2_files["poset"]]
+    assert hmj.open_nucleus(fx.b2(), "a").fix.labels == ("b", "1")
+    assert main(argv) == 0
+    real = hmj.EndoMap
+    monkeypatch.setattr(
+        hmj, "EndoMap", lambda Q, row: real(Q, tuple(range(Q.n)))
+    )
+    with pytest.raises(TheoremBreach) as info:
+        hmj.open_nucleus(fx.b2(), "a")
+    assert list(info.value.routes) == ["nucleus", "implication_image"]
+    assert main(argv) == 3
+    assert "open nucleus fixpoints" in capsys.readouterr().err

@@ -17,7 +17,13 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from latkit.closure import clsys  # noqa: E402
 from latkit.convexity import rule_closure_operator  # noqa: E402
-from latkit.order import Subset, build_poset  # noqa: E402
+from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check  # noqa: E402
+from latkit.order import (  # noqa: E402
+    Subset,
+    build_poset,
+    join_irreducibles,
+    popcount,
+)
 from latkit.rules import (  # noqa: E402
     ClosureRule,
     RuleSet,
@@ -30,8 +36,10 @@ from test_enumerations import (  # noqa: E402
     assert_frame_routes_match,
     nucleus_tables,
     reference_default_rules,
+    reference_frame_of_nuclei,
     reference_nuclei,
 )
+from test_order import reference_join_irreducibles  # noqa: E402
 from test_rules import naive_closure_mask  # noqa: E402
 
 
@@ -68,6 +76,13 @@ def meet_semilattices(draw, max_n=8):
 @given(meet_semilattices())
 def test_nuclei_descent_matches_closure_system_filter(P):
     assert nucleus_tables(P) == reference_nuclei(P)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(meet_semilattices(max_n=6))
+def test_frame_of_nuclei_matches_every_family_check(P):
+    assume(len(enumerate_nuclei(P)) <= 8)
+    assert frame_of_nuclei_check(P) == reference_frame_of_nuclei(P)
 
 
 @st.composite
@@ -157,3 +172,20 @@ def test_directed_columns_match_per_subset_loops(P):
 def test_frame_routes_match_scans(L):
     assert_directed_routes_match(L)
     assert_frame_routes_match(L)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(frames(max_n=8))
+def test_nuclei_of_a_frame_have_one_atom_per_join_irreducible(L):
+    # on a finite frame N(L) is Boolean with one atom per
+    # join-irreducible of L, and its atoms are its join-irreducibles
+    irr = join_irreducibles(L.down)
+    assert irr == reference_join_irreducibles(L)
+    rep = frame_of_nuclei_check(L)
+    k = rep["nucleus_count"]
+    N = build_poset(
+        [str(i) for i in range(k)],
+        [(str(i), str(j)) for i, j in rep["order_pairs"]],
+    )
+    assert popcount(join_irreducibles(N.down)) == popcount(irr)
+    assert k == 2 ** popcount(irr)

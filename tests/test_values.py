@@ -1,10 +1,14 @@
 """Refined values are their base values: a nucleus is a closure
 operator, which is an endomap, and a closure system or a filter is a
 subset.  Each constructor checks its own laws after its base class's,
-and a value that breaks a law is rejected with a fixed error."""
+and a value that breaks a law is rejected with a fixed error.  A
+constructor does not check again the laws its argument has passed as
+a value of a refined type, and the inherited from_labels, of and
+from_indices build the refined type."""
 
 import pytest
 
+from latkit import closure
 from latkit import fixtures as fx
 from latkit.closure import ClosureOperator, ClosureSystem, clsys, duality
 from latkit.errors import (
@@ -16,7 +20,7 @@ from latkit.errors import (
     NotMeetSemilattice,
     NotPreclosure,
 )
-from latkit.heyting import Nucleus, enumerate_nuclei
+from latkit.heyting import Nucleus, enumerate_nuclei, nucleus_join
 from latkit.hmj import FilterSet, enumerate_filters
 from latkit.maps import EndoMap
 from latkit.order import Subset
@@ -179,3 +183,62 @@ def test_nucleus_of_a_plain_map_checks_every_law(table):
             build()
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
+
+
+def test_refined_constructor_skips_the_laws_its_argument_passed(monkeypatch):
+    P = fx.b2()
+    f = _labels(P, {"0": "b", "a": "1", "b": "b", "1": "1"})
+    gamma = ClosureOperator(f)
+    calls = []
+    real = closure.is_preclosure
+
+    def counting(g):
+        calls.append(g.table)
+        return real(g)
+
+    monkeypatch.setattr(closure, "is_preclosure", counting)
+    assert Nucleus(gamma).table == f.table
+    assert calls == []
+    assert Nucleus(f).table == f.table
+    assert calls == [f.table]
+    endo_checks = []
+    real_check = EndoMap.__post_init__
+
+    def counting_check(self):
+        endo_checks.append(self)
+        real_check(self)
+
+    monkeypatch.setattr(EndoMap, "__post_init__", counting_check)
+    Nucleus(EndoMap(P, f.table))
+    assert len(endo_checks) == 1
+    # the nuclei of a pair are joined without re-checking their laws
+    nucs = enumerate_nuclei(P)
+    calls.clear()
+    joined = nucleus_join(nucs[1:3], P)
+    assert joined.table == nucs[3].table
+    assert len(calls) == 1  # the generated operator, in duality
+
+
+def test_endomap_from_labels_refines():
+    P = fx.b2()
+    table = {"0": "b", "a": "1", "b": "b", "1": "1"}
+    gamma = ClosureOperator.from_labels(P, table)
+    assert type(gamma) is ClosureOperator and gamma.as_labels() == table
+    nu = Nucleus.from_labels(P, table)
+    assert type(nu) is Nucleus and nu.table == gamma.table
+    assert type(EndoMap.from_labels(P, table)) is EndoMap
+    with pytest.raises(NotPreclosure):
+        ClosureOperator.from_labels(P, {"0": "0", "a": "0", "b": "b", "1": "1"})
+    with pytest.raises(NotANucleus):
+        Nucleus.from_labels(P, {"0": "0", "a": "1", "b": "1", "1": "1"})
+
+
+@pytest.mark.parametrize("cls", [ClosureSystem, FilterSet])
+def test_subset_constructors_refine(cls):
+    P = fx.b2()
+    for X in (cls.of(P, ["a", "1"]), cls.from_indices(P, [1, 3])):
+        assert type(X) is cls and X.labels == ("a", "1")
+    assert type(Subset.of(P, ["a"])) is Subset
+    assert type(Subset.from_indices(P, [1])) is Subset
+    with pytest.raises(InputError):
+        cls.of(P, ["a"])
