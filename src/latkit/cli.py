@@ -53,6 +53,7 @@ from .order import (
     covers,
     is_meet_semilattice,
     top_index,
+    union_of,
 )
 from .rules import RuleSet, default_rules, nuclear_rules, rule_closure
 
@@ -200,19 +201,14 @@ def _dot_digraph(names, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _covering_edges(k: int, leq) -> list:
-    """Covering pairs of an order given as a predicate on range(k)."""
-    out = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not leq(i, j):
-                continue
-            if not any(
-                t != i and t != j and leq(i, t) and leq(t, j)
-                for t in range(k)
-            ):
-                out.append((i, j))
-    return out
+def _inclusion_covers(masks, n: int) -> list:
+    """Covering pairs of distinct subsets of range(n), by index, ordered
+    by inclusion.  Bit j of lacks[e] says masks[j] lacks e, so the
+    masks above masks[i] are those that lack no member of it."""
+    lacks = [sum(1 << j for j, m in enumerate(masks) if not m >> e & 1) for e in range(n)]
+    full = (1 << len(masks)) - 1
+    rows = tuple(full & ~union_of(lacks, m) for m in masks)
+    return covers(FinitePoset(tuple(map(str, range(len(masks)))), rows))
 
 
 # Only commands that enumerate take the cap flags: elsewhere they would
@@ -366,11 +362,8 @@ def cmd_closure_systems(P, cap):
         return "\n".join(lines) + "\n"
 
     def dot():
-        masks = [S.mask for S in systems]
         names = [_set_str(S.labels) for S in systems]
-        edges = _covering_edges(
-            len(masks), lambda i, j: masks[i] & ~masks[j] == 0
-        )
+        edges = _inclusion_covers([S.mask for S in systems], P.n)
         return _dot_digraph(names, edges)
 
     return payload, txt, dot
@@ -457,10 +450,9 @@ def cmd_nuclei(P, cap):
         return "\n".join(lines) + "\n"
 
     def dot():
+        # nu <= mu pointwise iff fix(mu) is inside fix(nu)
         names = [_set_str(nu.fix.labels) for nu in nucs]
-        edges = _covering_edges(
-            len(nucs), lambda i, j: nucs[i].leq(nucs[j])
-        )
+        edges = _inclusion_covers([P.full_mask & ~nu.fix_mask for nu in nucs], P.n)
         return _dot_digraph(names, edges)
 
     return payload, txt, dot

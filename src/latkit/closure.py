@@ -53,7 +53,7 @@ from .order import (
     bottom_index,
     check_cap,
     derived,
-    directed_subsets,
+    directed_columns,
     family_poset,
     join_of,
     least_of,
@@ -61,6 +61,7 @@ from .order import (
     refine,
     same_poset,
     subposet,
+    union_of,
     way_down_sets,
 )
 from . import rules as _rules
@@ -463,13 +464,12 @@ def dcclsys(X: Subset, cap: Optional[int] = None) -> ClosureSystem:
 
 
 def dj(X: Subset, cap: Optional[int] = None) -> Subset:
-    """Joins of the directed subsets of X."""
+    """Joins of the directed subsets of X: the tops of the directed
+    sets with no member outside X, read from their bit columns."""
     P = X.poset
-    out = 0
-    for dmask, top in directed_subsets(P, cap):
-        if dmask & ~X.mask == 0:
-            out |= 1 << top
-    return Subset(P, out)
+    members, tops = directed_columns(P, cap)
+    outside = union_of(members, P.full_mask & ~X.mask)
+    return Subset(P, sum(1 << t for t, col in enumerate(tops) if col & ~outside))
 
 
 def sccore(gamma: ClosureOperator, cap: Optional[int] = None) -> ClosureOperator:

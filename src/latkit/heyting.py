@@ -6,13 +6,13 @@ meets exist and binary meets distribute over arbitrary joins).  Nothing
 is inferred from finiteness; each level is checked definitionally, so
 the standard collapses for finite posets show up as results, not
 assumptions.  The check stays exhaustive (every directed subset, every
-subset, every x), but it reads joins, meets and meet images from
-incremental bound and image tables (order.join_meet_tables and
-order.image_masks), in O(n 2^n) table steps rather than a bound scan
-per subset.  The one collapse used up front is the enumeration of the
-directed subsets: they are listed by their maximum (a finite subset is
-directed iff it is nonempty with a maximum), and the tests check that
-list against the pairwise definition of directedness.
+subset, every x).  The preframe law is Scott continuity of x meet -,
+decided on the bit columns of the directed subsets, which are listed
+by their maximum (a finite subset is directed iff it is nonempty with
+a maximum; the tests check them against the pairwise definition).
+The frame law reads joins, meets and meet images from incremental
+bound and image tables (order.join_meet_tables and order.image_masks),
+in O(n 2^n) table steps rather than a bound scan per subset.
 
 Implication a => b is the largest x with x meet a <= b.  The table is
 built once per frame and the adjunction law is verified at build time.
@@ -74,7 +74,8 @@ from .order import (
     bottom_index,
     check_cap,
     derived,
-    directed_subsets,
+    directed_columns,
+    directed_join_faults,
     distributivity_failure,
     family_poset,
     image_masks,
@@ -99,38 +100,22 @@ class FrameView:
     witness: Optional[str]
 
 
-def _first_difference(a: bytes, b: bytes) -> int:
-    return next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
-
-
 def _validate_structure(P: FinitePoset) -> FrameView:
     mt = meet_table(P)
     if mt is None:
         return FrameView(P, None, "some pair of elements has no meet")
     n = P.n
-    join, meet = join_meet_tables(P)
-    joins = list(join)  # indexed faster than the bytearray
-    # For each x, image_masks(mt[x]) holds x's meet image of every
-    # subset, and meets[x] sends an element index y to x meet y, so
-    # both sides of each distributive law are read from tables.
-    meets = [bytes(row).ljust(256, b"\0") for row in mt]
     # preframe: every directed join exists (it does, definitionally
-    # confirmed) and binary meets distribute over directed joins.  The
-    # witness is the first failing (subset, x) in subset-major order.
-    directed = directed_subsets(P, n)
-    dmasks = [dmask for dmask, _ in directed]
-    dtops = bytes(dtop for _, dtop in directed)
-    failed = None
-    for x in range(n):
-        img = image_masks(mt[x])
-        got = bytes(map(joins.__getitem__, map(img.__getitem__, dmasks)))
-        want = dtops.translate(meets[x])
-        if got != want:
-            dmask = dmasks[_first_difference(got, want)]
-            if failed is None or dmask < failed[0]:
-                failed = (dmask, x)
-    if failed is not None:
-        dmask, x = failed
+    # confirmed) and each map y -> x meet y preserves directed joins.
+    # The witness is the least failing (subset, x), read off the columns.
+    members, _ = directed_columns(P, n)
+    failed = [
+        (sum(1 << i for i, m in enumerate(members) if m >> k & 1), x)
+        for x in range(n)
+        for k in bits(directed_join_faults(P, mt[x], n))
+    ]
+    if failed:
+        dmask, x = min(failed)
         return FrameView(
             P,
             "meet_semilattice",
@@ -138,6 +123,12 @@ def _validate_structure(P: FinitePoset) -> FrameView:
             f"the directed join of {{{', '.join(P.labels_of(dmask))}}}",
         )
     # frame: complete lattice plus full distributivity
+    join, meet = join_meet_tables(P)
+    joins = list(join)  # indexed faster than the bytearray
+    # For each x, image_masks(mt[x]) holds x's meet image of every
+    # subset, and meets[x] sends an element index y to x meet y, so
+    # both sides of each distributive law are read from tables.
+    meets = [bytes(row).ljust(256, b"\0") for row in mt]
     gaps = [m for m in (join.find(n), meet.find(n)) if m >= 0]
     if gaps:
         return FrameView(
@@ -149,12 +140,12 @@ def _validate_structure(P: FinitePoset) -> FrameView:
         got = bytes(map(joins.__getitem__, image_masks(mt[x])))
         want = join.translate(meets[x])
         if got != want:
+            m = next(k for k, (u, v) in enumerate(zip(got, want)) if u != v)
             return FrameView(
                 P,
                 "preframe",
                 f"meet with {P.label(x)!r} does not distribute over "
-                f"the join of "
-                f"{{{', '.join(P.labels_of(_first_difference(got, want)))}}}",
+                f"the join of {{{', '.join(P.labels_of(m))}}}",
             )
     return FrameView(P, "frame", None)
 

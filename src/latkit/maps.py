@@ -19,7 +19,7 @@ from .order import (
     bits,
     derived,
     directed_columns,
-    directed_subsets,
+    directed_join_faults,
     family_poset,
     join_of,
     meet_table,
@@ -158,12 +158,7 @@ def scott_continuous_definitional(f: EndoMap, cap: Optional[int] = None) -> bool
     f(join D).  On a finite poset every directed set has a join, namely
     its maximum, so the quantification runs over all directed subsets.
     """
-    P = f.poset
-    for dmask, top in directed_subsets(P, cap):
-        img = f.image_mask(dmask)
-        if join_of(P, img) != f.table[top]:
-            return False
-    return True
+    return not directed_join_faults(f.poset, f.table, cap)
 
 
 def is_scott_continuous(f: EndoMap, cap: Optional[int] = None) -> bool:

@@ -542,10 +542,9 @@ def directed_subsets(P: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[i
     its cost follows the number of directed subsets, not 2^n.  The
     tests check it against the pairwise definition (is_directed_mask).
 
-    This call is also the cap gate of every quantifier over directed
-    subsets.  Those that need no masks read directed_columns instead of
-    walking the list; the frame check, dj and the definitional Scott
-    continuity test walk it.
+    No library route walks this list: every quantifier over directed
+    subsets reads directed_columns.  It stays the public enumeration
+    and the tests' reference for the columns.
     """
     check_cap("directed-subset enumeration", P.n, cap, DIRECTED_CAP)
     return derived(P, _directed_subsets)
@@ -586,10 +585,32 @@ def directed_columns(
     each subset of the elements strictly below t, counted in binary over
     them, so each column is a periodic bit pattern per block.  A
     quantifier over every directed subset is then a few ORs and ANDs of
-    these columns.  Runs the directed_subsets gate first.
+    these columns.  This call is the cap gate of every quantifier over
+    directed subsets.
     """
-    directed_subsets(P, cap)
+    check_cap("directed-subset enumeration", P.n, cap, DIRECTED_CAP)
     return derived(P, _directed_columns)
+
+
+def directed_join_faults(
+    P: FinitePoset, table: Sequence[int], cap: Optional[int] = None
+) -> int:
+    """The directed_columns positions of the directed subsets D whose
+    image under i -> table[i] lacks the join table[t], t the top of D:
+    a member maps outside the down row of table[t], or none maps into
+    its up row.  That is the law when t is in D, and a column whose
+    top is not a member fails, so a broken enumeration still shows."""
+    members, tops = directed_columns(P, cap)
+    faults = 0
+    for t, v in enumerate(table):
+        outside = inside = 0
+        for i, w in enumerate(table):
+            if not P.down[v] >> w & 1:
+                outside |= members[i]
+            if P.le[v] >> w & 1:
+                inside |= members[i]
+        faults |= tops[t] & (outside | ~inside)
+    return faults
 
 
 def _way_below(P: FinitePoset) -> tuple[int, ...]:

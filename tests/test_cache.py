@@ -9,11 +9,20 @@ import pytest
 
 import latkit.cli
 from latkit import fixtures as fx
-from latkit.closure import clsys, closure_system_masks
+from latkit import order
+from latkit.closure import (
+    ClosureOperator,
+    clsys,
+    closure_system_masks,
+    dj,
+    sccore,
+    sccore_bruteforce,
+)
 from latkit.errors import CapExceeded
-from latkit.heyting import Nucleus, enumerate_nuclei
+from latkit.heyting import Nucleus, enumerate_nuclei, validate_structure
 from latkit.hmj import hmj_correspondence
-from latkit.order import Subset, derived, directed_subsets
+from latkit.maps import EndoMap, identity_map, is_scott_continuous
+from latkit.order import Subset, derived, directed_columns, directed_subsets
 from latkit.rules import default_rules
 
 
@@ -80,3 +89,17 @@ def test_warm_cache_still_enforces_caps(call):
     with pytest.raises(CapExceeded):
         call(P, cap=P.n - 1)
     call(P, cap=P.n)
+
+
+def test_directed_quantifiers_build_no_subset_list():
+    # they read the bit columns; the sorted list is only built on request
+    P = fx.b2()
+    gamma = ClosureOperator(EndoMap(P, (0, 3, 3, 3)))
+    assert validate_structure(P).level == "frame"
+    assert is_scott_continuous(identity_map(P))
+    assert dj(Subset.of(P, ["0", "a"])).labels == ("0", "a")
+    assert sccore(gamma) == sccore_bruteforce(gamma)
+    assert order._directed_columns in P._derived
+    assert order._directed_subsets not in P._derived
+    with pytest.raises(CapExceeded, match="^directed-subset enumeration: "):
+        directed_columns(fx.chain(13))

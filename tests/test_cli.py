@@ -168,30 +168,33 @@ def test_hmj_command(files, capsys):
 def test_hmj_command_on_the_5x3_grid(tmp_path, capsys):
     # 15 elements: past the default cap, answered with --force.  Every
     # filter of a finite frame is principal, and the pairs are
-    # (up-set of a, fixpoints of x -> a => x)
+    # (up-set of a, fixpoints of x -> a => x).  The same check runs on
+    # chain(15), the largest forced hmj: 16,384 nuclei
     labels = [f"{i}{j}" for i in range(5) for j in range(3)]
     pairs = [(f"{i}{j}", f"{i + 1}{j}") for i in range(4) for j in range(3)]
     pairs += [(f"{i}{j}", f"{i}{j + 1}") for i in range(5) for j in range(2)]
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"elements": labels, "le": pairs}))
-    rc, _, err = run(capsys, ["hmj", str(path)])
-    assert rc == 2 and "--force" in err
-    rc, out, _ = run(capsys, ["hmj", str(path), "--force"])
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["count"] == 15 and doc["antiisomorphism_verified"]
-    P = build_poset(labels, pairs)
-    imp = implication_table(P, P.n)
-    want = []
-    for a in range(P.n):
-        fix = 0
-        for x in range(P.n):
-            fix |= 1 << imp[a][x]
-        want.append(
-            {"filter": list(P.labels_of(P.le[a])), "quotient": list(P.labels_of(fix))}
-        )
-    key = lambda pair: (pair["filter"], pair["quotient"])  # noqa: E731
-    assert sorted(doc["pairs"], key=key) == sorted(want, key=key)
+    chain = [str(i) for i in range(15)]
+    for labels, pairs in [(labels, pairs), (chain, list(zip(chain, chain[1:])))]:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"elements": labels, "le": pairs}))
+        rc, _, err = run(capsys, ["hmj", str(path)])
+        assert rc == 2 and "--force" in err
+        rc, out, _ = run(capsys, ["hmj", str(path), "--force"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["count"] == 15 and doc["antiisomorphism_verified"]
+        P = build_poset(labels, pairs)
+        imp = implication_table(P, P.n)
+        want = []
+        for a in range(P.n):
+            fix = 0
+            for x in range(P.n):
+                fix |= 1 << imp[a][x]
+            want.append(
+                {"filter": list(P.labels_of(P.le[a])), "quotient": list(P.labels_of(fix))}
+            )
+        key = lambda pair: (pair["filter"], pair["quotient"])  # noqa: E731
+        assert sorted(doc["pairs"], key=key) == sorted(want, key=key)
 
 
 def test_rules_commands(files, capsys):

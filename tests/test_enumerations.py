@@ -17,9 +17,10 @@ and two distributivity tests; the check of every family of nuclei it
 replaced is kept here for up to 8 nuclei.
 
 The quantifiers over directed subsets (directed_closed,
-inaccessible_by_directed_joins, is_compact_quotient and the way-below
-relation) read bit columns instead of walking the list, and filters
-come from a descent over upper sets; the per-subset loops and the 2^n
+inaccessible_by_directed_joins, is_compact_quotient, the way-below
+relation, dj, Scott continuity and the preframe stage of the frame
+check) read bit columns instead of walking the list, and filters come
+from a descent over upper sets; the per-subset loops and the 2^n
 filter scan they replaced are kept here too.
 """
 
@@ -54,6 +55,7 @@ from latkit.order import (
     is_default_enabled,
     is_directed_mask,
     is_meet_semilattice,
+    join_of,
     lower_bounds_mask,
     maximal_mask,
     meet_table,
@@ -117,6 +119,32 @@ def reference_compact_quotient(P, nu):
         if dmask & ~fm == 0 and nu.table[dtop] == t and not dmask >> t & 1:
             return False
     return True
+
+
+def reference_scott_faults(P, table):
+    """The directed subsets, mask ascending, whose image under the map
+    i -> table[i] does not have the join table[max D]: the per-subset
+    Scott loop, one join_of per subset."""
+    out = []
+    for dmask, top in directed_subsets(P, P.n):
+        img = 0
+        for i in bits(dmask):
+            img |= 1 << table[i]
+        if join_of(P, img) != table[top]:
+            out.append(dmask)
+    return out
+
+
+def reference_scott_continuous(f):
+    return not reference_scott_faults(f.poset, f.table)
+
+
+def reference_dj(P, mask):
+    out = 0
+    for dmask, top in directed_subsets(P, P.n):
+        if dmask & ~mask == 0:
+            out |= 1 << top
+    return out
 
 
 def reference_filter_masks(P):

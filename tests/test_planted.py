@@ -145,13 +145,21 @@ def test_wrong_directed_top_breaks_scott_continuity(
     assert is_scott_continuous(f)
     argv = ["sccore", b2_files["poset"], b2_files["gam"]]
     assert main(argv) == 0
-    real = order._directed_subsets
-    d, top = P.mask_of(["0", "a"]), P.index("1")
-    monkeypatch.setattr(
-        order,
-        "_directed_subsets",
-        lambda Q: tuple((m, top if m == d else t) for m, t in real(Q)),
-    )
+    real = order._directed_columns
+    d, a, top = P.mask_of(["0", "a"]), P.index("a"), P.index("1")
+
+    def planted(Q):
+        # the column of {0, a} is moved from top a to top 1
+        members, tops = real(Q)
+        col = tops[a]
+        for i, m in enumerate(members):
+            col &= m if d >> i & 1 else ~m
+        tops = list(tops)
+        tops[a] ^= col
+        tops[top] |= col
+        return members, tuple(tops)
+
+    monkeypatch.setattr(order, "_directed_columns", planted)
     P = fx.b2()
     f = identity_map(P)
     with pytest.raises(TheoremBreach):

@@ -15,12 +15,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from latkit.closure import clsys  # noqa: E402
+from latkit.closure import clsys, dj  # noqa: E402
 from latkit.convexity import rule_closure_operator  # noqa: E402
 from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check  # noqa: E402
+from latkit.maps import EndoMap, scott_continuous_definitional  # noqa: E402
 from latkit.order import (  # noqa: E402
     Subset,
+    bits,
     build_poset,
+    directed_join_faults,
     join_irreducibles,
     popcount,
 )
@@ -34,10 +37,14 @@ from latkit.rules import (  # noqa: E402
 from test_enumerations import (  # noqa: E402
     assert_directed_routes_match,
     assert_frame_routes_match,
+    decode_directed_columns,
     nucleus_tables,
     reference_default_rules,
+    reference_dj,
     reference_frame_of_nuclei,
     reference_nuclei,
+    reference_scott_continuous,
+    reference_scott_faults,
 )
 from test_order import reference_join_irreducibles  # noqa: E402
 from test_rules import naive_closure_mask  # noqa: E402
@@ -165,6 +172,28 @@ def frames(draw, max_n=12):
 @given(posets(max_n=7))
 def test_directed_columns_match_per_subset_loops(P):
     assert_directed_routes_match(P)
+
+
+@st.composite
+def posets_with_tables(draw):
+    # any table, not only increasing ones
+    P = draw(posets(max_n=7))
+    table = draw(st.lists(st.integers(0, P.n - 1), min_size=P.n, max_size=P.n))
+    return P, tuple(table)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(posets_with_tables())
+def test_directed_join_faults_match_the_scott_loop(case):
+    P, table = case
+    decoded = decode_directed_columns(P)
+    faults = directed_join_faults(P, table, P.n)
+    got = sorted(decoded[k][0] for k in bits(faults))
+    assert got == reference_scott_faults(P, table)
+    f = EndoMap(P, table)
+    assert scott_continuous_definitional(f, P.n) == reference_scott_continuous(f)
+    for m in range(P.full_mask + 1):
+        assert dj(Subset(P, m), P.n).mask == reference_dj(P, m)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
