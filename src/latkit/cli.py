@@ -44,7 +44,7 @@ from .heyting import (
     validate_structure,
 )
 from .hmj import hmj_correspondence
-from .maps import EndoMap, is_closure_map
+from .maps import EndoMap, value_rows
 from .order import (
     FinitePoset,
     Subset,
@@ -53,7 +53,6 @@ from .order import (
     covers,
     is_meet_semilattice,
     top_index,
-    union_of,
 )
 from .rules import RuleSet, default_rules, nuclear_rules, rule_closure
 
@@ -201,16 +200,6 @@ def _dot_digraph(names, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _inclusion_covers(masks, n: int) -> list:
-    """Covering pairs of distinct subsets of range(n), by index, ordered
-    by inclusion.  Bit j of lacks[e] says masks[j] lacks e, so the
-    masks above masks[i] are those that lack no member of it."""
-    lacks = [sum(1 << j for j, m in enumerate(masks) if not m >> e & 1) for e in range(n)]
-    full = (1 << len(masks)) - 1
-    rows = tuple(full & ~union_of(lacks, m) for m in masks)
-    return covers(FinitePoset(tuple(map(str, range(len(masks)))), rows))
-
-
 # Only commands that enumerate take the cap flags: elsewhere they would
 # be accepted and ignored, so they are not offered.
 _CAP_OPTIONS = (
@@ -313,7 +302,7 @@ def cmd_validate(P, cap):
     view = validate_structure(P, cap)
     bot = bottom_index(P)
     top = top_index(P)
-    cov = covers(P)
+    cov = covers(P.le)
     payload = {
         "elements": list(P.elements),
         "size": P.n,
@@ -362,9 +351,10 @@ def cmd_closure_systems(P, cap):
         return "\n".join(lines) + "\n"
 
     def dot():
+        # one system lies inside another iff its operator lies above
         names = [_set_str(S.labels) for S in systems]
-        edges = _inclusion_covers([S.mask for S in systems], P.n)
-        return _dot_digraph(names, edges)
+        rows = value_rows(P, [op.table for op in rep["closure_operators"]])
+        return _dot_digraph(names, covers(list(map(rows.below, rows.tables))))
 
     return payload, txt, dot
 
@@ -450,10 +440,9 @@ def cmd_nuclei(P, cap):
         return "\n".join(lines) + "\n"
 
     def dot():
-        # nu <= mu pointwise iff fix(mu) is inside fix(nu)
         names = [_set_str(nu.fix.labels) for nu in nucs]
-        edges = _inclusion_covers([P.full_mask & ~nu.fix_mask for nu in nucs], P.n)
-        return _dot_digraph(names, edges)
+        ups = value_rows(P, [nu.table for nu in nucs]).up_rows()
+        return _dot_digraph(names, covers(ups))
 
     return payload, txt, dot
 
@@ -489,12 +478,13 @@ def cmd_heyting(P, cap):
 
 def _closure_from_file(P, path):
     name, f = load_map(P, path)
-    if not is_closure_map(f):
+    try:
+        return name, ClosureOperator(f)
+    except InputError as e:
         raise InputError(
             f"map {name!r} is not a closure operator "
             "(needs ascending, increasing, idempotent)"
-        )
-    return name, ClosureOperator(f)
+        ) from e
 
 
 @_command("nuclear-core", _MAP)

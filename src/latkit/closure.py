@@ -45,6 +45,7 @@ from .maps import (
     closed_under,
     pointwise_leq,
     pointwise_meet,
+    value_rows,
 )
 from .order import (
     SUBSET_CAP,
@@ -57,10 +58,10 @@ from .order import (
     family_poset,
     join_of,
     least_of,
-    popcount,
     refine,
     same_poset,
     subposet,
+    top_down,
     union_of,
     way_down_sets,
 )
@@ -164,7 +165,7 @@ def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
 
 def _closure_system_masks(P: FinitePoset) -> tuple[int, ...]:
     masks = [0]
-    for x in sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)):
+    for x in derived(P, top_down):
         bit, row = 1 << x, P.le[x]
         grown = []
         for m in masks:
@@ -495,17 +496,19 @@ def sccore(gamma: ClosureOperator, cap: Optional[int] = None) -> ClosureOperator
 def sccore_bruteforce(
     gamma: ClosureOperator, cap: Optional[int] = None
 ) -> ClosureOperator:
-    """Greatest Scott-continuous closure operator below gamma, found by
-    scanning every closure operator on the poset."""
+    """Greatest Scott-continuous closure operator below gamma: of every
+    closure operator on the poset, the Scott-continuous ones below
+    gamma, and the one whose down row among them covers them all."""
     P = gamma.poset
     candidates = []
     for m in closure_system_masks(P, cap):
         op = duality(ClosureSystem(Subset(P, m)))
         if pointwise_leq(op, gamma) and is_scott_continuous(op, cap):
             candidates.append(op)
-    for op in candidates:
-        if all(pointwise_leq(other, op) for other in candidates):
-            return op
+    rows = value_rows(P, [op.table for op in candidates])
+    top = rows.greatest((1 << len(candidates)) - 1)
+    if top is not None:
+        return candidates[top]
     raise TheoremBreach(
         "the Scott-continuous closure operators below the given one "
         "have no greatest member"

@@ -65,6 +65,7 @@ from .maps import (
     is_scott_continuous,
     pointwise_leq,
     preserves_binary_meets,
+    value_rows,
 )
 from .order import (
     SUBSET_CAP,
@@ -86,8 +87,8 @@ from .order import (
     meet_table,
     popcount,
     same_poset,
+    top_down,
     top_index,
-    union_of,
 )
 
 
@@ -352,7 +353,7 @@ def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
             if not (le[x] >> y & 1 or le[y] >> x & 1):
                 pairs[mt[x][y]].append((x, y))
     states = [(0, [0] * n)]
-    for z in sorted(range(n), key=lambda i: (popcount(le[i]), i)):
+    for z in derived(P, top_down):
         bit, row, zpairs = 1 << z, le[z], pairs[z]
         grown = []
         for kept, c in states:
@@ -376,6 +377,11 @@ def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
 def _nuclei_by_fix(P: FinitePoset) -> dict[int, int]:
     # fixpoint set -> index of its nucleus in _nuclei; cap-free, like it
     return {nu.fix_mask: i for i, nu in enumerate(derived(P, _nuclei))}
+
+
+def _nuclei_rows(P: FinitePoset):
+    # the value rows of the nuclei in _nuclei; cap-free, like it
+    return value_rows(P, [nu.table for nu in derived(P, _nuclei)])
 
 
 def enumerate_nuclei(P: FinitePoset, cap: Optional[int] = None) -> list[Nucleus]:
@@ -494,22 +500,19 @@ def least_nucleus_above(
 
     Formula route: the pointwise meet of the regular nuclei at those
     fixpoints x of gamma with gamma below the regular nucleus at x.
-    Brute-force route: scan all nuclei above gamma for a least one.
+    Enumeration route: the nuclei above gamma, read from the value rows
+    of the nuclei, and the one among them whose up row covers them all.
     Both must agree, and the fixpoint set must match its two known
     descriptions.
     """
     P = require_frame(L, cap)
     same_poset(P, gamma.poset)
     imp = derived(P, _imp_table)
-    mt = meet_table(P)
     cmask = gamma.fix_mask
-
-    def regular_table(x: int) -> tuple[int, ...]:
-        return tuple(imp[imp[y][x]][x] for y in range(P.n))
 
     chosen = []
     for x in bits(cmask):
-        rt = regular_table(x)
+        rt = tuple(imp[imp[y][x]][x] for y in range(P.n))  # regular nucleus at x
         if all(P.le[gamma.table[y]] >> rt[y] & 1 for y in range(P.n)):
             chosen.append(rt)
     table = []
@@ -523,33 +526,25 @@ def least_nucleus_above(
         table.append(v)
     with produced("meet of regular nuclei"):
         nu = Nucleus(EndoMap(P, tuple(table)))
-    # fixpoint set, two descriptions
-    want_in_c = 0
-    for x in bits(cmask):
-        if impl_image_mask(P, P.full_mask, 1 << x) & ~cmask == 0:
-            want_in_c |= 1 << x
-    want_in_l = 0
-    for x in range(P.n):
-        if impl_image_mask(P, P.full_mask, 1 << x) & ~cmask == 0:
-            want_in_l |= 1 << x
+    # fixpoint set, two descriptions: the x in L, and the x in fix gamma,
+    # whose implication image L => x lies in fix gamma
+    want_in_l = sum(
+        1 << x
+        for x in range(P.n)
+        if impl_image_mask(P, P.full_mask, 1 << x) & ~cmask == 0
+    )
     agree(
         "fixpoints of the least nucleus above",
         gamma,
         formula=nu.fix,
-        implication_in_fixpoints=Subset(P, want_in_c),
+        implication_in_fixpoints=Subset(P, want_in_l & cmask),
         implication_in_poset=Subset(P, want_in_l),
     )
     # brute force
-    above = [
-        n2
-        for n2 in enumerate_nuclei(L, cap)
-        if pointwise_leq(gamma, n2)
-    ]
-    least = None
-    for n2 in above:
-        if all(pointwise_leq(n2, o) for o in above):
-            least = n2
-            break
+    nucs = enumerate_nuclei(L, cap)
+    rows = derived(P, _nuclei_rows)
+    i = rows.least(rows.above(gamma.table))
+    least = None if i is None else nucs[i]
     return agree("least nucleus above", gamma, formula=nu, enumeration=least)
 
 
@@ -559,24 +554,17 @@ def nuclear_core(
     """Greatest nucleus below a closure operator on a frame.
 
     Formula route: the double-implication nucleus of gamma's image.
-    Brute-force route: scan all nuclei below gamma for a greatest one.
+    Enumeration route: the nuclei below gamma, read from the value rows
+    of the nuclei, and the one among them whose down row covers them
+    all.
     """
     P = require_frame(L, cap)
     same_poset(P, gamma.poset)
-    image = 0
-    for v in gamma.table:
-        image |= 1 << v
-    nu = nuc_map(L, Subset(P, image), cap)
-    below = [
-        n2
-        for n2 in enumerate_nuclei(L, cap)
-        if pointwise_leq(n2, gamma)
-    ]
-    greatest = None
-    for n2 in below:
-        if all(pointwise_leq(o, n2) for o in below):
-            greatest = n2
-            break
+    nu = nuc_map(L, Subset(P, gamma.image_mask(P.full_mask)), cap)
+    nucs = enumerate_nuclei(L, cap)
+    rows = derived(P, _nuclei_rows)
+    i = rows.greatest(rows.below(gamma.table))
+    greatest = None if i is None else nucs[i]
     agree("greatest nucleus below", gamma, formula=nu, enumeration=greatest)
     if not pointwise_leq(nu, gamma):
         raise TheoremBreach("nuclear core sits above its operator")
@@ -594,7 +582,8 @@ def frame_of_nuclei_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     N(L) is finite, so pairs suffice: a nonempty family's join or meet
     is an iterated binary one, the empty family's are the bottom and
     the top, and a finite lattice is a frame iff it is distributive.
-    N(L) is built as a FinitePoset from the pointwise order.  The join
+    N(L) is built as a FinitePoset on the up rows of the nuclei's value
+    rows (maps.value_rows), which read only their tables.  The join
     of each pair must be the nucleus fixing the intersection of their
     fixpoints (the generation route), with the intersection of their up
     rows as its up row; the meet must be pointwise, with the
@@ -611,19 +600,7 @@ def frame_of_nuclei_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     mt = meet_table(P)
     tables = [nu.table for nu in nucs]
     fixes = [nu.fix_mask for nu in nucs]
-    # up[i] holds the j with nucs[i] <= nucs[j] pointwise: over every y,
-    # the j whose value at y lies above nucs[i]'s
-    at = [[0] * n for _ in range(n)]  # at[y][v]: the j with nucs[j](y) = v
-    for j, t in enumerate(tables):
-        for y, v in enumerate(t):
-            at[y][v] |= 1 << j
-    above = [[union_of(row, P.le[v]) for v in range(n)] for row in at]
-    up = []
-    for t in tables:
-        row = (1 << k) - 1
-        for y, v in enumerate(t):
-            row &= above[y][v]
-        up.append(row)
+    up = derived(P, _nuclei_rows).up_rows()
     try:
         N = FinitePoset(tuple(map(str, range(k))), tuple(up))
     except ValueError as e:

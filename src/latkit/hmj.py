@@ -28,11 +28,19 @@ from .errors import InputError, TheoremBreach, agree, produced
 from .heyting import (
     Nucleus,
     _imp_table,
+    _nuclei_rows,
     enumerate_nuclei,
     nucleus_join,
     require_frame,
+    validate_structure,
 )
-from .maps import EndoMap, inaccessible_by_directed_joins, pointwise_leq
+from .maps import (
+    EndoMap,
+    inaccessible_by_directed_joins,
+    pointwise_leq,
+    preserves_binary_meets,
+    value_rows,
+)
 from .order import (
     SUBSET_CAP,
     FinitePoset,
@@ -41,11 +49,13 @@ from .order import (
     check_cap,
     derived,
     directed_columns,
-    join_of,
+    image_masks,
+    join_meet_tables,
     meet_table,
-    popcount,
     refine,
     same_poset,
+    subposet,
+    top_down,
     top_index,
     union_of,
     upper_closure_mask,
@@ -110,7 +120,7 @@ def _upper_sets_with_top(P: FinitePoset, t: int) -> list[int]:
     principal upper sets): x may join a set only once every element
     strictly above x is in it."""
     states = [1 << t]
-    for x in sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)):
+    for x in derived(P, top_down):
         if x != t:
             above = P.le[x] & ~(1 << x)
             states += [m | 1 << x for m in states if m & above == above]
@@ -188,10 +198,7 @@ def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
     if t is None:
         raise InputError("kernel at the top needs a top element")
     require_frame(P, cap)
-    mask = 0
-    for i, v in enumerate(nu.table):
-        if v == t:
-            mask |= 1 << i
+    mask = sum(1 << a for a, v in enumerate(nu.table) if v == t)
     with produced("oneker"):
         return FilterSet(Subset(P, mask), cap)
 
@@ -205,19 +212,9 @@ def fitnuc(L: FinitePoset, S: Subset, cap: Optional[int] = None) -> Nucleus:
     return nucleus_join([opens[i] for i in bits(S.mask)], P, cap)
 
 
-def _opens_at_most(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """below[x][v] = mask of the a whose open nucleus sends x to at most
-    v, read from the open nuclei's tables.  The opens below a map g are
-    then the intersection of below[x][g(x)] over every x."""
-    opens = derived(P, _open_nuclei)
-    below = []
-    for x in range(P.n):
-        row = [0] * P.n
-        for a, o in enumerate(opens):
-            for v in bits(P.le[o.table[x]]):
-                row[v] |= 1 << a
-        below.append(tuple(row))
-    return tuple(below)
+def _open_rows(P: FinitePoset):
+    # the value rows of the open nuclei; cap-free, like _open_nuclei
+    return value_rows(P, [o.table for o in derived(P, _open_nuclei)])
 
 
 def _fitted_by_kernel(P: FinitePoset) -> dict[int, Nucleus]:
@@ -232,20 +229,16 @@ def fitting(L: FinitePoset, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
 
     Every call passes the frame gate and re-verifies the membership
     lemma (the open at a sits below nu exactly when nu sends a to the
-    top), reading the opens below nu from the open nuclei's tables in n
-    steps.  The fitted nucleus depends on the kernel alone: it is built
+    top), reading the opens below nu from the open nuclei's value rows
+    in n steps.  The fitted nucleus depends on the kernel alone: it is built
     through oneker and fitnuc the first time a kernel is seen and kept
     on the poset, and every call checks that it lies below nu.
     """
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
     t = top_index(P)
-    kernel = 0
-    opens_below = P.full_mask
-    for a, (v, row) in enumerate(zip(nu.table, derived(P, _opens_at_most))):
-        if v == t:
-            kernel |= 1 << a
-        opens_below &= row[v]
+    kernel = sum(1 << a for a, v in enumerate(nu.table) if v == t)
+    opens_below = derived(P, _open_rows).below(nu.table)
     if opens_below != kernel:
         a = ((opens_below ^ kernel) & -(opens_below ^ kernel)).bit_length() - 1
         raise TheoremBreach(
@@ -340,51 +333,30 @@ def quotient_frame_check(
 ) -> dict:
     """The fixpoint set of a nucleus is a frame under inherited meets
     and reflected joins, and the corestricted nucleus is a surjective
-    frame morphism onto it.  Checked subset by subset."""
+    frame morphism onto it.  The frame check is validate_structure on
+    the fixpoints' subposet; join preservation is read subset by subset
+    from the join and image tables of L."""
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
     check_cap("quotient frame check", P.n, cap, SUBSET_CAP)
     mt = meet_table(P)
     fm = nu.fix_mask
-
-    def qjoin(mask: int) -> int:
-        j = join_of(P, mask)
-        return nu.table[j]
-
     # meets of fixpoints are fixpoints (inherited from L)
-    for x in bits(fm):
-        for y in bits(fm):
-            if not fm >> mt[x][y] & 1:
-                raise TheoremBreach(
-                    "fixpoints of a nucleus are not closed under meets"
-                )
-    # frame distributivity inside the quotient
-    fixed = list(bits(fm))
-    for sub in range(1 << len(fixed)):
-        smask = 0
-        for pos, i in enumerate(fixed):
-            if sub >> pos & 1:
-                smask |= 1 << i
-        j = qjoin(smask)
-        for x in fixed:
-            img = 0
-            for y in bits(smask):
-                img |= 1 << mt[x][y]
-            if qjoin(img) != mt[x][j]:
-                raise TheoremBreach(
-                    "quotient frame distributivity failed"
-                )
-    # the corestriction preserves finite meets and all joins
-    for x in range(P.n):
-        for y in range(P.n):
-            if nu.table[mt[x][y]] != mt[nu.table[x]][nu.table[y]]:
-                raise TheoremBreach(
-                    "corestriction does not preserve binary meets"
-                )
-    for mask in range(P.full_mask + 1):
-        img = nu.image_mask(mask)
-        if nu.table[join_of(P, mask)] != qjoin(img):
-            raise TheoremBreach("corestriction does not preserve joins")
+    if any(not fm >> mt[x][y] & 1 for x in bits(fm) for y in bits(fm)):
+        raise TheoremBreach("fixpoints of a nucleus are not closed under meets")
+    # the fixpoints in the inherited order form a frame
+    Q, _ = subposet(P, Subset(P, fm))
+    if validate_structure(Q, cap).level != "frame":
+        raise TheoremBreach("quotient frame distributivity failed")
+    # the corestriction preserves finite meets and all joins: nu of the
+    # join of each subset is nu of the join of its nu-image
+    if not preserves_binary_meets(nu):
+        raise TheoremBreach("corestriction does not preserve binary meets")
+    join, _ = join_meet_tables(P)
+    to_fix = bytes(nu.table).ljust(256, b"\0")
+    joined_images = bytes(map(join.__getitem__, image_masks(nu.table)))
+    if join.translate(to_fix) != joined_images.translate(to_fix):
+        raise TheoremBreach("corestriction does not preserve joins")
     return {
         "fixpoints": Subset(P, fm).labels,
         "is_frame": True,
@@ -404,17 +376,18 @@ def galois_identities_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     P = require_frame(L, cap)
     check_cap("Galois identity check", P.n, cap, SUBSET_CAP)
     nucs = enumerate_nuclei(L, cap)
+    rows = derived(P, _nuclei_rows)
+    kernels = [oneker(nu, cap).mask for nu in nucs]
     for smask in range(P.full_mask + 1):
         S = Subset(P, smask)
         fS = fitnuc(L, S, cap)
-        for nu in nucs:
-            lhs = pointwise_leq(fS, nu)
-            rhs = smask & ~oneker(nu, cap).mask == 0
-            if lhs != rhs:
-                raise TheoremBreach(
-                    "Galois adjunction between fitnuc and oneker failed at "
-                    f"S={{{', '.join(S.labels)}}}"
-                )
+        # the nuclei above fS must be those whose kernel holds S
+        holding = sum(1 << j for j, K in enumerate(kernels) if smask & ~K == 0)
+        if rows.above(fS.table) != holding:
+            raise TheoremBreach(
+                "Galois adjunction between fitnuc and oneker failed at "
+                f"S={{{', '.join(S.labels)}}}"
+            )
         if nucfilt(L, nucfilt(L, S, cap), cap).mask != nucfilt(L, S, cap).mask:
             raise TheoremBreach("nuclear-filter closure is not idempotent")
         if fitnuc(L, oneker(fS, cap), cap).table != fS.table:
@@ -506,10 +479,11 @@ def hmj_correspondence(L: FinitePoset, cap: Optional[int] = None) -> dict:
         )
     # monotone between filters and nuclei, hence order-reversing into
     # the quotient frames, whose order is reverse fixpoint inclusion
-    for F1, n1 in pairs:
-        for F2, n2 in pairs:
+    ups = value_rows(P, [nu.table for _, nu in pairs]).up_rows()
+    for (F1, n1), up in zip(pairs, ups):
+        for j, (F2, n2) in enumerate(pairs):
             incl = F1.mask & ~F2.mask == 0
-            if incl != pointwise_leq(n1, n2):
+            if incl != bool(up >> j & 1):
                 raise TheoremBreach(
                     "filter inclusion does not match the nucleus order"
                 )

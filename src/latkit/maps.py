@@ -10,6 +10,8 @@ internal error rather than a judgement call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, getitem
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, agree
@@ -22,6 +24,7 @@ from .order import (
     directed_join_faults,
     family_poset,
     join_of,
+    meet_of,
     meet_table,
     same_poset,
     union_of,
@@ -147,10 +150,6 @@ def is_preclosure(f: EndoMap) -> bool:
     return is_ascending(f) and is_increasing(f)
 
 
-def is_closure_map(f: EndoMap) -> bool:
-    return is_preclosure(f) and is_idempotent(f)
-
-
 def scott_continuous_definitional(f: EndoMap, cap: Optional[int] = None) -> bool:
     """f preserves every existing directed join.
 
@@ -234,26 +233,8 @@ def pointwise_join(
     required).
     """
     if not maps:
-        if empty_is_identity:
-            if poset is None:
-                raise ValueError("empty family needs an explicit poset")
-            return identity_map(poset)
-        return None
-    P = same_poset(*(m.poset for m in maps))
-    out = []
-    for i in range(P.n):
-        j = join_of(P, _mask_of_values(maps, i, P))
-        if j is None:
-            return None
-        out.append(j)
-    return EndoMap(P, tuple(out))
-
-
-def _mask_of_values(maps: Sequence[EndoMap], i: int, P: FinitePoset) -> int:
-    m = 0
-    for f in maps:
-        m |= 1 << f.table[i]
-    return m
+        return identity_map(family_poset(maps, poset)) if empty_is_identity else None
+    return _pointwise(maps, poset, join_of)
 
 
 def pointwise_meet(
@@ -262,16 +243,79 @@ def pointwise_meet(
     """Pointwise meet of a nonempty family, or None where a meet is missing."""
     if not maps:
         return None
-    from .order import meet_of
+    return _pointwise(maps, poset, meet_of)
 
-    P = same_poset(*(m.poset for m in maps))
+
+def _pointwise(maps, poset, bound) -> Optional[EndoMap]:
+    # bound(P, mask) of the family's values at each point
+    P = family_poset(maps, poset)
     out = []
     for i in range(P.n):
-        v = meet_of(P, _mask_of_values(maps, i, P))
+        v = bound(P, _mask_of_values(maps, i))
         if v is None:
             return None
         out.append(v)
     return EndoMap(P, tuple(out))
+
+
+def _mask_of_values(maps: Sequence[EndoMap], i: int) -> int:
+    m = 0
+    for f in maps:
+        m |= 1 << f.table[i]
+    return m
+
+
+@dataclass(frozen=True)
+class ValueRows:
+    """The pointwise order on a family of tables over one poset, as
+    value rows: bit j of at_most[y][v] is set iff tables[j][y] <= v,
+    and of at_least[y][v] iff tables[j][y] >= v.  The members below a
+    map g are the AND of at_most[y][g(y)] over the points y, those
+    above it the AND of at_least[y][g(y)]: n steps on k-bit rows, not
+    k pointwise comparisons.  Built by value_rows."""
+
+    tables: tuple[tuple[int, ...], ...]
+    at_most: tuple[tuple[int, ...], ...]
+    at_least: tuple[tuple[int, ...], ...]
+    every: int  # the mask of all members
+
+    def below(self, table: Sequence[int]) -> int:
+        """The members at most table, pointwise, as a mask."""
+        return reduce(and_, map(getitem, self.at_most, table), self.every)
+
+    def above(self, table: Sequence[int]) -> int:
+        """The members at least table, pointwise, as a mask."""
+        return reduce(and_, map(getitem, self.at_least, table), self.every)
+
+    def up_rows(self) -> tuple[int, ...]:
+        """up[i]: the members at or above member i."""
+        return tuple(map(self.above, self.tables))
+
+    def least(self, mask: int) -> Optional[int]:
+        """The member of mask whose up row covers mask, or None."""
+        covering = (i for i in bits(mask) if self.above(self.tables[i]) & mask == mask)
+        return next(covering, None)
+
+    def greatest(self, mask: int) -> Optional[int]:
+        """The member of mask whose down row covers mask, or None."""
+        covering = (i for i in bits(mask) if self.below(self.tables[i]) & mask == mask)
+        return next(covering, None)
+
+
+def value_rows(P: FinitePoset, tables: Sequence[Sequence[int]]) -> ValueRows:
+    """The value rows of tables on P, read from them and P's order alone."""
+    at = [[0] * P.n for _ in range(P.n)]  # at[y][v]: the j with tables[j][y] = v
+    for j, t in enumerate(tables):
+        for y, v in enumerate(t):
+            at[y][v] |= 1 << j
+    # only the values some member takes at y contribute to its rows
+    used = [sum(1 << v for v, m in enumerate(row) if m) for row in at]
+    return ValueRows(
+        tuple(map(tuple, tables)),
+        tuple(tuple(union_of(row, d & u) for d in P.down) for row, u in zip(at, used)),
+        tuple(tuple(union_of(row, e & u) for e in P.le) for row, u in zip(at, used)),
+        (1 << len(tables)) - 1,
+    )
 
 
 # ---------------------------------------------------------------------------

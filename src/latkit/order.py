@@ -412,10 +412,7 @@ def minimal_mask(P: FinitePoset, mask: int) -> int:
 
 
 def lower_closure_mask(P: FinitePoset, mask: int) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= P.down[i]
-    return out
+    return union_of(P.down, mask)
 
 
 def union_of(rows: Sequence[int], mask: int) -> int:
@@ -427,10 +424,7 @@ def union_of(rows: Sequence[int], mask: int) -> int:
 
 
 def upper_closure_mask(P: FinitePoset, mask: int) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= P.le[i]
-    return out
+    return union_of(P.le, mask)
 
 
 def is_directed_mask(P: FinitePoset, mask: int) -> bool:
@@ -463,15 +457,32 @@ def top_index(P: FinitePoset) -> Optional[int]:
     return derived(P, _top)
 
 
-def covers(P: FinitePoset) -> list[tuple[int, int]]:
-    """Pairs (i, j) where j covers i: i < j with nothing strictly between."""
+def covers(up: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (i, j) where j covers i, read from the up rows of an order
+    (bit j of up[i] set iff i <= j).  An element strictly below another
+    has the larger up row, so the covers of i are found level by level,
+    largest up rows first, each level dropping what lies above it: one
+    step per level and cover, not per comparable pair."""
+    levels: dict[int, int] = {}
+    for i, row in enumerate(up):
+        levels[popcount(row)] = levels.get(popcount(row), 0) | 1 << i
+    by_size = [levels[size] for size in sorted(levels, reverse=True)]
     out = []
-    for i in range(P.n):
-        for j in bits(P.le[i] & ~(1 << i)):
-            between = P.le[i] & P.down[j] & ~(1 << i) & ~(1 << j)
-            if not between:
-                out.append((i, j))
+    for i, row in enumerate(up):
+        rest, found = row & ~(1 << i), 0
+        for level in by_size:
+            if low := rest & level:
+                found |= low
+                rest &= ~union_of(up, low)
+        out += [(i, j) for j in bits(found)]
     return out
+
+
+def top_down(P: FinitePoset) -> tuple[int, ...]:
+    """The elements in ascending size of their principal upper sets, ties
+    by index, so each follows every element strictly above it: the order
+    the descents decide elements in.  Read it through derived(P, top_down)."""
+    return tuple(sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)))
 
 
 # ---------------------------------------------------------------------------

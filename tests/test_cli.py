@@ -289,6 +289,29 @@ def test_sccore_rejects_non_closure(files, capsys):
     assert "not a closure operator" in err
 
 
+def test_closure_map_file_is_checked_once(files, monkeypatch, capsys):
+    import latkit.cli
+    import latkit.maps
+
+    real = latkit.maps.is_ascending
+    calls = []
+
+    def counting(f):
+        calls.append(f.table)
+        return real(f)
+
+    monkeypatch.setattr(latkit.maps, "is_ascending", counting)
+    P = latkit.cli.load_poset(files["b2"])
+    name, gamma = latkit.cli._closure_from_file(P, files["gam"])
+    assert name == "gam" and len(calls) == 1
+    rc, _, err = run(capsys, ["least-nucleus", files["c3"], files["step"]])
+    assert rc == 1
+    assert err == (
+        "input error: map 'step' is not a closure operator "
+        "(needs ascending, increasing, idempotent)\n"
+    )
+
+
 def test_cycle_is_input_error(files, capsys):
     rc, _, err = run(capsys, ["validate", files["cyclic"]])
     assert rc == 1

@@ -7,6 +7,7 @@ import pytest
 from corpus import random_poset, random_preclosure
 from latkit import (
     EndoMap,
+    MixedPosets,
     ParseError,
     Subset,
     UnknownLabel,
@@ -106,6 +107,17 @@ def test_pointwise_join_can_fail_without_joins():
 def test_empty_pointwise_join_needs_flag():
     P = fx.b2()
     assert pointwise_join([], poset=P, empty_is_identity=True).table == identity_map(P).table
+
+
+def test_pointwise_join_and_meet_check_the_given_poset():
+    # the explicit poset must be the family's, as for fix
+    f = identity_map(fx.c3())
+    for op in (pointwise_join, pointwise_meet):
+        with pytest.raises(MixedPosets):
+            op([f], fx.b2())
+        assert op([f], f.poset).table == f.table
+    with pytest.raises(MixedPosets):
+        fix([f], fx.b2())
 
 
 def test_pointwise_leq():

@@ -32,6 +32,7 @@ from latkit.order import (
     bits,
     bottom_index,
     covers,
+    derived,
     distributivity_failure,
     greatest_of,
     is_directed_mask,
@@ -42,6 +43,7 @@ from latkit.order import (
     meet_of,
     meet_table,
     same_poset,
+    top_down,
     top_index,
     upper_closure_mask,
 )
@@ -76,8 +78,39 @@ def test_element_order_is_input_order():
 
 def test_covers_on_b2():
     P = fx.b2()
-    got = {(P.label(i), P.label(j)) for i, j in covers(P)}
+    got = {(P.label(i), P.label(j)) for i, j in covers(P.le)}
     assert got == {("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")}
+
+
+def reference_covers(P):
+    """The covering pairs by the pairwise scan: i < j with nothing
+    strictly between, read from P.le and P.down."""
+    return [
+        (i, j)
+        for i in range(P.n)
+        for j in bits(P.le[i] & ~(1 << i))
+        if not P.le[i] & P.down[j] & ~(1 << i) & ~(1 << j)
+    ]
+
+
+def test_covers_match_the_pairwise_scan_on_random_posets():
+    rng = random.Random(31)
+    for _ in range(80):
+        P = random_poset(rng, rng.randrange(1, 10))
+        assert covers(P.le) == reference_covers(P)
+
+
+def test_top_down_decides_the_upper_bounds_first():
+    rng = random.Random(32)
+    for _ in range(40):
+        P = random_poset(rng, rng.randrange(1, 9))
+        order = derived(P, top_down)
+        assert sorted(order) == list(range(P.n))
+        seen = 0
+        for x in order:
+            assert P.le[x] & ~(1 << x) & ~seen == 0
+            seen |= 1 << x
+        assert derived(P, top_down) is order
 
 
 def test_bounds_and_extrema_on_b2():

@@ -9,6 +9,7 @@ is run on a poset built after planting.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -553,3 +554,111 @@ def test_wrong_open_nucleus_breaks_its_fixpoint_check(
     assert list(info.value.routes) == ["nucleus", "implication_image"]
     assert main(argv) == 3
     assert "open nucleus fixpoints" in capsys.readouterr().err
+
+
+def _dropping_rows(real, member, point):
+    # value rows that lose one member at (y, y), y = point(Q): the
+    # member-th table of the family, or the identity when member is None
+    def planted(Q, tables):
+        rows = real(Q, tables)
+        j = rows.tables.index(tuple(range(Q.n))) if member is None else member
+        y = point(Q)
+
+        def drop(side):
+            side = [list(r) for r in side]
+            side[y][y] &= ~(1 << j)
+            return tuple(map(tuple, side))
+
+        return replace(rows, at_most=drop(rows.at_most), at_least=drop(rows.at_least))
+
+    return planted
+
+
+def test_dropped_value_row_member_breaks_least_nucleus_and_core(
+    monkeypatch, b2_files, capsys
+):
+    # the identity is its own least nucleus above and its own nuclear
+    # core; once the value rows of the nuclei lose it at the bottom, the
+    # nuclei above and below the identity miss it
+    P = fx.b2()
+    gamma = ClosureOperator(identity_map(P))
+    assert least_nucleus_above(P, gamma).table == gamma.table
+    assert nuclear_core(P, gamma).table == gamma.table
+    argv = ["least-nucleus", b2_files["poset"], b2_files["id"]]
+    assert main(argv) == 0
+    planted = _dropping_rows(heyting.value_rows, None, order.bottom_index)
+    monkeypatch.setattr(heyting, "value_rows", planted)
+    for route in (least_nucleus_above, nuclear_core):
+        P = fx.b2()
+        with pytest.raises(TheoremBreach) as info:
+            route(P, ClosureOperator(identity_map(P)))
+        assert info.value.routes["enumeration"] is None
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def _smuggled(P, table):
+    # a map built as a Nucleus without running its checks
+    nu = object.__new__(Nucleus)
+    object.__setattr__(nu, "poset", P)
+    object.__setattr__(nu, "table", table)
+    return nu
+
+
+def test_quotient_frame_check_catches_each_breach(monkeypatch):
+    P = fx.b2()
+    nu = heyting.enumerate_nuclei(P)[1]
+    assert hmj.quotient_frame_check(P, nu)["is_frame"]
+    # a closure operator that is no nucleus: 0 = a meet b is fixed
+    # while a and b go to the top
+    gamma = _smuggled(P, tuple(P.index(v) for v in ("0", "1", "1", "1")))
+    with pytest.raises(TheoremBreach, match="does not preserve binary meets"):
+        hmj.quotient_frame_check(P, gamma)
+    # fixpoints {a, b, 1} lack the meet of a and b
+    lost = _smuggled(P, tuple(P.index(v) for v in ("a", "a", "b", "1")))
+    with pytest.raises(TheoremBreach, match="not closed under meets"):
+        hmj.quotient_frame_check(P, lost)
+    real_tables = hmj.join_meet_tables
+
+    def swapped(Q):
+        # the join of {a} answers b
+        join, meet = real_tables(Q)
+        join = bytearray(join)
+        join[1 << Q.index("a")] = Q.index("b")
+        return join, meet
+
+    monkeypatch.setattr(hmj, "join_meet_tables", swapped)
+    with pytest.raises(TheoremBreach, match="does not preserve joins"):
+        hmj.quotient_frame_check(P, nu)
+    monkeypatch.setattr(hmj, "join_meet_tables", real_tables)
+    real_view = hmj.validate_structure
+    monkeypatch.setattr(
+        hmj,
+        "validate_structure",
+        lambda Q, cap=None: heyting.FrameView(Q, "preframe", "planted"),
+    )
+    with pytest.raises(TheoremBreach, match="distributivity failed"):
+        hmj.quotient_frame_check(P, nu)
+    monkeypatch.setattr(hmj, "validate_structure", real_view)
+    assert hmj.quotient_frame_check(P, nu)["is_frame"]
+
+
+def test_dropped_value_row_member_breaks_the_galois_and_order_checks(monkeypatch):
+    # the first nucleus (the identity) and the first Scott-open filter's
+    # nucleus drop out of the value rows at the top: the nuclei above
+    # fitnuc of the empty set, and the pairs above the first one, miss
+    # them
+    P = fx.b2()
+    assert hmj.galois_identities_check(P)["adjunction"]
+    assert hmj_correspondence(P)["antiisomorphism_verified"]
+    real = heyting.value_rows
+    top = order.top_index
+    monkeypatch.setattr(heyting, "value_rows", _dropping_rows(real, 0, top))
+    with pytest.raises(TheoremBreach, match="Galois adjunction"):
+        hmj.galois_identities_check(fx.b2())
+    monkeypatch.setattr(heyting, "value_rows", real)
+    P = fx.b2()
+    order.derived(P, hmj._open_rows)  # the open nuclei's rows stay clean
+    monkeypatch.setattr(hmj, "value_rows", _dropping_rows(real, 0, top))
+    with pytest.raises(TheoremBreach, match="does not match the nucleus order"):
+        hmj_correspondence(P)

@@ -18,13 +18,22 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from latkit.closure import clsys, dj  # noqa: E402
 from latkit.convexity import rule_closure_operator  # noqa: E402
 from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check  # noqa: E402
-from latkit.maps import EndoMap, scott_continuous_definitional  # noqa: E402
+from latkit.maps import (  # noqa: E402
+    EndoMap,
+    pointwise_leq,
+    scott_continuous_definitional,
+    value_rows,
+)
 from latkit.order import (  # noqa: E402
+    FinitePoset,
     Subset,
     bits,
     build_poset,
+    covers,
     directed_join_faults,
+    greatest_of,
     join_irreducibles,
+    least_of,
     popcount,
 )
 from latkit.rules import (  # noqa: E402
@@ -46,7 +55,7 @@ from test_enumerations import (  # noqa: E402
     reference_scott_continuous,
     reference_scott_faults,
 )
-from test_order import reference_join_irreducibles  # noqa: E402
+from test_order import reference_covers, reference_join_irreducibles  # noqa: E402
 from test_rules import naive_closure_mask  # noqa: E402
 
 
@@ -218,3 +227,43 @@ def test_nuclei_of_a_frame_have_one_atom_per_join_irreducible(L):
     )
     assert popcount(join_irreducibles(N.down)) == popcount(irr)
     assert k == 2 ** popcount(irr)
+
+
+@st.composite
+def families_of_tables(draw):
+    # distinct tables, so the pointwise order on them is a partial order
+    P = draw(posets(max_n=7))
+    table = st.tuples(*[st.integers(0, P.n - 1)] * P.n)
+    tables = draw(st.lists(table, max_size=12, unique=True))
+    probe = draw(table)
+    masks = draw(st.lists(st.integers(0, (1 << len(tables)) - 1), max_size=6))
+    return P, tables, probe, masks
+
+
+def reference_members(maps, keep):
+    """The mask of the maps that keep accepts, one pointwise scan each."""
+    return sum(1 << j for j, f in enumerate(maps) if keep(f))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(families_of_tables())
+def test_value_rows_match_the_pointwise_scans(case):
+    P, tables, probe, masks = case
+    rows = value_rows(P, tables)
+    maps = [EndoMap(P, t) for t in tables]
+    g = EndoMap(P, probe)
+    below = reference_members(maps, lambda f: pointwise_leq(f, g))
+    above = reference_members(maps, lambda f: pointwise_leq(g, f))
+    assert rows.below(probe) == below
+    assert rows.above(probe) == above
+    up = tuple(reference_members(maps, lambda f: pointwise_leq(m, f)) for m in maps)
+    down = tuple(reference_members(maps, lambda f: pointwise_leq(f, m)) for m in maps)
+    assert rows.up_rows() == up
+    assert tuple(map(rows.below, tables)) == down
+    N = FinitePoset(tuple(map(str, range(len(maps)))), up)
+    assert N.down == down
+    for mask in masks + [below, above, N.full_mask, *up, *down]:
+        assert rows.least(mask) == least_of(N, mask)
+        assert rows.greatest(mask) == greatest_of(N, mask)
+    assert covers(rows.up_rows()) == reference_covers(N)
+    assert covers(P.le) == reference_covers(P)
