@@ -57,6 +57,7 @@ from .order import (
     directed_columns,
     family_poset,
     join_of,
+    least_closed_above,
     least_of,
     refine,
     same_poset,
@@ -428,10 +429,7 @@ def clsys(
     P = X.poset
     if method not in ("enumerate", "both"):
         raise ValueError(f"unknown method {method!r}")
-    inter = P.full_mask
-    for m in closure_system_masks(P, cap):
-        if X.mask & ~m == 0:
-            inter &= m
+    inter = least_closed_above(P.full_mask, closure_system_masks(P, cap), X.mask)
     with produced("closure-system intersection"):
         result = ClosureSystem(Subset(P, inter))
     if method == "both":
@@ -444,18 +442,20 @@ def clsys(
     return result
 
 
-def dcclsys(X: Subset, cap: Optional[int] = None) -> ClosureSystem:
-    """Least directed-closed closure system containing X."""
-    P = X.poset
-    dc = [
+def directed_closed_systems(P: FinitePoset, cap: Optional[int] = None) -> list[int]:
+    """Every directed-closed closure system, as a mask, in mask order."""
+    return [
         m
         for m in closure_system_masks(P, cap)
         if directed_closed(Subset(P, m), cap)
     ]
-    inter = P.full_mask
-    for m in dc:
-        if X.mask & ~m == 0:
-            inter &= m
+
+
+def dcclsys(X: Subset, cap: Optional[int] = None) -> ClosureSystem:
+    """Least directed-closed closure system containing X."""
+    P = X.poset
+    dc = directed_closed_systems(P, cap)
+    inter = least_closed_above(P.full_mask, dc, X.mask)
     if inter not in dc:
         raise TheoremBreach(
             "no least directed-closed closure system contains "

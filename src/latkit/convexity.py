@@ -10,25 +10,32 @@ conditions.  An operator is a table of all 2^n images, built and
 checked once; every check below reads that table.  The sweeps cost up
 to 3^n table reads, in the funnel's search for witness subsets, so
 these checks run under their own, smaller default cap.
+
+The anti-exchange sweep visits every pull-in triple (y outside cl(A)
+pulls x in when x is in cl(A + y) but not in cl(A)) and, finding no
+witness, records that relation, which an antisymmetric funnel contains.
+A funnel stays one when its order grows, and every partial order
+extends to a linear one, so the acyclicity search tries linear orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from itertools import permutations
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InputError, NotAPreorder, TheoremBreach, agree
-from .closure import closure_system_masks
-from .maps import directed_closed
+from .closure import closure_system_masks, directed_closed_systems
 from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
     bits,
     check_cap,
+    least_closed_table,
     same_poset,
 )
-from .rules import RuleSet
+from .rules import RuleSet, obeying_masks
 
 # the funnel's witness search quantifies over nested pairs of subsets,
 # 3^n; keep the default tighter than the global subset cap
@@ -44,7 +51,9 @@ class PowersetOperator:
     every subset, that no image escapes the universe and that the
     operator is ascending, idempotent and monotone; each constructor
     gates the size by its cap first.  `_anti_exchange` holds the verdict
-    of the last convexity_checks sweep on this table, None before one.
+    of the last convexity_checks sweep on this table, None before one;
+    when that verdict is True, bit y of `_pulled[x]` says that y pulls
+    x in.
     """
 
     universe: FinitePoset
@@ -52,6 +61,9 @@ class PowersetOperator:
     fn: InitVar[Callable]
     table: tuple = field(init=False, repr=False, compare=False)
     _anti_exchange: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _pulled: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -94,66 +106,24 @@ class PowersetOperator:
         return [m for m, c in enumerate(self.table) if c == m]
 
 
-def _least_closed_above(full: int, closed: Iterable[int]) -> list[int]:
-    """Image of every mask under the meet of the closed sets above it.
-
-    Closed sets are given by mask; the universe counts as closed.  A
-    mask that is not closed has the same closed supersets as its
-    one-point extensions together, so one downward pass over the masks
-    takes the meet of those extensions' images: n 2^n steps.
-    """
-    t = [-1] * (full + 1)
-    for s in closed:
-        t[s] = s
-    for m in range(full, -1, -1):
-        if t[m] >= 0:
-            continue
-        out = full
-        rest = full & ~m
-        while rest:
-            low = rest & -rest
-            out &= t[m | low]
-            rest ^= low
-        t[m] = out
-    return t
-
-
 def clsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
     """Least-closure-system operator as a powerset closure operator."""
-    table = _least_closed_above(P.full_mask, closure_system_masks(P, cap))
+    table = least_closed_table(P.full_mask, closure_system_masks(P, cap))
     return PowersetOperator(P, "clsys", table.__getitem__)
 
 
 def dcclsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
     """Least directed-closed closure system, as a powerset operator."""
-    systems = [
-        m
-        for m in closure_system_masks(P, cap)
-        if directed_closed(Subset(P, m), cap)
-    ]
-    table = _least_closed_above(P.full_mask, systems)
+    table = least_closed_table(P.full_mask, directed_closed_systems(P, cap))
     return PowersetOperator(P, "dcclsys", table.__getitem__)
 
 
 def rule_closure_operator(R: RuleSet, cap: Optional[int] = None) -> PowersetOperator:
-    """Closure under a rule set, as a powerset operator.
-
-    heads[m] collects the heads of every rule whose body lies inside m;
-    m obeys the rules when all of them are in m, and the closure of a
-    mask is the meet of the obeying sets above it."""
+    """Closure under a rule set, as a powerset operator: the closure of
+    a mask is the meet of the obeying sets above it."""
     P = R.poset
     check_cap("rule powerset operator", P.n, cap, SUBSET_CAP)
-    full = P.full_mask
-    heads = [0] * (full + 1)
-    for b, h in R._heads.items():
-        heads[b] |= h
-    for e in range(P.n):
-        bit = 1 << e
-        for m in range(full + 1):
-            if m & bit:
-                heads[m] |= heads[m ^ bit]
-    closed = [m for m in range(full + 1) if heads[m] & ~m == 0]
-    table = _least_closed_above(full, closed)
+    table = least_closed_table(P.full_mask, obeying_masks(R, cap))
     return PowersetOperator(P, "rules", table.__getitem__)
 
 
@@ -179,6 +149,35 @@ def table_operator(
 # anti-exchange
 
 
+def _anti_exchange_failure(P: FinitePoset, cl, pulled) -> Optional[tuple]:
+    """The first (A, x, y) with x and y each pulled in by the other at
+    A; until it is found, bit y of pulled[x] records each y that pulls
+    x in."""
+    full = P.full_mask
+    for m in range(full + 1):
+        out = full & ~cl[m]
+        for y in bits(out):
+            ybit = 1 << y
+            for x in bits(cl[m | ybit] & out & ~ybit):
+                pulled[x] |= ybit
+                if cl[m | 1 << x] & ybit:
+                    return P.labels_of(m), P.label(x), P.label(y)
+    return None
+
+
+def _closed_set_failure(op: PowersetOperator) -> Optional[tuple]:
+    """The first closed C and distinct x, y outside it with
+    cl(C + x) = cl(C + y)."""
+    P, cl = op.universe, op.table
+    for c in op.closed_masks():
+        outs = list(bits(P.full_mask & ~c))
+        for i, x in enumerate(outs):
+            for y in outs[i + 1:]:
+                if cl[c | 1 << x] == cl[c | 1 << y]:
+                    return P.labels_of(c), P.label(x), P.label(y)
+    return None
+
+
 def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
     """Anti-exchange and its closed-set reformulation, independently.
 
@@ -186,48 +185,15 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
     enters when y is added then y does not enter when x is added.
     Closed-set form: from a closed set, adding distinct outside points
     never closes to the same set.  Their equivalence is enforced, not
-    assumed.  Every call sweeps; the verdict is kept on the operator for
-    funnel_check to reuse.
+    assumed.  Every call sweeps; the verdict, and the pull-in relation
+    when there is no witness, are kept on the operator for funnel_check
+    to reuse.
     """
     P = op.universe
     check_cap("convexity analysis", P.n, cap, CONVEXITY_CAP)
-    full = P.full_mask
-    cl = op.table
-    ae_witness = None
-    for m in range(full + 1):
-        cm = cl[m]
-        out = full & ~cm
-        for y in bits(out):
-            cmy = cl[m | 1 << y]
-            for x in bits(cmy & out & ~(1 << y)):
-                if cl[m | 1 << x] >> y & 1:
-                    ae_witness = (
-                        P.labels_of(m),
-                        P.label(x),
-                        P.label(y),
-                    )
-                    break
-            if ae_witness:
-                break
-        if ae_witness:
-            break
-    cas_witness = None
-    for c in op.closed_masks():
-        out = full & ~c
-        outs = list(bits(out))
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                if cl[c | 1 << outs[i]] == cl[c | 1 << outs[j]]:
-                    cas_witness = (
-                        P.labels_of(c),
-                        P.label(outs[i]),
-                        P.label(outs[j]),
-                    )
-                    break
-            if cas_witness:
-                break
-        if cas_witness:
-            break
+    pulled = [0] * P.n
+    ae_witness = _anti_exchange_failure(P, op.table, pulled)
+    cas_witness = _closed_set_failure(op)
     agree(
         "anti-exchange",
         (ae_witness, cas_witness),
@@ -235,6 +201,8 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
         closed_set_form=cas_witness is None,
     )
     object.__setattr__(op, "_anti_exchange", ae_witness is None)
+    if ae_witness is None:
+        object.__setattr__(op, "_pulled", tuple(pulled))
     return {
         "anti_exchange": ae_witness is None,
         "anti_exchange_witness": ae_witness,
@@ -274,6 +242,50 @@ def _preorder_rows(P: FinitePoset, preorder: Preorderish) -> tuple[int, ...]:
     return rows
 
 
+def _witness_failure(P: FinitePoset, cl, rows) -> Optional[tuple]:
+    """Funnel condition (1), searched literally: the first (X, y) with y
+    in the closure of X and no Z inside X, with y below all of Z, whose
+    closure holds y."""
+    for m in range(P.full_mask + 1):
+        for y in bits(cl[m]):
+            base = m & rows[y]
+            z = base
+            while not cl[z] >> y & 1:
+                if z == 0:
+                    return P.labels_of(m), P.label(y)
+                z = (z - 1) & base
+    return None
+
+
+def _upper_set_failure(P: FinitePoset, cl, rows) -> Optional[tuple]:
+    """Funnel condition (2): the first (X, U), U an upper set, where the
+    closure of X meets U outside the closure of X's trace on U."""
+    full = P.full_mask
+    uppers = [
+        u
+        for u in range(full + 1)
+        if all(rows[i] & ~u == 0 for i in bits(u))
+    ]
+    for m in range(full + 1):
+        cm = cl[m]
+        for u in uppers:
+            if cm & u & ~cl[m & u]:
+                return P.labels_of(m), P.labels_of(u)
+    return None
+
+
+def _principal_failure(P: FinitePoset, cl, rows) -> Optional[tuple]:
+    """Funnel condition (3): the first (X, y) where the part of the
+    closure of X above y is not inside the closure of the part of X
+    above y."""
+    for m in range(P.full_mask + 1):
+        cm = cl[m]
+        for y, row in enumerate(rows):
+            if cm & row & ~cl[m & row]:
+                return P.labels_of(m), P.label(y)
+    return None
+
+
 def funnel_check(
     op: PowersetOperator,
     preorder: Preorderish,
@@ -285,72 +297,18 @@ def funnel_check(
     witness-subset definition (searched literally), preservation into
     upper sets, and the principal-upper-set form.  Disagreement raises.
     When the preorder is antisymmetric and is a funnel, the two
-    consequences (new points sit above the point they pull in;
-    anti-exchange, read from the operator's sweep, which runs here only
-    if none has) are verified as well.
+    consequences are verified as well: anti-exchange, and every new
+    point sits below the point that pulled it in.  Both are read from
+    the operator's anti-exchange sweep, which runs here only if none
+    has.
     """
     P = op.universe
     check_cap("funnel analysis", P.n, cap, CONVEXITY_CAP)
     rows = _preorder_rows(P, preorder)
-    full = P.full_mask
-    cl = op.table
-
-    # (1) for every X and y in the closure of X, some Z <= X with y
-    # below all of Z has y in its closure
-    cond1 = True
-    wit1 = None
-    for m in range(full + 1):
-        cm = cl[m]
-        for y in bits(cm):
-            base = m & rows[y]
-            found = False
-            z = base
-            while True:
-                if cl[z] >> y & 1:
-                    found = True
-                    break
-                if z == 0:
-                    break
-                z = (z - 1) & base
-            if not found:
-                cond1 = False
-                wit1 = (P.labels_of(m), P.label(y))
-                break
-        if not cond1:
-            break
-
-    # (2) closures meet upper sets inside the closure of the trace
-    uppers = [
-        u
-        for u in range(full + 1)
-        if all(rows[i] & ~u == 0 for i in bits(u))
-    ]
-    cond2 = True
-    wit2 = None
-    for m in range(full + 1):
-        cm = cl[m]
-        for u in uppers:
-            if cm & u & ~cl[m & u]:
-                cond2 = False
-                wit2 = (P.labels_of(m), P.labels_of(u))
-                break
-        if not cond2:
-            break
-
-    # (3) the part of a closure above y is inside the closure of the
-    # part of the set above y
-    cond3 = True
-    wit3 = None
-    for m in range(full + 1):
-        cm = cl[m]
-        for y in range(P.n):
-            if cm & rows[y] & ~cl[m & rows[y]]:
-                cond3 = False
-                wit3 = (P.labels_of(m), P.label(y))
-                break
-        if not cond3:
-            break
-
+    wit1 = _witness_failure(P, op.table, rows)
+    wit2 = _upper_set_failure(P, op.table, rows)
+    wit3 = _principal_failure(P, op.table, rows)
+    cond1, cond2, cond3 = wit1 is None, wit2 is None, wit3 is None
     agree(
         "funnel status",
         (wit1, wit2, wit3),
@@ -365,23 +323,17 @@ def funnel_check(
         for j in range(i + 1, P.n)
     )
     if cond1 and antisymmetric:
-        for m in range(full + 1):
-            cm = cl[m]
-            out = full & ~cm
-            for y in bits(out):
-                cmy = cl[m | 1 << y]
-                for x in bits(cmy & out & ~(1 << y)):
-                    if not rows[x] >> y & 1:
-                        raise TheoremBreach(
-                            "an antisymmetric funnel admitted a new point "
-                            "not below the point that pulled it in"
-                        )
         if op._anti_exchange is None:
             convexity_checks(op, cap)
         if not op._anti_exchange:
             raise TheoremBreach(
                 "an operator with an antisymmetric funnel fails "
                 "anti-exchange"
+            )
+        if any(p & ~r for p, r in zip(op._pulled, rows)):
+            raise TheoremBreach(
+                "an antisymmetric funnel admitted a new point "
+                "not below the point that pulled it in"
             )
 
     return {
@@ -402,8 +354,11 @@ def acyclicity(
     """Does some partial order serve as a funnel for the operator?
 
     mode 'poset_order' tries only the universe's own order.  mode
-    'search' tries every partial order on the elements and is therefore
-    limited to five elements.
+    'search' tries every linear order on the elements, which decides
+    the question exactly: a funnel stays a funnel when its order grows,
+    and every partial order extends to a linear one.  The search is
+    limited to five elements, and a found order is reported as its
+    pairs.
     """
     P = op.universe
     if mode == "poset_order":
@@ -418,44 +373,16 @@ def acyclicity(
         raise ValueError(f"unknown mode {mode!r}")
     check_cap("acyclicity search", P.n, cap, 5)
     n = P.n
-    cl = op.table
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = set()
-    for assignment in range(3 ** len(pairs)):
-        rows = [1 << i for i in range(n)]
-        a = assignment
-        for i, j in pairs:
-            a, r = divmod(a, 3)
-            if r == 1:
-                rows[i] |= 1 << j
-            elif r == 2:
-                rows[j] |= 1 << i
-        for k in range(n):
-            rk = rows[k]
-            for i in range(n):
-                if rows[i] >> k & 1:
-                    rows[i] |= rk
-        key = tuple(rows)
-        if key in seen:
-            continue
-        seen.add(key)
-        ok = all(
-            not (rows[i] >> j & 1 and rows[j] >> i & 1) for i, j in pairs
-        )
-        if not ok:
-            continue
+    for line in permutations(range(n)):
+        # rows[i]: i and every element after it in the line
+        rows = [0] * n
+        above = 0
+        for i in reversed(line):
+            above |= 1 << i
+            rows[i] = above
         # cheap screen first, full three-way check only on success
-        screen = True
-        for m in range(P.full_mask + 1):
-            cm = cl[m]
-            for y in range(n):
-                if cm & rows[y] & ~cl[m & rows[y]]:
-                    screen = False
-                    break
-            if not screen:
-                break
-        if screen:
-            rep = funnel_check(op, key, cap)
+        if _principal_failure(P, op.table, rows) is None:
+            rep = funnel_check(op, rows, cap)
             if rep["is_funnel"]:
                 order_pairs = [
                     (P.label(i), P.label(j))

@@ -21,6 +21,12 @@ class InputError(LatkitError):
     """Malformed data, wrong structure, or a failed precondition."""
 
 
+class InvalidValue(InputError, ValueError):
+    """A value constructor was given fields it cannot hold: a table,
+    mask, order or rule outside its poset.  It is a ValueError too, so
+    callers that catch the plain constructor error keep working."""
+
+
 class DuplicateLabel(InputError):
     pass
 

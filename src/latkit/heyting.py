@@ -82,6 +82,7 @@ from .order import (
     image_masks,
     join_meet_tables,
     join_of,
+    least_closed_above,
     least_of,
     meet_of,
     meet_table,
@@ -89,6 +90,7 @@ from .order import (
     same_poset,
     top_down,
     top_index,
+    union_of,
 )
 
 
@@ -234,14 +236,14 @@ def adjunction_check(L: FinitePoset, cap: Optional[int] = None) -> bool:
     return _adjunction_failure(P, derived(P, _imp_table), meet_table(P)) is None
 
 
-def impl_image_mask(P: FinitePoset, amask: int, bmask: int) -> int:
-    """Mask of all (a => b) with a in amask, b in bmask."""
-    imp = derived(P, _imp_table)
-    out = 0
-    for a in bits(amask):
-        for b in bits(bmask):
-            out |= 1 << imp[a][b]
-    return out
+def _impl_columns(P: FinitePoset) -> tuple[int, ...]:
+    """cols[x] = the mask of every a => x.  Read it through
+    derived(P, _impl_columns), on a frame."""
+    cols = [0] * P.n
+    for row in derived(P, _imp_table):
+        for x, v in enumerate(row):
+            cols[x] |= 1 << v
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +419,8 @@ def is_nuclear_system(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> b
     P = require_frame(L, cap)
     same_poset(P, X.poset)
     by_enum = X.mask in derived(P, _nuclei_by_fix)
-    by_impl = is_closure_system(X) and (
-        impl_image_mask(P, P.full_mask, X.mask) & ~X.mask == 0
-    )
+    cols = derived(P, _impl_columns)
+    by_impl = is_closure_system(X) and union_of(cols, X.mask) & ~X.mask == 0
     return agree(
         "nuclear-system status", X, enumeration=by_enum, implication=by_impl
     )
@@ -433,21 +434,37 @@ def nucsys(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Subset:
     P = require_frame(L, cap)
     same_poset(P, X.poset)
     systems = derived(P, _nuclei_by_fix)
-    inter = P.full_mask
-    for m in systems:
-        if X.mask & ~m == 0:
-            inter &= m
+    inter = least_closed_above(P.full_mask, systems, X.mask)
     if inter not in systems:
         raise TheoremBreach(
             "intersection of nuclear systems is not a nuclear system"
         )
-    formula = clsys(Subset(P, impl_image_mask(P, P.full_mask, X.mask)), cap)
+    formula = clsys(Subset(P, union_of(derived(P, _impl_columns), X.mask)), cap)
     return agree(
         "least nuclear system",
         X,
         intersection=Subset(P, inter),
         implication_formula=formula.subset,
     )
+
+
+def _double_implication(
+    P: FinitePoset, xs: int, route: str, missing: str
+) -> Nucleus:
+    """The nucleus y -> meet over x in xs of ((y => x) => x), built by
+    route; missing is the breach text when a meet does not exist."""
+    imp = derived(P, _imp_table)
+    table = []
+    for y in range(P.n):
+        vals = 0
+        for x in bits(xs):
+            vals |= 1 << imp[imp[y][x]][x]
+        v = meet_of(P, vals)  # empty meet is the top, which a frame has
+        if v is None:
+            raise TheoremBreach(missing)
+        table.append(v)
+    with produced(route):
+        return Nucleus(EndoMap(P, tuple(table)))
 
 
 def nuc_map(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Nucleus:
@@ -458,18 +475,12 @@ def nuc_map(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Nucleus:
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    imp = derived(P, _imp_table)
-    table = []
-    for y in range(P.n):
-        vals = 0
-        for x in bits(X.mask):
-            vals |= 1 << imp[imp[y][x]][x]
-        v = meet_of(P, vals)  # empty meet is the top, which a frame has
-        if v is None:
-            raise TheoremBreach("double-implication meet does not exist")
-        table.append(v)
-    with produced("double-implication formula"):
-        nu = Nucleus(EndoMap(P, tuple(table)))
+    nu = _double_implication(
+        P,
+        X.mask,
+        "double-implication formula",
+        "double-implication meet does not exist",
+    )
     agree(
         "least nuclear system",
         X,
@@ -483,7 +494,7 @@ def regular_nucleus(L: FinitePoset, x: str, cap: Optional[int] = None) -> Nucleu
     """The nucleus y -> ((y => x) => x); fixpoints are L => x."""
     P = require_frame(L, cap)
     nu = nuc_map(L, Subset.of(P, [x]), cap)
-    want = impl_image_mask(P, P.full_mask, 1 << P.index(x))
+    want = derived(P, _impl_columns)[P.index(x)]
     agree(
         "regular nucleus fixpoints",
         x,
@@ -509,30 +520,24 @@ def least_nucleus_above(
     same_poset(P, gamma.poset)
     imp = derived(P, _imp_table)
     cmask = gamma.fix_mask
-
-    chosen = []
+    # the x in fix gamma whose regular nucleus y -> (y => x) => x lies
+    # above gamma
+    chosen = 0
     for x in bits(cmask):
-        rt = tuple(imp[imp[y][x]][x] for y in range(P.n))  # regular nucleus at x
-        if all(P.le[gamma.table[y]] >> rt[y] & 1 for y in range(P.n)):
-            chosen.append(rt)
-    table = []
-    for y in range(P.n):
-        vals = 0
-        for rt in chosen:
-            vals |= 1 << rt[y]
-        v = meet_of(P, vals)
-        if v is None:
-            raise TheoremBreach("meet of regular nuclei does not exist")
-        table.append(v)
-    with produced("meet of regular nuclei"):
-        nu = Nucleus(EndoMap(P, tuple(table)))
+        if all(
+            P.le[g] >> imp[imp[y][x]][x] & 1 for y, g in enumerate(gamma.table)
+        ):
+            chosen |= 1 << x
+    nu = _double_implication(
+        P,
+        chosen,
+        "meet of regular nuclei",
+        "meet of regular nuclei does not exist",
+    )
     # fixpoint set, two descriptions: the x in L, and the x in fix gamma,
     # whose implication image L => x lies in fix gamma
-    want_in_l = sum(
-        1 << x
-        for x in range(P.n)
-        if impl_image_mask(P, P.full_mask, 1 << x) & ~cmask == 0
-    )
+    cols = derived(P, _impl_columns)
+    want_in_l = sum(1 << x for x in range(P.n) if cols[x] & ~cmask == 0)
     agree(
         "fixpoints of the least nucleus above",
         gamma,

@@ -388,19 +388,23 @@ def galois_identities_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
                 "Galois adjunction between fitnuc and oneker failed at "
                 f"S={{{', '.join(S.labels)}}}"
             )
-        if nucfilt(L, nucfilt(L, S, cap), cap).mask != nucfilt(L, S, cap).mask:
+        # K = nucfilt(S), and nucfilt(K) = oneker(fK)
+        K = oneker(fS, cap)
+        fK = fitnuc(L, K, cap)
+        if oneker(fK, cap).mask != K.mask:
             raise TheoremBreach("nuclear-filter closure is not idempotent")
-        if fitnuc(L, oneker(fS, cap), cap).table != fS.table:
+        if fK.table != fS.table:
             raise TheoremBreach(
                 "fitnuc of oneker of fitnuc did not reproduce fitnuc"
             )
     for nu in nucs:
         V = oneker(nu, cap)
-        if oneker(fitnuc(L, V, cap), cap).mask != V.mask:
+        fV = fitnuc(L, V, cap)
+        if oneker(fV, cap).mask != V.mask:
             raise TheoremBreach(
                 "oneker of fitnuc of oneker did not reproduce oneker"
             )
-        if fitnuc(L, V, cap).table != fitting(L, nu, cap).table:
+        if fV.table != fitting(L, nu, cap).table:
             raise TheoremBreach(
                 "the Galois round trip on a nucleus is not its fitting"
             )

@@ -14,7 +14,7 @@ from functools import reduce
 from operator import and_, getitem
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, agree
+from .errors import InvalidValue, ParseError, agree
 from .order import (
     FinitePoset,
     Subset,
@@ -41,10 +41,10 @@ class EndoMap:
     def __post_init__(self):
         n = self.poset.n
         if len(self.table) != n:
-            raise ValueError("map table must cover every element")
+            raise InvalidValue("map table must cover every element")
         for v in self.table:
             if not 0 <= v < n:
-                raise ValueError(f"map table value {v} out of range")
+                raise InvalidValue(f"map table value {v} out of range")
 
     @classmethod
     def from_labels(cls, poset: FinitePoset, mapping: dict) -> "EndoMap":

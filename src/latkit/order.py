@@ -21,6 +21,7 @@ from .errors import (
     CapExceeded,
     CycleDetected,
     DuplicateLabel,
+    InvalidValue,
     MixedPosets,
     UnknownLabel,
 )
@@ -76,24 +77,24 @@ class FinitePoset:
                     raise DuplicateLabel(f"duplicate element label {lab!r}")
                 seen.add(lab)
         if len(self.le) != n:
-            raise ValueError("le must have one row mask per element")
+            raise InvalidValue("le must have one row mask per element")
         full = (1 << n) - 1
         for i, row in enumerate(self.le):
             if row & ~full:
-                raise ValueError("le row refers to elements outside the poset")
+                raise InvalidValue("le row refers to elements outside the poset")
             if not row >> i & 1:
-                raise ValueError(
+                raise InvalidValue(
                     f"order must be reflexive; missing {self.elements[i]!r}"
                 )
         for i in range(n):
             for j in bits(self.le[i]):
                 if j != i and self.le[j] >> i & 1:
-                    raise ValueError(
+                    raise InvalidValue(
                         f"order not antisymmetric between "
                         f"{self.elements[i]!r} and {self.elements[j]!r}"
                     )
                 if self.le[j] & ~self.le[i]:
-                    raise ValueError(
+                    raise InvalidValue(
                         f"order not transitive at "
                         f"{self.elements[i]!r} <= {self.elements[j]!r}"
                     )
@@ -153,7 +154,7 @@ class Subset:
 
     def __post_init__(self):
         if self.mask & ~self.poset.full_mask:
-            raise ValueError("subset mask outside the poset")
+            raise InvalidValue("subset mask outside the poset")
 
     @classmethod
     def of(cls, poset: FinitePoset, labels: Iterable[str]) -> "Subset":
@@ -165,7 +166,7 @@ class Subset:
         m = 0
         for i in indices:
             if not 0 <= i < poset.n:
-                raise ValueError(f"element index {i} out of range")
+                raise InvalidValue(f"element index {i} out of range")
             m |= 1 << i
         X = Subset(poset, m)
         return X if cls is Subset else cls(X)
@@ -425,6 +426,39 @@ def union_of(rows: Sequence[int], mask: int) -> int:
 
 def upper_closure_mask(P: FinitePoset, mask: int) -> int:
     return union_of(P.le, mask)
+
+
+def least_closed_above(full: int, closed: Iterable[int], mask: int) -> int:
+    """The intersection of the closed sets, given by mask, that contain
+    mask; the universe full counts as closed."""
+    out = full
+    for c in closed:
+        if mask & ~c == 0:
+            out &= c
+    return out
+
+
+def least_closed_table(full: int, closed: Iterable[int]) -> list[int]:
+    """least_closed_above of every mask, indexed by mask.
+
+    A mask that is not closed has the same closed supersets as its
+    one-point extensions together, so one downward pass over the masks
+    takes the meet of those extensions' images: n 2^n steps.
+    """
+    t = [-1] * (full + 1)
+    for c in closed:
+        t[c] = c
+    for m in range(full, -1, -1):
+        if t[m] >= 0:
+            continue
+        out = full
+        rest = full & ~m
+        while rest:
+            low = rest & -rest
+            out &= t[m | low]
+            rest ^= low
+        t[m] = out
+    return t
 
 
 def is_directed_mask(P: FinitePoset, mask: int) -> bool:

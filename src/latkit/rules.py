@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import NotMeetSemilattice
+from .errors import InvalidValue, NotMeetSemilattice
 from .order import (
     SUBSET_CAP,
     FinitePoset,
@@ -27,6 +27,7 @@ from .order import (
     bound_sets,
     check_cap,
     derived,
+    least_closed_table,
     lower_bounds_mask,
     maximal_mask,
     meet_table,
@@ -44,9 +45,9 @@ class ClosureRule:
 
     def __post_init__(self):
         if self.body_mask & ~self.poset.full_mask:
-            raise ValueError("rule body outside the poset")
+            raise InvalidValue("rule body outside the poset")
         if not 0 <= self.head < self.poset.n:
-            raise ValueError("rule head outside the poset")
+            raise InvalidValue("rule head outside the poset")
 
     @classmethod
     def of(cls, poset: FinitePoset, body: Iterable[str], head: str) -> "ClosureRule":
@@ -92,9 +93,9 @@ class RuleSet:
         full = poset.full_mask
         for b, h in heads.items():
             if b & ~full:
-                raise ValueError("rule body outside the poset")
+                raise InvalidValue("rule body outside the poset")
             if h & ~full:
-                raise ValueError("rule head outside the poset")
+                raise InvalidValue("rule head outside the poset")
         R = cls.__new__(cls)
         R._set(poset, heads, None)
         return R
@@ -170,16 +171,10 @@ class RuleSet:
         return True
 
 
-def obeys_mask(R: RuleSet, mask: int) -> bool:
-    for b, hs in R._heads.items():
-        if b & ~mask == 0 and hs & ~mask:
-            return False
-    return True
-
-
 def obeys(X: Subset, R: RuleSet) -> bool:
     same_poset(X.poset, R.poset)
-    return obeys_mask(R, X.mask)
+    m = X.mask
+    return all(b & ~m or hs & ~m == 0 for b, hs in R._heads.items())
 
 
 def rule_closure_mask(R: RuleSet, mask: int) -> int:
@@ -214,17 +209,40 @@ def rule_closure(R: RuleSet, X: Subset) -> Subset:
     return Subset(X.poset, rule_closure_mask(R, X.mask))
 
 
+def obeying_masks(R: RuleSet, cap: Optional[int] = None) -> list[int]:
+    """Every mask obeying the rule set, ascending, in one pass.
+
+    heads[m] collects the heads of every rule whose body lies inside m,
+    summed over the subsets one element at a time: n 2^n steps.  m
+    obeys the rules when all of those heads are in m.
+    """
+    P = R.poset
+    check_cap("obeying-set enumeration", P.n, cap, SUBSET_CAP)
+    full = P.full_mask
+    heads = [0] * (full + 1)
+    for b, h in R._heads.items():
+        heads[b] |= h
+    for e in range(P.n):
+        bit = 1 << e
+        for m in range(full + 1):
+            if m & bit:
+                heads[m] |= heads[m ^ bit]
+    return [m for m, h in enumerate(heads) if h & ~m == 0]
+
+
 def sigma(P: FinitePoset, R: RuleSet, cap: Optional[int] = None) -> list[Subset]:
     """All subsets obeying the rule set, in mask order."""
     same_poset(P, R.poset)
-    check_cap("obeying-set enumeration", P.n, cap, SUBSET_CAP)
-    return [Subset(P, m) for m in range(P.full_mask + 1) if obeys_mask(R, m)]
+    return [Subset(P, m) for m in obeying_masks(R, cap)]
 
 
 def rho(P: FinitePoset, family: Sequence[Subset], cap: Optional[int] = None) -> RuleSet:
     """All rules obeyed by every subset in the family.
 
-    Rules come out sorted by body mask then head, so the result is
+    A body concludes the members of every set in the family that
+    contains it, the least closed set above it when the family's sets
+    count as closed: one order.least_closed_table, n 2^n steps.  Rules
+    come out sorted by body mask then head, so the result is
     deterministic.  rho of anything is a closure theory: reflexive and
     transitive, a fact the tests pin down.
     """
@@ -233,17 +251,8 @@ def rho(P: FinitePoset, family: Sequence[Subset], cap: Optional[int] = None) -> 
     for X in family:
         same_poset(P, X.poset)
         masks.append(X.mask)
-    full = P.full_mask
-    heads = {}
-    for bmask in range(full + 1):
-        # the heads are the members of every set containing the body
-        hs = full
-        for m in masks:
-            if bmask & ~m == 0:
-                hs &= m
-        if hs:
-            heads[bmask] = hs
-    return RuleSet._indexed(P, heads)
+    heads = least_closed_table(P.full_mask, masks)
+    return RuleSet._indexed(P, {b: hs for b, hs in enumerate(heads) if hs})
 
 
 def rul(op, cap: Optional[int] = None) -> RuleSet:

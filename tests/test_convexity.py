@@ -1,5 +1,6 @@
 """Anti-exchange, funnels, and acyclicity of powerset closure operators."""
 
+import functools
 import random
 
 import pytest
@@ -35,6 +36,55 @@ def planted_non_convex():
             ("0", "1"): ("0", "1"),
         },
     )
+
+
+@functools.lru_cache(maxsize=None)
+def partial_orders(n):
+    """Every partial order on n elements, as up rows: each of the
+    3^(n(n-1)/2) ways to make a pair <, > or incomparable, closed
+    transitively, with repeats and cyclic closures dropped."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = {}
+    for assignment in range(3 ** len(pairs)):
+        rows = [1 << i for i in range(n)]
+        a = assignment
+        for i, j in pairs:
+            a, r = divmod(a, 3)
+            if r == 1:
+                rows[i] |= 1 << j
+            elif r == 2:
+                rows[j] |= 1 << i
+        for k in range(n):
+            for i in range(n):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        if all(not (rows[i] >> j & 1 and rows[j] >> i & 1) for i, j in pairs):
+            found.setdefault(tuple(rows), None)
+    return tuple(found)
+
+
+def reference_relation_search(op):
+    """The first partial order that is a funnel for op, or None: the
+    search over every relation that acyclicity's linear orders replace.
+    Funnel condition (3) screens each order before funnel_check."""
+    cl = op.table
+    for rows in partial_orders(op.universe.n):
+        if all(
+            cl[m] & r & ~cl[m & r] == 0
+            for m in range(op.universe.full_mask + 1)
+            for r in rows
+        ):
+            if funnel_check(op, rows)["is_funnel"]:
+                return rows
+    return None
+
+
+def order_rows(P, pairs):
+    """Up rows of the order that acyclicity reports as label pairs."""
+    rows = [1 << i for i in range(P.n)]
+    for a, b in pairs:
+        rows[P.index(a)] |= 1 << P.index(b)
+    return rows
 
 
 def test_table_operator_validates():
@@ -141,6 +191,27 @@ def test_acyclicity_modes():
     A, bad = planted_non_convex()
     rep = acyclicity(bad, mode="search")
     assert not rep["acyclic"]
+
+
+def test_acyclicity_search_matches_the_relation_search_on_fixtures():
+    A, bad = planted_non_convex()
+    ops = [bad] + [
+        make(P)
+        for P in (fx.point(), fx.c2(), fx.c3(), fx.b2(), fx.v4(), fx.diamond())
+        for make in (clsys_operator, dcclsys_operator)
+    ]
+    for op in ops:
+        rep = acyclicity(op, mode="search")
+        assert rep["acyclic"] == (reference_relation_search(op) is not None)
+        if rep["acyclic"]:
+            rows = order_rows(op.universe, rep["order"])
+            # a linear order: every pair of elements is comparable
+            assert all(
+                rows[i] >> j & 1 or rows[j] >> i & 1
+                for i in range(len(rows))
+                for j in range(len(rows))
+            )
+            assert funnel_check(op, rows)["is_funnel"]
 
 
 def test_acyclicity_search_cap():

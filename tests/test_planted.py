@@ -662,3 +662,94 @@ def test_dropped_value_row_member_breaks_the_galois_and_order_checks(monkeypatch
     monkeypatch.setattr(hmj, "value_rows", _dropping_rows(real, 0, top))
     with pytest.raises(TheoremBreach, match="does not match the nucleus order"):
         hmj_correspondence(P)
+
+
+@pytest.mark.parametrize(
+    "condition", ["_witness_failure", "_upper_set_failure", "_principal_failure"]
+)
+def test_each_wrong_funnel_condition_breaks_funnel_check(monkeypatch, condition):
+    # one of the three funnel conditions flipped: it finds a witness
+    # where there is none, and none where there is one
+    good = (fx.c3(), convexity.clsys_operator)
+    A = fx.antichain(2)
+    bad = (A, lambda Q: convexity.table_operator(
+        Q,
+        {(): (), ("0",): ("0", "1"), ("1",): ("0", "1"), ("0", "1"): ("0", "1")},
+    ))
+    for (P, make), funnel in ((good, True), (bad, False)):
+        assert convexity.funnel_check(make(P), P)["is_funnel"] is funnel
+    real = getattr(convexity, condition)
+    monkeypatch.setattr(
+        convexity,
+        condition,
+        lambda Q, cl, rows: (("planted",), "planted")
+        if real(Q, cl, rows) is None
+        else None,
+    )
+    for P, make in (good, bad):
+        with pytest.raises(TheoremBreach) as info:
+            convexity.funnel_check(make(P), P)
+        assert list(info.value.routes) == [
+            "witness_definition",
+            "upper_set_form",
+            "principal_form",
+        ]
+
+
+def _pull_bottom_into_top(op):
+    # record that the bottom of c3 pulls its top in, a pair the chain's
+    # order does not hold
+    P = op.universe
+    pulled = list(op._pulled)
+    pulled[P.index("2")] |= 1 << P.index("0")
+    object.__setattr__(op, "_pulled", tuple(pulled))
+
+
+def test_extra_pull_in_pair_breaks_the_antisymmetric_funnel(
+    monkeypatch, tmp_path, capsys
+):
+    P = fx.c3()
+    op = convexity.clsys_operator(P)
+    convexity.convexity_checks(op)
+    assert convexity.funnel_check(op, P)["is_funnel"]
+    _pull_bottom_into_top(op)
+    with pytest.raises(TheoremBreach, match="admitted a new point"):
+        convexity.funnel_check(op, P)
+    poset = tmp_path / "c3.json"
+    poset.write_text(
+        json.dumps({"elements": ["0", "1", "2"], "le": [["0", "1"], ["1", "2"]]})
+    )
+    argv = ["convexity", str(poset)]
+    assert main(argv) == 0
+    real = convexity.convexity_checks
+
+    def planted(op, cap=None):
+        rep = real(op, cap)
+        _pull_bottom_into_top(op)
+        return rep
+
+    monkeypatch.setattr(cli, "convexity_checks", planted)
+    assert main(argv) == 3
+    assert "admitted a new point" in capsys.readouterr().err
+
+
+def test_short_closure_table_is_a_breach_not_bad_input(
+    monkeypatch, b2_files, capsys
+):
+    # a closure table that misses its last element makes duality build
+    # an EndoMap that rejects its table: the library built a malformed
+    # value, which is a breach, and the command exits 3
+    argv = ["closure-systems", b2_files["poset"]]
+    assert main(argv) == 0
+    real = closure._closure_table
+
+    def planted(Q, mask):
+        table = real(Q, mask)
+        return None if table is None else table[:-1]
+
+    monkeypatch.setattr(closure, "_closure_table", planted)
+    with pytest.raises(TheoremBreach) as info:
+        closure.duality(Subset(fx.b2(), fx.b2().full_mask))
+    assert isinstance(info.value.__cause__, ValueError)
+    assert main(argv) == 3
+    assert "map table must cover every element" in capsys.readouterr().err

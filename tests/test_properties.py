@@ -15,8 +15,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from latkit import fixtures as fx  # noqa: E402
 from latkit.closure import clsys, dj  # noqa: E402
-from latkit.convexity import rule_closure_operator  # noqa: E402
+from latkit.convexity import (  # noqa: E402
+    PowersetOperator,
+    acyclicity,
+    funnel_check,
+    rule_closure_operator,
+)
 from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check  # noqa: E402
 from latkit.maps import (  # noqa: E402
     EndoMap,
@@ -33,6 +39,8 @@ from latkit.order import (  # noqa: E402
     directed_join_faults,
     greatest_of,
     join_irreducibles,
+    least_closed_above,
+    least_closed_table,
     least_of,
     popcount,
 )
@@ -40,8 +48,10 @@ from latkit.rules import (  # noqa: E402
     ClosureRule,
     RuleSet,
     default_rules,
+    rho,
     rul,
     rule_closure_mask,
+    sigma,
 )
 from test_enumerations import (  # noqa: E402
     assert_directed_routes_match,
@@ -55,8 +65,9 @@ from test_enumerations import (  # noqa: E402
     reference_scott_continuous,
     reference_scott_faults,
 )
+from test_convexity import order_rows, reference_relation_search  # noqa: E402
 from test_order import reference_covers, reference_join_irreducibles  # noqa: E402
-from test_rules import naive_closure_mask  # noqa: E402
+from test_rules import naive_closure_mask, reference_rho, reference_sigma  # noqa: E402
 
 
 def _close_under_meets(family):
@@ -267,3 +278,60 @@ def test_value_rows_match_the_pointwise_scans(case):
         assert rows.greatest(mask) == greatest_of(N, mask)
     assert covers(rows.up_rows()) == reference_covers(N)
     assert covers(P.le) == reference_covers(P)
+
+
+@st.composite
+def mask_families(draw, max_n=6):
+    # a universe size and a family of subsets of it, as masks
+    n = draw(st.integers(0, max_n))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n + 2))
+
+
+def reference_least_closed(full, family, mask):
+    """The intersection of the universe and every member above mask."""
+    out = full
+    for c in family:
+        if mask & ~c == 0:
+            out &= c
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mask_families())
+def test_least_closed_set_matches_brute_force_intersections(case):
+    n, family = case
+    full = (1 << n) - 1
+    table = least_closed_table(full, family)
+    for m in range(full + 1):
+        want = reference_least_closed(full, family, m)
+        assert least_closed_above(full, family, m) == table[m] == want
+
+
+@st.composite
+def intersection_closed_operators(draw, max_n=5):
+    # the closure of an intersection-closed family on an antichain
+    A = fx.antichain(draw(st.integers(1, max_n)))
+    full = A.full_mask
+    family = draw(st.lists(st.integers(0, full), max_size=full + 1))
+    closed = _close_under_meets(set(family) | {full})
+    table = [reference_least_closed(full, closed, m) for m in range(full + 1)]
+    return PowersetOperator(A, "family", table.__getitem__)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(intersection_closed_operators())
+def test_linear_order_search_matches_the_relation_search(op):
+    rep = acyclicity(op, "search")
+    assert rep["acyclic"] == (reference_relation_search(op) is not None)
+    if rep["acyclic"]:
+        rows = order_rows(op.universe, rep["order"])
+        assert funnel_check(op, rows)["is_funnel"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rule_sets(), st.lists(st.integers(0, 63), max_size=6))
+def test_sigma_and_rho_match_per_mask_and_per_body_scans(R, family):
+    P = R.poset
+    assert [X.mask for X in sigma(P, R)] == reference_sigma(R)
+    masks = [m & P.full_mask for m in family]
+    assert rho(P, [Subset(P, m) for m in masks])._heads == reference_rho(P, masks)

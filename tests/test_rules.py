@@ -41,6 +41,29 @@ def naive_closure_mask(R: RuleSet, mask: int) -> int:
         mask = new
 
 
+def reference_sigma(R: RuleSet) -> list:
+    """The masks obeying R, one scan of the rules per mask."""
+    return [
+        m
+        for m in range(R.poset.full_mask + 1)
+        if all(r.body_mask & ~m or m >> r.head & 1 for r in R.rules)
+    ]
+
+
+def reference_rho(P, masks) -> dict:
+    """Body mask -> the heads every member containing it holds, one
+    scan of the family per body; bodies with no head are left out."""
+    heads = {}
+    for b in range(P.full_mask + 1):
+        hs = P.full_mask
+        for m in masks:
+            if b & ~m == 0:
+                hs &= m
+        if hs:
+            heads[b] = hs
+    return heads
+
+
 def test_rule_repr_and_membership():
     P = fx.c3()
     R = RuleSet.of(P, [((), "2"), (("2",), "1")])

@@ -14,6 +14,7 @@ from latkit.closure import ClosureOperator, ClosureSystem, clsys, duality
 from latkit.errors import (
     CapExceeded,
     InputError,
+    InvalidValue,
     NotAClosureSystem,
     NotAFrame,
     NotANucleus,
@@ -78,13 +79,13 @@ BROKEN = [
     (
         "table covers the poset",
         lambda: EndoMap(fx.b2(), (0, 1, 2)),
-        ValueError,
+        InvalidValue,
         "map table must cover every element",
     ),
     (
         "table values in range",
         lambda: EndoMap(fx.b2(), (0, 1, 2, 4)),
-        ValueError,
+        InvalidValue,
         "map table value 4 out of range",
     ),
     (
