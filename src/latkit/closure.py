@@ -36,6 +36,7 @@ from .errors import (
 from .maps import (
     EndoMap,
     directed_closed,
+    fix,
     inaccessible_by_directed_joins,
     inversely_closed_under,
     is_idempotent,
@@ -51,11 +52,14 @@ from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
+    bits,
     bottom_index,
     check_cap,
     derived,
     directed_columns,
     family_poset,
+    is_default_enabled,
+    is_default_enabled_within,
     join_of,
     least_closed_above,
     least_of,
@@ -232,11 +236,8 @@ def generate_closure(
     """
     G = list(G)
     P = _check_generators(G, poset)
-    fixes = P.full_mask
-    for g in G:
-        fixes &= g.fix_mask
     with produced("fixpoint intersection"):
-        result = duality(ClosureSystem(Subset(P, fixes)))
+        result = duality(ClosureSystem(fix(G, P)))
     for g in G:
         if not pointwise_leq(g, result):
             raise TheoremBreach(
@@ -273,6 +274,23 @@ def kleene_generate(
         return ClosureOperator(EndoMap(P, tuple(table)))
 
 
+def _principle(name, A, G, poset, premises, conclusion) -> dict:
+    """A closure principle's report: each premise test(P, G), in order,
+    whether they all hold, and the conclusion (key, test(A, maps)) on
+    the generated operator, whose construction checks G.  True premises
+    with a false conclusion are an internal error, not a report entry."""
+    G = list(G)
+    gen = generate_closure(G, poset)
+    P = same_poset(gen.poset, A.poset)
+    report = {key: test(P, G) for key, test in premises.items()}
+    holds = report["premises_hold"] = all(report.values())
+    key, test = conclusion
+    report[key] = test(A, [gen])
+    if holds and not report[key]:
+        raise TheoremBreach(f"{name} failed on {A!r} with generators {G!r}")
+    return report
+
+
 def induction_check(
     A: Subset,
     G: Sequence[EndoMap],
@@ -283,26 +301,14 @@ def induction_check(
 
     If A is directed-closed and closed under every generator, then A is
     closed under the generated operator.  The premises and conclusion
-    are all evaluated; a true premise pair with a false conclusion is an
-    internal error, not a report entry.
+    are all evaluated.
     """
-    G = list(G)
-    P = _check_generators(G, poset)
-    same_poset(P, A.poset)
-    dc = directed_closed(A, cap)
-    cu = closed_under(A, G)
-    gen = generate_closure(G, P)
-    concl = closed_under(A, [gen])
-    if dc and cu and not concl:
-        raise TheoremBreach(
-            f"induction principle failed on {A!r} with generators {G!r}"
-        )
-    return {
-        "directed_closed": dc,
-        "closed_under_generators": cu,
-        "premises_hold": dc and cu,
-        "closed_under_generated": concl,
+    premises = {
+        "directed_closed": lambda P, G: directed_closed(A, cap),
+        "closed_under_generators": lambda P, G: closed_under(A, G),
     }
+    conclusion = ("closed_under_generated", closed_under)
+    return _principle("induction principle", A, G, poset, premises, conclusion)
 
 
 def obverse_induction_check(
@@ -317,23 +323,16 @@ def obverse_induction_check(
     every generator, it is inversely closed under the generated
     operator.
     """
-    G = list(G)
-    P = _check_generators(G, poset)
-    same_poset(P, A.poset)
-    inac = inaccessible_by_directed_joins(A, cap)
-    icu = inversely_closed_under(A, G)
-    gen = generate_closure(G, P)
-    concl = inversely_closed_under(A, [gen])
-    if inac and icu and not concl:
-        raise TheoremBreach(
-            f"obverse induction failed on {A!r} with generators {G!r}"
-        )
-    return {
-        "inaccessible_by_directed_joins": inac,
-        "inversely_closed_under_generators": icu,
-        "premises_hold": inac and icu,
-        "inversely_closed_under_generated": concl,
+    premises = {
+        "inaccessible_by_directed_joins": (
+            lambda P, G: inaccessible_by_directed_joins(A, cap)
+        ),
+        "inversely_closed_under_generators": (
+            lambda P, G: inversely_closed_under(A, G)
+        ),
     }
+    conclusion = ("inversely_closed_under_generated", inversely_closed_under)
+    return _principle("obverse induction", A, G, poset, premises, conclusion)
 
 
 def default_induction_check(
@@ -348,27 +347,13 @@ def default_induction_check(
     the ambient poset and closed under the generators is closed under
     the generated operator.
     """
-    from .order import is_default_enabled, is_default_enabled_within
-
-    G = list(G)
-    P = _check_generators(G, poset)
-    same_poset(P, A.poset)
-    ambient = is_default_enabled(P, cap)
-    within = is_default_enabled_within(P, A, cap)
-    cu = closed_under(A, G)
-    gen = generate_closure(G, P)
-    concl = closed_under(A, [gen])
-    if ambient and within and cu and not concl:
-        raise TheoremBreach(
-            f"default induction failed on {A!r} with generators {G!r}"
-        )
-    return {
-        "ambient_default_enabled": ambient,
-        "default_enabled_within": within,
-        "closed_under_generators": cu,
-        "premises_hold": ambient and within and cu,
-        "closed_under_generated": concl,
+    premises = {
+        "ambient_default_enabled": lambda P, G: is_default_enabled(P, cap),
+        "default_enabled_within": lambda P, G: is_default_enabled_within(P, A, cap),
+        "closed_under_generators": lambda P, G: closed_under(A, G),
     }
+    conclusion = ("closed_under_generated", closed_under)
+    return _principle("default induction", A, G, poset, premises, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +483,27 @@ def sccore_bruteforce(
 ) -> ClosureOperator:
     """Greatest Scott-continuous closure operator below gamma: of every
     closure operator on the poset, the Scott-continuous ones below
-    gamma, and the one whose down row among them covers them all."""
+    gamma, and the one whose down row among them covers them all.
+
+    Each closure system's check gives its operator's table; the value
+    rows of those tables pick the operators below gamma, and only those
+    are tested for Scott continuity."""
     P = gamma.poset
-    candidates = []
-    for m in closure_system_masks(P, cap):
-        op = duality(ClosureSystem(Subset(P, m)))
-        if pointwise_leq(op, gamma) and is_scott_continuous(op, cap):
-            candidates.append(op)
-    rows = value_rows(P, [op.table for op in candidates])
-    top = rows.greatest((1 << len(candidates)) - 1)
-    if top is not None:
-        return candidates[top]
-    raise TheoremBreach(
-        "the Scott-continuous closure operators below the given one "
-        "have no greatest member"
-    )
+    with produced("Scott core scan"):
+        tables = [
+            ClosureSystem(Subset(P, m))._table for m in closure_system_masks(P, cap)
+        ]
+        rows = value_rows(P, tables)
+        below = {i: EndoMap(P, tables[i]) for i in bits(rows.below(gamma.table))}
+    scott = sum(1 << i for i, f in below.items() if is_scott_continuous(f, cap))
+    top = rows.greatest(scott)
+    if top is None:
+        raise TheoremBreach(
+            "the Scott-continuous closure operators below the given one "
+            "have no greatest member"
+        )
+    with produced("Scott core scan"):
+        return ClosureOperator(below[top])
 
 
 # ---------------------------------------------------------------------------

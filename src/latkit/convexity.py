@@ -34,6 +34,7 @@ from .order import (
     check_cap,
     least_closed_table,
     same_poset,
+    upper_sets,
 )
 from .rules import RuleSet, obeying_masks
 
@@ -50,7 +51,8 @@ class PowersetOperator:
     keeps the images in `table`, indexed by mask.  It then checks, on
     every subset, that no image escapes the universe and that the
     operator is ascending, idempotent and monotone; each constructor
-    gates the size by its cap first.  `_anti_exchange` holds the verdict
+    gates the size by its cap first.  Equality and hashing read the
+    universe, the kind and the table.  `_anti_exchange` holds the verdict
     of the last convexity_checks sweep on this table, None before one;
     when that verdict is True, bit y of `_pulled[x]` says that y pulls
     x in.
@@ -59,7 +61,7 @@ class PowersetOperator:
     universe: FinitePoset
     kind: str
     fn: InitVar[Callable]
-    table: tuple = field(init=False, repr=False, compare=False)
+    table: tuple = field(init=False, repr=False)
     _anti_exchange: Optional[bool] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -260,13 +262,8 @@ def _witness_failure(P: FinitePoset, cl, rows) -> Optional[tuple]:
 def _upper_set_failure(P: FinitePoset, cl, rows) -> Optional[tuple]:
     """Funnel condition (2): the first (X, U), U an upper set, where the
     closure of X meets U outside the closure of X's trace on U."""
-    full = P.full_mask
-    uppers = [
-        u
-        for u in range(full + 1)
-        if all(rows[i] & ~u == 0 for i in bits(u))
-    ]
-    for m in range(full + 1):
+    uppers = upper_sets(rows)
+    for m in range(P.full_mask + 1):
         cm = cl[m]
         for u in uppers:
             if cm & u & ~cl[m & u]:

@@ -11,12 +11,12 @@ bijection between Scott-open filters and compact fitted quotients and
 verifies every promised identity; a single failure raises.
 
 The exhaustive route does each piece of work once.  Filters are picked
-from the upper sets containing the top, listed by a descent rather
-than a scan of every subset.  Scott-openness and compactness quantify
-over every directed subset at once, on the bit columns of
-order.directed_columns.  The fitted nucleus of a kernel is built once
-per poset and kept, while every fitting call still checks the
-membership lemma and that the fitting lies below its nucleus.
+from the upper sets, listed by a descent rather than a scan of every
+subset.  Scott-openness and compactness quantify over every directed
+subset at once, on the bit columns of order.directed_columns.  The
+fitted nucleus of a kernel is built once per poset and kept, while
+every fitting call still checks the membership lemma and that the
+fitting lies below its nucleus.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from .order import (
     refine,
     same_poset,
     subposet,
-    top_down,
     top_index,
     union_of,
     upper_closure_mask,
+    upper_sets,
 )
 
 
@@ -114,34 +114,21 @@ class FilterSet(Subset):
         return F
 
 
-def _upper_sets_with_top(P: FinitePoset, t: int) -> list[int]:
-    """Every upper set containing t, in mask order.  A descent that
-    decides the elements from the top down (ascending size of their
-    principal upper sets): x may join a set only once every element
-    strictly above x is in it."""
-    states = [1 << t]
-    for x in derived(P, top_down):
-        if x != t:
-            above = P.le[x] & ~(1 << x)
-            states += [m | 1 << x for m in states if m & above == above]
-    states.sort()
-    return states
-
-
 def enumerate_filters(L: FinitePoset, cap: Optional[int] = None) -> list[FilterSet]:
     """Every filter, in mask order.
 
-    The candidates are the upper sets containing the top, listed by a
-    descent whose cost follows their number rather than 2^n (the tests
-    check it against the scan of every mask).  Each candidate passes
-    the filter test once and becomes a FilterSet without repeating it.
+    The candidates are the upper sets, listed by order.upper_sets, a
+    descent whose cost follows their number rather than 2^n; in a frame
+    every nonempty one holds the top, and the filter test rejects the
+    empty one.  Each candidate passes the filter test once and becomes
+    a FilterSet without repeating it.
     """
     P = require_frame(L, cap)
     check_cap("filter enumeration", P.n, cap, SUBSET_CAP)
     t, mt = top_index(P), meet_table(P)
     return [
         FilterSet._trusted(Subset(P, m))
-        for m in _upper_sets_with_top(P, t)
+        for m in upper_sets(P.le)
         if _is_filter_mask(P, t, mt, m)
     ]
 
@@ -198,9 +185,8 @@ def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
     if t is None:
         raise InputError("kernel at the top needs a top element")
     require_frame(P, cap)
-    mask = sum(1 << a for a, v in enumerate(nu.table) if v == t)
     with produced("oneker"):
-        return FilterSet(Subset(P, mask), cap)
+        return FilterSet(Subset(P, nu.preimage_mask(1 << t)), cap)
 
 
 def fitnuc(L: FinitePoset, S: Subset, cap: Optional[int] = None) -> Nucleus:
@@ -236,8 +222,7 @@ def fitting(L: FinitePoset, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
     """
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
-    t = top_index(P)
-    kernel = sum(1 << a for a, v in enumerate(nu.table) if v == t)
+    kernel = nu.preimage_mask(1 << top_index(P))
     opens_below = derived(P, _open_rows).below(nu.table)
     if opens_below != kernel:
         a = ((opens_below ^ kernel) & -(opens_below ^ kernel)).bit_length() - 1
@@ -319,10 +304,8 @@ def is_compact_quotient(
     same_poset(P, nu.poset)
     t = top_index(P)
     members, tops = directed_columns(P, cap)
-    to_top = 0  # the directed sets whose quotient join is the top
-    for dtop, v in enumerate(nu.table):
-        if v == t:
-            to_top |= tops[dtop]
+    # the directed sets whose quotient join is the top ...
+    to_top = union_of(tops, nu.preimage_mask(1 << t))
     # ... and that contain the top or a non-fixpoint
     leaves = union_of(members, P.full_mask & ~nu.fix_mask | 1 << t)
     return not to_top & ~leaves

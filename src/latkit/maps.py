@@ -33,12 +33,14 @@ from .order import (
 
 @dataclass(frozen=True)
 class EndoMap:
-    """A total map from a poset's elements to themselves."""
+    """A total map from a poset's elements to themselves, its table
+    stored as a tuple."""
 
     poset: FinitePoset
     table: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "table", tuple(self.table))
         n = self.poset.n
         if len(self.table) != n:
             raise InvalidValue("map table must cover every element")

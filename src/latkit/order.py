@@ -57,8 +57,9 @@ class FinitePoset:
 
     le holds one bitmask per element: bit j of le[i] is set iff element
     i <= element j, so le[i] is the principal upper set of i.  The
-    constructor validates reflexivity, antisymmetry and transitivity;
-    use build_poset to construct from generating pairs.
+    constructor stores both sequences as tuples and validates
+    reflexivity, antisymmetry and transitivity; use build_poset to
+    construct from generating pairs.
     """
 
     elements: tuple[str, ...]
@@ -69,6 +70,8 @@ class FinitePoset:
     _derived: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "le", tuple(self.le))
         n = len(self.elements)
         if len(set(self.elements)) != n:
             seen = set()
@@ -510,6 +513,27 @@ def covers(up: Sequence[int]) -> list[tuple[int, int]]:
                 rest &= ~union_of(up, low)
         out += [(i, j) for j in bits(found)]
     return out
+
+
+def upper_sets(rows: Sequence[int]) -> list[int]:
+    """Every upper set of a preorder, as masks, ascending, read from its
+    up rows (bit j of rows[i] set iff i <= j).
+
+    Elements with the same up row lie above each other, so they form one
+    class, in or out together.  The classes are decided in ascending
+    size of their row, so those strictly above a class come first, and a
+    class may join a set once every element strictly above it is in the
+    set: the cost follows the number of upper sets, not 2^n."""
+    classes: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        classes[row] = classes.get(row, 0) | 1 << i
+    states = [0]
+    for row in sorted(classes, key=popcount):
+        members = classes[row]
+        above = row & ~members
+        states += [m | members for m in states if m & above == above]
+    states.sort()
+    return states
 
 
 def top_down(P: FinitePoset) -> tuple[int, ...]:

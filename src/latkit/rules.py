@@ -70,15 +70,16 @@ class RuleSet:
 
     `_heads` maps each body mask to the mask of the heads it concludes,
     and every query reads it.  A rule set built from ClosureRules keeps
-    its tuple; one built by the library from the index alone builds
-    `rules` on first access, in body-mask order, then head order.
-    Equality, hashing and repr read `rules`.
+    them in their order, each repeated rule at its first place only; one
+    built by the library from the index alone builds `rules` on first
+    access, in body-mask order, then head order.  Equality and hashing read the
+    index, so they ignore the listing; repr reads `rules`.
     """
 
     __slots__ = ("poset", "_heads", "_rules")
 
     def __init__(self, poset: FinitePoset, rules: Sequence[ClosureRule]):
-        rules = tuple(rules)
+        rules = tuple(dict.fromkeys(rules))
         heads: dict = {}
         for r in rules:
             same_poset(poset, r.poset)
@@ -133,10 +134,10 @@ class RuleSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.poset, self.rules) == (other.poset, other.rules)
+        return (self.poset, self._heads) == (other.poset, other._heads)
 
     def __hash__(self):
-        return hash((self.poset, self.rules))
+        return hash((self.poset, frozenset(self._heads.items())))
 
     def __repr__(self):
         return f"RuleSet(poset={self.poset!r}, rules={self.rules!r})"

@@ -385,6 +385,33 @@ def test_planted_route_names_its_routes(monkeypatch, pair):
         assert f"{route}=" in str(info.value)
 
 
+# principle -> (check, the subset it is tried on, its breach text); on
+# c3 with no generators every premise holds for these subsets, and the
+# constant-top operator moves each out of its conclusion
+PRINCIPLES = {
+    "induction": (closure.induction_check, ["0"], "induction principle failed"),
+    "obverse": (closure.obverse_induction_check, ["2"], "obverse induction failed"),
+    "default": (closure.default_induction_check, ["0"], "default induction failed"),
+}
+
+
+@pytest.mark.parametrize("principle", list(PRINCIPLES))
+def test_constant_top_generation_breaks_each_principle(monkeypatch, principle):
+    check, members, breach = PRINCIPLES[principle]
+    P = fx.c3()
+    A = Subset.of(P, members)
+    rep = check(A, [], P)
+    assert rep["premises_hold"] and list(rep.values())[-1]
+    monkeypatch.setattr(
+        closure,
+        "generate_closure",
+        lambda G, poset=None: ClosureOperator(EndoMap(poset, (2, 2, 2))),
+    )
+    with pytest.raises(TheoremBreach) as info:
+        check(A, [], P)
+    assert breach in str(info.value)
+
+
 def test_wrong_scan_route_breaks_sccore(monkeypatch, b2_files, capsys):
     argv = ["sccore", b2_files["poset"], b2_files["gam"]]
     assert main(argv) == 0

@@ -13,10 +13,17 @@ exactly the finite distributive lattices.
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from latkit import fixtures as fx  # noqa: E402
-from latkit.closure import clsys, dj  # noqa: E402
+from latkit.closure import (  # noqa: E402
+    closure_system_masks,
+    clsys,
+    dj,
+    duality,
+    sccore,
+    sccore_bruteforce,
+)
 from latkit.convexity import (  # noqa: E402
     PowersetOperator,
     acyclicity,
@@ -26,6 +33,7 @@ from latkit.convexity import (  # noqa: E402
 from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check  # noqa: E402
 from latkit.maps import (  # noqa: E402
     EndoMap,
+    is_scott_continuous,
     pointwise_leq,
     scott_continuous_definitional,
     value_rows,
@@ -43,6 +51,7 @@ from latkit.order import (  # noqa: E402
     least_closed_table,
     least_of,
     popcount,
+    upper_sets,
 )
 from latkit.rules import (  # noqa: E402
     ClosureRule,
@@ -335,3 +344,61 @@ def test_sigma_and_rho_match_per_mask_and_per_body_scans(R, family):
     assert [X.mask for X in sigma(P, R)] == reference_sigma(R)
     masks = [m & P.full_mask for m in family]
     assert rho(P, [Subset(P, m) for m in masks])._heads == reference_rho(P, masks)
+
+
+@st.composite
+def preorders(draw, max_n=7):
+    # up rows of the reflexive transitive closure of a drawn relation;
+    # a cycle in the relation makes a class of several elements
+    n = draw(st.integers(0, max_n))
+    rows = [1 << i for i in range(n)]
+    if n:
+        element = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(element, element), max_size=2 * n))
+        for a, b in pairs:
+            rows[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return rows
+
+
+def reference_upper_sets(rows):
+    return [
+        u
+        for u in range(1 << len(rows))
+        if all(rows[i] & ~u == 0 for i in bits(u))
+    ]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(preorders())
+@example([0b111, 0b111, 0b100])  # 0 and 1 in one class, below 2
+@example([0b11, 0b11])  # one class of two
+def test_upper_set_descent_matches_the_mask_scan(rows):
+    assert upper_sets(rows) == reference_upper_sets(rows)
+
+
+def reference_sccore(gamma):
+    # every closure operator a checked value, filtered pair by pair
+    P = gamma.poset
+    ops = [duality(Subset(P, m)) for m in closure_system_masks(P)]
+    below = [
+        op for op in ops if pointwise_leq(op, gamma) and is_scott_continuous(op)
+    ]
+    return next(op for op in below if all(pointwise_leq(o, op) for o in below))
+
+
+@st.composite
+def closure_operators(draw):
+    P = draw(posets())
+    return duality(Subset(P, draw(st.sampled_from(closure_system_masks(P)))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(closure_operators())
+def test_sccore_scan_matches_the_per_system_route(gamma):
+    core = sccore_bruteforce(gamma)
+    assert type(core) is type(gamma)
+    assert core == reference_sccore(gamma) == sccore(gamma)

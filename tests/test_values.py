@@ -15,6 +15,7 @@ from latkit.errors import (
     CapExceeded,
     InputError,
     InvalidValue,
+    MixedPosets,
     NotAClosureSystem,
     NotAFrame,
     NotANucleus,
@@ -22,9 +23,11 @@ from latkit.errors import (
     NotPreclosure,
 )
 from latkit.heyting import Nucleus, enumerate_nuclei, nucleus_join
-from latkit.hmj import FilterSet, enumerate_filters
+from latkit.convexity import table_operator
+from latkit.hmj import FilterSet, enumerate_filters, is_fitted
 from latkit.maps import EndoMap
-from latkit.order import Subset
+from latkit.order import FinitePoset, Subset, build_poset, same_poset
+from latkit.rules import ClosureRule, RuleSet
 
 
 def test_results_carry_the_type_chain():
@@ -243,3 +246,48 @@ def test_subset_constructors_refine(cls):
     assert type(Subset.from_indices(P, [1])) is Subset
     with pytest.raises(InputError):
         cls.of(P, ["a"])
+
+
+# ---------------------------------------------------------------------------
+# value equality: values built from lists, operator tables, rule listings
+
+
+def test_list_fields_are_stored_as_tuples():
+    P = fx.b2()
+    for nu in enumerate_nuclei(P):
+        listed = Nucleus(EndoMap(P, list(nu.table)))
+        assert listed == nu and hash(listed) == hash(nu)
+        assert type(listed.table) is tuple
+        assert is_fitted(P, listed) == is_fitted(P, nu) is True
+    Q = FinitePoset(["a", "b"], [3, 2])
+    assert Q == build_poset(["a", "b"], [("a", "b")])
+    assert same_poset(Q, build_poset(["a", "b"], [("a", "b")])) is Q
+    assert hash(Q) == hash(build_poset(["a", "b"], [("a", "b")]))
+    with pytest.raises(MixedPosets):
+        same_poset(Q, FinitePoset(["a", "b"], [1, 2]))
+
+
+def test_powerset_operators_compare_their_tables():
+    P = fx.c2()
+    subsets = [[], ["0"], ["1"], ["0", "1"]]
+    identity = table_operator(P, {tuple(X): X for X in subsets})
+    universe = table_operator(P, {tuple(X): ["0", "1"] for X in subsets})
+    assert identity != universe
+    assert len({identity, universe}) == 2
+    again = table_operator(P, {tuple(X): X for X in subsets})
+    assert again == identity and hash(again) == hash(identity)
+
+
+def test_rule_sets_compare_as_sets():
+    P = fx.c3()
+    r1 = ClosureRule.of(P, ["0"], "1")
+    r2 = ClosureRule.of(P, [], "2")
+    assert RuleSet(P, [r1, r2]) == RuleSet(P, [r2, r1])
+    assert hash(RuleSet(P, [r1, r2])) == hash(RuleSet(P, [r2, r1]))
+    assert RuleSet(P, [r1, r2]).rules == (r1, r2)
+    assert RuleSet(P, [r2, r1]).rules == (r2, r1)
+    assert len(RuleSet(P, [r1, r1])) == 1
+    assert RuleSet(P, [r2, r1, r2]).rules == (r2, r1)
+    indexed = RuleSet._indexed(P, {0: 0b100, 0b001: 0b010})
+    assert indexed == RuleSet(P, [r1, r2]) and indexed._rules is None
+    assert RuleSet(P, [r1]) != RuleSet(P, [r2])
