@@ -55,6 +55,7 @@ from .order import (
     bits,
     bottom_index,
     check_cap,
+    closure_tables,
     derived,
     directed_columns,
     family_poset,
@@ -66,7 +67,7 @@ from .order import (
     refine,
     same_poset,
     subposet,
-    top_down,
+    trusted,
     union_of,
     way_down_sets,
 )
@@ -114,13 +115,9 @@ def _closure_table(P: FinitePoset, mask: int) -> Optional[tuple[int, ...]]:
     return tuple(table)
 
 
-def is_closure_system_mask(P: FinitePoset, mask: int) -> bool:
-    return _closure_table(P, mask) is not None
-
-
 def is_closure_system(X: Subset) -> bool:
     """Every principal upper set meets X in a set with a least element."""
-    return is_closure_system_mask(X.poset, X.mask)
+    return _closure_table(X.poset, X.mask) is not None
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -164,49 +161,48 @@ def duality(C: Subset) -> ClosureOperator:
 
 
 def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
-    """The fixpoint set of a closure operator, as a validated system."""
-    return ClosureSystem(gamma.fix)
+    """The fixpoint set of a closure operator, as a closure system that
+    keeps gamma's table: gamma(x) is the least fixpoint above x.  gamma
+    is checked as a closure operator unless it is one already."""
+    if not isinstance(gamma, ClosureOperator):
+        gamma = ClosureOperator(gamma)
+    return trusted(ClosureSystem, gamma.fix, _table=gamma.table)
 
 
-def _closure_system_masks(P: FinitePoset) -> tuple[int, ...]:
-    masks = [0]
-    for x in derived(P, top_down):
-        bit, row = 1 << x, P.le[x]
-        grown = []
-        for m in masks:
-            grown.append(m | bit)
-            if least_of(P, m & row) is not None:
-                grown.append(m)
-        masks = grown
-    masks.sort()
-    return tuple(masks)
+def _closure_systems(P: FinitePoset) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    # every closure system's mask and table, in mask order; cap-free
+    masks, tables = zip(*sorted(closure_tables(P)))
+    return masks, tables
+
+
+def _carried(P: FinitePoset, cap: Optional[int]):
+    check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
+    return derived(P, _closure_systems)
 
 
 def closure_system_masks(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
-    """Every closure system, as a mask, in mask order.
-
-    Built top-down: the elements are decided in ascending order of
-    their principal upper sets' size, so all of x's strict upper bounds
-    are decided before x.  Keeping x is always allowed; leaving it out
-    is allowed iff the kept part above x has a least element, which is
-    the closure-system condition at x.  Every branch ends in a closure
-    system, so the cost follows the number of systems, not 2^n.
-    """
-    check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
-    return derived(P, _closure_system_masks)
+    """Every closure system, as a mask, in mask order, read from the one
+    top-down descent (order.closure_tables): the cost follows the number
+    of systems, not 2^n.  Their tables are kept for enumerate_cl_lattice
+    and sccore_bruteforce."""
+    return _carried(P, cap)[0]
 
 
 def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
     """Every closure system and its operator, in mask order.
 
     The two lists are aligned: operators[i] has fixpoint set systems[i].
+    Each operator is validated from its carried table and must fix the
+    mask carried with it; its system keeps that table.
     """
-    masks = closure_system_masks(P, cap)
+    masks, tables = _carried(P, cap)
     with produced("closure-system enumeration"):
-        systems = [ClosureSystem(Subset(P, m)) for m in masks]
+        ops = [ClosureOperator(EndoMap(P, t)) for t in tables]
+    if tuple(op.fix_mask for op in ops) != masks:
+        raise TheoremBreach("a carried closure table fixes another set")
     return {
-        "closure_systems": systems,
-        "closure_operators": [duality(c) for c in systems],
+        "closure_systems": [duality_inv(op) for op in ops],
+        "closure_operators": ops,
     }
 
 
@@ -485,15 +481,13 @@ def sccore_bruteforce(
     closure operator on the poset, the Scott-continuous ones below
     gamma, and the one whose down row among them covers them all.
 
-    Each closure system's check gives its operator's table; the value
-    rows of those tables pick the operators below gamma, and only those
-    are tested for Scott continuity."""
+    The operators' tables are those the closure-system descent carried;
+    their value rows pick the operators below gamma, and only those are
+    tested for Scott continuity."""
     P = gamma.poset
+    tables = _carried(P, cap)[1]
+    rows = value_rows(P, tables)
     with produced("Scott core scan"):
-        tables = [
-            ClosureSystem(Subset(P, m))._table for m in closure_system_masks(P, cap)
-        ]
-        rows = value_rows(P, tables)
         below = {i: EndoMap(P, tables[i]) for i in bits(rows.below(gamma.table))}
     scott = sum(1 << i for i, f in below.items() if is_scott_continuous(f, cap))
     top = rows.greatest(scott)

@@ -26,10 +26,11 @@ least nucleus above) are each paired with an independent brute-force
 route over the full enumeration of nuclei; disagreement raises,
 loudly.
 That enumeration rests on the definition alone, never on implication:
-a top-down descent over partial closure tables keeps a branch only
-while it preserves the meets it has decided, so the cost follows the
-number of nuclei rather than the number of closure systems, and the
-tests check the list against a filter of every closure system.
+the top-down descent of order.closure_tables, given the meet table,
+keeps a branch only while it preserves the meets it has decided, so
+the cost follows the number of nuclei rather than the number of
+closure systems, and the tests check the list against a filter of
+every closure system.
 
 The nuclei form a frame N(L), checked exactly on pairs of nuclei,
 which carry the laws to every family by induction; distributivity is
@@ -74,6 +75,7 @@ from .order import (
     bits,
     bottom_index,
     check_cap,
+    closure_tables,
     derived,
     directed_columns,
     directed_join_faults,
@@ -83,12 +85,10 @@ from .order import (
     join_meet_tables,
     join_of,
     least_closed_above,
-    least_of,
     meet_of,
     meet_table,
     popcount,
     same_poset,
-    top_down,
     top_index,
     union_of,
 )
@@ -342,38 +342,11 @@ def nucleus_join(
 
 
 def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
-    # cap-free; every caller has passed a meet check and a cap gate.
-    # The descent is described in enumerate_nuclei.  Both members of an
-    # incomparable pair lie strictly above their meet, so they are
-    # decided before it; comparable pairs need no check, because a
-    # closure table is monotone.
-    mt = meet_table(P)
-    le, n = P.le, P.n
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if not (le[x] >> y & 1 or le[y] >> x & 1):
-                pairs[mt[x][y]].append((x, y))
-    states = [(0, [0] * n)]
-    for z in derived(P, top_down):
-        bit, row, zpairs = 1 << z, le[z], pairs[z]
-        grown = []
-        for kept, c in states:
-            choices = [(kept | bit, z)]
-            below = least_of(P, kept & row)
-            if below is not None:
-                choices.append((kept, below))
-            for m, v in choices:
-                if all(mt[c[x]][c[y]] == v for x, y in zpairs):
-                    t = c.copy()
-                    t[z] = v
-                    grown.append((m, t))
-        states = grown
-    states.sort(key=lambda s: (-popcount(s[0]), s[0]))
+    # cap-free; every caller has passed a meet check and a cap gate
+    leaves = closure_tables(P, meet_table(P))
+    leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
     with produced("nuclei descent"):
-        return tuple(
-            Nucleus(EndoMap(P, tuple(c))) for _, c in states
-        )
+        return tuple(Nucleus(EndoMap(P, t)) for _, t in leaves)
 
 
 def _nuclei_by_fix(P: FinitePoset) -> dict[int, int]:
@@ -390,15 +363,10 @@ def enumerate_nuclei(P: FinitePoset, cap: Optional[int] = None) -> list[Nucleus]
     """All nuclei, listed along a linear extension of the pointwise
     order: larger fixpoint sets (smaller nuclei) first.
 
-    Built top-down: the elements are decided in ascending order of
-    their principal upper sets' size, carrying the closure table so
-    far.  Keeping z fixes it; leaving z out sends it to the least kept
-    element above it, which must exist.  A branch survives only if
-    c(x meet y) = c(x) meet c(y) for every incomparable pair with meet
-    z, both of which are decided before z.  Every leaf is a nucleus and
-    is validated once through the Nucleus constructor.  The nuclei are
-    built once per poset; later calls pass the same gates and return
-    the same nuclei."""
+    The tables come from the one top-down descent, order.closure_tables,
+    pruned on meet preservation.  Every leaf is validated once through
+    the Nucleus constructor.  The nuclei are built once per poset;
+    later calls pass the same gates and return the same nuclei."""
     if meet_table(P) is None:
         raise NotMeetSemilattice("nuclei need pairwise meets")
     check_cap("nucleus enumeration", P.n, cap, SUBSET_CAP)

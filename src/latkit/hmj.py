@@ -56,6 +56,7 @@ from .order import (
     same_poset,
     subposet,
     top_index,
+    trusted,
     union_of,
     upper_closure_mask,
     upper_sets,
@@ -104,15 +105,6 @@ class FilterSet(Subset):
         """The same members as a plain Subset."""
         return Subset(self.poset, self.mask)
 
-    @classmethod
-    def _trusted(cls, X: Subset) -> "FilterSet":
-        # for a subset its caller has just passed through _is_filter_mask
-        # on a checked frame; skips repeating that test
-        F = object.__new__(cls)
-        object.__setattr__(F, "poset", X.poset)
-        object.__setattr__(F, "mask", X.mask)
-        return F
-
 
 def enumerate_filters(L: FinitePoset, cap: Optional[int] = None) -> list[FilterSet]:
     """Every filter, in mask order.
@@ -127,7 +119,7 @@ def enumerate_filters(L: FinitePoset, cap: Optional[int] = None) -> list[FilterS
     check_cap("filter enumeration", P.n, cap, SUBSET_CAP)
     t, mt = top_index(P), meet_table(P)
     return [
-        FilterSet._trusted(Subset(P, m))
+        trusted(FilterSet, Subset(P, m))
         for m in upper_sets(P.le)
         if _is_filter_mask(P, t, mt, m)
     ]
@@ -285,7 +277,7 @@ def filters_report(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> dict
         "is_scott_open": is_scott_open(L, X, cap),
         "is_nuclear_filter": is_nuclear_filter(L, X, cap),
         "modus_ponens": (
-            modus_ponens_check(L, FilterSet._trusted(X), cap) if filt else None
+            modus_ponens_check(L, trusted(FilterSet, X), cap) if filt else None
         ),
     }
 

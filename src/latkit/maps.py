@@ -27,6 +27,7 @@ from .order import (
     meet_of,
     meet_table,
     same_poset,
+    spread,
     union_of,
 )
 
@@ -310,12 +311,10 @@ def value_rows(P: FinitePoset, tables: Sequence[Sequence[int]]) -> ValueRows:
     for j, t in enumerate(tables):
         for y, v in enumerate(t):
             at[y][v] |= 1 << j
-    # only the values some member takes at y contribute to its rows
-    used = [sum(1 << v for v, m in enumerate(row) if m) for row in at]
     return ValueRows(
         tuple(map(tuple, tables)),
-        tuple(tuple(union_of(row, d & u) for d in P.down) for row, u in zip(at, used)),
-        tuple(tuple(union_of(row, e & u) for e in P.le) for row, u in zip(at, used)),
+        tuple(spread(row, P.le) for row in at),
+        tuple(spread(row, P.down) for row in at),
         (1 << len(tables)) - 1,
     )
 

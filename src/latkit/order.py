@@ -101,11 +101,7 @@ class FinitePoset:
                         f"order not transitive at "
                         f"{self.elements[i]!r} <= {self.elements[j]!r}"
                     )
-        down = [0] * n
-        for i in range(n):
-            for j in bits(self.le[i]):
-                down[j] |= 1 << i
-        object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "down", spread([1 << i for i in range(n)], self.le))
         object.__setattr__(
             self, "_pos", {lab: i for i, lab in enumerate(self.elements)}
         )
@@ -214,6 +210,16 @@ def refine(value, base, *args) -> None:
         check = vars(cls).get("__post_init__")
         if check is not None and not isinstance(base, cls):
             check(value, *args)
+
+
+def trusted(cls, base, **extra):
+    """A cls value with base's fields and those in extra, built with no
+    check: for a value whose laws the library has just decided."""
+    value = object.__new__(cls)
+    for f in fields(cls):
+        v = extra[f.name] if f.name in extra else getattr(base, f.name)
+        object.__setattr__(value, f.name, v)
+    return value
 
 
 def same_poset(*posets) -> FinitePoset:
@@ -427,6 +433,17 @@ def union_of(rows: Sequence[int], mask: int) -> int:
     return out
 
 
+def spread(members: Sequence[int], rows: Sequence[int]) -> tuple[int, ...]:
+    """out[v]: the union of members[u] over the u with v in rows[u].
+    With members[u] = 1 << u it transposes the relation given by rows."""
+    out = [0] * len(rows)
+    for u, m in enumerate(members):
+        if m:
+            for v in bits(rows[u]):
+                out[v] |= m
+    return tuple(out)
+
+
 def upper_closure_mask(P: FinitePoset, mask: int) -> int:
     return union_of(P.le, mask)
 
@@ -539,8 +556,48 @@ def upper_sets(rows: Sequence[int]) -> list[int]:
 def top_down(P: FinitePoset) -> tuple[int, ...]:
     """The elements in ascending size of their principal upper sets, ties
     by index, so each follows every element strictly above it: the order
-    the descents decide elements in.  Read it through derived(P, top_down)."""
+    closure_tables decides elements in.  Read it through
+    derived(P, top_down)."""
     return tuple(sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)))
+
+
+def closure_tables(
+    P: FinitePoset, meets: Optional[Sequence[Sequence[int]]] = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every closure system with its operator's table c, as (fixpoint
+    mask, table) pairs; given P's meet table, only the nuclei.  Cap-free
+    and unsorted.  The elements are decided in top_down order, so z's
+    strict upper bounds come first: keeping z fixes it, and leaving it
+    out sends it to the least kept element above it, which must exist.
+    With meets, a branch survives only if c(x meet y) = c(x) meet c(y)
+    for every incomparable pair with meet z (comparable pairs hold, as
+    c is monotone).  The cost follows the number of leaves, not 2^n."""
+    le, n = P.le, P.n
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    if meets is not None:
+        for x in range(n):
+            for y in range(x + 1, n):
+                if not (le[x] >> y & 1 or le[y] >> x & 1):
+                    pairs[meets[x][y]].append((x, y))
+
+    def preserved(c, v, zpairs):
+        return all(meets[c[x]][c[y]] == v for x, y in zpairs)
+
+    # a table starts as the identity and never changes once in states
+    states = [(0, list(range(n)))]
+    for z in derived(P, top_down):
+        bit, row, zpairs = 1 << z, le[z], pairs[z]
+        grown = []
+        for kept, c in states:
+            if not zpairs or preserved(c, z, zpairs):
+                grown.append((kept | bit, c))
+            below = least_of(P, kept & row)
+            if below is not None and (not zpairs or preserved(c, below, zpairs)):
+                t = c.copy()
+                t[z] = below
+                grown.append((kept, t))
+        states = grown
+    return [(m, tuple(c)) for m, c in states]
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +743,7 @@ def _way_below(P: FinitePoset) -> tuple[int, ...]:
     """wb[x] = mask of all y with x way below y: x <= y, and no directed
     set with join at or above y misses the upper set of x."""
     members, tops = derived(P, _directed_columns)
-    reach = [0] * P.n  # the directed sets whose join is at or above y
-    for t, col in enumerate(tops):
-        for y in bits(P.down[t]):
-            reach[y] |= col
+    reach = spread(tops, P.down)  # the directed sets with join at or above y
     wb = []
     for x in range(P.n):
         hit = union_of(members, P.le[x])
@@ -708,11 +762,7 @@ def way_below_relation(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, 
 
 def _way_down(P: FinitePoset) -> tuple[int, ...]:
     """down[y] = mask of all x way below y: the columns of _way_below."""
-    down = [0] * P.n
-    for x, row in enumerate(derived(P, _way_below)):
-        for y in bits(row):
-            down[y] |= 1 << x
-    return tuple(down)
+    return spread([1 << x for x in range(P.n)], derived(P, _way_below))
 
 
 def way_down_sets(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
@@ -764,11 +814,7 @@ def has_ceiling_mask(P: FinitePoset, mask: int) -> bool:
     A property of the induced subposet alone.  The empty subset has a
     ceiling vacuously.
     """
-    mm = maximal_mask(P, mask)
-    covered = 0
-    for i in bits(mm):
-        covered |= P.down[i]
-    return mask & ~covered == 0
+    return mask & ~lower_closure_mask(P, maximal_mask(P, mask)) == 0
 
 
 def has_ceiling(P: FinitePoset, X: Subset) -> bool:

@@ -31,11 +31,7 @@ import pytest
 
 from corpus import random_frame, random_meet_semilattice, random_poset
 from latkit import fixtures as fx
-from latkit.closure import (
-    closure_system_masks,
-    duality,
-    is_closure_system_mask,
-)
+from latkit.closure import _closure_table, closure_system_masks, duality
 from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check
 from latkit.hmj import _is_filter_mask, enumerate_filters, is_compact_quotient
 from latkit.maps import (
@@ -180,7 +176,7 @@ def assert_frame_routes_match(P):
 
 def reference_closure_system_masks(P):
     return tuple(
-        m for m in range(P.full_mask + 1) if is_closure_system_mask(P, m)
+        m for m in range(P.full_mask + 1) if _closure_table(P, m) is not None
     )
 
 

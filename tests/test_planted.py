@@ -25,7 +25,7 @@ from latkit.heyting import (
     nuclear_core,
 )
 from latkit.hmj import hmj_correspondence, is_nuclear_filter
-from latkit.maps import EndoMap, identity_map, is_scott_continuous
+from latkit.maps import EndoMap, constant_map, identity_map, is_scott_continuous
 from latkit.order import Subset
 from latkit.rules import RuleSet
 
@@ -58,18 +58,79 @@ def _without(masks, drop):
     return tuple(m for m in masks if m != drop)
 
 
+def _plant_carried_tables(monkeypatch, module, edit):
+    # the closure-system descent as module reads it, its list of
+    # (fixpoint mask, table) pairs passed through edit
+    real = module.closure_tables
+    monkeypatch.setattr(
+        module, "closure_tables", lambda Q, *meets: edit(real(Q, *meets))
+    )
+
+
+def _plant_dropped_system(monkeypatch, drop):
+    # a closure-system descent that leaves out the system drop
+    _plant_carried_tables(
+        monkeypatch, closure, lambda pairs: [s for s in pairs if s[0] != drop]
+    )
+
+
 def test_dropped_closure_system_breaks_clsys(monkeypatch):
     P = fx.c3()
     X = Subset.of(P, ["1", "2"])
     assert clsys(X, method="both").mask == X.mask
-    real = closure._closure_system_masks
-    monkeypatch.setattr(
-        closure, "_closure_system_masks", lambda Q: _without(real(Q), X.mask)
-    )
+    _plant_dropped_system(monkeypatch, X.mask)
     P = fx.c3()
     X = Subset.of(P, ["1", "2"])
     with pytest.raises(TheoremBreach):
         clsys(X, method="both")
+
+
+def test_dropped_constant_top_breaks_sccore_scan(
+    monkeypatch, b2_files, tmp_path, capsys
+):
+    # the constant-top operator is Scott continuous, so it is its own
+    # Scott core; without its table the others below it, among them
+    # the operators fixing {a, 1} and {b, 1}, have no greatest member
+    P = fx.b2()
+    gamma = ClosureOperator(constant_map(P, "1"))
+    assert closure.sccore_bruteforce(gamma) == gamma
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps({"table": {x: "1" for x in P.elements}}))
+    argv = ["sccore", b2_files["poset"], str(top)]
+    assert main(argv) == 0
+    _plant_dropped_system(monkeypatch, P.mask_of(["1"]))
+    P = fx.b2()
+    with pytest.raises(TheoremBreach, match="no greatest member"):
+        closure.sccore_bruteforce(ClosureOperator(constant_map(P, "1")))
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def test_dropped_top_only_system_breaks_dcclsys(monkeypatch):
+    # the least directed-closed closure system containing the empty set
+    # is {1}; without it the others intersect to {1} all the same, which
+    # is no longer among them
+    P = fx.b2()
+    assert closure.dcclsys(Subset(P, 0)).labels == ("1",)
+    _plant_dropped_system(monkeypatch, P.mask_of(["1"]))
+    P = fx.b2()
+    with pytest.raises(TheoremBreach, match="no least directed-closed"):
+        closure.dcclsys(Subset(P, 0))
+
+
+def test_swapped_carried_tables_break_closure_enumeration(monkeypatch):
+    # each table is a closure operator, but carried with the other's
+    # fixpoint set
+    P = fx.c3()
+    assert len(closure.enumerate_cl_lattice(P)["closure_operators"]) == 4
+
+    def swapped(pairs):
+        (m0, t0), (m1, t1), *rest = pairs
+        return [(m0, t1), (m1, t0), *rest]
+
+    _plant_carried_tables(monkeypatch, closure, swapped)
+    with pytest.raises(TheoremBreach, match="fixes another set"):
+        closure.enumerate_cl_lattice(fx.c3())
 
 
 def _plant_default_heads(monkeypatch, edit):
@@ -170,12 +231,9 @@ def test_wrong_directed_top_breaks_scott_continuity(
 
 
 def _plant_dropped_nucleus(monkeypatch, fix_mask):
-    # a nuclei builder that leaves out the nucleus with this fixpoint set
-    real = heyting._nuclei
-    monkeypatch.setattr(
-        heyting,
-        "_nuclei",
-        lambda Q: tuple(nu for nu in real(Q) if nu.fix_mask != fix_mask),
+    # a nuclei descent that leaves out the nucleus with this fixpoint set
+    _plant_carried_tables(
+        monkeypatch, heyting, lambda pairs: [s for s in pairs if s[0] != fix_mask]
     )
 
 
@@ -252,16 +310,16 @@ def test_dropped_empty_closed_set_breaks_anti_exchange(monkeypatch):
 
 
 def test_wrong_least_member_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
-    # a least_of that answers the bottom for every nonempty mask sends
-    # left-out elements below themselves, so the descent's leaves fail
-    # their own Nucleus validation: a breach, not bad input
+    # a least_of, where order.closure_tables reads it, that answers the
+    # bottom for every nonempty mask sends left-out elements below
+    # themselves, so the descent's leaves fail their own Nucleus
+    # validation: a breach, not bad input
     assert len(heyting.enumerate_nuclei(fx.b2())) == 4
     argv = ["nuclei", b2_files["poset"]]
     assert main(argv) == 0
+    real = order.least_of
     monkeypatch.setattr(
-        heyting,
-        "least_of",
-        lambda Q, mask: order.bottom_index(Q) if mask else None,
+        order, "least_of", lambda Q, mask: real(Q, Q.full_mask) if mask else None
     )
     with pytest.raises(TheoremBreach) as info:
         heyting.enumerate_nuclei(fx.b2())
@@ -763,20 +821,16 @@ def test_extra_pull_in_pair_breaks_the_antisymmetric_funnel(
 def test_short_closure_table_is_a_breach_not_bad_input(
     monkeypatch, b2_files, capsys
 ):
-    # a closure table that misses its last element makes duality build
-    # an EndoMap that rejects its table: the library built a malformed
-    # value, which is a breach, and the command exits 3
+    # a carried closure table that misses its last element makes the
+    # enumeration build an EndoMap that rejects its table: the library
+    # built a malformed value, which is a breach, and the command exits 3
     argv = ["closure-systems", b2_files["poset"]]
     assert main(argv) == 0
-    real = closure._closure_table
-
-    def planted(Q, mask):
-        table = real(Q, mask)
-        return None if table is None else table[:-1]
-
-    monkeypatch.setattr(closure, "_closure_table", planted)
+    _plant_carried_tables(
+        monkeypatch, closure, lambda pairs: [(m, t[:-1]) for m, t in pairs]
+    )
     with pytest.raises(TheoremBreach) as info:
-        closure.duality(Subset(fx.b2(), fx.b2().full_mask))
+        closure.enumerate_cl_lattice(fx.b2())
     assert isinstance(info.value.__cause__, ValueError)
     assert main(argv) == 3
     assert "map table must cover every element" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from latkit import fixtures as fx  # noqa: E402
 from latkit.closure import (  # noqa: E402
+    _closure_table,
     closure_system_masks,
     clsys,
     dj,
@@ -43,6 +44,7 @@ from latkit.order import (  # noqa: E402
     Subset,
     bits,
     build_poset,
+    closure_tables,
     covers,
     directed_join_faults,
     greatest_of,
@@ -50,6 +52,7 @@ from latkit.order import (  # noqa: E402
     least_closed_above,
     least_closed_table,
     least_of,
+    meet_table,
     popcount,
     upper_sets,
 )
@@ -67,6 +70,7 @@ from test_enumerations import (  # noqa: E402
     assert_frame_routes_match,
     decode_directed_columns,
     nucleus_tables,
+    reference_closure_system_masks,
     reference_default_rules,
     reference_dj,
     reference_frame_of_nuclei,
@@ -142,6 +146,26 @@ def rule_sets(draw):
         )
     )
     return RuleSet(P, [ClosureRule(P, b, h) for b, h in items])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(posets(max_n=7))
+def test_carried_closure_tables_match_the_per_mask_route(P):
+    # the descent lists every closure system once, and the table it
+    # carries is the least member above each element, as the per-mask
+    # check of ClosureSystem computes it
+    pairs = closure_tables(P)
+    assert sorted(m for m, _ in pairs) == list(reference_closure_system_masks(P))
+    for m, t in pairs:
+        assert t == _closure_table(P, m)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(meet_semilattices())
+def test_pruned_descent_tables_match_the_nucleus_filter(P):
+    leaves = closure_tables(P, meet_table(P))
+    leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
+    assert [t for _, t in leaves] == reference_nuclei(P)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
