@@ -30,6 +30,7 @@ from .closure import (
     tarski,
 )
 from .convexity import (
+    CONVEXITY_CAP,
     acyclicity,
     clsys_operator,
     convexity_checks,
@@ -50,6 +51,7 @@ from .order import (
     Subset,
     bottom_index,
     build_poset,
+    check_cap,
     covers,
     is_meet_semilattice,
     top_index,
@@ -628,6 +630,7 @@ def cmd_rules_close(P, rule_file, start, cap):
 def cmd_convexity(P, which, cap):
     """Anti-exchange, funnel, and acyclicity analysis of a poset's
     closure-system operator."""
+    check_cap("convexity analysis", P.n, cap, CONVEXITY_CAP)  # before the 2^n table
     op = clsys_operator(P, cap) if which == "clsys" else dcclsys_operator(P, cap)
     conv = convexity_checks(op, cap)
     acy = acyclicity(op, "poset_order", cap)

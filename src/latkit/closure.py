@@ -57,7 +57,7 @@ from .order import (
     check_cap,
     closure_tables,
     derived,
-    directed_columns,
+    directed_tops_avoiding,
     family_poset,
     is_default_enabled,
     is_default_enabled_within,
@@ -68,7 +68,6 @@ from .order import (
     same_poset,
     subposet,
     trusted,
-    union_of,
     way_down_sets,
 )
 from . import rules as _rules
@@ -447,11 +446,9 @@ def dcclsys(X: Subset, cap: Optional[int] = None) -> ClosureSystem:
 
 def dj(X: Subset, cap: Optional[int] = None) -> Subset:
     """Joins of the directed subsets of X: the tops of the directed
-    sets with no member outside X, read from their bit columns."""
-    P = X.poset
-    members, tops = directed_columns(P, cap)
-    outside = union_of(members, P.full_mask & ~X.mask)
-    return Subset(P, sum(1 << t for t, col in enumerate(tops) if col & ~outside))
+    sets with no member outside X."""
+    full = X.poset.full_mask
+    return Subset(X.poset, directed_tops_avoiding(X.poset, full, full & ~X.mask, cap))
 
 
 def sccore(gamma: ClosureOperator, cap: Optional[int] = None) -> ClosureOperator:

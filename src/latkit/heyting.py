@@ -7,9 +7,10 @@ is inferred from finiteness; each level is checked definitionally, so
 the standard collapses for finite posets show up as results, not
 assumptions.  The check stays exhaustive (every directed subset, every
 subset, every x).  The preframe law is Scott continuity of x meet -,
-decided on the bit columns of the directed subsets, which are listed
-by their maximum (a finite subset is directed iff it is nonempty with
-a maximum; the tests check them against the pairwise definition).
+decided by order.directed_join_faults on the bit columns of the
+directed subsets, listed by their maximum (a finite subset is directed
+iff it is nonempty with a maximum), and checked there against the
+finite shortcut: x meet - is monotone.
 The frame law reads joins, meets and meet images from incremental
 bound and image tables (order.join_meet_tables and order.image_masks),
 in O(n 2^n) table steps rather than a bound scan per subset.
@@ -77,8 +78,8 @@ from .order import (
     check_cap,
     closure_tables,
     derived,
-    directed_columns,
     directed_join_faults,
+    directed_masks,
     distributivity_failure,
     family_poset,
     image_masks,
@@ -111,11 +112,10 @@ def _validate_structure(P: FinitePoset) -> FrameView:
     # preframe: every directed join exists (it does, definitionally
     # confirmed) and each map y -> x meet y preserves directed joins.
     # The witness is the least failing (subset, x), read off the columns.
-    members, _ = directed_columns(P, n)
     failed = [
-        (sum(1 << i for i, m in enumerate(members) if m >> k & 1), x)
+        (dmask, x)
         for x in range(n)
-        for k in bits(directed_join_faults(P, mt[x], n))
+        for dmask in directed_masks(P, directed_join_faults(P, mt[x], n))
     ]
     if failed:
         dmask, x = min(failed)

@@ -12,8 +12,8 @@ verifies every promised identity; a single failure raises.
 
 The exhaustive route does each piece of work once.  Filters are picked
 from the upper sets, listed by a descent rather than a scan of every
-subset.  Scott-openness and compactness quantify over every directed
-subset at once, on the bit columns of order.directed_columns.  The
+subset.  Scott-openness and compactness are each one call of
+order.directed_tops_avoiding, a query over every directed subset.  The
 fitted nucleus of a kernel is built once per poset and kept, while
 every fitting call still checks the membership lemma and that the
 fitting lies below its nucleus.
@@ -48,7 +48,7 @@ from .order import (
     bits,
     check_cap,
     derived,
-    directed_columns,
+    directed_tops_avoiding,
     image_masks,
     join_meet_tables,
     meet_table,
@@ -57,7 +57,6 @@ from .order import (
     subposet,
     top_index,
     trusted,
-    union_of,
     upper_closure_mask,
     upper_sets,
 )
@@ -291,16 +290,12 @@ def is_compact_quotient(
 ) -> bool:
     """The quotient frame of nu is compact: a directed family of
     fixpoints whose quotient join is the top must contain the top.
-    Decided over every directed subset at once, on its bit columns."""
+    The quotient join of a directed D of fixpoints is nu(max D)."""
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
-    t = top_index(P)
-    members, tops = directed_columns(P, cap)
-    # the directed sets whose quotient join is the top ...
-    to_top = union_of(tops, nu.preimage_mask(1 << t))
-    # ... and that contain the top or a non-fixpoint
-    leaves = union_of(members, P.full_mask & ~nu.fix_mask | 1 << t)
-    return not to_top & ~leaves
+    top = 1 << top_index(P)
+    leaves = P.full_mask & ~nu.fix_mask | top  # a non-fixpoint or the top
+    return not directed_tops_avoiding(P, nu.preimage_mask(top), leaves, cap)
 
 
 def quotient_frame_check(

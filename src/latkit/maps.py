@@ -1,10 +1,10 @@
 """Endomaps of a finite poset: classification, algebra, fixpoint sets.
 
 A map is a total table from element indices to element indices.  The
-classification predicates are definitional; where a finite shortcut is
-known to coincide with a definitional property (Scott continuity versus
-increasing), both are computed and compared, and disagreement is an
-internal error rather than a judgement call.
+classification predicates are definitional.  Scott continuity and the
+other quantifiers over directed subsets each call one column primitive
+of order.py, which checks its answer against the finite shortcut and
+raises TheoremBreach when the two differ.
 """
 
 from __future__ import annotations
@@ -14,21 +14,20 @@ from functools import reduce
 from operator import and_, getitem
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidValue, ParseError, agree
+from .errors import InvalidValue, ParseError
 from .order import (
     FinitePoset,
     Subset,
     bits,
-    derived,
-    directed_columns,
     directed_join_faults,
+    directed_tops_avoiding,
     family_poset,
+    is_monotone,
     join_of,
     meet_of,
     meet_table,
     same_poset,
     spread,
-    union_of,
 )
 
 
@@ -126,22 +125,9 @@ def is_descending(f: EndoMap) -> bool:
     return all(f.poset.le[v] >> i & 1 for i, v in enumerate(f.table))
 
 
-def _strict_ups(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """ups[i] = the indices strictly above i, ascending."""
-    return tuple(tuple(bits(row & ~(1 << i))) for i, row in enumerate(P.le))
-
-
 def is_increasing(f: EndoMap) -> bool:
     """x <= y implies f(x) <= f(y)."""
-    P = f.poset
-    le = P.le
-    t = f.table
-    for i, ups in enumerate(derived(P, _strict_ups)):
-        row = le[t[i]]
-        for j in ups:
-            if not row >> t[j] & 1:
-                return False
-    return True
+    return is_monotone(f.poset, f.table)
 
 
 def is_idempotent(f: EndoMap) -> bool:
@@ -153,25 +139,16 @@ def is_preclosure(f: EndoMap) -> bool:
     return is_ascending(f) and is_increasing(f)
 
 
-def scott_continuous_definitional(f: EndoMap, cap: Optional[int] = None) -> bool:
+def is_scott_continuous(f: EndoMap, cap: Optional[int] = None) -> bool:
     """f preserves every existing directed join.
 
     For each directed D the image f(D) must have a join and it must be
     f(join D).  On a finite poset every directed set has a join, namely
-    its maximum, so the quantification runs over all directed subsets.
+    its maximum, so the quantification runs over all directed subsets;
+    order.directed_join_faults checks it against the finite shortcut,
+    being increasing.
     """
     return not directed_join_faults(f.poset, f.table, cap)
-
-
-def is_scott_continuous(f: EndoMap, cap: Optional[int] = None) -> bool:
-    """Definitional Scott continuity, cross-checked against the finite
-    shortcut (continuity coincides with being increasing)."""
-    return agree(
-        "Scott continuity",
-        f,
-        definitional=scott_continuous_definitional(f, cap),
-        shortcut=is_increasing(f),
-    )
 
 
 def preserves_binary_meets(f: EndoMap) -> Optional[bool]:
@@ -353,17 +330,11 @@ def inversely_closed_under(A: Subset, maps: Iterable[EndoMap]) -> bool:
 
 def directed_closed(A: Subset, cap: Optional[int] = None) -> bool:
     """A contains the join of each of its directed subsets: no directed
-    set that avoids the complement of A has its maximum outside A.
-    Decided over every directed subset at once, on its bit columns."""
-    P = A.poset
-    members, tops = directed_columns(P, cap)
-    out = P.full_mask & ~A.mask
-    return not union_of(tops, out) & ~union_of(members, out)
+    set that avoids the complement of A has its maximum outside A."""
+    out = A.poset.full_mask & ~A.mask
+    return not directed_tops_avoiding(A.poset, out, out, cap)
 
 
 def inaccessible_by_directed_joins(A: Subset, cap: Optional[int] = None) -> bool:
-    """No directed set outside A has its join inside A.  Decided over
-    every directed subset at once, on its bit columns."""
-    P = A.poset
-    members, tops = directed_columns(P, cap)
-    return not union_of(tops, A.mask) & ~union_of(members, A.mask)
+    """No directed set outside A has its join inside A."""
+    return not directed_tops_avoiding(A.poset, A.mask, A.mask, cap)

@@ -24,13 +24,14 @@ from .errors import (
     InvalidValue,
     MixedPosets,
     UnknownLabel,
+    agree,
 )
 
-# Default ceilings for the two exponential enumerations.  Every operation
-# that walks 2^n subsets, or quantifies over directed subsets, checks one
-# of these first and raises CapExceeded instead of running hot.
+# Default ceiling for the exponential enumerations.  Every operation
+# that walks 2^n subsets, or quantifies over directed subsets (a row of
+# directed_columns has fewer than 2^n bits), checks it first and raises
+# CapExceeded instead of running hot.
 SUBSET_CAP = 14
-DIRECTED_CAP = 12
 
 
 def check_cap(operation: str, size: int, cap: Optional[int], default: int) -> None:
@@ -672,7 +673,7 @@ def directed_subsets(P: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[i
     subsets reads directed_columns.  It stays the public enumeration
     and the tests' reference for the columns.
     """
-    check_cap("directed-subset enumeration", P.n, cap, DIRECTED_CAP)
+    check_cap("directed-subset enumeration", P.n, cap, SUBSET_CAP)
     return derived(P, _directed_subsets)
 
 
@@ -712,10 +713,26 @@ def directed_columns(
     them, so each column is a periodic bit pattern per block.  A
     quantifier over every directed subset is then a few ORs and ANDs of
     these columns.  This call is the cap gate of every quantifier over
-    directed subsets.
+    directed subsets; only the two primitives below read the columns,
+    and directed_masks decodes the positions they return.
     """
-    check_cap("directed-subset enumeration", P.n, cap, DIRECTED_CAP)
+    check_cap("directed-subset enumeration", P.n, cap, SUBSET_CAP)
     return derived(P, _directed_columns)
+
+
+def directed_tops_avoiding(
+    P: FinitePoset, tops: int, avoid: int, cap: Optional[int] = None
+) -> int:
+    """The t in tops that are the maximum of some directed subset with
+    no member in avoid, as a mask, read from the columns.  Checked
+    against the finite collapse: a directed subset holds its maximum,
+    and {t} is directed, so the answer is tops & ~avoid."""
+    members, top_cols = directed_columns(P, cap)
+    missed = ~union_of(members, avoid)
+    found = sum(1 << t for t in bits(tops) if top_cols[t] & missed)
+    return agree(
+        "tops of directed subsets", P, columns=found, finite_collapse=tops & ~avoid
+    )
 
 
 def directed_join_faults(
@@ -725,7 +742,9 @@ def directed_join_faults(
     image under i -> table[i] lacks the join table[t], t the top of D:
     a member maps outside the down row of table[t], or none maps into
     its up row.  That is the law when t is in D, and a column whose
-    top is not a member fails, so a broken enumeration still shows."""
+    top is not a member fails, so a broken enumeration still shows.
+    Checked against the finite collapse: as D holds its maximum, there
+    is no fault iff the map is monotone."""
     members, tops = directed_columns(P, cap)
     faults = 0
     for t, v in enumerate(table):
@@ -736,27 +755,50 @@ def directed_join_faults(
             if P.le[v] >> w & 1:
                 inside |= members[i]
         faults |= tops[t] & (outside | ~inside)
+    agree(
+        "Scott continuity", table, columns=not faults, monotone=is_monotone(P, table)
+    )
     return faults
 
 
+def _strict_ups(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    """ups[i] = the indices strictly above i, ascending."""
+    return tuple(tuple(bits(row & ~(1 << i))) for i, row in enumerate(P.le))
+
+
+def is_monotone(P: FinitePoset, table: Sequence[int]) -> bool:
+    """x <= y implies table[x] <= table[y]."""
+    le = P.le
+    for i, ups in enumerate(derived(P, _strict_ups)):
+        row = le[table[i]]
+        for j in ups:
+            if not row >> table[j] & 1:
+                return False
+    return True
+
+
+def directed_masks(P: FinitePoset, positions: int) -> list[int]:
+    """The member masks of the directed subsets at these positions of
+    directed_columns, which a gated read of the columns returned."""
+    members, _ = derived(P, _directed_columns)
+    return [
+        sum(1 << i for i, m in enumerate(members) if m >> k & 1)
+        for k in bits(positions)
+    ]
+
+
 def _way_below(P: FinitePoset) -> tuple[int, ...]:
-    """wb[x] = mask of all y with x way below y: x <= y, and no directed
-    set with join at or above y misses the upper set of x."""
-    members, tops = derived(P, _directed_columns)
-    reach = spread(tops, P.down)  # the directed sets with join at or above y
-    wb = []
-    for x in range(P.n):
-        hit = union_of(members, P.le[x])
-        out = 0
-        for y in bits(P.le[x]):
-            if not reach[y] & ~hit:
-                out |= 1 << y
-        wb.append(out)
-    return tuple(wb)
+    """wb[x] = mask of all y with x way below y: no directed set that
+    misses the upper set of x has its maximum at or above y."""
+    full = P.full_mask
+    return tuple(
+        full & ~lower_closure_mask(P, directed_tops_avoiding(P, full, up, P.n))
+        for up in P.le
+    )
 
 
 def way_below_relation(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
-    check_cap("way-below relation", P.n, cap, DIRECTED_CAP)
+    check_cap("way-below relation", P.n, cap, SUBSET_CAP)
     return derived(P, _way_below)
 
 
@@ -842,23 +884,15 @@ def is_default_enabled_within(
 
     Two conditions: (i) within A, every set of lower bounds taken in A
     has a ceiling; (ii) for every x in P the part of A at or below x has
-    a ceiling.
+    a ceiling.  Each distinct set is checked once; those of (i) are
+    bound_sets over the down rows of A's members, cut to A.
     """
     same_poset(P, A.poset)
     check_cap("relative default-enabledness", popcount(A.mask), cap, SUBSET_CAP)
-    amask = A.mask
-    sub = list(bits(amask))
-    for k in range(1 << len(sub)):
-        lb = amask
-        for pos, i in enumerate(sub):
-            if k >> pos & 1:
-                lb &= P.down[i]
-        if not has_ceiling_mask(P, lb):
-            return False
-    for x in range(P.n):
-        if not has_ceiling_mask(P, P.down[x] & amask):
-            return False
-    return True
+    rows = [P.down[i] for i in bits(A.mask)]
+    parts = {b & A.mask for b in bound_sets(P, rows)}
+    parts.update(row & A.mask for row in P.down)
+    return all(has_ceiling_mask(P, part) for part in parts)
 
 
 def enabledness(P: FinitePoset, X: Optional[Subset] = None, cap: Optional[int] = None) -> dict:

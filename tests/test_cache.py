@@ -102,4 +102,4 @@ def test_directed_quantifiers_build_no_subset_list():
     assert order._directed_columns in P._derived
     assert order._directed_subsets not in P._derived
     with pytest.raises(CapExceeded, match="^directed-subset enumeration: "):
-        directed_columns(fx.chain(13))
+        directed_columns(fx.chain(15))

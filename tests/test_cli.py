@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from latkit.cli import main
+from latkit import convexity
+from latkit.cli import _cap_value, load_map, load_poset, load_rules, main
+from latkit.errors import ParseError
 from latkit.heyting import implication_table
 from latkit.order import build_poset
 
@@ -197,6 +199,98 @@ def test_hmj_command_on_the_5x3_grid(tmp_path, capsys):
         assert sorted(doc["pairs"], key=key) == sorted(want, key=key)
 
 
+def test_hmj_command_on_the_2x7_grid_at_the_default_cap(tmp_path, capsys):
+    # 14 elements: the frame check and the directed quantifiers share
+    # one cap, so no quantifier refuses after the frame check has run
+    labels = [f"{i}{j}" for i in range(7) for j in range(2)]
+    pairs = [(f"{i}{j}", f"{i + 1}{j}") for i in range(6) for j in range(2)]
+    pairs += [(f"{i}0", f"{i}1") for i in range(7)]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"elements": labels, "le": pairs}))
+    rc, out, _ = run(capsys, ["hmj", str(path)])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["count"] == 14 and doc["antiisomorphism_verified"]
+
+
+def test_convexity_refuses_before_it_builds(files, capsys, monkeypatch):
+    # an 11-element poset is past the convexity cap; the command must
+    # refuse before it builds the 2^n-entry operator
+    def planted(*args):
+        raise AssertionError("the powerset operator was built")
+
+    monkeypatch.setattr(convexity, "least_closed_table", planted)
+    path = files["dir"] / "chain11.json"
+    chain = [str(i) for i in range(11)]
+    path.write_text(json.dumps({"elements": chain, "le": list(zip(chain, chain[1:]))}))
+    for operator in ("clsys", "dcclsys"):
+        rc, _, err = run(capsys, ["convexity", str(path), "--operator", operator])
+        assert rc == 2
+        assert "convexity analysis: size 11 exceeds cap 10" in err
+
+
+B2_IDENTITY = {"0": "0", "a": "a", "b": "b", "1": "1"}
+
+# (reader, file content or LATKIT_CAP value, message); a str file
+# content is written as is
+BAD_INPUTS = {
+    "malformed-json": (
+        "poset", "{", "{path}:1:2: Expecting property name enclosed in double quotes"
+    ),
+    "poset-not-object": ("poset", [], "{path}: poset file must be a JSON object"),
+    "elements": (
+        "poset", {"elements": ["a", 1]}, "{path}: field 'elements' must be a list of strings"
+    ),
+    "le-not-list": (
+        "poset", {"elements": ["a"], "le": {}},
+        "{path}: field 'le' must be a list of [lesser, greater] pairs",
+    ),
+    "le-entry": (
+        "poset", {"elements": ["a"], "le": [["a"]]}, "{path}: 'le' entry 0 is not a pair of labels"
+    ),
+    "map-not-object": ("map", [], "{path}: map file must be an object with a 'table' field"),
+    "map-values": ("map", {"table": {"0": 0}}, "{path}: 'table' must map labels to labels"),
+    "map-name": ("map", {"name": 1, "table": B2_IDENTITY}, "{path}: 'name' must be a string"),
+    "rules-not-list": ("rules", {}, "{path}: rule file must be a JSON list"),
+    "rule-head": (
+        "rules", [{"body": []}], "{path}: rule 0 must be an object with 'body' and 'head'"
+    ),
+    "rule-body": (
+        "rules", [{"body": "a", "head": "a"}], "{path}: rule 0 'body' must be a list of labels"
+    ),
+    "cap-zero": ("cap", "0", "LATKIT_CAP must be at least 1, got '0'"),
+    "cap-negative": ("cap", "-3", "LATKIT_CAP must be at least 1, got '-3'"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_is_a_parse_error(tmp_path, monkeypatch, name):
+    reader, doc, message = BAD_INPUTS[name]
+    path = tmp_path / "input.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    monkeypatch.setenv("LATKIT_CAP", doc if reader == "cap" else "")
+    P = build_poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    read = {
+        "poset": lambda: load_poset(str(path)),
+        "map": lambda: load_map(P, str(path)),
+        "rules": lambda: load_rules(P, str(path)),
+        "cap": lambda: _cap_value(None, False, P.n),
+    }[reader]
+    with pytest.raises(ParseError) as info:
+        read()
+    assert str(info.value) == message.format(path=path)
+
+
+def test_validate_text_shows_the_structure_witness(tmp_path, capsys):
+    # the diamond is a lattice whose meets do not distribute over joins
+    path = tmp_path / "diamond.json"
+    pairs = [["0", x] for x in "abc"] + [[x, "1"] for x in "abc"]
+    path.write_text(json.dumps({"elements": ["0", "a", "b", "c", "1"], "le": pairs}))
+    rc, out, _ = run(capsys, ["validate", str(path), "--format", "text"])
+    assert rc == 0
+    assert "structure: preframe\nwitness: meet with 'a' does not distribute" in out
+
+
 def test_rules_commands(files, capsys):
     rc, out, _ = run(capsys, ["rules", "default", files["c3"]])
     assert rc == 0
@@ -369,7 +463,7 @@ def test_force_reaches_every_check(files, capsys, monkeypatch, command):
     assert rc == 0
     for name, mod in list(sys.modules.items()):
         if name.startswith("latkit"):
-            for cap in ("SUBSET_CAP", "DIRECTED_CAP", "CONVEXITY_CAP"):
+            for cap in ("SUBSET_CAP", "CONVEXITY_CAP"):
                 if hasattr(mod, cap):
                     monkeypatch.setattr(mod, cap, 6)
     rc, _, _ = run(capsys, argv)

@@ -213,6 +213,15 @@ def test_sccore_collapses_finitely():
             assert sccore_bruteforce(gamma).table == gamma.table
 
 
+def test_scott_core_scan_runs_under_the_one_cap():
+    # 13 elements: within the subset cap that also guards the directed
+    # columns, so both Scott-core routes answer at the default cap
+    P = fx.chain(13)
+    gamma = ClosureOperator(identity_map(P))
+    assert sccore_bruteforce(gamma).table == gamma.table
+    assert sccore(gamma).table == gamma.table
+
+
 def test_tarski_on_example():
     P = fx.c3()
     g = EndoMap.from_labels(P, {"0": "1", "1": "2", "2": "2"})

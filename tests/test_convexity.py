@@ -9,6 +9,7 @@ from corpus import random_poset
 from latkit import (
     CapExceeded,
     InputError,
+    NotAPreorder,
     PowersetOperator,
     acyclicity,
     clsys,
@@ -253,6 +254,39 @@ def test_rule_closure_operator_at_fourteen_elements():
     P = fx.chain(14)
     op = rule_closure_operator(default_rules(P, cap=14), cap=14)
     assert op.table == clsys_operator(P, cap=14).table
+
+
+BAD_OPERATORS = {
+    "not ascending": (lambda m: 0, "t: not ascending at {0}"),
+    "not idempotent": ((1, 3, 7, 7, 7, 7, 7, 7).__getitem__, "t: not idempotent at {}"),
+    "not monotone": (
+        (3, 1, 7, 3, 7, 7, 7, 7).__getitem__, "t: not monotone when adding '0' to {}"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_OPERATORS))
+def test_powerset_operator_rejects_broken_laws(name):
+    fn, message = BAD_OPERATORS[name]
+    with pytest.raises(InputError) as info:
+        PowersetOperator(fx.c3(), "t", fn)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((1, 3), "one row mask per element is required"),
+        ((1, 3, 12), "row mask outside the universe"),
+        ((1, 0, 4), "not reflexive at '1'"),
+        ((0b011, 0b110, 0b100), "not transitive at '0' <= '1'"),
+    ],
+    ids=["length", "outside", "reflexive", "transitive"],
+)
+def test_funnel_candidate_must_be_a_preorder(rows, message):
+    with pytest.raises(NotAPreorder) as info:
+        funnel_check(clsys_operator(fx.c3()), rows)
+    assert str(info.value) == message
 
 
 def test_convexity_cap_guard():

@@ -27,8 +27,10 @@ from latkit import (
     way_below_set,
 )
 from latkit import fixtures as fx
-from latkit.errors import MixedPosets
+from latkit import order
+from latkit.errors import InvalidValue, MixedPosets
 from latkit.order import (
+    FinitePoset,
     bits,
     bottom_index,
     covers,
@@ -171,10 +173,10 @@ def test_directed_subsets_have_maxima():
 
 
 def test_directed_cap_guard():
-    P = fx.chain(13)
+    P = fx.chain(15)
     with pytest.raises(CapExceeded):
         directed_subsets(P)
-    assert len(directed_subsets(P, cap=13)) > 0
+    assert len(directed_subsets(P, cap=15)) > 0
 
 
 def test_way_below_collapses_to_leq():
@@ -203,6 +205,61 @@ def test_finite_posets_are_default_enabled():
         assert is_default_enabled_within(P, X)
     rep = enabledness(fx.b2())
     assert rep["is_default_enabled"]
+
+
+def test_relative_enabledness_checks_each_lower_bound_set_once(monkeypatch):
+    # every lower-bound set taken in A, and A's part below each x, is
+    # asked about once: the 2^|A| loop over A's members is the reference
+    rng = random.Random(8)
+    for _ in range(25):
+        P = random_poset(rng, rng.randrange(1, 7))
+        A = Subset(P, rng.randrange(P.full_mask + 1))
+        assert enabledness(P, A) == {
+            "is_default_enabled": True,
+            "has_ceiling": True,
+            "is_default_enabled_within": True,
+        }
+        members = list(bits(A.mask))
+        want = {row & A.mask for row in P.down}
+        for k in range(1 << len(members)):
+            lb = A.mask
+            for pos, i in enumerate(members):
+                if k >> pos & 1:
+                    lb &= P.down[i]
+            want.add(lb)
+        asked = []
+        monkeypatch.setattr(order, "has_ceiling_mask", lambda Q, m: not asked.append(m))
+        assert is_default_enabled_within(P, A)
+        monkeypatch.undo()
+        assert sorted(asked) == sorted(want)
+
+
+BAD_VALUES = {
+    "duplicate": (lambda: FinitePoset(("a", "a"), (1, 2)), DuplicateLabel,
+                  "duplicate element label 'a'"),
+    "rows": (lambda: FinitePoset(("a",), ()), InvalidValue,
+             "le must have one row mask per element"),
+    "outside": (lambda: FinitePoset(("a",), (3,)), InvalidValue,
+                "le row refers to elements outside the poset"),
+    "reflexive": (lambda: FinitePoset(("a", "b"), (1, 0)), InvalidValue,
+                  "order must be reflexive; missing 'b'"),
+    "antisymmetric": (lambda: FinitePoset(("a", "b"), (3, 3)), InvalidValue,
+                      "order not antisymmetric between 'a' and 'b'"),
+    "transitive": (lambda: FinitePoset(("a", "b", "c"), (3, 6, 4)), InvalidValue,
+                   "order not transitive at 'a' <= 'b'"),
+    "subset": (lambda: Subset(fx.c2(), 4), InvalidValue,
+               "subset mask outside the poset"),
+    "index": (lambda: Subset.from_indices(fx.c2(), [0, 2]), InvalidValue,
+              "element index 2 out of range"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_VALUES))
+def test_bad_poset_values_are_rejected(name):
+    build, error, message = BAD_VALUES[name]
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_meet_table_presence():

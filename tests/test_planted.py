@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from latkit import fixtures as fx
-from latkit import cli, closure, convexity, heyting, hmj, order, rules
+from latkit import cli, closure, convexity, heyting, hmj, maps, order, rules
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
 from latkit.errors import InputError, TheoremBreach
@@ -199,19 +199,13 @@ def test_wrong_double_implication_breaks_nuc_map(monkeypatch):
     assert routes["nucsys"].labels == ("a", "1")
 
 
-def test_wrong_directed_top_breaks_scott_continuity(
-    monkeypatch, b2_files, capsys
-):
-    P = fx.b2()
-    f = identity_map(P)
-    assert is_scott_continuous(f)
-    argv = ["sccore", b2_files["poset"], b2_files["gam"]]
-    assert main(argv) == 0
+def _plant_moved_directed_top(monkeypatch):
+    # on b2, the column of {0, a} is moved from top a to top 1
     real = order._directed_columns
+    P = fx.b2()
     d, a, top = P.mask_of(["0", "a"]), P.index("a"), P.index("1")
 
     def planted(Q):
-        # the column of {0, a} is moved from top a to top 1
         members, tops = real(Q)
         col = tops[a]
         for i, m in enumerate(members):
@@ -222,12 +216,63 @@ def test_wrong_directed_top_breaks_scott_continuity(
         return members, tuple(tops)
 
     monkeypatch.setattr(order, "_directed_columns", planted)
+
+
+def test_wrong_directed_top_breaks_scott_continuity(
+    monkeypatch, b2_files, capsys
+):
+    P = fx.b2()
+    f = identity_map(P)
+    assert is_scott_continuous(f)
+    argv = ["sccore", b2_files["poset"], b2_files["gam"]]
+    assert main(argv) == 0
+    assert main(["hmj", b2_files["poset"]]) == 0
+    _plant_moved_directed_top(monkeypatch)
     P = fx.b2()
     f = identity_map(P)
     with pytest.raises(TheoremBreach):
         is_scott_continuous(f)
     assert main(argv) == 3
+    assert main(["hmj", b2_files["poset"]]) == 3
     capsys.readouterr()
+
+
+# Every quantifier over directed subsets, each asked a question whose
+# answer on b2 reads the moved column, and the column primitive it
+# calls, which must raise where the columns and the finite collapse
+# part.
+TOPS, SCOTT = "tops of directed subsets", "Scott continuity"
+DIRECTED_QUANTIFIERS = {
+    "directed_closed": (
+        lambda P: maps.directed_closed(Subset.of(P, ["0", "a"])), TOPS
+    ),
+    "inaccessible": (
+        lambda P: maps.inaccessible_by_directed_joins(Subset.of(P, ["1"])), TOPS
+    ),
+    "dj": (lambda P: closure.dj(Subset.of(P, ["0", "a"])), TOPS),
+    "compact_quotient": (
+        lambda P: hmj.is_compact_quotient(
+            P, Nucleus(ClosureOperator(identity_map(P)))
+        ),
+        TOPS,
+    ),
+    "way_below": (order.way_below_relation, TOPS),
+    "scott_continuity": (lambda P: is_scott_continuous(identity_map(P)), SCOTT),
+    "structure": (heyting._validate_structure, SCOTT),  # the builder, uncached
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECTED_QUANTIFIERS))
+def test_wrong_directed_top_breaks_each_directed_quantifier(monkeypatch, name):
+    ask, primitive = DIRECTED_QUANTIFIERS[name]
+    ask(fx.b2())
+    P = fx.b2()
+    # kept on P, so the frame gate in front of a quantifier reads the
+    # real columns and the quantifier itself reads the planted ones
+    assert heyting.validate_structure(P).level == "frame"
+    _plant_moved_directed_top(monkeypatch)
+    with pytest.raises(TheoremBreach, match=f"^routes disagree on {primitive} "):
+        ask(P)
 
 
 def _plant_dropped_nucleus(monkeypatch, fix_mask):

@@ -34,9 +34,9 @@ from latkit.convexity import (  # noqa: E402
 from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check  # noqa: E402
 from latkit.maps import (  # noqa: E402
     EndoMap,
+    is_increasing,
     is_scott_continuous,
     pointwise_leq,
-    scott_continuous_definitional,
     value_rows,
 )
 from latkit.order import (  # noqa: E402
@@ -47,6 +47,7 @@ from latkit.order import (  # noqa: E402
     closure_tables,
     covers,
     directed_join_faults,
+    directed_tops_avoiding,
     greatest_of,
     join_irreducibles,
     least_closed_above,
@@ -244,9 +245,28 @@ def test_directed_join_faults_match_the_scott_loop(case):
     got = sorted(decoded[k][0] for k in bits(faults))
     assert got == reference_scott_faults(P, table)
     f = EndoMap(P, table)
-    assert scott_continuous_definitional(f, P.n) == reference_scott_continuous(f)
+    assert is_scott_continuous(f, P.n) == reference_scott_continuous(f)
+    assert is_increasing(f) == reference_scott_continuous(f)
     for m in range(P.full_mask + 1):
         assert dj(Subset(P, m), P.n).mask == reference_dj(P, m)
+
+
+@st.composite
+def posets_with_two_masks(draw):
+    P = draw(posets(max_n=7))
+    masks = st.integers(0, P.full_mask)
+    return P, draw(masks), draw(masks)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(posets_with_two_masks())
+def test_directed_tops_avoiding_matches_the_decoded_columns(case):
+    P, tops, avoid = case
+    want = 0
+    for dmask, top in decode_directed_columns(P):
+        if tops >> top & 1 and not dmask & avoid:
+            want |= 1 << top
+    assert directed_tops_avoiding(P, tops, avoid, P.n) == want
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -25,7 +25,7 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit.convexity import clsys_operator
-from latkit.errors import NotMeetSemilattice
+from latkit.errors import InvalidValue, NotMeetSemilattice
 from latkit.rules import default_rules, rule_closure_mask
 
 
@@ -191,6 +191,18 @@ def test_nuclear_enabledness_on_fixtures():
     assert is_nuclear_enabled(fx.b2())
     assert is_nuclear_enabled(fx.topfree())
     assert is_nuclear_enabled(fx.diamond())
+    assert not is_nuclear_enabled(fx.v4())  # c and d have no meet
+
+
+@pytest.mark.parametrize(
+    "body_mask, head, message",
+    [(8, 0, "rule body outside the poset"), (0, 3, "rule head outside the poset")],
+    ids=["body", "head"],
+)
+def test_closure_rule_outside_the_poset_is_rejected(body_mask, head, message):
+    with pytest.raises(InvalidValue) as info:
+        ClosureRule(fx.c3(), body_mask, head)
+    assert str(info.value) == message
 
 
 def test_rule_with_unknown_labels_rejected():
