@@ -405,6 +405,9 @@ def clsys(
 
     method 'enumerate' intersects all systems containing X; 'both' also
     closes X under the poset's default rules and insists the two agree.
+    That second route reads only the principal bodies
+    (rules.default_closure_mask), in polynomial time, not the 2^n-entry
+    rule index.
     """
     P = X.poset
     if method not in ("enumerate", "both"):
@@ -417,7 +420,7 @@ def clsys(
             "least closure system",
             X,
             system_intersection=result.subset,
-            default_rules=_rules.rule_closure(_rules.default_rules(P, cap), X),
+            default_rules=Subset(P, _rules.default_closure_mask(P, X.mask)),
         )
     return result
 

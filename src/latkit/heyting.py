@@ -55,7 +55,6 @@ from .errors import (
 )
 from .closure import (
     ClosureOperator,
-    clsys,
     generate_closure,
     is_closure_system,
 )
@@ -86,6 +85,7 @@ from .order import (
     join_meet_tables,
     join_of,
     least_closed_above,
+    meet_closure,
     meet_of,
     meet_table,
     popcount,
@@ -396,8 +396,11 @@ def is_nuclear_system(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> b
 
 def nucsys(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Subset:
     """Least nuclear system containing X, computed twice and compared:
-    the intersection of the nuclear systems containing X, and clsys of
-    the implication image L => X.
+    the intersection of the nuclear systems containing X, and the least
+    closure system holding the implication image L => X.  A frame is a
+    finite lattice, where the closure systems are the meet-closed sets
+    that hold the top, so the second route is order.meet_closure of
+    that image and lists no closure system.
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
@@ -407,12 +410,12 @@ def nucsys(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Subset:
         raise TheoremBreach(
             "intersection of nuclear systems is not a nuclear system"
         )
-    formula = clsys(Subset(P, union_of(derived(P, _impl_columns), X.mask)), cap)
+    formula = meet_closure(P, union_of(derived(P, _impl_columns), X.mask))
     return agree(
         "least nuclear system",
         X,
         intersection=Subset(P, inter),
-        implication_formula=formula.subset,
+        implication_formula=Subset(P, formula),
     )
 
 

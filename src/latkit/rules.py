@@ -292,11 +292,39 @@ def default_rules(P: FinitePoset, cap: Optional[int] = None) -> RuleSet:
     return derived(P, _default_rules)
 
 
+def _default_heads(P: FinitePoset, body: int) -> int:
+    # the heads of body's default rules: its maximal lower bounds
+    return maximal_mask(P, lower_bounds_mask(P, body))
+
+
 def is_default_rule(P: FinitePoset, body: Subset, head: str) -> bool:
     same_poset(P, body.poset)
-    h = P.index(head)
-    lb = lower_bounds_mask(P, body.mask)
-    return bool(maximal_mask(P, lb) >> h & 1)
+    return bool(_default_heads(P, body.mask) >> P.index(head) & 1)
+
+
+def default_closure_mask(P: FinitePoset, mask: int) -> int:
+    """Least superset of mask obeying every default rule, read from the
+    principal bodies alone: each round adds the maximal lower bounds of
+    mask & P.le[x] for every x, until a round adds nothing.  At most n
+    rounds of n bodies, and no rule index is built.
+
+    Why the principal bodies suffice: let M be closed under the rules
+    whose bodies are M & up(x), and let m be a maximal lower bound of
+    some body B inside M.  U = M & up(m) has a least element u: m is a
+    lower bound of U, so some maximal lower bound of U lies above m;
+    it is in M, hence in U.  B lies inside U, so u is a lower bound of
+    B with u >= m; m is maximal, so u = m and m is in M.  The result
+    therefore obeys every default rule, and each element it adds is
+    the head of one, so it equals rule_closure_mask(default_rules(P),
+    mask).
+    """
+    while True:
+        grown = mask
+        for up in P.le:
+            grown |= _default_heads(P, mask & up)
+        if grown == mask:
+            return mask
+        mask = grown
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit import order
-from latkit.errors import InvalidValue, MixedPosets
+from latkit.errors import InvalidValue, MixedPosets, NotMeetSemilattice
 from latkit.order import (
     FinitePoset,
     bits,
@@ -42,6 +42,7 @@ from latkit.order import (
     join_of,
     least_of,
     lower_closure_mask,
+    meet_closure,
     meet_of,
     meet_table,
     same_poset,
@@ -271,6 +272,13 @@ def test_meet_table_presence():
     P = fx.b2()
     a, b = P.index("a"), P.index("b")
     assert mt[a][b] == P.index("0")
+
+
+@pytest.mark.parametrize("name", ["topfree", "v4"])
+def test_meet_closure_needs_a_top_and_pairwise_meets(name):
+    # topfree has every pairwise meet but no top; v4 lacks both
+    with pytest.raises(NotMeetSemilattice):
+        meet_closure(getattr(fx, name)(), 0)
 
 
 def test_subposet_keeps_relative_order():

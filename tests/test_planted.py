@@ -27,7 +27,6 @@ from latkit.heyting import (
 from latkit.hmj import hmj_correspondence, is_nuclear_filter
 from latkit.maps import EndoMap, constant_map, identity_map, is_scott_continuous
 from latkit.order import Subset
-from latkit.rules import RuleSet
 
 
 @pytest.fixture
@@ -134,12 +133,13 @@ def test_swapped_carried_tables_break_closure_enumeration(monkeypatch):
 
 
 def _plant_default_heads(monkeypatch, edit):
-    # a default-rule builder whose body-to-heads index is edited
-    real = rules._default_rules
+    # the default-rule heads that the principal-body closure reads, each
+    # body's entry passed through edit as a one-entry body-to-heads index
+    real = rules._default_heads
     monkeypatch.setattr(
         rules,
-        "_default_rules",
-        lambda Q: RuleSet._indexed(Q, edit(dict(real(Q)._heads))),
+        "_default_heads",
+        lambda Q, body: edit({body: real(Q, body)}).get(body, 0),
     )
 
 
@@ -176,7 +176,7 @@ def test_wrong_head_breaks_default_rules(monkeypatch):
 
 def test_identity_rule_closure_breaks_clsys(monkeypatch):
     _assert_clean_empty_set()
-    monkeypatch.setattr(rules, "rule_closure_mask", lambda R, mask: mask)
+    monkeypatch.setattr(rules, "default_closure_mask", lambda Q, mask: mask)
     routes = _empty_set_breach()
     assert routes["system_intersection"].labels == ("2",)
 
@@ -297,6 +297,55 @@ def test_dropped_closure_system_breaks_nuclear_core(
     gamma = ClosureOperator(identity_map(P))
     with pytest.raises(TheoremBreach):
         nuclear_core(P, gamma)
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def test_wrong_nuc_map_breaks_regular_nucleus(monkeypatch):
+    # the regular nucleus at a fixes L => a = {a, 1}; a nuc_map that
+    # answers the identity nucleus fixes every element
+    P = fx.b2()
+    assert heyting.regular_nucleus(P, "a").fix.labels == ("a", "1")
+    monkeypatch.setattr(
+        heyting, "nuc_map", lambda L, X, cap=None: Nucleus(identity_map(L))
+    )
+    with pytest.raises(TheoremBreach, match="regular nucleus fixpoints") as info:
+        heyting.regular_nucleus(P, "a")
+    routes = info.value.routes
+    assert list(routes) == ["nuc_map", "implication_image"]
+    assert routes["nuc_map"].labels == ("0", "a", "b", "1")
+    assert routes["implication_image"].labels == ("a", "1")
+
+
+def test_wrong_double_implication_breaks_least_nucleus_fixpoints(
+    monkeypatch, b2_files, capsys
+):
+    # gam fixes {0, 1}, and the least nucleus above it is the constant
+    # top; a double implication that answers the identity nucleus gives
+    # the formula every element as a fixpoint, which neither description
+    # of the fixpoints allows
+    P = fx.b2()
+    gamma = ClosureOperator(EndoMap(P, (0, 3, 3, 3)))
+    assert least_nucleus_above(P, gamma).fix.labels == ("1",)
+    argv = ["least-nucleus", b2_files["poset"], b2_files["gam"]]
+    assert main(argv) == 0
+    monkeypatch.setattr(
+        heyting,
+        "_double_implication",
+        lambda Q, xs, route, missing: Nucleus(identity_map(Q)),
+    )
+    with pytest.raises(
+        TheoremBreach, match="fixpoints of the least nucleus above"
+    ) as info:
+        least_nucleus_above(P, gamma)
+    routes = info.value.routes
+    assert list(routes) == [
+        "formula",
+        "implication_in_fixpoints",
+        "implication_in_poset",
+    ]
+    assert routes["formula"].labels == ("0", "a", "b", "1")
+    assert routes["implication_in_fixpoints"].labels == ("1",)
     assert main(argv) == 3
     capsys.readouterr()
 
@@ -440,8 +489,8 @@ def _fix_of_meet_case():
 ROUTE_PAIRS = {
     "nucsys": (
         heyting,
-        "clsys",
-        lambda X, cap=None: closure.clsys(_full(X), cap),
+        "meet_closure",
+        lambda Q, mask: Q.full_mask,
         _nucsys_case,
         ["intersection", "implication_formula"],
     ),

@@ -53,13 +53,16 @@ from latkit.order import (  # noqa: E402
     least_closed_above,
     least_closed_table,
     least_of,
+    meet_closure,
     meet_table,
     popcount,
+    top_index,
     upper_sets,
 )
 from latkit.rules import (  # noqa: E402
     ClosureRule,
     RuleSet,
+    default_closure_mask,
     default_rules,
     rho,
     rul,
@@ -193,6 +196,14 @@ def test_default_rules_close_to_clsys(P):
         assert rule_closure_mask(R, m) == clsys(Subset(P, m)).mask
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(posets(max_n=7))
+def test_principal_body_closure_matches_the_default_rule_closure(P):
+    R = default_rules(P)
+    for m in range(P.full_mask + 1):
+        assert default_closure_mask(P, m) == rule_closure_mask(R, m)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(posets())
 def test_default_rules_list_matches_per_body_scan(P):
@@ -291,6 +302,28 @@ def test_nuclei_of_a_frame_have_one_atom_per_join_irreducible(L):
     )
     assert popcount(join_irreducibles(N.down)) == popcount(irr)
     assert k == 2 ** popcount(irr)
+
+
+@st.composite
+def lattices(draw):
+    # a finite meet-semilattice with a top is a lattice, so one drawn
+    # without a top gets a new one above every element
+    P = draw(st.one_of(meet_semilattices(max_n=7), frames(max_n=8)))
+    if top_index(P) is not None:
+        return P
+    pairs = [
+        (P.label(i), P.label(j)) for i in range(P.n) for j in bits(P.le[i])
+    ]
+    return build_poset(
+        [*P.elements, "top"], pairs + [(x, "top") for x in P.elements]
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lattices())
+def test_meet_closure_is_the_least_closure_system_on_a_lattice(P):
+    for m in range(P.full_mask + 1):
+        assert meet_closure(P, m) == clsys(Subset(P, m)).mask
 
 
 @st.composite
