@@ -35,6 +35,7 @@ from .errors import (
 )
 from .maps import (
     EndoMap,
+    closure_table_fault,
     directed_closed,
     fix,
     inaccessible_by_directed_joins,
@@ -187,21 +188,43 @@ def closure_system_masks(P: FinitePoset, cap: Optional[int] = None) -> tuple[int
     return _carried(P, cap)[0]
 
 
+def trusted_operators(cls, P: FinitePoset, leaves, meets=None) -> tuple:
+    """The cls values, ClosureOperator or a refinement of it, with the
+    tables of these library-built (fixpoint mask, table) leaves.
+
+    maps.closure_table_fault decides every leaf's laws in one pass,
+    given P's meet table for nuclei, and the values are then built with
+    order.trusted.  A rejected table is handed to cls, which raises the
+    InputError of the law it breaks; call this inside produced, so that
+    is a breach.  A rejected table that cls accepts is a breach too: it
+    fixes a set other than its mask.
+    """
+    leaves = list(leaves)
+    bad = closure_table_fault(P, leaves, meets)
+    if bad is not None:
+        mask, table = leaves[bad]
+        op = cls(EndoMap(P, table))
+        raise TheoremBreach(
+            "a carried closure table fixes another set: "
+            f"{op.fix!r}, carried with {Subset(P, mask)!r}"
+        )
+    return tuple(trusted(cls, poset=P, table=t) for _, t in leaves)
+
+
 def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
     """Every closure system and its operator, in mask order.
 
     The two lists are aligned: operators[i] has fixpoint set systems[i].
-    Each operator is validated from its carried table and must fix the
-    mask carried with it; its system keeps that table.
+    The carried tables are checked in one pass to be the closure
+    operators fixing exactly their carried masks, and each system keeps
+    its operator's table.
     """
     masks, tables = _carried(P, cap)
     with produced("closure-system enumeration"):
-        ops = [ClosureOperator(EndoMap(P, t)) for t in tables]
-    if tuple(op.fix_mask for op in ops) != masks:
-        raise TheoremBreach("a carried closure table fixes another set")
+        ops = trusted_operators(ClosureOperator, P, zip(masks, tables))
     return {
         "closure_systems": [duality_inv(op) for op in ops],
-        "closure_operators": ops,
+        "closure_operators": list(ops),
     }
 
 

@@ -31,7 +31,10 @@ the top-down descent of order.closure_tables, given the meet table,
 keeps a branch only while it preserves the meets it has decided, so
 the cost follows the number of nuclei rather than the number of
 closure systems, and the tests check the list against a filter of
-every closure system.
+every closure system.  Its leaves are not run through the Nucleus
+constructor one by one: maps.closure_table_fault decides the laws of
+every leaf in one pass, O(n) masks per table against its fixpoint
+mask, on any meet-semilattice, and the nuclei are built trusted.
 
 The nuclei form a frame N(L), checked exactly on pairs of nuclei,
 which carry the laws to every family by induction; distributivity is
@@ -57,6 +60,7 @@ from .closure import (
     ClosureOperator,
     generate_closure,
     is_closure_system,
+    trusted_operators,
 )
 from .maps import (
     EndoMap,
@@ -343,10 +347,11 @@ def nucleus_join(
 
 def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     # cap-free; every caller has passed a meet check and a cap gate
-    leaves = closure_tables(P, meet_table(P))
+    mt = meet_table(P)
+    leaves = closure_tables(P, mt)
     leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
     with produced("nuclei descent"):
-        return tuple(Nucleus(EndoMap(P, t)) for _, t in leaves)
+        return trusted_operators(Nucleus, P, leaves, mt)
 
 
 def _nuclei_by_fix(P: FinitePoset) -> dict[int, int]:
@@ -364,9 +369,11 @@ def enumerate_nuclei(P: FinitePoset, cap: Optional[int] = None) -> list[Nucleus]
     order: larger fixpoint sets (smaller nuclei) first.
 
     The tables come from the one top-down descent, order.closure_tables,
-    pruned on meet preservation.  Every leaf is validated once through
-    the Nucleus constructor.  The nuclei are built once per poset;
-    later calls pass the same gates and return the same nuclei."""
+    pruned on meet preservation.  Every leaf's laws are then decided
+    once, in one pass of maps.closure_table_fault against its carried
+    fixpoint mask, and the nuclei are built trusted.  The nuclei are
+    built once per poset; later calls pass the same gates and return
+    the same nuclei."""
     if meet_table(P) is None:
         raise NotMeetSemilattice("nuclei need pairwise meets")
     check_cap("nucleus enumeration", P.n, cap, SUBSET_CAP)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, getitem
+from operator import and_, getitem, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidValue, ParseError
@@ -163,6 +163,53 @@ def preserves_binary_meets(f: EndoMap) -> Optional[bool]:
             if t[mt[i][j]] != mt[t[i]][t[j]]:
                 return False
     return True
+
+
+def closure_table_fault(
+    P: FinitePoset,
+    leaves: Sequence[tuple[int, Sequence[int]]],
+    meets: Optional[Sequence[Sequence[int]]] = None,
+) -> Optional[int]:
+    """The index of the first (F, t) leaf whose table t is not the
+    closure operator with fixpoint set exactly F, or, given P's meet
+    table, not a nucleus; None when every leaf passes.  This decides in
+    one pass every law EndoMap and ClosureOperator check (and with
+    meets Nucleus), in O(n) masks per table.
+
+    t is the closure operator fixing exactly F iff, for every x, t[x]
+    is in F and up(t[x]) & F == up(x) & F.  Indeed t[x] in up(x) & F
+    gives ascent; x <= y gives t[y] in up(y) & F, a subset of
+    up(t[x]), which is monotonicity; t[x] in F gives t[t[x]] <= t[x],
+    which is idempotence; and only the members of F are fixed, so
+    fix(t) = F.  Conversely the closure operator fixing F sends x to
+    the least member of up(x) & F.  The meets are compared on the
+    incomparable pairs only: comparable pairs follow from monotonicity.
+    Any meet-semilattice will do, frame or not."""
+    n, le = P.n, P.le
+    powers = [1 << v for v in range(n)]
+    xs, ys, zs = [], [], []
+    if meets is not None:
+        for x in range(n):
+            for y in range(x + 1, n):
+                if not (le[x] >> y & 1 or le[y] >> x & 1):
+                    xs.append(x)
+                    ys.append(y)
+                    zs.append(meets[x][y])
+    for i, (fixed, t) in enumerate(leaves):
+        if len(t) != n or n and not 0 <= min(t) <= max(t) < n or fixed >> n:
+            return i
+        ups = list(map(fixed.__and__, le))  # up(x) & F for every x
+        if list(map(ups.__getitem__, t)) != ups:
+            return i
+        if reduce(or_, map(powers.__getitem__, t), 0) & ~fixed:
+            return i
+        if zs:
+            tx, ty = map(t.__getitem__, xs), map(t.__getitem__, ys)
+            if list(map(getitem, map(meets.__getitem__, tx), ty)) != list(
+                map(t.__getitem__, zs)
+            ):
+                return i
+    return None
 
 
 def classify(f: EndoMap, cap: Optional[int] = None) -> dict:

@@ -9,7 +9,7 @@ import pytest
 
 import latkit.cli
 from latkit import fixtures as fx
-from latkit import order
+from latkit import heyting, order
 from latkit.closure import (
     ClosureOperator,
     clsys,
@@ -19,7 +19,7 @@ from latkit.closure import (
     sccore_bruteforce,
 )
 from latkit.errors import CapExceeded
-from latkit.heyting import Nucleus, enumerate_nuclei, validate_structure
+from latkit.heyting import enumerate_nuclei, validate_structure
 from latkit.hmj import hmj_correspondence
 from latkit.maps import EndoMap, identity_map, is_scott_continuous
 from latkit.order import Subset, derived, directed_columns, directed_subsets
@@ -60,16 +60,19 @@ def test_derived_builds_once_per_poset():
 
 
 def test_second_enumeration_builds_no_nucleus(monkeypatch):
+    # counts the leaves of the descent handed to the batched law check,
+    # which builds the nuclei
     P = fx.b2()
     first = enumerate_nuclei(P)
     inits = []
-    real = Nucleus.__post_init__
+    real = heyting.trusted_operators
 
-    def counting(self):
-        inits.append(self)
-        real(self)
+    def counting(cls, Q, leaves, meets=None):
+        leaves = list(leaves)
+        inits.extend(leaves)
+        return real(cls, Q, leaves, meets)
 
-    monkeypatch.setattr(Nucleus, "__post_init__", counting)
+    monkeypatch.setattr(heyting, "trusted_operators", counting)
     second = enumerate_nuclei(P)
     assert inits == []
     assert [nu.table for nu in second] == [nu.table for nu in first]

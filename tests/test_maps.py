@@ -28,11 +28,13 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit.maps import (
+    closure_table_fault,
     is_ascending,
     is_idempotent,
     is_increasing,
     preserves_binary_meets,
 )
+from latkit.order import meet_table
 
 
 def test_from_labels_requires_totality():
@@ -166,3 +168,27 @@ def test_preclosure_corpus_is_preclosure():
 def test_preserves_binary_meets_is_none_without_meets():
     P = fx.v4()
     assert preserves_binary_meets(identity_map(P)) is None
+
+
+def test_closure_table_fault_names_the_first_bad_leaf():
+    P = fx.b2()  # 0 < a, b < 1, indexed 0, 1, 2, 3
+    mt = meet_table(P)
+    identity = (P.full_mask, (0, 1, 2, 3))
+    top = (0b1000, (3, 3, 3, 3))
+    assert closure_table_fault(P, [identity, top], mt) is None
+    for bad in [
+        (P.full_mask, (0, 1, 2)),  # short
+        (P.full_mask, (0, 1, 2, 4)),  # a value outside P
+        (P.full_mask, (0, 1, 2, -1)),  # a negative value
+        (0b11000, (3, 3, 3, 3)),  # a fixpoint outside P
+        (0b0100, (3, 3, 3, 3)),  # another fixpoint set
+        (0b1110, (3, 1, 2, 3)),  # not monotone: 0 <= a, 0 -> 1
+        (0b1101, (0, 0, 2, 3)),  # not ascending: a -> 0
+        (0b1100, (1, 3, 2, 3)),  # not idempotent: 0 -> a -> 1
+    ]:
+        assert closure_table_fault(P, [identity, bad]) == 1, bad
+    # the closure operator fixing {0, 1} sends a and b to 1 but their
+    # meet 0 to 0
+    not_nucleus = (0b1001, (0, 3, 3, 3))
+    assert closure_table_fault(P, [not_nucleus]) is None
+    assert closure_table_fault(P, [identity, not_nucleus], mt) == 1

@@ -17,7 +17,7 @@ from latkit import fixtures as fx
 from latkit import cli, closure, convexity, heyting, hmj, maps, order, rules
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
-from latkit.errors import InputError, TheoremBreach
+from latkit.errors import InputError, NotANucleus, TheoremBreach
 from latkit.heyting import (
     Nucleus,
     is_nuclear_system,
@@ -454,6 +454,73 @@ def test_dropped_nucleus_breaks_nuclear_filter_check(monkeypatch):
     assert info.value.routes == {"kernel_scan": False, "galois_closure": True}
 
 
+def test_non_filter_kernel_breaks_the_kernel_scan(monkeypatch):
+    # a map the scan takes for a nucleus, sending a and b to the top but
+    # not their meet 0: its kernel {a, b, 1} is no filter, and the scan,
+    # which checks each distinct kernel once as oneker would, rejects it
+    P = fx.b2()
+    X = Subset.of(P, ["a", "1"])
+    assert is_nuclear_filter(P, X)
+    real = hmj.enumerate_nuclei
+
+    def with_bad_kernel(L, cap=None):
+        bad = order.trusted(Nucleus, poset=L, table=(0, 3, 3, 3))
+        return real(L, cap) + [bad]
+
+    monkeypatch.setattr(hmj, "enumerate_nuclei", with_bad_kernel)
+    with pytest.raises(TheoremBreach, match="^oneker built") as info:
+        is_nuclear_filter(fx.b2(), X)
+    assert isinstance(info.value.__cause__, InputError)
+    assert "{a, b, 1} is not a filter" in str(info.value)
+
+
+def test_unpruned_leaf_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
+    # a descent that skips its meet prune on one branch of b2 passes on
+    # a closure table that is no nucleus; the batched check rejects it,
+    # and the Nucleus constructor names the meet law it breaks
+    argv = ["nuclei", b2_files["poset"]]
+    assert main(argv) == 0
+    real = heyting.closure_tables
+
+    def one_unpruned(Q, meets):
+        pruned = real(Q, meets)
+        return pruned + [next(s for s in real(Q) if s not in pruned)]
+
+    monkeypatch.setattr(heyting, "closure_tables", one_unpruned)
+    with pytest.raises(TheoremBreach, match="^nuclei descent built") as info:
+        heyting.enumerate_nuclei(fx.b2())
+    assert isinstance(info.value.__cause__, NotANucleus)
+    assert main(argv) == 3
+    assert "does not preserve binary meets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module, build, command",
+    [
+        (closure, closure.enumerate_cl_lattice, "closure-systems"),
+        (heyting, heyting.enumerate_nuclei, "nuclei"),
+    ],
+    ids=["closure-systems", "nuclei"],
+)
+def test_swapped_tables_break_the_batched_check(
+    monkeypatch, b2_files, capsys, module, build, command
+):
+    # two leaves of the descent on b2 carried with each other's tables:
+    # each table passes its constructor, but fixes the other mask
+    argv = [command, b2_files["poset"]]
+    assert main(argv) == 0
+
+    def swapped(pairs):
+        (m0, t0), (m1, t1), *rest = pairs
+        return [(m0, t1), (m1, t0), *rest]
+
+    _plant_carried_tables(monkeypatch, module, swapped)
+    with pytest.raises(TheoremBreach, match="fixes another set"):
+        build(fx.b2())
+    assert main(argv) == 3
+    assert "fixes another set" in capsys.readouterr().err
+
+
 def _full(X):
     return Subset(X.poset, X.poset.full_mask)
 
@@ -724,9 +791,13 @@ def test_wrong_open_nucleus_breaks_its_fixpoint_check(
     argv = ["hmj", b2_files["poset"]]
     assert hmj.open_nucleus(fx.b2(), "a").fix.labels == ("b", "1")
     assert main(argv) == 0
-    real = hmj.EndoMap
+    real = hmj.trusted_operators
     monkeypatch.setattr(
-        hmj, "EndoMap", lambda Q, row: real(Q, tuple(range(Q.n)))
+        hmj,
+        "trusted_operators",
+        lambda cls, Q, rows, meets: real(
+            cls, Q, [(Q.full_mask, tuple(range(Q.n))) for _ in rows], meets
+        ),
     )
     with pytest.raises(TheoremBreach) as info:
         hmj.open_nucleus(fx.b2(), "a")

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from latkit import fixtures as fx  # noqa: E402
 from latkit.closure import (  # noqa: E402
+    ClosureOperator,
     _closure_table,
     closure_system_masks,
     clsys,
@@ -31,9 +32,15 @@ from latkit.convexity import (  # noqa: E402
     funnel_check,
     rule_closure_operator,
 )
-from latkit.heyting import enumerate_nuclei, frame_of_nuclei_check  # noqa: E402
+from latkit.errors import InputError  # noqa: E402
+from latkit.heyting import (  # noqa: E402
+    Nucleus,
+    enumerate_nuclei,
+    frame_of_nuclei_check,
+)
 from latkit.maps import (  # noqa: E402
     EndoMap,
+    closure_table_fault,
     is_increasing,
     is_scott_continuous,
     pointwise_leq,
@@ -170,6 +177,47 @@ def test_pruned_descent_tables_match_the_nucleus_filter(P):
     leaves = closure_tables(P, meet_table(P))
     leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
     assert [t for _, t in leaves] == reference_nuclei(P)
+
+
+@st.composite
+def closure_leaves(draw):
+    # a poset and a (mask, table) leaf, mostly not a closure operator of
+    # its mask: the table is drawn at random or is a closure table of P
+    # with one value redrawn or none, and the mask is its fixpoint set
+    # or any mask
+    P = draw(st.one_of(posets(max_n=7), meet_semilattices(max_n=7)))
+    value = st.integers(0, P.n - 1)
+    if draw(st.booleans()):
+        table = list(draw(st.sampled_from(closure_tables(P)))[1])
+        if draw(st.booleans()):
+            table[draw(value)] = draw(value)
+    else:
+        table = draw(st.lists(value, min_size=P.n, max_size=P.n))
+    own = sum(1 << x for x, v in enumerate(table) if x == v)
+    mask = draw(st.one_of(st.just(own), st.integers(0, P.full_mask)))
+    return P, mask, tuple(table)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(closure_leaves())
+def test_batched_closure_check_accepts_what_the_constructors_accept(case):
+    # the check passes a leaf iff its constructor accepts the table and
+    # the value fixes exactly the mask; with meets, Nucleus's
+    P, mask, table = case
+    mt = meet_table(P)
+
+    def accepted(cls):
+        try:
+            return cls(EndoMap(P, table)).fix_mask == mask
+        except InputError:
+            return False
+
+    identity = (P.full_mask, tuple(range(P.n)))
+    for cls, meets in [(ClosureOperator, None), (Nucleus, mt)]:
+        if cls is Nucleus and mt is None:
+            continue
+        want = None if accepted(cls) else 1
+        assert closure_table_fault(P, [identity, (mask, table)], meets) == want
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
