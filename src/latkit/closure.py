@@ -467,7 +467,8 @@ def dcclsys(X: Subset, cap: Optional[int] = None) -> ClosureSystem:
             "no least directed-closed closure system contains "
             f"{{{', '.join(X.labels)}}}"
         )
-    return ClosureSystem(Subset(P, inter))
+    with produced("directed-closed system intersection"):
+        return ClosureSystem(Subset(P, inter))
 
 
 def dj(X: Subset, cap: Optional[int] = None) -> Subset:

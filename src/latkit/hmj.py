@@ -10,15 +10,18 @@ nuclear filters.  The correspondence report walks the resulting
 bijection between Scott-open filters and compact fitted quotients and
 verifies every promised identity; a single failure raises.
 
-The exhaustive route does each piece of work once.  Filters are picked
-from the upper sets, listed by a descent rather than a scan of every
-subset.  Scott-openness and compactness are each one call of
+Each identity of the exhaustive checks is one errors.agree between
+named routes.  The kernels of the enumerated nuclei are one table per
+poset, each distinct kernel checked once as a filter and kept as a
+FilterSet; the kernel scan of is_nuclear_filter, the Galois identities
+and the correspondence read it.  Filters are picked from the upper
+sets, listed by a descent rather than a scan of every subset.
+Scott-openness and compactness are each one call of
 order.directed_tops_avoiding, a query over every directed subset.  The
 fitted nucleus of a kernel is built once per poset and kept, while
 every fitting call still checks the membership lemma and that the
 fitting lies below its nucleus.  The open nuclei have their laws
-decided in one pass of maps.closure_table_fault, and the kernel scan
-of is_nuclear_filter checks each distinct kernel once as a filter.
+decided in one pass of maps.closure_table_fault.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .closure import trusted_operators
 from .heyting import (
     Nucleus,
     _imp_table,
+    _nuclei,
     _nuclei_rows,
     enumerate_nuclei,
     nucleus_join,
@@ -79,6 +83,12 @@ def _is_filter_mask(P: FinitePoset, t: int, mt, mask: int) -> bool:
     return True
 
 
+def _require_filter(P: FinitePoset, mask: int) -> None:
+    # the filter laws on the frame P, cap-free: the check of FilterSet
+    if not _is_filter_mask(P, top_index(P), meet_table(P), mask):
+        raise InputError(f"{{{', '.join(P.labels_of(mask))}}} is not a filter")
+
+
 def is_filter(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> bool:
     """Upper set containing the top and closed under binary meets."""
     P = require_frame(L, cap)
@@ -98,8 +108,7 @@ class FilterSet(Subset):
         refine(self, X, cap)
 
     def __post_init__(self, cap: Optional[int] = None):
-        if not is_filter(self.poset, self, cap):
-            raise InputError(f"{{{', '.join(self.labels)}}} is not a filter")
+        _require_filter(require_frame(self.poset, cap), self.mask)
 
     @property
     def subset(self) -> Subset:
@@ -180,6 +189,20 @@ def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
         return FilterSet(Subset(P, nu.preimage_mask(1 << t)), cap)
 
 
+def _kernels(P: FinitePoset) -> tuple[tuple[int, ...], dict[int, FilterSet]]:
+    # the kernel of each nucleus of _nuclei, in its order, and each
+    # distinct kernel, at most one per filter, checked once as a filter
+    # as oneker would and kept as a FilterSet; cap-free, like _nuclei
+    top = 1 << top_index(P)
+    kernels = tuple(nu.preimage_mask(top) for nu in derived(P, _nuclei))
+    filters = {}
+    with produced("oneker"):
+        for k in sorted(set(kernels)):
+            _require_filter(P, k)
+            filters[k] = trusted(FilterSet, Subset(P, k))
+    return kernels, filters
+
+
 def fitnuc(L: FinitePoset, S: Subset, cap: Optional[int] = None) -> Nucleus:
     """Join of the open nuclei at the members of S.  Built afresh on
     every call."""
@@ -213,14 +236,12 @@ def fitting(L: FinitePoset, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
     """
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
-    kernel = nu.preimage_mask(1 << top_index(P))
-    opens_below = derived(P, _open_rows).below(nu.table)
-    if opens_below != kernel:
-        a = ((opens_below ^ kernel) & -(opens_below ^ kernel)).bit_length() - 1
-        raise TheoremBreach(
-            "an open nucleus sits below a nucleus without sending "
-            f"{P.label(a)!r} to the top, or vice versa"
-        )
+    kernel = agree(
+        "membership lemma",
+        nu,
+        opens_below=derived(P, _open_rows).below(nu.table),
+        kernel=nu.preimage_mask(1 << top_index(P)),
+    )
     fitted = derived(P, _fitted_by_kernel)
     result = fitted.get(kernel)
     if result is None:
@@ -256,17 +277,13 @@ def is_nuclear_filter(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> b
 
     Two independent routes: scan the kernels of all nuclei, and test
     whether X is a filter fixed by the kernel-of-join closure.  They
-    must agree.  The scan collects the distinct kernels, at most one
-    per filter, and checks each once to be a filter, as oneker would.
+    must agree.  The scan reads the distinct kernels from the kernel
+    table, where each was checked once to be a filter.
     """
     P = require_frame(L, cap)
     same_poset(P, X.poset)
-    top = 1 << top_index(P)
-    kernels = {nu.preimage_mask(top) for nu in enumerate_nuclei(L, cap)}
-    with produced("oneker"):
-        for k in sorted(kernels):
-            FilterSet(Subset(P, k), cap)
-    by_scan = X.mask in kernels
+    enumerate_nuclei(L, cap)  # the gate of the nuclei the table reads
+    by_scan = X.mask in derived(P, _kernels)[1]
     by_galois = is_filter(L, X, cap) and nucfilt(L, X, cap).mask == X.mask
     return agree(
         "nuclear-filter status", X, kernel_scan=by_scan, galois_closure=by_galois
@@ -346,42 +363,47 @@ def quotient_frame_check(
 def galois_identities_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     """fitnuc and oneker form a Galois connection, and the promised
     identities hold: each side composed around the other reproduces
-    itself, and the round trip on nuclei is the fitting."""
+    itself, and the round trip on nuclei is the fitting.  Each identity
+    is one agree; fitnuc of each distinct kernel is built once."""
     P = require_frame(L, cap)
     check_cap("Galois identity check", P.n, cap, SUBSET_CAP)
     nucs = enumerate_nuclei(L, cap)
     rows = derived(P, _nuclei_rows)
-    kernels = [oneker(nu, cap).mask for nu in nucs]
+    kernels, filters = derived(P, _kernels)
+    holders = dict.fromkeys(filters, 0)  # kernel -> the nuclei with it
+    for j, K in enumerate(kernels):
+        holders[K] |= 1 << j
+    fits = {K: fitnuc(L, F, cap) for K, F in filters.items()}
+    top = 1 << top_index(P)
     for smask in range(P.full_mask + 1):
         S = Subset(P, smask)
         fS = fitnuc(L, S, cap)
-        # the nuclei above fS must be those whose kernel holds S
-        holding = sum(1 << j for j, K in enumerate(kernels) if smask & ~K == 0)
-        if rows.above(fS.table) != holding:
-            raise TheoremBreach(
-                "Galois adjunction between fitnuc and oneker failed at "
-                f"S={{{', '.join(S.labels)}}}"
-            )
-        # K = nucfilt(S), and nucfilt(K) = oneker(fK)
-        K = oneker(fS, cap)
-        fK = fitnuc(L, K, cap)
-        if oneker(fK, cap).mask != K.mask:
-            raise TheoremBreach("nuclear-filter closure is not idempotent")
-        if fK.table != fS.table:
-            raise TheoremBreach(
-                "fitnuc of oneker of fitnuc did not reproduce fitnuc"
-            )
-    for nu in nucs:
-        V = oneker(nu, cap)
-        fV = fitnuc(L, V, cap)
-        if oneker(fV, cap).mask != V.mask:
-            raise TheoremBreach(
-                "oneker of fitnuc of oneker did not reproduce oneker"
-            )
-        if fV.table != fitting(L, nu, cap).table:
-            raise TheoremBreach(
-                "the Galois round trip on a nucleus is not its fitting"
-            )
+        agree(
+            "Galois adjunction",
+            S,
+            nuclei_above_fitnuc=rows.above(fS.table),
+            kernels_holding=sum(m for K, m in holders.items() if smask & ~K == 0),
+        )
+        agree(
+            "fitnuc round trip",
+            S,
+            fitnuc=fS,
+            fitnuc_oneker_fitnuc=fits.get(fS.preimage_mask(top)),
+        )
+    for K, fK in fits.items():
+        agree(
+            "oneker round trip",
+            filters[K],
+            oneker=K,
+            oneker_fitnuc_oneker=oneker(fK, cap).mask,
+        )
+    for nu, K in zip(nucs, kernels):
+        agree(
+            "Galois round trip on a nucleus",
+            nu,
+            fitnuc_oneker=fits[K],
+            fitting=fitting(L, nu, cap),
+        )
     return {"adjunction": True, "identities": True}
 
 
@@ -398,6 +420,13 @@ def scott_open_filter_is_nuclear_check(
     return True
 
 
+def _inclusion_rows(masks) -> tuple[int, ...]:
+    # row i: the j with masks[i] a subset of masks[j]
+    return tuple(
+        sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks
+    )
+
+
 def hmj_correspondence(L: FinitePoset, cap: Optional[int] = None) -> dict:
     """The bijection between Scott-open filters and compact fitted
     quotients, exhibited pair by pair and verified in both directions,
@@ -405,74 +434,42 @@ def hmj_correspondence(L: FinitePoset, cap: Optional[int] = None) -> dict:
 
     Exhaustive: every filter is tested for Scott-openness and every
     nucleus is fitted and, when fitted, tested for compactness.  The
-    fitting of a nucleus reads the fitted nucleus of its kernel from
-    the per-poset cache after the first build; the fitnuc calls that
-    map each filter to its nucleus, and each compact fitted nucleus
-    back from its kernel, build afresh."""
+    pairs (F, fitnuc F) of the Scott-open filters and (kernel, nu) of
+    the compact fitted nuclei, each side distinct by construction, must
+    be equal sets: fitnuc lands on compact fitted nuclei, oneker and
+    fitnuc invert each other there, and neither side misses one of the
+    other.  Order reversal compares filter inclusion, the nucleus order
+    and reverse fixpoint inclusion on the pairs."""
     P = require_frame(L, cap)
-    filters = [
-        F
-        for F in enumerate_filters(L, cap)
-        if is_scott_open(L, F, cap)
-    ]
+    filters = [F for F in enumerate_filters(L, cap) if is_scott_open(L, F, cap)]
     nucs = enumerate_nuclei(L, cap)
+    kernels, _ = derived(P, _kernels)
     compact_fitted = [
-        nu
-        for nu in nucs
+        (K, nu)
+        for K, nu in zip(kernels, nucs)
         if is_fitted(L, nu, cap) and is_compact_quotient(L, nu, cap)
     ]
-    pairs = []
-    seen_tables = set()
-    for F in filters:
-        nu = fitnuc(L, F, cap)
-        if not is_fitted(L, nu, cap):
-            raise TheoremBreach("fitnuc of a filter is not fitted")
-        if not is_compact_quotient(L, nu, cap):
-            raise TheoremBreach(
-                "fitnuc of a Scott-open filter has a non-compact quotient"
-            )
-        if oneker(nu, cap).mask != F.mask:
-            raise TheoremBreach(
-                "oneker does not invert fitnuc on a Scott-open filter"
-            )
-        pairs.append((F, nu))
-        seen_tables.add(nu.table)
-    for nu in compact_fitted:
-        V = oneker(nu, cap)
-        if not is_scott_open(L, V, cap):
-            raise TheoremBreach(
-                "kernel of a compact fitted nucleus is not Scott-open"
-            )
-        if fitnuc(L, V, cap).table != nu.table:
-            raise TheoremBreach(
-                "fitnuc does not invert oneker on a compact fitted nucleus"
-            )
-        if nu.table not in seen_tables:
-            raise TheoremBreach(
-                "a compact fitted nucleus is missed by the filter side"
-            )
-    if len(filters) != len(compact_fitted):
-        raise TheoremBreach(
-            "Scott-open filters and compact fitted nuclei do not biject"
-        )
+    pairs = [(F, fitnuc(L, F, cap)) for F in filters]
+    agree(
+        "Scott-open filters and compact fitted nuclei",
+        P,
+        scott_open_filters={(F.mask, nu.table) for F, nu in pairs},
+        compact_fitted_nuclei={(K, nu.table) for K, nu in compact_fitted},
+    )
     # monotone between filters and nuclei, hence order-reversing into
     # the quotient frames, whose order is reverse fixpoint inclusion
-    ups = value_rows(P, [nu.table for _, nu in pairs]).up_rows()
-    for (F1, n1), up in zip(pairs, ups):
-        for j, (F2, n2) in enumerate(pairs):
-            incl = F1.mask & ~F2.mask == 0
-            if incl != bool(up >> j & 1):
-                raise TheoremBreach(
-                    "filter inclusion does not match the nucleus order"
-                )
-            if incl != (n2.fix_mask & ~n1.fix_mask == 0):
-                raise TheoremBreach(
-                    "filter inclusion does not reverse into quotient "
-                    "fixpoint inclusion"
-                )
+    agree(
+        "order reversal",
+        P,
+        filter_inclusion=_inclusion_rows([F.mask for F, _ in pairs]),
+        nucleus_order=value_rows(P, [nu.table for _, nu in pairs]).up_rows(),
+        fixpoint_reversal=_inclusion_rows(
+            [P.full_mask & ~nu.fix_mask for _, nu in pairs]
+        ),
+    )
     return {
         "scott_open_filters": [F.labels for F in filters],
-        "compact_fitted_quotients": [nu.fix.labels for nu in compact_fitted],
+        "compact_fitted_quotients": [nu.fix.labels for _, nu in compact_fitted],
         "pairs": pairs,
         "count": len(pairs),
         "antiisomorphism_verified": True,

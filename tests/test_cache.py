@@ -9,7 +9,7 @@ import pytest
 
 import latkit.cli
 from latkit import fixtures as fx
-from latkit import heyting, order
+from latkit import heyting, hmj, order
 from latkit.closure import (
     ClosureOperator,
     clsys,
@@ -79,6 +79,24 @@ def test_second_enumeration_builds_no_nucleus(monkeypatch):
     # a fresh, equal poset builds its own nuclei
     assert len(enumerate_nuclei(fx.b2())) == len(first)
     assert len(inits) == len(first)
+
+
+def test_galois_check_builds_a_filter_per_kernel_not_per_subset(monkeypatch):
+    # chain(6) has 32 nuclei and 64 subsets but 6 filters: oneker runs
+    # once per distinct kernel in the round trips, and once more per
+    # kernel that fitting keeps a fitted nucleus for
+    checks = []
+    real = hmj.FilterSet.__post_init__
+
+    def counting(self, cap=None):
+        checks.append(self.mask)
+        real(self, cap)
+
+    monkeypatch.setattr(hmj.FilterSet, "__post_init__", counting)
+    P = fx.chain(6)
+    assert hmj.galois_identities_check(P)["identities"]
+    assert len(hmj.enumerate_filters(P)) == 6
+    assert len(checks) <= 2 * 6
 
 
 @pytest.mark.parametrize(

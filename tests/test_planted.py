@@ -17,7 +17,7 @@ from latkit import fixtures as fx
 from latkit import cli, closure, convexity, heyting, hmj, maps, order, rules
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
-from latkit.errors import InputError, NotANucleus, TheoremBreach
+from latkit.errors import InputError, NotAClosureSystem, NotANucleus, TheoremBreach
 from latkit.heyting import (
     Nucleus,
     is_nuclear_system,
@@ -115,6 +115,25 @@ def test_dropped_top_only_system_breaks_dcclsys(monkeypatch):
     P = fx.b2()
     with pytest.raises(TheoremBreach, match="no least directed-closed"):
         closure.dcclsys(Subset(P, 0))
+
+
+def test_planted_non_system_is_a_breach_in_dcclsys_and_clsys(monkeypatch):
+    # {0} on c3 misses the top, so it is no closure system; planted into
+    # the descent, it is the least system containing {0} for both
+    # routes, and the ClosureSystem each builds rejects it as a breach
+    P = fx.c3()
+    X = Subset.of(P, ["0"])
+    assert closure.dcclsys(X).labels == ("0", "2")
+    assert clsys(X).labels == ("0", "2")
+    bottom = P.mask_of(["0"])
+    _plant_carried_tables(
+        monkeypatch, closure, lambda pairs: [*pairs, (bottom, (0, 0, 0))]
+    )
+    for route in (closure.dcclsys, clsys):
+        P = fx.c3()
+        with pytest.raises(TheoremBreach, match="built a result") as info:
+            route(Subset.of(P, ["0"]))
+        assert isinstance(info.value.__cause__, NotAClosureSystem)
 
 
 def test_swapped_carried_tables_break_closure_enumeration(monkeypatch):
@@ -455,19 +474,20 @@ def test_dropped_nucleus_breaks_nuclear_filter_check(monkeypatch):
 
 
 def test_non_filter_kernel_breaks_the_kernel_scan(monkeypatch):
-    # a map the scan takes for a nucleus, sending a and b to the top but
-    # not their meet 0: its kernel {a, b, 1} is no filter, and the scan,
-    # which checks each distinct kernel once as oneker would, rejects it
+    # a map the kernel table takes for a nucleus, sending a and b to the
+    # top but not their meet 0: its kernel {a, b, 1} is no filter, and
+    # the table, which checks each distinct kernel once as oneker would,
+    # rejects it
     P = fx.b2()
     X = Subset.of(P, ["a", "1"])
     assert is_nuclear_filter(P, X)
-    real = hmj.enumerate_nuclei
+    real = hmj._nuclei
 
-    def with_bad_kernel(L, cap=None):
-        bad = order.trusted(Nucleus, poset=L, table=(0, 3, 3, 3))
-        return real(L, cap) + [bad]
+    def with_bad_kernel(Q):
+        bad = order.trusted(Nucleus, poset=Q, table=(0, 3, 3, 3))
+        return real(Q) + (bad,)
 
-    monkeypatch.setattr(hmj, "enumerate_nuclei", with_bad_kernel)
+    monkeypatch.setattr(hmj, "_nuclei", with_bad_kernel)
     with pytest.raises(TheoremBreach, match="^oneker built") as info:
         is_nuclear_filter(fx.b2(), X)
     assert isinstance(info.value.__cause__, InputError)
@@ -904,14 +924,142 @@ def test_dropped_value_row_member_breaks_the_galois_and_order_checks(monkeypatch
     real = heyting.value_rows
     top = order.top_index
     monkeypatch.setattr(heyting, "value_rows", _dropping_rows(real, 0, top))
-    with pytest.raises(TheoremBreach, match="Galois adjunction"):
+    with pytest.raises(TheoremBreach) as info:
         hmj.galois_identities_check(fx.b2())
+    assert list(info.value.routes) == ["nuclei_above_fitnuc", "kernels_holding"]
     monkeypatch.setattr(heyting, "value_rows", real)
     P = fx.b2()
     order.derived(P, hmj._open_rows)  # the open nuclei's rows stay clean
     monkeypatch.setattr(hmj, "value_rows", _dropping_rows(real, 0, top))
-    with pytest.raises(TheoremBreach, match="does not match the nucleus order"):
+    with pytest.raises(TheoremBreach) as info:
         hmj_correspondence(P)
+    routes = info.value.routes
+    assert list(routes) == ["filter_inclusion", "nucleus_order", "fixpoint_reversal"]
+    assert routes["filter_inclusion"] == routes["fixpoint_reversal"]
+    assert routes["nucleus_order"] != routes["filter_inclusion"]
+
+
+def _breach_of(what, info, routes):
+    # the breach names the identity and its routes, in order
+    assert str(info.value).startswith(f"routes disagree on {what} of")
+    assert list(info.value.routes) == routes
+
+
+def test_dropped_open_row_breaks_the_membership_lemma(
+    monkeypatch, b2_files, capsys
+):
+    # the open nucleus at 0, the constant top, drops out of the open
+    # nuclei's value rows at the top: it no longer sits below the
+    # constant top, though that sends 0 to the top
+    P = fx.b2()
+    top_nucleus = Nucleus(ClosureOperator(constant_map(P, "1")))
+    assert hmj.fitting(P, top_nucleus) == top_nucleus
+    argv = ["hmj", b2_files["poset"]]
+    assert main(argv) == 0
+    planted = _dropping_rows(hmj.value_rows, 0, order.top_index)
+    monkeypatch.setattr(hmj, "value_rows", planted)
+    P = fx.b2()
+    with pytest.raises(TheoremBreach) as info:
+        hmj.fitting(P, Nucleus(ClosureOperator(constant_map(P, "1"))))
+    _breach_of("membership lemma", info, ["opens_below", "kernel"])
+    assert main(argv) == 3
+    assert "membership lemma" in capsys.readouterr().err
+
+
+def test_swapped_kernel_filters_break_the_fitnuc_round_trip(monkeypatch):
+    # the kernel table files the filter {b, 1} under the kernel {a, 1}
+    # and back: fitnuc of oneker of fitnuc({a}) comes out as the open
+    # nucleus at b
+    assert hmj.galois_identities_check(fx.b2())["identities"]
+    real = hmj._kernels
+
+    def swapped(Q):
+        kernels, filters = real(Q)
+        a, b = Q.mask_of(["a", "1"]), Q.mask_of(["b", "1"])
+        return kernels, {**filters, a: filters[b], b: filters[a]}
+
+    monkeypatch.setattr(hmj, "_kernels", swapped)
+    with pytest.raises(TheoremBreach) as info:
+        hmj.galois_identities_check(fx.b2())
+    _breach_of("fitnuc round trip", info, ["fitnuc", "fitnuc_oneker_fitnuc"])
+
+
+def test_constant_oneker_breaks_the_oneker_round_trip(monkeypatch):
+    # oneker answers the kernel of the identity, {1}, for every nucleus
+    real = hmj.oneker
+    monkeypatch.setattr(
+        hmj,
+        "oneker",
+        lambda nu, cap=None: real(Nucleus(ClosureOperator(identity_map(nu.poset)))),
+    )
+    with pytest.raises(TheoremBreach) as info:
+        hmj.galois_identities_check(fx.b2())
+    _breach_of("oneker round trip", info, ["oneker", "oneker_fitnuc_oneker"])
+    assert info.value.routes["oneker_fitnuc_oneker"] == fx.b2().mask_of(["1"])
+
+
+def test_unfitted_fitting_breaks_the_galois_round_trip_on_nuclei(monkeypatch):
+    # a fitting that answers its own nucleus: on c3 the nucleus fixing
+    # {1, 2} sends only 2 to the top, so its fitting is the identity
+    assert hmj.galois_identities_check(fx.c3())["identities"]
+    monkeypatch.setattr(hmj, "fitting", lambda L, nu, cap=None: nu)
+    with pytest.raises(TheoremBreach) as info:
+        hmj.galois_identities_check(fx.c3())
+    _breach_of(
+        "Galois round trip on a nucleus", info, ["fitnuc_oneker", "fitting"]
+    )
+    assert info.value.routes["fitting"].fix.labels == ("1", "2")
+
+
+def test_missed_compact_quotient_breaks_the_correspondence(
+    monkeypatch, b2_files, capsys
+):
+    # the quotient of the open nucleus at a, fixing {b, 1}, taken for
+    # not compact: the pair ({a, 1}, o_a) is left on the filter side
+    P = fx.b2()
+    o_a = hmj.open_nucleus(P, "a")
+    argv = ["hmj", b2_files["poset"]]
+    assert main(argv) == 0
+    real = hmj.is_compact_quotient
+    monkeypatch.setattr(
+        hmj,
+        "is_compact_quotient",
+        lambda L, nu, cap=None: nu.table != o_a.table and real(L, nu, cap),
+    )
+    with pytest.raises(TheoremBreach) as info:
+        hmj_correspondence(fx.b2())
+    routes = ["scott_open_filters", "compact_fitted_nuclei"]
+    _breach_of("Scott-open filters and compact fitted nuclei", info, routes)
+    sides = info.value.routes
+    assert sides["scott_open_filters"] - sides["compact_fitted_nuclei"] == {
+        (P.mask_of(["a", "1"]), o_a.table)
+    }
+    assert sides["compact_fitted_nuclei"] < sides["scott_open_filters"]
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+def test_fitnuc_above_its_nucleus_breaks_fitting(monkeypatch):
+    # fitnuc answers the constant top: the membership lemma still holds
+    # for the identity, but its fitting would lie above it
+    P = fx.b2()
+    identity = Nucleus(ClosureOperator(identity_map(P)))
+    assert hmj.fitting(P, identity) == identity
+    monkeypatch.setattr(
+        hmj,
+        "fitnuc",
+        lambda L, S, cap=None: Nucleus(ClosureOperator(constant_map(L, "1"))),
+    )
+    P = fx.b2()
+    with pytest.raises(TheoremBreach, match="escaped above its nucleus"):
+        hmj.fitting(P, Nucleus(ClosureOperator(identity_map(P))))
+
+
+def test_non_nuclear_verdict_breaks_the_scott_open_filter_check(monkeypatch):
+    assert hmj.scott_open_filter_is_nuclear_check(fx.b2())
+    monkeypatch.setattr(hmj, "is_nuclear_filter", lambda L, X, cap=None: False)
+    with pytest.raises(TheoremBreach, match=r"^Scott-open filter \{1\} is not"):
+        hmj.scott_open_filter_is_nuclear_check(fx.b2())
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,7 @@ from latkit.heyting import (  # noqa: E402
     enumerate_nuclei,
     frame_of_nuclei_check,
 )
+from latkit.hmj import hmj_correspondence, open_nucleus  # noqa: E402
 from latkit.maps import (  # noqa: E402
     EndoMap,
     closure_table_fault,
@@ -350,6 +351,30 @@ def test_nuclei_of_a_frame_have_one_atom_per_join_irreducible(L):
     )
     assert popcount(join_irreducibles(N.down)) == popcount(irr)
     assert k == 2 ** popcount(irr)
+
+
+def reference_open_fixpoints(L, a):
+    # y is fixed by x -> (a => x) when every z with z meet a <= y lies
+    # below y, since a => y is the greatest such z
+    mt = meet_table(L)
+    return sum(
+        1 << y
+        for y in range(L.n)
+        if all(L.le[z] >> y & 1 for z in range(L.n) if L.le[mt[z][a]] >> y & 1)
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(frames())
+def test_hmj_pairs_are_the_principal_filters_with_their_open_nuclei(L):
+    # on a finite frame every filter is principal and Scott-open and
+    # every quotient is compact, so the correspondence pairs the up set
+    # of each element a with the open nucleus at a, and nothing else
+    pairs = {(F.mask, nu.fix_mask) for F, nu in hmj_correspondence(L)["pairs"]}
+    opens = {(L.le[a], reference_open_fixpoints(L, a)) for a in range(L.n)}
+    assert pairs == opens
+    for a in range(L.n):
+        assert open_nucleus(L, L.label(a)).fix_mask == reference_open_fixpoints(L, a)
 
 
 @st.composite
