@@ -13,9 +13,12 @@ verifies every promised identity; a single failure raises.
 Each identity of the exhaustive checks is one errors.agree between
 named routes.  The kernels of the enumerated nuclei are one table per
 poset, each distinct kernel checked once as a filter and kept as a
-FilterSet; the kernel scan of is_nuclear_filter, the Galois identities
-and the correspondence read it.  Filters are picked from the upper
-sets, listed by a descent rather than a scan of every subset.
+FilterSet.  oneker and that table share the one check of a kernel the
+library computed, _kernel_filter: the filter laws inside
+produced("oneker"), then a FilterSet built trusted.  The kernel scan
+of is_nuclear_filter, the Galois identities and the correspondence
+read that table.  Filters are picked from the upper sets, listed by a
+descent rather than a scan of every subset.
 Scott-openness and compactness are each one call of
 order.directed_tops_avoiding, a query over every directed subset.  The
 fitted nucleus of a kernel is built once per poset and kept, while
@@ -185,21 +188,24 @@ def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
     if t is None:
         raise InputError("kernel at the top needs a top element")
     require_frame(P, cap)
+    return _kernel_filter(P, nu.preimage_mask(1 << t))
+
+
+def _kernel_filter(P: FinitePoset, k: int) -> FilterSet:
+    # a kernel the library computed on the frame P, checked as a filter
+    # once (a failure is a breach of oneker) and kept as a FilterSet
     with produced("oneker"):
-        return FilterSet(Subset(P, nu.preimage_mask(1 << t)), cap)
+        _require_filter(P, k)
+    return trusted(FilterSet, Subset(P, k))
 
 
 def _kernels(P: FinitePoset) -> tuple[tuple[int, ...], dict[int, FilterSet]]:
     # the kernel of each nucleus of _nuclei, in its order, and each
-    # distinct kernel, at most one per filter, checked once as a filter
-    # as oneker would and kept as a FilterSet; cap-free, like _nuclei
+    # distinct kernel, at most one per filter, checked once by
+    # _kernel_filter as oneker checks it; cap-free, like _nuclei
     top = 1 << top_index(P)
     kernels = tuple(nu.preimage_mask(top) for nu in derived(P, _nuclei))
-    filters = {}
-    with produced("oneker"):
-        for k in sorted(set(kernels)):
-            _require_filter(P, k)
-            filters[k] = trusted(FilterSet, Subset(P, k))
+    filters = {k: _kernel_filter(P, k) for k in sorted(set(kernels))}
     return kernels, filters
 
 

@@ -248,19 +248,11 @@ def pointwise_leq(f: EndoMap, g: EndoMap) -> bool:
 
 
 def pointwise_join(
-    maps: Sequence[EndoMap],
-    poset: Optional[FinitePoset] = None,
-    empty_is_identity: bool = False,
+    maps: Sequence[EndoMap], poset: Optional[FinitePoset] = None
 ) -> Optional[EndoMap]:
-    """Pointwise join of a family, or None where some value join is missing.
-
-    The empty family has no pointwise join in general; in contexts where
-    the family ranges over ascending maps the identity is the unit, and
-    passing empty_is_identity=True opts into that reading (poset then
-    required).
-    """
+    """Pointwise join of a nonempty family, or None where a join is missing."""
     if not maps:
-        return identity_map(family_poset(maps, poset)) if empty_is_identity else None
+        return None
     return _pointwise(maps, poset, join_of)
 
 

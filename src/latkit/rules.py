@@ -27,6 +27,8 @@ from .order import (
     bound_sets,
     check_cap,
     derived,
+    has_ceiling_mask,
+    is_default_enabled,
     least_closed_table,
     lower_bounds_mask,
     maximal_mask,
@@ -351,16 +353,16 @@ def rel_impl_max(P: FinitePoset, a: str, b: str) -> Subset:
 
 
 def _nuclear_rules(P: FinitePoset) -> RuleSet:
-    seen = set()
-    out = []
-    for b in range(P.n):
-        for a in range(P.n):
-            heads = rel_impl_max(P, P.label(a), P.label(b)).mask
-            for h in bits(heads):
-                if (b, h) not in seen:
-                    seen.add((b, h))
-                    out.append(ClosureRule(P, 1 << b, h))
-    return RuleSet(P, tuple(out))
+    # RuleSet keeps a rule found for several a at its first place
+    return RuleSet(
+        P,
+        tuple(
+            ClosureRule(P, 1 << b, h)
+            for b in range(P.n)
+            for a in range(P.n)
+            for h in bits(rel_impl_max(P, P.label(a), P.label(b)).mask)
+        ),
+    )
 
 
 def nuclear_rules(P: FinitePoset) -> RuleSet:
@@ -375,8 +377,6 @@ def is_nuclear_enabled(P: FinitePoset, cap: Optional[int] = None) -> bool:
     """Default-enabled, and every solution set of x meet a <= b has a
     ceiling.  Guarantees nuclear systems are exactly the sets obeying
     the default and nuclear rules together."""
-    from .order import has_ceiling_mask, is_default_enabled
-
     if not is_default_enabled(P, cap):
         return False
     if meet_table(P) is None:

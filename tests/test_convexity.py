@@ -182,6 +182,32 @@ def test_funnel_fails_for_planted_operator():
     assert rep["witness"] is not None
 
 
+def test_funnel_witness_walks_the_part_of_x_above_y():
+    # 1 enters the closure of {0, 2} but not that of {2}, the part of
+    # {0, 2} above 1 in the chain: condition (1) walks the subsets of
+    # {2} before it names the witness
+    P = fx.c3()
+    everything = ("0", "1", "2")
+    op = table_operator(
+        P,
+        {
+            (): (),
+            ("0",): ("0",),
+            ("1",): ("0", "1"),
+            ("0", "1"): ("0", "1"),
+            ("2",): ("2",),
+            ("0", "2"): everything,
+            ("1", "2"): everything,
+            everything: everything,
+        },
+    )
+    rep = funnel_check(op, P)
+    assert not rep["is_funnel"]
+    assert not rep["upper_set_form"]
+    assert not rep["principal_form"]
+    assert rep["witness"] == (("0", "2"), "1")
+
+
 def test_acyclicity_modes():
     P = fx.c3()
     rep = acyclicity(clsys_operator(P), mode="poset_order")

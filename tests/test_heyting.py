@@ -39,6 +39,7 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit.errors import (
+    CapExceeded,
     NotAFrame,
     NotANucleus,
     NotMeetSemilattice,
@@ -365,6 +366,25 @@ def test_frame_of_nuclei_check_on_fixtures():
         assert rep["bottom_is_identity"]
         assert rep["meets_pointwise"]
         assert rep["all_scott_continuous"]
+
+
+def test_frame_of_nuclei_check_gates_the_number_of_nuclei(monkeypatch):
+    # chain(n) has 2^(n-1) nuclei; the bit length of their number is
+    # gated before any pair of them is examined
+    for n in (13, 14):
+        P = fx.chain(n)
+        with pytest.raises(
+            CapExceeded, match=f"^nucleus pair check: size {n} exceeds cap 12;"
+        ):
+            frame_of_nuclei_check(P)
+        assert heyting._nuclei_rows not in P._derived
+    # an explicit cap replaces the default
+    monkeypatch.setattr(heyting, "NUCLEUS_PAIR_CAP", 3)
+    with pytest.raises(
+        CapExceeded, match="^nucleus pair check: size 4 exceeds cap 3;"
+    ):
+        frame_of_nuclei_check(fx.chain(4))
+    assert frame_of_nuclei_check(fx.chain(4), cap=4)["nucleus_count"] == 8
 
 
 def test_nuclei_order_pairs_on_b2():

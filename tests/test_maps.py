@@ -105,9 +105,9 @@ def test_pointwise_join_can_fail_without_joins():
     assert pointwise_join([ca, cb]) is None
 
 
-def test_empty_pointwise_join_needs_flag():
-    P = fx.b2()
-    assert pointwise_join([], poset=P, empty_is_identity=True).table == identity_map(P).table
+def test_empty_pointwise_join_is_none():
+    # the empty family has no pointwise join in general
+    assert pointwise_join([], poset=fx.b2()) is None
 
 
 def test_pointwise_join_and_meet_check_the_given_poset():

@@ -351,7 +351,7 @@ def test_wrong_double_implication_breaks_least_nucleus_fixpoints(
     monkeypatch.setattr(
         heyting,
         "_double_implication",
-        lambda Q, xs, route, missing: Nucleus(identity_map(Q)),
+        lambda Q, xs, route: Nucleus(identity_map(Q)),
     )
     with pytest.raises(
         TheoremBreach, match="fixpoints of the least nucleus above"
@@ -739,6 +739,26 @@ def test_wrong_implication_in_its_candidates_breaks_adjunction(
     assert str(info.value) == "implication adjunction failed at x='b' a='a' b='0'"
     assert main(argv) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "answer, failure",
+    [(None, "x='0' a='a' b='0'"), (3, "x='a' a='a' b='0'")],
+    ids=["missing", "escaped"],
+)
+def test_bad_join_of_the_solutions_breaks_adjunction(monkeypatch, answer, failure):
+    # the join of the solutions of x meet a <= 0, {0, b}, answered as
+    # missing or as the top, which is not a solution: the adjunction
+    # check is the one check of that join
+    real = heyting.join_of
+
+    def planted(Q, mask):
+        return answer if mask == Q.mask_of(["0", "b"]) else real(Q, mask)
+
+    monkeypatch.setattr(heyting, "join_of", planted)
+    with pytest.raises(TheoremBreach) as info:
+        heyting.implication_table(fx.b2())
+    assert str(info.value) == f"implication adjunction failed at {failure}"
 
 
 def test_wrong_join_index_breaks_frame_of_nuclei(monkeypatch):
@@ -1147,3 +1167,145 @@ def test_short_closure_table_is_a_breach_not_bad_input(
     assert isinstance(info.value.__cause__, ValueError)
     assert main(argv) == 3
     assert "map table must cover every element" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# guards behind an upstream function: each fires when that function is
+# planted wrong, and is quiet before
+
+
+def test_meet_check_blind_to_comparable_pairs_breaks_prenucleus(monkeypatch):
+    # on a chain every pair is comparable, so a meet-preservation test
+    # that skips comparable pairs passes a map that is ascending but not
+    # increasing; the prenucleus check re-derives monotonicity and raises
+    P = fx.c3()
+    f = EndoMap(P, (2, 1, 2))
+    assert not heyting.is_prenucleus(f)
+
+    def incomparable_pairs_only(g):
+        Q, t = g.poset, g.table
+        mt, le = order.meet_table(Q), Q.le
+        return all(
+            t[mt[i][j]] == mt[t[i]][t[j]]
+            for i in range(Q.n)
+            for j in range(i + 1, Q.n)
+            if not (le[i] >> j & 1 or le[j] >> i & 1)
+        )
+
+    monkeypatch.setattr(heyting, "preserves_binary_meets", incomparable_pairs_only)
+    with pytest.raises(TheoremBreach, match="is not increasing"):
+        heyting.is_prenucleus(f)
+
+
+def test_meet_without_the_empty_case_breaks_double_implication(monkeypatch):
+    # the nucleus of the empty set is the meet of no values at each
+    # point, the top; a meet that needs a nonempty set has none, and the
+    # breach names the route that asked
+    P = fx.b2()
+    assert heyting.nuc_map(P, Subset(P, 0)).fix.labels == ("1",)
+    real = heyting.meet_of
+    monkeypatch.setattr(
+        heyting, "meet_of", lambda Q, mask: real(Q, mask) if mask else None
+    )
+    with pytest.raises(TheoremBreach) as info:
+        heyting.nuc_map(P, Subset(P, 0))
+    assert str(info.value) == (
+        "double-implication formula: the meet at '0' does not exist"
+    )
+
+
+def test_repeated_nucleus_breaks_the_order_on_nuclei(monkeypatch):
+    # a descent that yields one nucleus twice: the two copies lie below
+    # each other, so the pointwise order is not antisymmetric
+    assert heyting.frame_of_nuclei_check(fx.b2())["nucleus_count"] == 4
+    _plant_carried_tables(monkeypatch, heyting, lambda pairs: pairs + pairs[:1])
+    with pytest.raises(TheoremBreach, match="^pointwise order on nuclei: "):
+        heyting.frame_of_nuclei_check(fx.b2())
+
+
+def test_empty_descent_breaks_the_lattice_of_nuclei(monkeypatch):
+    # a descent that yields no leaves leaves N(L) without a bottom or top
+    _plant_carried_tables(monkeypatch, heyting, lambda pairs: [])
+    with pytest.raises(TheoremBreach) as info:
+        heyting.frame_of_nuclei_check(fx.b2())
+    assert str(info.value) == "nuclei do not form a complete lattice"
+
+
+def test_top_for_the_empty_family_breaks_the_generation_probe(monkeypatch):
+    # a generation that closes the empty family to the constant top:
+    # the validated nucleus_join of no nuclei is then the top, not the
+    # bottom of the join table
+    P = fx.b2()
+    assert heyting.nucleus_join([], P).table == (0, 1, 2, 3)
+    real = heyting.generate_closure
+
+    def planted(G, poset=None):
+        if not G:
+            return ClosureOperator(constant_map(poset, "1"))
+        return real(G, poset)
+
+    monkeypatch.setattr(heyting, "generate_closure", planted)
+    with pytest.raises(TheoremBreach, match="join of nuclei of \\(\\)") as info:
+        heyting.frame_of_nuclei_check(fx.b2())
+    assert info.value.routes == {
+        "generation": (3, 3, 3, 3),
+        "join_table": (0, 1, 2, 3),
+    }
+
+
+def test_fixpoints_of_the_first_generator_break_generate_closure(monkeypatch):
+    # common fixpoints read from the first generator alone: the identity
+    # first fixes everything, and the answer is not above the second
+    P = fx.b2()
+    g = EndoMap(P, (1, 1, 3, 3))
+    assert closure.generate_closure([identity_map(P), g]).table == g.table
+    real = closure.fix
+    monkeypatch.setattr(closure, "fix", lambda G, poset=None: real(G[:1], poset))
+    with pytest.raises(TheoremBreach, match="not above a generator"):
+        closure.generate_closure([identity_map(P), g])
+
+
+def test_total_way_below_relation_breaks_the_scott_core_formula(monkeypatch):
+    # if every element were way below every other, each way-below set
+    # of the two-point antichain would be both points, which have no join
+    gamma = ClosureOperator(identity_map(fx.antichain(2)))
+    assert closure.sccore(gamma) == gamma
+    monkeypatch.setattr(order, "_way_below", lambda Q: (Q.full_mask,) * Q.n)
+    gamma = ClosureOperator(identity_map(fx.antichain(2)))
+    with pytest.raises(TheoremBreach, match="has no join"):
+        closure.sccore(gamma)
+
+
+def test_unchecked_monotonicity_breaks_the_antisymmetric_funnel(monkeypatch):
+    # the empty set closes to {1, 2} but {0} to itself: ascending and
+    # idempotent, not monotone.  The chain's order passes all three
+    # funnel forms while anti-exchange fails, which the theorem rules
+    # out for monotone operators; a constructor that skips monotonicity
+    # lets the map through to funnel_check
+    P = fx.c3()
+    everything = ("0", "1", "2")
+    table = {
+        (): ("1", "2"),
+        ("0",): ("0",),
+        ("1",): ("1", "2"),
+        ("0", "1"): everything,
+        ("2",): ("1", "2"),
+        ("0", "2"): everything,
+        ("1", "2"): ("1", "2"),
+        everything: everything,
+    }
+    with pytest.raises(InputError, match="not monotone"):
+        convexity.table_operator(P, table)
+
+    def without_monotonicity(op, fn):
+        cl = tuple(fn(m) for m in range(op.universe.full_mask + 1))
+        if any(m & ~c or cl[c] != c for m, c in enumerate(cl)):
+            raise InputError(f"{op.kind}: not a closure table")
+        object.__setattr__(op, "table", cl)
+
+    monkeypatch.setattr(
+        convexity.PowersetOperator, "__post_init__", without_monotonicity
+    )
+    op = convexity.table_operator(P, table)
+    with pytest.raises(TheoremBreach, match="fails anti-exchange"):
+        convexity.funnel_check(op, P)
