@@ -15,9 +15,10 @@ named routes.  The kernels of the enumerated nuclei are one table per
 poset, each distinct kernel checked once as a filter and kept as a
 FilterSet.  oneker and that table share the one check of a kernel the
 library computed, _kernel_filter: the filter laws inside
-produced("oneker"), then a FilterSet built trusted.  The kernel scan
-of is_nuclear_filter, the Galois identities and the correspondence
-read that table.  Filters are picked from the upper sets, listed by a
+produced("oneker"), then a FilterSet built trusted and kept in a
+per-poset record, so each distinct kernel is checked once per poset.
+The kernel scan of is_nuclear_filter, the Galois identities and the
+correspondence read that table.  Filters are picked from the upper sets, listed by a
 descent rather than a scan of every subset.
 Scott-openness and compactness are each one call of
 order.directed_tops_avoiding, a query over every directed subset.  The
@@ -58,7 +59,7 @@ from .order import (
     check_cap,
     derived,
     directed_tops_avoiding,
-    image_masks,
+    image_joins,
     join_meet_tables,
     meet_table,
     refine,
@@ -193,16 +194,26 @@ def oneker(nu: Nucleus, cap: Optional[int] = None) -> FilterSet:
 
 def _kernel_filter(P: FinitePoset, k: int) -> FilterSet:
     # a kernel the library computed on the frame P, checked as a filter
-    # once (a failure is a breach of oneker) and kept as a FilterSet
-    with produced("oneker"):
-        _require_filter(P, k)
-    return trusted(FilterSet, Subset(P, k))
+    # once per poset (a failure is a breach of oneker) and kept as a
+    # FilterSet in the poset's record of checked kernels
+    checked = derived(P, _checked_kernels)
+    if k not in checked:
+        with produced("oneker"):
+            _require_filter(P, k)
+        checked[k] = trusted(FilterSet, Subset(P, k))
+    return checked[k]
+
+
+def _checked_kernels(P: FinitePoset) -> dict[int, FilterSet]:
+    # kernel mask -> its FilterSet, filled by _kernel_filter
+    return {}
 
 
 def _kernels(P: FinitePoset) -> tuple[tuple[int, ...], dict[int, FilterSet]]:
     # the kernel of each nucleus of _nuclei, in its order, and each
-    # distinct kernel, at most one per filter, checked once by
-    # _kernel_filter as oneker checks it; cap-free, like _nuclei
+    # distinct kernel, at most one per filter, read through
+    # _kernel_filter, which checks it once per poset for this table and
+    # oneker alike; cap-free, like _nuclei
     top = 1 << top_index(P)
     kernels = tuple(nu.preimage_mask(top) for nu in derived(P, _nuclei))
     filters = {k: _kernel_filter(P, k) for k in sorted(set(kernels))}
@@ -331,8 +342,9 @@ def quotient_frame_check(
     """The fixpoint set of a nucleus is a frame under inherited meets
     and reflected joins, and the corestricted nucleus is a surjective
     frame morphism onto it.  The frame check is validate_structure on
-    the fixpoints' subposet; join preservation is read subset by subset
-    from the join and image tables of L."""
+    the fixpoints' subposet; join preservation compares, for every
+    subset, two tables of L built by doubling: its join, and the join
+    of its image (order.image_joins), each sent through nu."""
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
     check_cap("quotient frame check", P.n, cap, SUBSET_CAP)
@@ -351,7 +363,7 @@ def quotient_frame_check(
         raise TheoremBreach("corestriction does not preserve binary meets")
     join, _ = join_meet_tables(P)
     to_fix = bytes(nu.table).ljust(256, b"\0")
-    joined_images = bytes(map(join.__getitem__, image_masks(nu.table)))
+    joined_images = image_joins(join, nu.table)
     if join.translate(to_fix) != joined_images.translate(to_fix):
         raise TheoremBreach("corestriction does not preserve joins")
     return {

@@ -12,7 +12,6 @@ labels at the boundary.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Optional, Sequence
@@ -377,17 +376,69 @@ def _mask_word(n: int) -> str:
 
 
 def join_meet_tables(P: FinitePoset) -> tuple[bytearray, bytearray]:
-    """Join and meet of every subset, indexed by mask; P.n where none
-    exists.
+    """Join and meet of every subset, indexed by mask.  On a lattice
+    every entry is exact; on any poset every entry up to a table's first
+    P.n is, and that P.n marks the least subset that lacks one.
 
-    The least (greatest) element is picked once per distinct common
-    upper (lower) bound set from bound_sets: O(2^n) table steps for
-    all 2^n subsets.
+    The tables are built by doubling: the subsets whose highest element
+    is i are the earlier ones with i added, so each element costs one
+    bytes.translate of the table so far through i's column of binary
+    joins (meets), O(2^n) table steps for all 2^n subsets.  The meet
+    columns are the rows of meet_table when P has one.
+
+    One identity, which holds in every poset, makes this the join:
+    when the join j of A exists, the upper bounds of A with i added are
+    those of {j, i}, so A with i added has a join iff {j, i} has, and
+    they are equal.  Nothing is inferred from finiteness.  Let m be the
+    first mask whose entry is P.n (or 2^n if none is).  The entry of
+    the empty mask is its join by definition.  A nonempty mask k <= m
+    with highest element i is k' with i added, and k' < m; if the entry
+    j of k' is its join, the entry of k is the binary join of j and i,
+    which is the join of k, or P.n exactly when k has none.  So by
+    induction on the mask every entry up to m is the definitional join,
+    and m is the least mask that lacks one.  On a lattice every join
+    exists, so the induction runs through every mask and every entry
+    is exact.  Past m an entry may read P.n where a join exists: a
+    missing join of A is carried to each A with elements added.  Any
+    entry other than P.n is still the join, by the same step, since P.n
+    translates to P.n.  The meet table is the dual.
     """
-    return (
-        _extremum_table(P, P.le, least_of),
-        _extremum_table(P, P.down, greatest_of),
-    )
+    n = P.n
+
+    def doubled(rows, extremum, columns):
+        def pick(mask):
+            e = extremum(P, mask)
+            return n if e is None else e
+
+        table = bytearray([pick(P.full_mask)])
+        for i, row in enumerate(rows):
+            col = columns[i] if columns else [pick(row & r) for r in rows]
+            table += table.translate(bytes([*col, n]).ljust(256, b"\0"))
+        return table
+
+    return doubled(P.le, least_of, None), doubled(P.down, greatest_of, meet_table(P))
+
+
+def image_joins(join: bytes, table: Sequence[int]) -> bytearray:
+    """Join of the image of every subset under i -> table[i], indexed
+    by the subset's mask, given the join table of a lattice on the
+    n = len(table) elements, as join_meet_tables builds it: entry m is
+    the join of the image mask of m.
+
+    Built by doubling, as join_meet_tables is: the subsets whose highest
+    element is i are the earlier ones with i added, which adds table[i]
+    to the image.  By the identity proved there, when the image of A
+    has the join j, the image with table[i] added has the join of
+    {j, table[i]}, read from join at that two-element mask; on a
+    lattice every such join exists, so every entry is exact.  Each
+    element costs one bytes.translate.
+    """
+    n = len(table)
+    out = bytearray(join[:1])
+    for v in table:
+        col = bytes(join[1 << u | 1 << v] for u in range(n))
+        out += out.translate(col.ljust(256, b"\0"))
+    return out
 
 
 def bound_sets(P: FinitePoset, rows: Sequence[int]) -> array:
@@ -403,36 +454,6 @@ def bound_sets(P: FinitePoset, rows: Sequence[int]) -> array:
     for row in rows:
         bounds.extend([b & row for b in bounds])
     return bounds
-
-
-def _extremum_table(P: FinitePoset, rows, extremum) -> bytearray:
-    bounds = bound_sets(P, rows)
-    pick = {}
-    for b in set(bounds):
-        e = extremum(P, b)
-        pick[b] = P.n if e is None else e
-    return bytearray(map(pick.__getitem__, bounds))
-
-
-def image_masks(table: Sequence[int]) -> array:
-    """Image of every subset under the map i -> table[i] on an
-    n = len(table) element poset, as a mask, indexed by the subset's
-    mask.
-
-    The subsets whose highest element is i are the earlier ones with
-    table[i] added, so each element costs one big-integer OR over the
-    words packed so far.
-    """
-    word = _mask_word(len(table))
-    width = array(word).itemsize
-    order = sys.byteorder
-    packed = bytes(width)
-    for v in table:
-        fill = (1 << v).to_bytes(width, order) * (len(packed) // width)
-        packed += (
-            int.from_bytes(packed, order) | int.from_bytes(fill, order)
-        ).to_bytes(len(packed), order)
-    return array(word, packed)
 
 
 def maximal_mask(P: FinitePoset, mask: int) -> int:

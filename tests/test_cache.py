@@ -84,27 +84,22 @@ def test_second_enumeration_builds_no_nucleus(monkeypatch):
 
 def test_galois_check_builds_a_filter_per_kernel_not_per_subset(monkeypatch):
     # chain(6) has 32 nuclei and 64 subsets but 6 filters: the kernel
-    # table checks each distinct kernel once, and oneker checks one per
-    # distinct kernel in the round trips and one more per kernel that
-    # fitting keeps a fitted nucleus for; each check is one
-    # _kernel_filter call, counted by its caller
+    # table, the oneker round trips and fitting all read each distinct
+    # kernel through the per-poset record of checked kernels, so the
+    # filter check itself runs once per kernel
     checks = Counter()
-    real = hmj._kernel_filter
+    real = hmj._require_filter
 
     def counting(Q, mask):
-        caller = sys._getframe(1)
-        while caller.f_code.co_name.startswith("<"):  # a comprehension
-            caller = caller.f_back
-        checks[caller.f_code.co_name] += 1
+        checks[mask] += 1
         return real(Q, mask)
 
-    monkeypatch.setattr(hmj, "_kernel_filter", counting)
+    monkeypatch.setattr(hmj, "_require_filter", counting)
     P = fx.chain(6)
     assert hmj.galois_identities_check(P)["identities"]
     assert len(hmj.enumerate_filters(P)) == 6
-    assert set(checks) == {"_kernels", "oneker"}
-    assert checks["_kernels"] == 6
-    assert 0 < checks["oneker"] <= 2 * 6
+    assert sum(checks.values()) == 6
+    assert set(checks) == {F.mask for F in hmj.enumerate_filters(P)}
 
 
 @pytest.mark.parametrize(

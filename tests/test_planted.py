@@ -933,6 +933,33 @@ def test_quotient_frame_check_catches_each_breach(monkeypatch):
     assert hmj.quotient_frame_check(P, nu)["is_frame"]
 
 
+def test_image_joins_that_skip_an_element_break_the_frame_checks(monkeypatch):
+    # the doubling skips the translate of the last element, the top of
+    # b2: a subset holding it reads the join of the rest of its image.
+    # So the join of a's meet image of {1} reads 0, not a meet 1 = a,
+    # and the join of a nucleus's image of {1} reads its value at 0
+    real = order.image_joins
+
+    def skipping(join, table):
+        built = real(join, table)[: len(join) // 2]
+        return built + built
+
+    assert heyting.validate_structure(fx.b2()).level == "frame"
+    monkeypatch.setattr(heyting, "image_joins", skipping)
+    fv = heyting.validate_structure(fx.b2())
+    assert (fv.level, fv.witness) == (
+        "preframe",
+        "meet with 'a' does not distribute over the join of {1}",
+    )
+    monkeypatch.setattr(heyting, "image_joins", real)
+    P = fx.b2()
+    nu = heyting.enumerate_nuclei(P)[1]
+    assert hmj.quotient_frame_check(P, nu)["is_frame"]
+    monkeypatch.setattr(hmj, "image_joins", skipping)
+    with pytest.raises(TheoremBreach, match="does not preserve joins"):
+        hmj.quotient_frame_check(P, nu)
+
+
 def test_dropped_value_row_member_breaks_the_galois_and_order_checks(monkeypatch):
     # the first nucleus (the identity) and the first Scott-open filter's
     # nucleus drop out of the value rows at the top: the nuclei above

@@ -35,6 +35,9 @@ from latkit.convexity import (  # noqa: E402
 from latkit.errors import InputError  # noqa: E402
 from latkit.heyting import (  # noqa: E402
     Nucleus,
+    _adjunction_failure,
+    _imp_table,
+    _solutions,
     enumerate_nuclei,
     frame_of_nuclei_check,
 )
@@ -51,13 +54,17 @@ from latkit.order import (  # noqa: E402
     FinitePoset,
     Subset,
     bits,
+    bound_sets,
     build_poset,
     closure_tables,
     covers,
     directed_join_faults,
     directed_tops_avoiding,
     greatest_of,
+    image_joins,
     join_irreducibles,
+    join_meet_tables,
+    join_of,
     least_closed_above,
     least_closed_table,
     least_of,
@@ -397,6 +404,106 @@ def lattices(draw):
 def test_meet_closure_is_the_least_closure_system_on_a_lattice(P):
     for m in range(P.full_mask + 1):
         assert meet_closure(P, m) == clsys(Subset(P, m)).mask
+
+
+def reference_join_meet_tables(P):
+    """The join and meet of every subset, each picked from the subset's
+    common bound set."""
+
+    def table(rows, extremum):
+        picks = (extremum(P, b) for b in bound_sets(P, rows))
+        return bytearray(P.n if e is None else e for e in picks)
+
+    return table(P.le, least_of), table(P.down, greatest_of)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(posets(max_n=7), meet_semilattices()))
+def test_doubled_tables_are_exact_up_to_their_first_gap(P):
+    # past the first gap a doubled entry may miss a join that exists;
+    # up to it every entry is exact, and it is the least gap; an entry
+    # that is not a gap is exact anywhere
+    for got, want in zip(join_meet_tables(P), reference_join_meet_tables(P)):
+        gap = got.find(P.n)
+        assert gap == want.find(P.n)
+        end = len(got) if gap < 0 else gap + 1
+        assert got[:end] == want[:end]
+        assert all(g == w for g, w in zip(got, want) if g != P.n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lattices())
+def test_doubled_tables_are_exact_on_a_lattice(P):
+    assert join_meet_tables(P) == reference_join_meet_tables(P)
+
+
+@st.composite
+def lattices_with_tables(draw):
+    # any table, not only meet maps
+    P = draw(lattices())
+    table = draw(st.lists(st.integers(0, P.n - 1), min_size=P.n, max_size=P.n))
+    return P, tuple(table)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lattices_with_tables())
+def test_image_joins_read_the_join_of_each_image(case):
+    P, table = case
+    join, _ = join_meet_tables(P)
+    images = [
+        sum(1 << v for v in {table[i] for i in bits(m)})
+        for m in range(P.full_mask + 1)
+    ]
+    assert image_joins(join, table) == bytearray(join[v] for v in images)
+
+
+def reference_implication(P, mt):
+    """a => b as the join of the x with x meet a <= b, one x at a time."""
+    return tuple(
+        tuple(
+            join_of(P, sum(1 << x for x in range(P.n) if P.le[mt[x][a]] >> b & 1))
+            for b in range(P.n)
+        )
+        for a in range(P.n)
+    )
+
+
+def reference_adjunction_failure(P, imp, mt):
+    """The first (x, a, b) where x <= (a => b) and x meet a <= b differ,
+    one triple at a time."""
+    for x in range(P.n):
+        for a in range(P.n):
+            for b in range(P.n):
+                r = imp[a][b]
+                if r is None or (P.le[x] >> r & 1) != (P.le[mt[x][a]] >> b & 1):
+                    return x, a, b
+    return None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(frames())
+def test_implication_table_matches_the_cubic_route(L):
+    assert _imp_table(L) == reference_implication(L, meet_table(L))
+
+
+@st.composite
+def frames_with_a_wrong_implication(draw):
+    L = draw(frames(max_n=10))
+    a, b = draw(st.integers(0, L.n - 1)), draw(st.integers(0, L.n - 1))
+    value = draw(st.one_of(st.none(), st.integers(0, L.n - 1)))
+    return L, a, b, value
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(frames_with_a_wrong_implication())
+def test_adjunction_masks_find_the_cubic_scan_failure(case):
+    L, a, b, value = case
+    mt = meet_table(L)
+    imp = [list(row) for row in reference_implication(L, mt)]
+    imp[a][b] = value
+    want = reference_adjunction_failure(L, imp, mt)
+    assert _adjunction_failure(L, imp, _solutions(L, mt)) == want
+    assert (want is None) == (value == _imp_table(L)[a][b])
 
 
 @st.composite
