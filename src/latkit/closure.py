@@ -4,13 +4,11 @@ The two sides of the subject are kept as distinct types, each a
 subclass of the plain value it refines.  A ClosureOperator is an
 EndoMap that is ascending, increasing and idempotent; a ClosureSystem
 is a Subset in which every principal upper set has a least member.
-Each constructor checks, base class first, the laws its argument has
-not passed yet (an EndoMap has passed EndoMap's, a ClosureOperator
-also its own), so a value of either type has passed every law its
-type names and can be passed wherever its base value is expected.
-Their .map and .subset give the plain value back, for comparing with
-one.  duality and duality_inv translate between the two sides and are
-mutually inverse.
+Their constructors check a caller's value, skipping the laws it has
+passed already; .map and .subset give the plain value back.  Every
+closure operator the library builds from a table is checked once, by
+trusted_operators under its route's name, and built trusted.  duality
+and duality_inv translate between the two sides and are inverse.
 
 Generation from a family of preclosure maps is implemented twice, on
 purpose: once through intersection of fixpoint sets, once as iterated
@@ -152,12 +150,12 @@ def duality(C: Subset) -> ClosureOperator:
     """The closure operator whose fixpoints are exactly C.
 
     Sends x to the least element of C at or above x.  C is checked as a
-    closure system unless it is one already.
+    closure system unless it is one already, and that check computed
+    this table: the closure operator fixing C, built trusted.
     """
     if not isinstance(C, ClosureSystem):
         C = ClosureSystem(C)
-    with produced("duality"):
-        return ClosureOperator(EndoMap(C.poset, C._table))
+    return trusted(ClosureOperator, poset=C.poset, table=C._table)
 
 
 def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
@@ -188,27 +186,32 @@ def closure_system_masks(P: FinitePoset, cap: Optional[int] = None) -> tuple[int
     return _carried(P, cap)[0]
 
 
-def trusted_operators(cls, P: FinitePoset, leaves, meets=None) -> tuple:
-    """The cls values, ClosureOperator or a refinement of it, with the
-    tables of these library-built (fixpoint mask, table) leaves.
-
-    maps.closure_table_fault decides every leaf's laws in one pass,
-    given P's meet table for nuclei, and the values are then built with
-    order.trusted.  A rejected table is handed to cls, which raises the
-    InputError of the law it breaks; call this inside produced, so that
-    is a breach.  A rejected table that cls accepts is a breach too: it
-    fixes a set other than its mask.
-    """
+def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tuple:
+    """The cls values (ClosureOperator or a refinement) with the tables
+    of these (fixpoint mask, table) leaves that route built, their laws
+    decided in one pass of maps.closure_table_fault, given P's meet
+    table for nuclei, and then built with order.trusted.  A rejected
+    table goes to cls inside produced(route), so the law it breaks is
+    named in a breach of route; one that cls accepts fixes a set other
+    than its mask, a breach too."""
     leaves = list(leaves)
     bad = closure_table_fault(P, leaves, meets)
     if bad is not None:
         mask, table = leaves[bad]
-        op = cls(EndoMap(P, table))
+        with produced(route):
+            op = cls(EndoMap(P, table))
         raise TheoremBreach(
             "a carried closure table fixes another set: "
             f"{op.fix!r}, carried with {Subset(P, mask)!r}"
         )
     return tuple(trusted(cls, poset=P, table=t) for _, t in leaves)
+
+
+def checked(cls, P: FinitePoset, table: tuple, route: str, meets=None):
+    """The cls value with this table that route built: one leaf of
+    trusted_operators, carried with the table's own fixpoints."""
+    fixed = sum(1 << x for x, v in enumerate(table) if x == v)
+    return trusted_operators(cls, P, [(fixed, table)], route, meets)[0]
 
 
 def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
@@ -220,8 +223,8 @@ def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
     its operator's table.
     """
     masks, tables = _carried(P, cap)
-    with produced("closure-system enumeration"):
-        ops = trusted_operators(ClosureOperator, P, zip(masks, tables))
+    route = "closure-system enumeration"
+    ops = trusted_operators(ClosureOperator, P, zip(masks, tables), route)
     return {
         "closure_systems": [duality_inv(op) for op in ops],
         "closure_operators": list(ops),
@@ -288,8 +291,7 @@ def kleene_generate(
                     v = nv
                     changed = True
         table.append(v)
-    with produced("round-robin iteration"):
-        return ClosureOperator(EndoMap(P, tuple(table)))
+    return checked(ClosureOperator, P, tuple(table), "round-robin iteration")
 
 
 def _principle(name, A, G, poset, premises, conclusion) -> dict:
@@ -494,8 +496,7 @@ def sccore(gamma: ClosureOperator, cap: Optional[int] = None) -> ClosureOperator
                 "has no join; the Scott core formula broke down"
             )
         table.append(v)
-    with produced("Scott core formula"):
-        return ClosureOperator(EndoMap(P, tuple(table)))
+    return checked(ClosureOperator, P, tuple(table), "Scott core formula")
 
 
 def sccore_bruteforce(
@@ -520,8 +521,7 @@ def sccore_bruteforce(
             "the Scott-continuous closure operators below the given one "
             "have no greatest member"
         )
-    with produced("Scott core scan"):
-        return ClosureOperator(below[top])
+    return checked(ClosureOperator, P, tables[top], "Scott core scan")
 
 
 # ---------------------------------------------------------------------------

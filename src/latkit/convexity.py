@@ -134,12 +134,15 @@ def table_operator(
 ) -> PowersetOperator:
     """Operator given by an explicit table from label sets to label sets.
 
-    The table must be total over the powerset; construction validates
-    the closure laws and rejects violations."""
+    The table must name every subset once; construction validates the
+    closure laws and rejects violations."""
     check_cap("table powerset operator", P.n, cap, SUBSET_CAP)
     by_mask = {}
     for key, val in table.items():
-        by_mask[P.mask_of(key)] = P.mask_of(val)
+        m = P.mask_of(key)
+        if m in by_mask:
+            raise InputError(f"table names {{{', '.join(P.labels_of(m))}}} twice")
+        by_mask[m] = P.mask_of(val)
     if len(by_mask) != P.full_mask + 1:
         raise InputError(
             f"table not total: {len(by_mask)} of {P.full_mask + 1} subsets"

@@ -25,24 +25,20 @@ the solution set), is also the check that each join exists and is a
 solution.
 
 A Nucleus is a ClosureOperator, and so an EndoMap, that preserves
-binary meets: its constructor runs the ClosureOperator checks its
-argument has not passed yet and then that one, and .op and .map give
-the plain ClosureOperator and EndoMap back.  The formulas here
-(nucsys, the double-implication nucleus, regular nuclei, core and
-least nucleus above) are each paired with an independent brute-force
-route over the full enumeration of nuclei; disagreement raises,
-loudly.  Each fact is decided in one place: is_nuclear_system is
-nucsys's answer compared with X, and a comparison of routes is an
+binary meets; .op and .map give the plain values back.  Its
+constructor checks a caller's value, and every nucleus built here is
+checked by closure.trusted_operators under its route's name.  The
+formulas (nucsys, the double-implication nucleus, regular nuclei, core
+and least nucleus above) are each paired with an independent
+brute-force route over the full enumeration of nuclei; disagreement
+raises, loudly.  Each fact is decided in one place: is_nuclear_system
+is nucsys's answer compared with X, and a comparison of routes is an
 errors.agree.
 That enumeration rests on the definition alone, never on implication:
 the top-down descent of order.closure_tables, given the meet table,
 keeps a branch only while it preserves the meets it has decided, so
 the cost follows the number of nuclei rather than the number of
-closure systems, and the tests check the list against a filter of
-every closure system.  Its leaves are not run through the Nucleus
-constructor one by one: maps.closure_table_fault decides the laws of
-every leaf in one pass, O(n) masks per table against its fixpoint
-mask, on any meet-semilattice, and the nuclei are built trusted.
+closure systems.
 
 The nuclei form a frame N(L), checked exactly on pairs of nuclei,
 which carry the laws to every family by induction; distributivity is
@@ -63,10 +59,10 @@ from .errors import (
     NotPrenucleus,
     TheoremBreach,
     agree,
-    produced,
 )
 from .closure import (
     ClosureOperator,
+    checked,
     generate_closure,
     trusted_operators,
 )
@@ -315,8 +311,7 @@ def nucleus_meet(a: Nucleus, b: Nucleus) -> Nucleus:
     if mt is None:
         raise NotMeetSemilattice("nucleus meet needs pairwise meets")
     table = tuple(mt[x][y] for x, y in zip(a.table, b.table))
-    with produced("pointwise nucleus meet"):
-        return Nucleus(EndoMap(P, table))
+    return checked(Nucleus, P, table, "pointwise nucleus meet", mt)
 
 
 def fix_of_meet_check(a: Nucleus, b: Nucleus) -> bool:
@@ -344,16 +339,15 @@ def nucleus_join(
     """Join of a family of prenuclei on a preframe: the generated
     closure operator, which the generation theorem promises is a
     nucleus.  The empty family yields the identity.  Members given as
-    Nucleus objects were validated when built and are not tested again;
-    the generated join is validated as a nucleus on every call."""
+    Nucleus objects are not tested again; the generated join is checked
+    as a nucleus on every call."""
     P = family_poset(Gamma, poset)
     require_preframe(P, cap)
     for g in Gamma:
         if not isinstance(g, Nucleus) and not is_prenucleus(g):
             raise NotPrenucleus(f"{g!r} is not a prenucleus")
     gen = generate_closure(Gamma, P)
-    with produced("generated join of prenuclei"):
-        return Nucleus(gen)
+    return checked(Nucleus, P, gen.table, "generated join of prenuclei", meet_table(P))
 
 
 def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
@@ -361,8 +355,7 @@ def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     mt = meet_table(P)
     leaves = closure_tables(P, mt)
     leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
-    with produced("nuclei descent"):
-        return trusted_operators(Nucleus, P, leaves, mt)
+    return trusted_operators(Nucleus, P, leaves, "nuclei descent", mt)
 
 
 def _nuclei_by_fix(P: FinitePoset) -> dict[int, int]:
@@ -380,11 +373,9 @@ def enumerate_nuclei(P: FinitePoset, cap: Optional[int] = None) -> list[Nucleus]
     order: larger fixpoint sets (smaller nuclei) first.
 
     The tables come from the one top-down descent, order.closure_tables,
-    pruned on meet preservation.  Every leaf's laws are then decided
-    once, in one pass of maps.closure_table_fault against its carried
-    fixpoint mask, and the nuclei are built trusted.  The nuclei are
-    built once per poset; later calls pass the same gates and return
-    the same nuclei."""
+    pruned on meet preservation, and pass closure.trusted_operators
+    once per poset; later calls pass the same gates and return the
+    same nuclei."""
     if meet_table(P) is None:
         raise NotMeetSemilattice("nuclei need pairwise meets")
     check_cap("nucleus enumeration", P.n, cap, SUBSET_CAP)
@@ -445,8 +436,7 @@ def _double_implication(P: FinitePoset, xs: int, route: str) -> Nucleus:
                 f"{route}: the meet at {P.label(y)!r} does not exist"
             )
         table.append(v)
-    with produced(route):
-        return Nucleus(EndoMap(P, tuple(table)))
+    return checked(Nucleus, P, tuple(table), route, meet_table(P))
 
 
 def nuc_map(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Nucleus:

@@ -162,8 +162,7 @@ def _open_nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     # the implications out of a, must be its fixpoint set
     imp = derived(P, _imp_table)
     images = [sum(1 << v for v in set(row)) for row in imp]
-    with produced("open nuclei"):
-        opens = trusted_operators(Nucleus, P, zip(images, imp), meet_table(P))
+    opens = trusted_operators(Nucleus, P, zip(images, imp), "open nuclei", meet_table(P))
     for ai, (nu, want) in enumerate(zip(opens, images)):
         agree(
             "open nucleus fixpoints",

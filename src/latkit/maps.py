@@ -19,9 +19,11 @@ from .order import (
     FinitePoset,
     Subset,
     bits,
+    derived,
     directed_join_faults,
     directed_tops_avoiding,
     family_poset,
+    incomparable_meets,
     is_monotone,
     join_of,
     meet_of,
@@ -182,19 +184,14 @@ def closure_table_fault(
     up(t[x]), which is monotonicity; t[x] in F gives t[t[x]] <= t[x],
     which is idempotence; and only the members of F are fixed, so
     fix(t) = F.  Conversely the closure operator fixing F sends x to
-    the least member of up(x) & F.  The meets are compared on the
-    incomparable pairs only: comparable pairs follow from monotonicity.
-    Any meet-semilattice will do, frame or not."""
+    the least member of up(x) & F.  So with F the fixpoints of t, t
+    passes iff ClosureOperator accepts it.  The meets are compared on
+    the incomparable pairs (order.incomparable_meets): on x <= y,
+    monotonicity gives t(x) meet t(y) = t(x) = t(x meet y).  Any
+    meet-semilattice will do, frame or not."""
     n, le = P.n, P.le
     powers = [1 << v for v in range(n)]
-    xs, ys, zs = [], [], []
-    if meets is not None:
-        for x in range(n):
-            for y in range(x + 1, n):
-                if not (le[x] >> y & 1 or le[y] >> x & 1):
-                    xs.append(x)
-                    ys.append(y)
-                    zs.append(meets[x][y])
+    xs, ys, zs = ((), (), ()) if meets is None else derived(P, incomparable_meets)
     for i, (fixed, t) in enumerate(leaves):
         if len(t) != n or n and not 0 <= min(t) <= max(t) < n or fixed >> n:
             return i

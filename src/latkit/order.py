@@ -612,6 +612,19 @@ def top_down(P: FinitePoset) -> tuple[int, ...]:
     return tuple(sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)))
 
 
+def incomparable_meets(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    """The incomparable pairs x < y, as aligned columns of the xs, the
+    ys and their meets.  Read it through derived(P, incomparable_meets),
+    on a meet-semilattice."""
+    mt = meet_table(P)
+    pairs = [
+        (x, y, mt[x][y])
+        for x in range(P.n)
+        for y in bits(P.full_mask >> x << x & ~P.le[x] & ~P.down[x])
+    ]
+    return tuple(zip(*pairs)) or ((), (), ())
+
+
 def closure_tables(
     P: FinitePoset, meets: Optional[Sequence[Sequence[int]]] = None
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -626,10 +639,8 @@ def closure_tables(
     le, n = P.le, P.n
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     if meets is not None:
-        for x in range(n):
-            for y in range(x + 1, n):
-                if not (le[x] >> y & 1 or le[y] >> x & 1):
-                    pairs[meets[x][y]].append((x, y))
+        for x, y, z in zip(*derived(P, incomparable_meets)):
+            pairs[z].append((x, y))
 
     def preserved(c, v, zpairs):
         return all(meets[c[x]][c[y]] == v for x, y in zpairs)

@@ -98,6 +98,17 @@ def test_table_operator_validates():
         table_operator(A, {(): ()})
 
 
+def test_table_operator_rejects_a_subset_named_twice():
+    # ("0", "0") and ("0",) both name {0}; the entry that came last used
+    # to win, so swapping the two chose another operator
+    P = fx.c2()
+    rest = {(): (), ("1",): ("1",), ("0", "1"): ("0", "1")}
+    twice = [(("0", "0"), ("0", "1")), (("0",), ("0",))]
+    for entries in (twice, twice[::-1]):
+        with pytest.raises(InputError, match=r"^table names \{0\} twice$"):
+            table_operator(P, {**dict(entries), **rest})
+
+
 def test_table_operator_checks_every_subset_above_ten_elements():
     # the identity, except that {"9"} goes to the empty set: monotone
     # and idempotent, and not ascending at that one subset only

@@ -17,7 +17,13 @@ from latkit import fixtures as fx
 from latkit import cli, closure, convexity, heyting, hmj, maps, order, rules
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
-from latkit.errors import InputError, NotAClosureSystem, NotANucleus, TheoremBreach
+from latkit.errors import (
+    InputError,
+    NotAClosureSystem,
+    NotANucleus,
+    NotPreclosure,
+    TheoremBreach,
+)
 from latkit.heyting import (
     Nucleus,
     is_nuclear_system,
@@ -835,8 +841,8 @@ def test_wrong_open_nucleus_breaks_its_fixpoint_check(
     monkeypatch.setattr(
         hmj,
         "trusted_operators",
-        lambda cls, Q, rows, meets: real(
-            cls, Q, [(Q.full_mask, tuple(range(Q.n))) for _ in rows], meets
+        lambda cls, Q, rows, route, meets: real(
+            cls, Q, [(Q.full_mask, tuple(range(Q.n))) for _ in rows], route, meets
         ),
     )
     with pytest.raises(TheoremBreach) as info:
@@ -1336,3 +1342,113 @@ def test_unchecked_monotonicity_breaks_the_antisymmetric_funnel(monkeypatch):
     op = convexity.table_operator(P, table)
     with pytest.raises(TheoremBreach, match="fails anti-exchange"):
         convexity.funnel_check(op, P)
+
+
+# ---------------------------------------------------------------------------
+# a route that builds one closure operator or nucleus from a table: when
+# an upstream bug hands it a table that breaks a law, the constructor
+# names that law in a breach that names the route
+
+
+def _assert_built_breach(route, cause, build):
+    with pytest.raises(TheoremBreach) as info:
+        build()
+    assert str(info.value).startswith(f"{route} built a result its own class")
+    assert type(info.value.__cause__) is cause
+
+
+def test_non_ascending_generator_breaks_round_robin_iteration(monkeypatch):
+    # a generator check that lets 1 -> 0 through on a chain: the
+    # iteration then sends 1 to 0, below itself
+    P = fx.c3()
+    g = EndoMap(P, (0, 0, 2))
+    with pytest.raises(NotPreclosure, match="^generator "):
+        closure.kleene_generate([g])
+    monkeypatch.setattr(
+        closure, "_check_generators", lambda G, poset: order.family_poset(G, poset)
+    )
+    _assert_built_breach(
+        "round-robin iteration", NotPreclosure, lambda: closure.kleene_generate([g])
+    )
+
+
+def test_empty_way_below_sets_break_the_scott_core_formula(monkeypatch):
+    # with nothing way below anything, every element goes to the empty
+    # join, the bottom, which lies below the rest of the chain
+    gamma = ClosureOperator(identity_map(fx.c3()))
+    assert closure.sccore(gamma) == gamma
+    monkeypatch.setattr(closure, "way_down_sets", lambda Q, cap: (0,) * Q.n)
+    _assert_built_breach(
+        "Scott core formula", NotPreclosure, lambda: closure.sccore(gamma)
+    )
+
+
+def test_edited_carried_table_breaks_the_scott_core_scan(monkeypatch):
+    # the identity's carried table sends 1 to 0: still monotone and below
+    # the identity, so the scan picks it, and it is not ascending
+    P = fx.c2()
+    gamma = ClosureOperator(identity_map(P))
+    assert closure.sccore_bruteforce(gamma) == gamma
+    _plant_carried_tables(
+        monkeypatch,
+        closure,
+        lambda pairs: [(m, (0, 0) if t == (0, 1) else t) for m, t in pairs],
+    )
+    P = fx.c2()
+    gamma = ClosureOperator(identity_map(P))
+    _assert_built_breach(
+        "Scott core scan", NotPreclosure, lambda: closure.sccore_bruteforce(gamma)
+    )
+
+
+def test_wrong_meet_table_breaks_the_pointwise_nucleus_meet(monkeypatch):
+    # a meet table that answers 0 for a meet a, so the pointwise meet of
+    # two identities sends a below itself
+    P = fx.b2()
+    nu = heyting.enumerate_nuclei(P)[0]
+    assert heyting.nucleus_meet(nu, nu) == nu
+    real = heyting.meet_table
+
+    def planted(Q):
+        mt = [list(row) for row in real(Q)]
+        mt[1][1] = 0
+        return mt
+
+    monkeypatch.setattr(heyting, "meet_table", planted)
+    _assert_built_breach(
+        "pointwise nucleus meet", NotPreclosure, lambda: heyting.nucleus_meet(nu, nu)
+    )
+
+
+def test_meet_breaking_generation_breaks_the_join_of_prenuclei(monkeypatch):
+    # generation answering the closure operator that fixes {0, 1}: it
+    # sends a and b to 1, and their meet 0 to 0
+    P = fx.b2()
+    assert heyting.nucleus_join([], P).table == (0, 1, 2, 3)
+    monkeypatch.setattr(
+        heyting,
+        "generate_closure",
+        lambda G, Q: closure.duality(Subset.of(Q, ["0", "1"])),
+    )
+    _assert_built_breach(
+        "generated join of prenuclei",
+        NotANucleus,
+        lambda: heyting.nucleus_join([], P),
+    )
+
+
+def test_wrong_meet_breaks_the_double_implication_nucleus(monkeypatch):
+    # a meet of {a} that answers the top: the regular nucleus at 0, the
+    # identity on b2, then sends a to 1 and keeps 0 and b, so it breaks
+    # the meet of a and b
+    P = fx.b2()
+    assert heyting.regular_nucleus(P, "0").table == (0, 1, 2, 3)
+    real = heyting.meet_of
+    monkeypatch.setattr(
+        heyting, "meet_of", lambda Q, mask: 3 if mask == 0b10 else real(Q, mask)
+    )
+    _assert_built_breach(
+        "double-implication formula",
+        NotANucleus,
+        lambda: heyting.regular_nucleus(fx.b2(), "0"),
+    )
