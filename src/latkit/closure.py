@@ -41,7 +41,6 @@ from .maps import (
     is_idempotent,
     is_increasing,
     is_preclosure,
-    is_scott_continuous,
     closed_under,
     pointwise_leq,
     pointwise_meet,
@@ -56,6 +55,7 @@ from .order import (
     check_cap,
     closure_tables,
     derived,
+    directed_join_faults,
     directed_tops_avoiding,
     family_poset,
     is_default_enabled,
@@ -507,14 +507,17 @@ def sccore_bruteforce(
     gamma, and the one whose down row among them covers them all.
 
     The operators' tables are those the closure-system descent carried;
-    their value rows pick the operators below gamma, and only those are
-    tested for Scott continuity."""
+    their value rows pick the operators below gamma, and only those
+    tables are tested for Scott continuity.  Only the one picked is
+    built, and checked."""
     P = gamma.poset
     tables = _carried(P, cap)[1]
     rows = value_rows(P, tables)
-    with produced("Scott core scan"):
-        below = {i: EndoMap(P, tables[i]) for i in bits(rows.below(gamma.table))}
-    scott = sum(1 << i for i, f in below.items() if is_scott_continuous(f, cap))
+    scott = sum(
+        1 << i
+        for i in bits(rows.below(gamma.table))
+        if not directed_join_faults(P, tables[i], cap)
+    )
     top = rows.greatest(scott)
     if top is None:
         raise TheoremBreach(

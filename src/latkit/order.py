@@ -40,8 +40,37 @@ def check_cap(operation: str, size: int, cap: Optional[int], default: int) -> No
         raise CapExceeded(operation, size, limit)
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, ascending."""
+def _byte_indices(offset: int) -> tuple[tuple[int, ...], ...]:
+    """t[b] = the indices of the set bits of byte b, plus offset,
+    ascending: built by doubling, each bit appended to every entry
+    before it."""
+    t: list[tuple[int, ...]] = [()]
+    for i in range(offset, offset + 8):
+        t += [x + (i,) for x in t]
+    return tuple(t)
+
+
+# The set bits of a low and a high byte; together they answer every
+# mask below 2^16, at 256 entries each, not 65,536.
+_LOW_BYTE = _byte_indices(0)
+_HIGH_BYTE = _byte_indices(8)
+
+
+def bits(mask: int) -> Iterable[int]:
+    """Indices of the set bits of mask, ascending.
+
+    A mask below 2^16 is answered as a tuple from the two byte tables;
+    a wider one (value rows over many maps, directed-subset positions)
+    is walked lazily, lowest bit first, so an early exit stops there."""
+    if mask < 0x10000:
+        high = mask >> 8
+        if high:
+            return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[high]
+        return _LOW_BYTE[mask]
+    return _wide_bits(mask)
+
+
+def _wide_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -65,6 +94,8 @@ class FinitePoset:
 
     elements: tuple[str, ...]
     le: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    full_mask: int = field(init=False, repr=False, compare=False)
     down: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pos: dict = field(init=False, repr=False, compare=False)
     # builder -> value, filled by derived(); dies with the poset
@@ -83,6 +114,8 @@ class FinitePoset:
         if len(self.le) != n:
             raise InvalidValue("le must have one row mask per element")
         full = (1 << n) - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "full_mask", full)
         for i, row in enumerate(self.le):
             if row & ~full:
                 raise InvalidValue("le row refers to elements outside the poset")
@@ -107,14 +140,6 @@ class FinitePoset:
             self, "_pos", {lab: i for i, lab in enumerate(self.elements)}
         )
         object.__setattr__(self, "_derived", {})
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.elements)) - 1
 
     def index(self, label: str) -> int:
         try:

@@ -197,12 +197,9 @@ def rule_closure_mask(R: RuleSet, mask: int) -> int:
             continue
         new = entry[1] & ~mask
         mask |= new
-        while new:
-            low = new & -new
-            h = low.bit_length() - 1
+        for h in bits(new):
             ready.extend(parked[h])
             parked[h] = []
-            new ^= low
     return mask
 
 

@@ -22,7 +22,7 @@ from latkit.closure import (
 from latkit.errors import CapExceeded
 from latkit.heyting import enumerate_nuclei, validate_structure
 from latkit.hmj import hmj_correspondence
-from latkit.maps import EndoMap, identity_map, is_scott_continuous
+from latkit.maps import EndoMap, constant_map, identity_map, is_scott_continuous
 from latkit.order import Subset, derived, directed_columns, directed_subsets
 from latkit.rules import default_rules
 
@@ -100,6 +100,25 @@ def test_galois_check_builds_a_filter_per_kernel_not_per_subset(monkeypatch):
     assert len(hmj.enumerate_filters(P)) == 6
     assert sum(checks.values()) == 6
     assert set(checks) == {F.mask for F in hmj.enumerate_filters(P)}
+
+
+def test_scott_core_scan_builds_no_map_per_carried_table(monkeypatch):
+    # chain(10) has 512 closure operators, all below the constant top;
+    # the scan reads their carried tables, and the one it picks is built
+    # trusted after the batch check
+    P = fx.chain(10)
+    gamma = ClosureOperator(constant_map(P, "9"))
+    expected = sccore(gamma)
+    inits = []
+    real = EndoMap.__post_init__
+
+    def counting(self, *args):
+        inits.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(EndoMap, "__post_init__", counting)
+    assert sccore_bruteforce(gamma) == expected == gamma
+    assert inits == []
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,10 @@ input: every poset on up to 6 elements, every frame of up to 10
 elements and every Moore family on up to 4 points, each up to
 isomorphism (tests/census.py).  Each closure operator or nucleus a
 route returns is also built again by its own constructor, which must
-accept it."""
+accept it.  On the frames, the filter/quotient correspondence and the
+least nuclear system are compared with what a finite frame forces:
+the principal filters, and the intersection of the listed nuclear
+systems."""
 
 from collections import Counter
 
@@ -19,12 +22,15 @@ from latkit import (
     enumerate_nuclei,
     fix_of_meet_check,
     frame_of_nuclei_check,
+    galois_identities_check,
     generate_closure,
+    hmj_correspondence,
     kleene_generate,
     least_nucleus_above,
     nuclear_core,
     nucleus_join,
     nucleus_meet,
+    nucsys,
     regular_nucleus,
     sccore,
     sccore_bruteforce,
@@ -32,7 +38,7 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit.maps import preserves_binary_meets
-from latkit.order import FinitePoset, bits, meet_table
+from latkit.order import FinitePoset, Subset, bits, meet_table
 
 
 def _poset(rows):
@@ -122,6 +128,29 @@ def test_frame_routes_on_every_small_frame():
             above = _accepted(least_nucleus_above(L, gamma), Nucleus)
             core = _accepted(nuclear_core(L, gamma), Nucleus)
             assert gamma.leq(above) and core.leq(gamma)
+
+
+def test_filter_quotient_routes_on_every_frame_up_to_9():
+    # on a finite frame every filter is Scott-open and principal, and
+    # each element's up row pairs with one compact fitted quotient
+    frames = [_poset(rows) for rows in census.frames(9)]
+    assert len(frames) == 62
+    for L in frames:
+        report = hmj_correspondence(L)
+        assert report["count"] == L.n
+        assert sorted(F.mask for F, _ in report["pairs"]) == sorted(L.le)
+        assert galois_identities_check(L)["identities"]
+
+
+def test_least_nuclear_system_on_every_mask_of_every_frame_up_to_8():
+    for L in map(_poset, census.frames(8)):
+        fixes = [nu.fix_mask for nu in enumerate_nuclei(L)]
+        for X in range(L.full_mask + 1):
+            least = L.full_mask
+            for F in fixes:
+                if X & ~F == 0:
+                    least &= F
+            assert nucsys(L, Subset(L, X)).mask == least
 
 
 def test_convexity_routes_on_every_small_moore_family():

@@ -52,6 +52,55 @@ from latkit.order import (
 )
 
 
+def reference_bits(mask):
+    """The indices of mask's set bits, lowest bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_match_the_low_bit_loop_on_every_mask_below_2_16():
+    for m in range(1 << 16):
+        assert list(bits(m)) == reference_bits(m)
+
+
+def test_bits_walk_a_wide_mask_lazily():
+    # a value row over many maps is often read only up to its first
+    # index, so past the byte tables bits yields one index at a time
+    walk = bits(1 << 5 | 1 << 16 | 1 << 200)
+    assert iter(walk) is walk
+    assert next(walk) == 5
+    assert list(walk) == [16, 200]
+
+
+def assert_stored_size(P):
+    assert P.n == len(P.elements)
+    assert P.full_mask == (1 << P.n) - 1
+
+
+def test_size_and_full_mask_are_stored_for_every_constructor():
+    P = fx.b2()
+    assert_stored_size(P)
+    assert_stored_size(FinitePoset(("x", "y"), (0b01, 0b10)))
+    assert_stored_size(FinitePoset((), ()))
+    Q, _ = subposet(P, Subset.of(P, ["0", "a", "1"]))
+    assert_stored_size(Q)
+    assert_stored_size(subposet(P, Subset(P, 0))[0])
+
+
+def test_equal_posets_built_apart_compare_and_hash_equal():
+    P, Q = fx.b2(), build_poset(
+        ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+    )
+    assert P is not Q and P == Q and hash(P) == hash(Q)
+    assert repr(P) == repr(Q) == "FinitePoset(['0', 'a', 'b', '1'])"
+    assert FinitePoset(("x",), (1,)) == FinitePoset(["x"], [1])
+    assert fx.chain(3) != fx.antichain(3)
+
+
 def test_build_poset_closes_transitively():
     P = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert P.leq_labels("a", "c")

@@ -71,6 +71,7 @@ from latkit.order import (  # noqa: E402
     meet_closure,
     meet_table,
     popcount,
+    subposet,
     top_index,
     upper_sets,
 )
@@ -98,7 +99,12 @@ from test_enumerations import (  # noqa: E402
     reference_scott_faults,
 )
 from test_convexity import order_rows, reference_relation_search  # noqa: E402
-from test_order import reference_covers, reference_join_irreducibles  # noqa: E402
+from test_order import (  # noqa: E402
+    assert_stored_size,
+    reference_bits,
+    reference_covers,
+    reference_join_irreducibles,
+)
 from test_rules import naive_closure_mask, reference_rho, reference_sigma  # noqa: E402
 
 
@@ -153,6 +159,27 @@ def posets(draw, max_n=6):
     keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     pairs = [(labels[a], labels[b]) for (a, b), k in zip(edges, keep) if k]
     return build_poset(labels, pairs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**300))
+@example(2**16)  # the first mask past the byte tables
+@example(2**300)
+def test_bits_of_wide_masks_match_the_low_bit_loop(mask):
+    assert list(bits(mask)) == reference_bits(mask)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(posets(max_n=8), st.integers(0, 255))
+def test_posets_store_their_size_and_full_mask(P, keep):
+    assert_stored_size(P)
+    assert_stored_size(FinitePoset(P.elements, P.le))
+    assert_stored_size(subposet(P, Subset(P, keep & P.full_mask))[0])
+    again = build_poset(
+        P.elements,
+        [(a, b) for a in P.elements for b in P.elements if P.leq_labels(a, b)],
+    )
+    assert again == P and hash(again) == hash(P)
 
 
 @st.composite
