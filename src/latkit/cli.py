@@ -19,6 +19,7 @@ import pathlib
 import sys
 
 import click
+from click.utils import PacifyFlushWrapper
 
 from .closure import (
     ClosureOperator,
@@ -176,7 +177,7 @@ def _set_str(labels) -> str:
 
 
 def _table_str(table: dict) -> str:
-    w = max(len(k) for k in table)
+    w = max((len(k) for k in table), default=0)
     return "\n".join(f"  {k.ljust(w)} -> {v}" for k, v in table.items())
 
 
@@ -688,17 +689,173 @@ def cmd_sccore(P, map_file, cap):
 
 # ---------------------------------------------------------------------------
 # entry point
+#
+# latkit parses a request itself, over the parameters the commands above
+# declare, and reads them the way click's parser does; click builds a
+# Context only for a help page or a usage error.  Each cold process (a
+# shell's request, or a forked server's) would pay click's first
+# Context and parser: in a forked child on a shared 2-vCPU VM, `validate`
+# on a 4-element poset took 3.8-4.0 ms and about 630 minor page faults
+# through click, 2.0-2.8 ms and about 385 faults here.
+
+_HELP = "--help"
+
+
+def _read(cmd, args):
+    """Read args over cmd's options as click's parser does: `--opt v`,
+    `--opt=v`, `-xv`, `-x v`, flags, `--`, and options between
+    arguments where cmd allows them (a group stops at its first
+    argument).  A repeated option keeps its last value and its first
+    place.  Returns the given values by parameter, in the order first
+    given, and the positional tokens.
+
+    The commands declare flags and one-value options only, and no short
+    flag; an argument that takes many values comes last."""
+    long, short = {_HELP: _HELP}, {}
+    for p in cmd.params:
+        if isinstance(p, click.Option):
+            for opt in p.opts:
+                (short if len(opt) == 2 else long)[opt] = p
+    given, plain = {}, []
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if arg == "--":
+            return given, plain + args[i:]
+        if arg[:1] != "-" or len(arg) == 1:
+            if not cmd.allow_interspersed_args:
+                return given, args[i - 1:]
+            plain.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        p = long.get(name)
+        if p is None:
+            if arg[1] == "-":
+                raise click.NoSuchOption(name, possibilities=long)
+            # a short option takes the rest of its token: -x1 is -x 1
+            name, eq, value = arg[:2], len(arg) > 2, arg[2:]
+            p = short.get(name)
+            if p is None:
+                raise click.NoSuchOption(name)
+        if p is _HELP or p.is_flag:
+            if eq:
+                raise click.BadOptionUsage(
+                    name, f"Option {name!r} does not take a value."
+                )
+            value = True if p is _HELP else p.flag_value
+        elif not eq:
+            if i == len(args):
+                raise click.BadOptionUsage(
+                    name, f"Option {name!r} requires an argument."
+                )
+            value = args[i]
+            i += 1
+        given[p] = value
+    return given, plain
+
+
+def _values(cmd, given, plain):
+    """The callback's keyword arguments: the given values converted
+    through their declared types in the order given, then the arguments
+    bound in order, then the defaults; the first fault raises, as click
+    orders them."""
+    params = {
+        p.name: p.type.convert(value, p, None)
+        for p, value in given.items() if p is not _HELP
+    }
+    k = 0
+    for a in cmd.params:
+        if not isinstance(a, click.Argument):
+            continue
+        if a.nargs == -1:
+            value = tuple(a.type.convert(x, a, None) for x in plain[k:])
+            k = len(plain)
+        elif k < len(plain):
+            value = a.type.convert(plain[k], a, None)
+            k += 1
+        else:
+            value = None
+        if a.required and value in (None, ()):
+            raise click.MissingParameter(param=a)
+        params[a.name] = value
+    extra = plain[k:]
+    if extra:
+        many = "s" if len(extra) > 1 else ""
+        raise click.UsageError(
+            f"Got unexpected extra argument{many} ({' '.join(extra)})"
+        )
+    for p in cmd.params:
+        params.setdefault(p.name, p.default)
+    return params
+
+
+def _context(path):
+    """The click.Context chain of a command path, for its help page or
+    a usage error."""
+    ctx = None
+    for name, cmd in path:
+        ctx = click.Context(cmd, info_name=name, parent=ctx)
+    return ctx
+
+
+def _help(path) -> int:
+    ctx = _context(path)
+    click.echo(ctx.get_help(), color=ctx.color)
+    return 0
+
+
+def _dispatch(args) -> int:
+    """Resolve the command path, read its parameters and run its
+    callback; a usage error carries the Context of the command it
+    names."""
+    path = [("latkit", cli)]
+    cmd = cli
+    try:
+        while True:
+            if not args and cmd.no_args_is_help:
+                raise click.exceptions.NoArgsIsHelpError(_context(path))
+            given, plain = _read(cmd, args)
+            if _HELP in given:
+                return _help(path)
+            if not isinstance(cmd, click.Group):
+                break
+            if not plain:
+                raise click.UsageError("Missing command.")
+            name, args = plain[0], plain[1:]
+            sub = cmd.commands.get(name)
+            if sub is None:
+                # a name that looks like an option is read as the
+                # group's own again, as click does: `latkit -- --help`
+                if name[:1] == "-" and _HELP in _read(cmd, plain)[0]:
+                    return _help(path)
+                raise click.exceptions.NoSuchCommand(
+                    name, possibilities=cmd.commands
+                )
+            path.append((name, sub))
+            cmd = sub
+        params = _values(cmd, given, plain)
+    except click.UsageError as e:
+        if e.ctx is None:
+            e.ctx = _context(path)
+        raise
+    cmd.callback(**params)
+    return 0
 
 
 def main(argv=None) -> int:
     """Run the CLI, mapping error families to stable exit codes."""
     try:
-        cli.main(args=argv, prog_name="latkit", standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as e:
-        return e.exit_code
-    except click.exceptions.Abort:
+        return _dispatch(sys.argv[1:] if argv is None else list(argv))
+    except (EOFError, KeyboardInterrupt):
+        click.echo(err=True)
         click.echo("aborted", err=True)
+        return 1
+    except BrokenPipeError:
+        # the reader of the report went away (`latkit ... | head`); the
+        # interpreter's last flush must not fail again
+        sys.stdout = PacifyFlushWrapper(sys.stdout)
+        sys.stderr = PacifyFlushWrapper(sys.stderr)
         return 1
     except click.ClickException as e:
         # click's own usage errors; its exit code 2 would collide with

@@ -628,3 +628,178 @@ def test_cli_output_matches_golden(files, capsys, monkeypatch):
     assert list(got) == list(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+# Usage errors and the parser's edge cases: exit code, stdout and
+# stderr, recorded byte for byte in cli_usage_golden.json.  An argument
+# "@key" stands for files[key], and every fixture path in the output is
+# written back as its "@key".  After an intended change of a message,
+# write usage_outputs() to the file again with
+# json.dumps(..., indent=1, ensure_ascii=False).
+USAGE_ARGV = [
+    [],
+    ["rules"],
+    ["frobnicate", "@c3"],
+    ["rules", "frobnicate", "@c3"],
+    ["validate"],
+    ["generate", "@c3"],
+    ["closure-systems", "@c3", "--frce"],
+    ["validate", "@c3", "--zzz"],
+    ["validate", "@c3", "--hlep"],
+    ["validate", "@c3", "--cap"],
+    ["validate", "@c3", "--cap", "0"],
+    ["validate", "@c3", "--cap", "x"],
+    ["validate", "@c3", "--cap", "-3"],
+    ["closure-systems", "@c3", "--cap=3"],
+    ["closure-systems", "@c3", "--cap=2"],
+    ["tarski", "@c3", "@step", "-x1"],
+    ["tarski", "@c3", "@step", "-x", "1"],
+    ["tarski", "@c3", "@step", "--start=1"],
+    ["tarski", "@c3", "-x", "1", "@step"],
+    ["tarski", "@c3", "@step", "-x"],
+    ["tarski", "@c3", "@step", "-y1"],
+    ["validate", "@c3", "--format", "yaml"],
+    ["validate", "@c3", "--output", "@dir"],
+    ["validate", "@c3", "--force=1"],
+    ["validate", "@c3", "extra"],
+    ["validate", "@c3", "extra", "more"],
+    ["validate", "--", "@c3"],
+    ["validate", "@c3", "--", "--cap"],
+    ["validate", "@c3", "-"],
+    ["validate", "@c3", "--zzz", "--help"],
+    ["validate", "--format", "text", "--help"],
+    ["validate", "--cap", "x", "--help"],
+    ["validate", "--cap", "0"],
+    ["validate", "@c3", "extra", "--cap", "0"],
+    ["validate", "@c3", "--cap", "0", "--zzz"],
+    ["validate", "@c3", "--cap", "x", "--cap", "3"],
+    ["validate", "@c3", "--cap", "0", "--format", "yaml"],
+    ["validate", "@c3", "--format", "yaml", "--cap", "0"],
+    ["generate", "@c3", "@step", "--cap", "3"],
+    ["rules", "nuclear", "@b2", "--force"],
+    ["rules", "close", "@c3", "@rules", "--start=0", "--cap", "9"],
+    ["validate", "@c3", "--format", "text", "--format", "json"],
+    ["--cap", "3", "validate", "@c3"],
+    ["-x", "validate", "@c3"],
+    ["--help", "validate"],
+    ["rules", "--help", "close"],
+    ["--", "validate", "@c3"],
+    ["--"],
+    ["--", "--help"],
+    ["--", "--zzz"],
+    ["rules", "--"],
+    ["rules", "--zzz"],
+    ["validate", "--help=1"],
+]
+
+USAGE_PATH = pathlib.Path(__file__).with_name("cli_usage_golden.json")
+
+
+def usage_outputs(files, capsys, monkeypatch) -> dict:
+    """Exit code, stdout and stderr of every usage command line, keyed
+    by the command line with fixture keys in place of paths."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("LATKIT_CAP", raising=False)
+    # longest first: the directory is a prefix of every file path
+    keys = sorted(files, key=lambda k: -len(str(files[k])))
+    out = {}
+    for argv in USAGE_ARGV:
+        full = [str(files[a[1:]]) if a.startswith("@") else a for a in argv]
+        rc, stdout, stderr = run(capsys, full)
+        for k in keys:
+            stdout = stdout.replace(str(files[k]), "@" + k)
+            stderr = stderr.replace(str(files[k]), "@" + k)
+        out[" ".join(["latkit"] + argv)] = {
+            "exit": rc, "stdout": stdout, "stderr": stderr,
+        }
+    return out
+
+
+def test_usage_errors_match_golden(files, capsys, monkeypatch):
+    want = json.loads(USAGE_PATH.read_text(encoding="utf-8"))
+    got = usage_outputs(files, capsys, monkeypatch)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+@pytest.mark.parametrize("command", ["generate", "nuclei", "sccore"])
+def test_empty_poset_reports_in_every_format(tmp_path, capsys, command, fmt):
+    # the empty poset has one map, the empty table, which is its
+    # closure operator, its nucleus and its Scott core; every view of
+    # it is a report or a stated refusal, never a traceback
+    poset = tmp_path / "empty.json"
+    poset.write_text(json.dumps({"elements": [], "le": []}))
+    table = tmp_path / "nothing.json"
+    table.write_text(json.dumps({"table": {}}))
+    maps = [] if command == "nuclei" else [str(table)]
+    rc, out, err = run(capsys, [command, str(poset), *maps, "--format", fmt])
+    if fmt == "dot" and command != "nuclei":
+        assert (rc, out) == (1, "")
+        assert err == f"input error: '{command}' has no dot view; use --format json or text\n"
+        return
+    assert (rc, err) == (0, "")
+    if fmt == "text":
+        assert out == {
+            "generate": "generated closure operator:\n\nfixpoints: {}\n",
+            "nuclei": "1 nuclei\nnucleus 0: fixpoints {}\n\n",
+            "sccore": "Scott-continuous core:\n\nfixpoints: {}\n",
+        }[command]
+
+
+def test_requests_build_no_click_context(files, capsys, monkeypatch):
+    # latkit parses a request over the declared click parameters and
+    # calls the command's callback; click builds a Context only for a
+    # help page or an error
+    import click
+
+    real = click.Context.__init__
+    made = []
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(click.Context, "__init__", counted)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("LATKIT_CAP", raising=False)
+    for argv in GOLDEN_ARGV:
+        full = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        made.clear()
+        run(capsys, full + ["--format", "json"])
+        assert made == [], argv
+    for argv in GOLDEN_HELP:
+        made.clear()
+        rc, _, _ = run(capsys, argv + ["--help"])
+        assert rc == 0 and len(made) >= 1, argv
+
+
+def test_requests_import_no_module(files):
+    # a request made after `import latkit.cli` loads nothing more: a
+    # module imported per request is paid by every cold CLI process
+    import subprocess
+
+    import latkit
+
+    child = (
+        "import json, sys\n"
+        "import latkit.cli\n"
+        "before = set(sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert latkit.cli.main(argv) == 0, argv\n"
+        "sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    requests = [
+        ["validate", files["b2"]],
+        ["generate", files["c3"], files["step"]],
+        ["rules", "close", files["c3"], files["rules"], "--start", "0"],
+        ["tarski", files["c3"], files["step"], "-x1", "--format=text"],
+    ]
+    src = str(pathlib.Path(latkit.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(requests)],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr) == []
