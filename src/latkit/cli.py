@@ -13,13 +13,14 @@ Output is byte-deterministic for fixed inputs and flags: element order
 is input order everywhere, no timestamps, fixed JSON indentation.
 """
 
+import functools
 import json
 import os
 import pathlib
+import stat
 import sys
-
-import click
-from click.utils import PacifyFlushWrapper
+from collections import namedtuple
+from json.encoder import encode_basestring
 
 from .closure import (
     ClosureOperator,
@@ -65,13 +66,40 @@ from .rules import RuleSet, default_rules, nuclear_rules, rule_closure
 
 
 def _read_json(path: str):
+    """The JSON document in a file of UTF-8 text.
+
+    The bytes are decoded once and newlines translated as text mode
+    does, and json.loads reads the str: an error's line and column are
+    those of the text, and a byte order mark or a UTF-16 file is a
+    parse error, not a document."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason} at offset {e.start}") from e
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError(f"{path}: JSON nested too deeply") from e
+
+
+def _encodable(path: str, what: str, text: str) -> None:
+    """A lone surrogate (JSON's "\\ud800") is no Unicode character, and
+    no UTF-8 report can hold it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError(
+            f"{path}: {what} {text!r} holds a lone surrogate"
+        ) from None
 
 
 def load_poset(path: str) -> FinitePoset:
@@ -88,6 +116,8 @@ def load_poset(path: str) -> FinitePoset:
         isinstance(x, str) for x in elements
     ):
         raise ParseError(f"{path}: field 'elements' must be a list of strings")
+    for x in elements:
+        _encodable(path, "label", x)
     le = doc.get("le", [])
     if not isinstance(le, list):
         raise ParseError(
@@ -123,9 +153,14 @@ def load_map(P: FinitePoset, path: str):
         isinstance(k, str) and isinstance(v, str) for k, v in table.items()
     ):
         raise ParseError(f"{path}: 'table' must map labels to labels")
-    name = doc.get("name", pathlib.Path(path).stem)
+    if "name" not in doc:
+        # a stem the file system gave undecodable bytes carries them as
+        # surrogate escapes, which the report writes back as those bytes
+        return pathlib.Path(path).stem, EndoMap.from_labels(P, table)
+    name = doc["name"]
     if not isinstance(name, str):
         raise ParseError(f"{path}: 'name' must be a string")
+    _encodable(path, "map name", name)
     return name, EndoMap.from_labels(P, table)
 
 
@@ -150,7 +185,76 @@ def load_rules(P: FinitePoset, path: str) -> RuleSet:
 
 
 # ---------------------------------------------------------------------------
-# caps and output plumbing
+# reports
+
+
+def _report_json(obj, nl="\n") -> str:
+    """json.dumps(obj, indent=2, ensure_ascii=False), byte for byte,
+    for the types a payload holds: dicts with str keys, lists, tuples,
+    str, int, bool and None.  Any other type raises TypeError.  `nl` is
+    a newline and the indent of obj's own line.
+
+    json.dumps with an indent encodes through a generator per level in
+    pure Python; here each container is one call, and each string one
+    call of json's C string encoder."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring(k) + ": " + (
+                encode_basestring(v) if type(v) is str else _report_json(v, inner)
+            ))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [
+            encode_basestring(v) if type(v) is str else _report_json(v, inner)
+            for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_report(report: str, output) -> None:
+    """Write the report to the --output file, or else to stdout: the
+    same UTF-8 bytes either way.  Surrogate escapes, which only a file
+    name the file system could not decode puts in a report, go back to
+    their bytes."""
+    data = report.encode("utf-8", "surrogateescape")
+    if output:
+        try:
+            with open(output, "wb") as fh:
+                fh.write(data)
+        except OSError as e:
+            raise InputError(f"{output}: {e.strerror or e}") from e
+        return
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
+
+
+def _err(*lines) -> None:
+    sys.stderr.write("".join(line + "\n" for line in lines))
+    sys.stderr.flush()
+
+
+# ---------------------------------------------------------------------------
+# caps and text views
 
 
 def _cap_value(cap, force, size):
@@ -203,100 +307,173 @@ def _dot_digraph(names, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# the declaration table
+#
+# Each command is declared once, as a record: its name and group, its
+# positionals, its options, whether it takes the cap flags, and its
+# function, whose docstring is its help.  latkit reads a request over
+# these records (`_read`, `_values`); click's command tree is built
+# from them only for a help page or a usage error (`_click_tree`).
+
+_BAD = object()  # a converter's answer for a value click's type refuses
+
+# A converter: read(value) gives the value the command gets, or _BAD
+# where the click type that click_type(click) builds would refuse it.
+_Type = namedtuple("_Type", "read click_type")
+
+# A positional: the command's keyword, its metavar, and nargs (1, or -1
+# for every remaining value, which only a last positional takes).
+_Arg = namedtuple("_Arg", "name metavar nargs required", defaults=(1, True))
+
+# An option: its flags, the command's keyword, its help, and what
+# click's option takes.  A flag's value is True; a type None is a plain
+# string.
+_Opt = namedtuple(
+    "_Opt",
+    "flags name help is_flag default type show_default",
+    defaults=(False, None, None, False),
+)
+
+
+def _positive(value):
+    try:
+        n = int(value)
+    except ValueError:
+        return _BAD
+    return n if n >= 1 else _BAD
+
+
+def _writable_file(value):
+    # a path that names nothing yet, or a file that can be read and
+    # written, as click.Path(dir_okay=False, writable=True) checks it
+    try:
+        st = os.stat(value)
+    except OSError:
+        return value
+    if stat.S_ISDIR(st.st_mode) or not os.access(value, os.R_OK | os.W_OK):
+        return _BAD
+    return value
+
+
+def _choice(*choices):
+    return _Type(
+        lambda value: value if value in choices else _BAD,
+        lambda click: click.Choice(list(choices)),
+    )
+
+
+_POSITIVE = _Type(_positive, lambda click: click.IntRange(min=1))
+_WRITABLE_FILE = _Type(
+    _writable_file, lambda click: click.Path(dir_okay=False, writable=True)
+)
+
+
+_HELP = "--help"
+
+
+class _Group:
+    """A command group: it takes --help only, and its first positional
+    names a command."""
+
+    interspersed = False
+    long = {_HELP: _HELP}
+    short = {}
+
+    def __init__(self, name, help):
+        self.name = name
+        self.help = help
+        self.commands = {}
+
+
+class _Command:
+    """A command: POSET, its own parameters, --cap and --force when
+    capped, then --format and --output."""
+
+    interspersed = True
+
+    def __init__(self, path, params, capped, body):
+        self.path = path
+        self.params = (
+            _Arg("poset_file", "POSET"),
+            *params,
+            *(_CAP_OPTIONS if capped else ()),
+            *_OUTPUT_OPTIONS,
+        )
+        self.args = [p for p in self.params if isinstance(p, _Arg)]
+        self.opts = [p for p in self.params if isinstance(p, _Opt)]
+        self.long, self.short = {_HELP: _HELP}, {}
+        for p in self.opts:
+            for flag in p.flags:
+                (self.short if len(flag) == 2 else self.long)[flag] = p
+        self.capped = capped
+        self.body = body
+        self.help = body.__doc__
+
+
 # Only commands that enumerate take the cap flags: elsewhere they would
 # be accepted and ignored, so they are not offered.
 _CAP_OPTIONS = (
-    click.option(
-        "--cap",
-        type=click.IntRange(min=1),
-        default=None,
-        help="Enumeration size cap (default: built-in limits, "
+    _Opt(
+        ("--cap",), "cap",
+        "Enumeration size cap (default: built-in limits, "
         "or the LATKIT_CAP environment variable).",
+        type=_POSITIVE,
     ),
-    click.option(
-        "--force",
-        is_flag=True,
-        help="Lift enumeration caps to the input's size. "
+    _Opt(
+        ("--force",), "force",
+        "Lift enumeration caps to the input's size. "
         "Potentially very slow, never unsound.",
+        is_flag=True, default=False,
     ),
 )
 
 _OUTPUT_OPTIONS = (
-    click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "dot", "text"]),
-        default="json",
-        show_default=True,
-        help="Report format.",
+    _Opt(
+        ("--format",), "fmt", "Report format.",
+        default="json", type=_choice("json", "dot", "text"), show_default=True,
     ),
-    click.option(
-        "--output",
-        type=click.Path(dir_okay=False, writable=True),
-        default=None,
-        help="Write the report to this file instead of stdout.",
+    _Opt(
+        ("--output",), "output",
+        "Write the report to this file instead of stdout.",
+        type=_WRITABLE_FILE,
     ),
 )
 
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-@click.group()
-def cli():
+_CLI = _Group(
+    "cli",
     """Finite poset and lattice computations: closure operators and
     their generation, Tarski fixpoints, nuclei and Heyting implication,
     filter/quotient correspondences, closure rules, convexity."""
+)
+_RULES = _CLI.commands["rules"] = _Group(
+    "rules",
+    """Closure-rule systems: canonical rule sets and rule closure."""
+)
 
 
-def _command(name, *params, group=cli, capped=True):
-    """Declare a command taking POSET, then its own params, then --cap
-    and --force when capped, then --format and --output.
+def _command(name, *params, group=_CLI, capped=True):
+    """Declare a command of `group`.
 
     The body gets the loaded poset, its own parameters and, when capped,
     the resolved cap.  It returns the JSON payload, the text view (a
     function of the payload) and the dot view (a function of nothing),
     or None where the command has no dot view.
     """
-    command = name if group is cli else f"{group.name} {name}"
+    path = name if group is _CLI else f"{group.name} {name}"
 
     def declare(body):
-        def run(poset_file, fmt, output, **kw):
-            P = load_poset(poset_file)
-            if capped:
-                kw["cap"] = _cap_value(kw["cap"], kw.pop("force"), P.n)
-            payload, text, dot = body(P, **kw)
-            if fmt == "json":
-                report = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-            elif fmt == "text":
-                report = text(payload)
-            elif dot is None:
-                raise InputError(
-                    f"'{command}' has no dot view; use --format json or text"
-                )
-            else:
-                report = dot()
-            if output:
-                with open(output, "w", encoding="utf-8") as fh:
-                    fh.write(report)
-            else:
-                click.echo(report, nl=False)
-
-        run.__doc__ = body.__doc__
-        for deco in reversed((
-            click.argument("poset_file", metavar="POSET"),
-            *params,
-            *(_CAP_OPTIONS if capped else ()),
-            *_OUTPUT_OPTIONS,
-        )):
-            run = deco(run)
-        return group.command(name)(run)
+        group.commands[name] = _Command(path, params, capped, body)
+        return body
 
     return declare
 
 
-_MAP = click.argument("map_file", metavar="MAP")
+# ---------------------------------------------------------------------------
+# commands
+
+
+_MAP = _Arg("map_file", "MAP")
 
 
 @_command("validate")
@@ -364,7 +541,7 @@ def cmd_closure_systems(P, cap):
 
 @_command(
     "generate",
-    click.argument("map_files", metavar="MAP...", nargs=-1, required=True),
+    _Arg("map_files", "MAP...", nargs=-1),
     capped=False,
 )
 def cmd_generate(P, map_files):
@@ -391,11 +568,9 @@ def cmd_generate(P, map_files):
 @_command(
     "tarski",
     _MAP,
-    click.option(
-        "-x",
-        "--start",
-        default=None,
-        help="Least fixpoint at or above this element "
+    _Opt(
+        ("-x", "--start"), "start",
+        "Least fixpoint at or above this element "
         "(requires start <= f(start)); default: overall least fixpoint.",
     ),
     capped=False,
@@ -549,11 +724,6 @@ def cmd_hmj(P, cap):
     return payload, txt, None
 
 
-@cli.group("rules")
-def cmd_rules():
-    """Closure-rule systems: canonical rule sets and rule closure."""
-
-
 def _rules_report(R):
     payload = {
         "count": len(R),
@@ -572,14 +742,14 @@ def _rules_report(R):
     return payload, txt, None
 
 
-@_command("default", group=cmd_rules)
+@_command("default", group=_RULES)
 def cmd_rules_default(P, cap):
     """The default closure rules of a poset: each subset concludes its
     maximal lower bounds."""
     return _rules_report(default_rules(P, cap))
 
 
-@_command("nuclear", group=cmd_rules, capped=False)
+@_command("nuclear", group=_RULES, capped=False)
 def cmd_rules_nuclear(P):
     """The nuclear closure rules of a meet-semilattice."""
     return _rules_report(nuclear_rules(P))
@@ -587,13 +757,13 @@ def cmd_rules_nuclear(P):
 
 @_command(
     "close",
-    click.argument("rule_file", metavar="RULES"),
-    click.option(
-        "--start",
+    _Arg("rule_file", "RULES"),
+    _Opt(
+        ("--start",), "start",
+        "Comma-separated labels to close under the rules (default: empty).",
         default="",
-        help="Comma-separated labels to close under the rules (default: empty).",
     ),
-    group=cmd_rules,
+    group=_RULES,
 )
 def cmd_rules_close(P, rule_file, start, cap):
     """Close a subset under a rule file's deductions."""
@@ -619,13 +789,10 @@ def cmd_rules_close(P, rule_file, start, cap):
 
 @_command(
     "convexity",
-    click.option(
-        "--operator",
-        "which",
-        type=click.Choice(["clsys", "dcclsys"]),
-        default="clsys",
-        show_default=True,
-        help="Which powerset closure operator of the poset to analyse.",
+    _Opt(
+        ("--operator",), "which",
+        "Which powerset closure operator of the poset to analyse.",
+        default="clsys", type=_choice("clsys", "dcclsys"), show_default=True,
     ),
 )
 def cmd_convexity(P, which, cap):
@@ -690,15 +857,25 @@ def cmd_sccore(P, map_file, cap):
 # ---------------------------------------------------------------------------
 # entry point
 #
-# latkit parses a request itself, over the parameters the commands above
-# declare, and reads them the way click's parser does; click builds a
-# Context only for a help page or a usage error.  Each cold process (a
-# shell's request, or a forked server's) would pay click's first
-# Context and parser: in a forked child on a shared 2-vCPU VM, `validate`
-# on a 4-element poset took 3.8-4.0 ms and about 630 minor page faults
-# through click, 2.0-2.8 ms and about 385 faults here.
+# latkit reads a request itself, over the declaration table, the way
+# click's parser reads it, and writes the report itself.  It runs no
+# click code unless the request asks for a help page or holds a usage
+# error: then click's command tree is built from the table and click
+# writes the page or the message.  A cold process (a shell's request,
+# or a forked server's) pays neither click's import nor its parameter
+# objects: in a child forked after `import latkit.cli` on a shared
+# 2-vCPU VM, `validate` on a 4-element poset took 3.4-4.2 ms and about
+# 620 minor page faults with the declarations in click and the report
+# written by click.echo, and 2.5-2.7 ms and about 480 faults here.
 
-_HELP = "--help"
+
+class _Usage(Exception):
+    """A usage error, found without click.  `make(click, ctx)` builds
+    click's own exception for it, given the Context of the command it
+    names."""
+
+    def __init__(self, make):
+        self.make = make
 
 
 def _read(cmd, args):
@@ -706,16 +883,11 @@ def _read(cmd, args):
     `--opt=v`, `-xv`, `-x v`, flags, `--`, and options between
     arguments where cmd allows them (a group stops at its first
     argument).  A repeated option keeps its last value and its first
-    place.  Returns the given values by parameter, in the order first
+    place.  Returns the given values by option, in the order first
     given, and the positional tokens.
 
     The commands declare flags and one-value options only, and no short
     flag; an argument that takes many values comes last."""
-    long, short = {_HELP: _HELP}, {}
-    for p in cmd.params:
-        if isinstance(p, click.Option):
-            for opt in p.opts:
-                (short if len(opt) == 2 else long)[opt] = p
     given, plain = {}, []
     i = 0
     while i < len(args):
@@ -724,31 +896,33 @@ def _read(cmd, args):
         if arg == "--":
             return given, plain + args[i:]
         if arg[:1] != "-" or len(arg) == 1:
-            if not cmd.allow_interspersed_args:
+            if not cmd.interspersed:
                 return given, args[i - 1:]
             plain.append(arg)
             continue
         name, eq, value = arg.partition("=")
-        p = long.get(name)
+        p = cmd.long.get(name)
         if p is None:
             if arg[1] == "-":
-                raise click.NoSuchOption(name, possibilities=long)
+                raise _Usage(
+                    lambda click, ctx: click.NoSuchOption(name, possibilities=cmd.long)
+                )
             # a short option takes the rest of its token: -x1 is -x 1
             name, eq, value = arg[:2], len(arg) > 2, arg[2:]
-            p = short.get(name)
+            p = cmd.short.get(name)
             if p is None:
-                raise click.NoSuchOption(name)
+                raise _Usage(lambda click, ctx: click.NoSuchOption(name))
         if p is _HELP or p.is_flag:
             if eq:
-                raise click.BadOptionUsage(
+                raise _Usage(lambda click, ctx: click.BadOptionUsage(
                     name, f"Option {name!r} does not take a value."
-                )
-            value = True if p is _HELP else p.flag_value
+                ))
+            value = True
         elif not eq:
             if i == len(args):
-                raise click.BadOptionUsage(
+                raise _Usage(lambda click, ctx: click.BadOptionUsage(
                     name, f"Option {name!r} requires an argument."
-                )
+                ))
             value = args[i]
             i += 1
         given[p] = value
@@ -756,72 +930,168 @@ def _read(cmd, args):
 
 
 def _values(cmd, given, plain):
-    """The callback's keyword arguments: the given values converted
-    through their declared types in the order given, then the arguments
-    bound in order, then the defaults; the first fault raises, as click
-    orders them."""
-    params = {
-        p.name: p.type.convert(value, p, None)
-        for p, value in given.items() if p is not _HELP
-    }
+    """The command's keyword arguments: the given values converted in
+    the order given, then the positionals bound in order, then the
+    defaults; the first fault raises, as click orders them."""
+    params = {}
+    for p, value in given.items():
+        if p.type is not None:
+            read = p.type.read(value)
+            if read is _BAD:
+                raise _Usage(lambda click, ctx: _refused(click, ctx, p.name, value))
+            value = read
+        params[p.name] = value
     k = 0
-    for a in cmd.params:
-        if not isinstance(a, click.Argument):
-            continue
+    for a in cmd.args:
         if a.nargs == -1:
-            value = tuple(a.type.convert(x, a, None) for x in plain[k:])
+            value = tuple(plain[k:])
             k = len(plain)
         elif k < len(plain):
-            value = a.type.convert(plain[k], a, None)
+            value = plain[k]
             k += 1
         else:
             value = None
         if a.required and value in (None, ()):
-            raise click.MissingParameter(param=a)
+            raise _Usage(
+                lambda click, ctx: click.MissingParameter(param=_param(ctx, a.name))
+            )
         params[a.name] = value
     extra = plain[k:]
     if extra:
         many = "s" if len(extra) > 1 else ""
-        raise click.UsageError(
+        raise _Usage(lambda click, ctx: click.UsageError(
             f"Got unexpected extra argument{many} ({' '.join(extra)})"
-        )
-    for p in cmd.params:
+        ))
+    for p in cmd.opts:
         params.setdefault(p.name, p.default)
     return params
 
 
+def _run(cmd, poset_file, fmt, output, **kw):
+    """Load the poset, run the command's body and write its report."""
+    P = load_poset(poset_file)
+    if cmd.capped:
+        kw["cap"] = _cap_value(kw["cap"], kw.pop("force"), P.n)
+    payload, text, dot = cmd.body(P, **kw)
+    if fmt == "json":
+        report = _report_json(payload) + "\n"
+    elif fmt == "text":
+        report = text(payload)
+    elif dot is None:
+        raise InputError(
+            f"'{cmd.path}' has no dot view; use --format json or text"
+        )
+    else:
+        report = dot()
+    _write_report(report, output)
+
+
+# ---------------------------------------------------------------------------
+# click, for help pages and usage errors
+
+
+def _click_tree():
+    """The click command tree the table declares: the help pages, the
+    Contexts a usage error names, and (in the tests) click's own
+    parser."""
+    import click
+
+    def param(p):
+        if isinstance(p, _Arg):
+            return click.Argument(
+                (p.name,), metavar=p.metavar, nargs=p.nargs, required=p.required
+            )
+        return click.Option(
+            (*p.flags, p.name),
+            is_flag=p.is_flag,
+            default=p.default,
+            type=p.type and p.type.click_type(click),
+            help=p.help,
+            show_default=p.show_default,
+        )
+
+    def group(g):
+        commands = {
+            sub: group(c) if isinstance(c, _Group) else click.Command(
+                sub,
+                callback=functools.partial(_run, c),
+                params=[param(p) for p in c.params],
+                help=c.help,
+            )
+            for sub, c in g.commands.items()
+        }
+        return click.Group(g.name, commands=commands, help=g.help)
+
+    return group(_CLI)
+
+
 def _context(path):
-    """The click.Context chain of a command path, for its help page or
-    a usage error."""
+    """The click.Context chain of a command path."""
+    import click
+
     ctx = None
-    for name, cmd in path:
+    cmd = _click_tree()
+    for name in path:
+        if ctx is not None:
+            cmd = cmd.commands[name]
         ctx = click.Context(cmd, info_name=name, parent=ctx)
     return ctx
 
 
+def _param(ctx, name):
+    return next(p for p in ctx.command.params if p.name == name)
+
+
+def _refused(click, ctx, name, value):
+    """click's BadParameter for a value latkit's converter refused,
+    raised by the click type the table declares."""
+    param = _param(ctx, name)
+    try:
+        param.type.convert(value, param, None)
+    except click.BadParameter as e:
+        return e
+    raise TheoremBreach(
+        f"latkit refused {value!r} for {param.opts[0]}, which click accepts"
+    )
+
+
 def _help(path) -> int:
+    import click
+
     ctx = _context(path)
     click.echo(ctx.get_help(), color=ctx.color)
     return 0
 
 
+def _usage(path, make) -> int:
+    """Write a usage error as click writes it, on the Context of the
+    command it names.  Exit 1: click's 2 would collide with the
+    cap-exceeded code, so bad usage maps to 1 like bad input."""
+    import click
+
+    ctx = _context(path)
+    e = make(click, ctx)
+    if e.ctx is None:
+        e.ctx = ctx
+    click.echo(f"error: {e.format_message()}", err=True)
+    return 1
+
+
 def _dispatch(args) -> int:
-    """Resolve the command path, read its parameters and run its
-    callback; a usage error carries the Context of the command it
-    names."""
-    path = [("latkit", cli)]
-    cmd = cli
+    """Resolve the command path, read its parameters and run it."""
+    path = ["latkit"]
+    cmd = _CLI
     try:
         while True:
-            if not args and cmd.no_args_is_help:
-                raise click.exceptions.NoArgsIsHelpError(_context(path))
+            if not args and isinstance(cmd, _Group):
+                raise _Usage(lambda click, ctx: click.exceptions.NoArgsIsHelpError(ctx))
             given, plain = _read(cmd, args)
             if _HELP in given:
                 return _help(path)
-            if not isinstance(cmd, click.Group):
+            if not isinstance(cmd, _Group):
                 break
             if not plain:
-                raise click.UsageError("Missing command.")
+                raise _Usage(lambda click, ctx: click.UsageError("Missing command."))
             name, args = plain[0], plain[1:]
             sub = cmd.commands.get(name)
             if sub is None:
@@ -829,17 +1099,16 @@ def _dispatch(args) -> int:
                 # group's own again, as click does: `latkit -- --help`
                 if name[:1] == "-" and _HELP in _read(cmd, plain)[0]:
                     return _help(path)
-                raise click.exceptions.NoSuchCommand(
-                    name, possibilities=cmd.commands
-                )
-            path.append((name, sub))
+                names = list(cmd.commands)
+                raise _Usage(lambda click, ctx: click.exceptions.NoSuchCommand(
+                    name, possibilities=names
+                ))
+            path.append(name)
             cmd = sub
         params = _values(cmd, given, plain)
-    except click.UsageError as e:
-        if e.ctx is None:
-            e.ctx = _context(path)
-        raise
-    cmd.callback(**params)
+    except _Usage as e:
+        return _usage(path, e.make)
+    _run(cmd, **params)
     return 0
 
 
@@ -848,45 +1117,39 @@ def main(argv=None) -> int:
     try:
         return _dispatch(sys.argv[1:] if argv is None else list(argv))
     except (EOFError, KeyboardInterrupt):
-        click.echo(err=True)
-        click.echo("aborted", err=True)
+        _err("", "aborted")
         return 1
     except BrokenPipeError:
         # the reader of the report went away (`latkit ... | head`); the
         # interpreter's last flush must not fail again
+        from click.utils import PacifyFlushWrapper
+
         sys.stdout = PacifyFlushWrapper(sys.stdout)
         sys.stderr = PacifyFlushWrapper(sys.stderr)
         return 1
-    except click.ClickException as e:
-        # click's own usage errors; its exit code 2 would collide with
-        # the cap-exceeded code, so bad usage maps to 1 like bad input
-        click.echo(f"error: {e.format_message()}", err=True)
-        return 1
     except ParseError as e:
-        click.echo(f"parse error: {e}", err=True)
+        _err(f"parse error: {e}")
         return 1
     except InputError as e:
-        click.echo(f"input error: {e}", err=True)
+        _err(f"input error: {e}")
         return 1
     except CapExceeded as e:
-        click.echo(f"cap exceeded: {e}", err=True)
-        click.echo(
+        _err(
+            f"cap exceeded: {e}",
             "re-run with --force or a larger --cap to proceed "
             "(may be very slow, never unsound)",
-            err=True,
         )
         return 2
     except TheoremBreach as e:
         bar = "=" * 64
-        click.echo(bar, err=True)
-        click.echo("THEOREM BREACH: an internal invariant failed.", err=True)
-        click.echo(f"  {e}", err=True)
-        click.echo(
+        _err(
+            bar,
+            "THEOREM BREACH: an internal invariant failed.",
+            f"  {e}",
             "This is a bug in latkit, not a problem with your input. "
             "Please report it with the command you ran.",
-            err=True,
+            bar,
         )
-        click.echo(bar, err=True)
         return 3
 
 

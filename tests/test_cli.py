@@ -775,9 +775,11 @@ def test_requests_build_no_click_context(files, capsys, monkeypatch):
         assert rc == 0 and len(made) >= 1, argv
 
 
-def test_requests_import_no_module(files):
-    # a request made after `import latkit.cli` loads nothing more: a
-    # module imported per request is paid by every cold CLI process
+def test_requests_import_no_module(files, tmp_path):
+    # `import latkit.cli` loads no click, and a valid request loads
+    # nothing more: a module imported per request is paid by every cold
+    # CLI process.  A help page and a usage error are the requests that
+    # load click
     import subprocess
 
     import latkit
@@ -785,21 +787,99 @@ def test_requests_import_no_module(files):
     child = (
         "import json, sys\n"
         "import latkit.cli\n"
+        "assert 'click' not in sys.modules\n"
         "before = set(sys.modules)\n"
-        "for argv in json.loads(sys.argv[1]):\n"
+        "requests, help = json.loads(sys.argv[1])\n"
+        "for argv in requests:\n"
         "    assert latkit.cli.main(argv) == 0, argv\n"
-        "sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "after = sorted(set(sys.modules) - before)\n"
+        "assert latkit.cli.main(help) == 0\n"
+        "assert latkit.cli.main(['validate', '--zzz']) == 1\n"
+        "sys.stderr.write(json.dumps([after, 'click' in sys.modules]))\n"
     )
+    out = str(tmp_path / "report.out")
     requests = [
         ["validate", files["b2"]],
+        ["validate", files["b2"], "--format", "text", "--output", out],
         ["generate", files["c3"], files["step"]],
+        ["generate", files["c3"], files["step"], "--output", out],
         ["rules", "close", files["c3"], files["rules"], "--start", "0"],
         ["tarski", files["c3"], files["step"], "-x1", "--format=text"],
+        ["nuclei", files["b2"], "--format", "dot", "--output", out],
     ]
     src = str(pathlib.Path(latkit.__file__).parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", child, json.dumps(requests)],
+        [sys.executable, "-c", child, json.dumps([requests, ["--help"]])],
         capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr) == []
+    assert json.loads(done.stderr.splitlines()[-1]) == [[], True]
+
+
+def test_output_into_a_missing_directory_is_one_line(files, capsys):
+    out = files["dir"] / "missing" / "out.json"
+    rc, stdout, err = run(capsys, ["validate", files["c3"], "--output", str(out)])
+    assert (rc, stdout) == (1, "")
+    assert err == f"input error: {out}: No such file or directory\n"
+
+
+def test_poset_file_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"elements": []}'.encode("utf-16-le"))
+    rc, stdout, err = run(capsys, ["validate", str(path)])
+    assert (rc, stdout) == (1, "")
+    assert err == f"parse error: {path}: not UTF-8 text: invalid start byte at offset 0\n"
+
+
+def test_lone_surrogate_label_is_an_input_error(tmp_path, capsys):
+    # json reads the escape "\ud800" as a lone surrogate, which no UTF-8
+    # report can hold
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"elements": ["a", "\\ud800"]}')
+    rc, stdout, err = run(capsys, ["validate", str(path)])
+    assert (rc, stdout) == (1, "")
+    assert err == f"input error: {path}: label '\\ud800' holds a lone surrogate\n"
+    gam = tmp_path / "named.json"
+    gam.write_text('{"name": "\\udcff", "table": {}}')
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"elements": []}')
+    rc, stdout, err = run(capsys, ["generate", str(empty), str(gam)])
+    assert (rc, stdout) == (1, "")
+    assert err == f"input error: {gam}: map name '\\udcff' holds a lone surrogate\n"
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    rc, stdout, err = run(capsys, ["validate", str(path)])
+    assert (rc, stdout) == (1, "")
+    assert err == f"parse error: {path}: JSON nested too deeply\n"
+
+
+def test_undecodable_file_name_reaches_the_report_as_its_bytes(files, tmp_path, capsysbinary):
+    # the default map name is the file stem; a byte the file system
+    # could not decode goes back into the report as that byte, on stdout
+    # and in the --output file alike
+    stem = b"\xff".decode("utf-8", "surrogateescape")
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps({"table": {"0": "2", "1": "2", "2": "2"}}))
+    out = tmp_path / "report.json"
+    assert main(["tarski", files["c3"], str(path)]) == 0
+    assert main(["tarski", files["c3"], str(path), "--output", str(out)]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert b'"map": "\xff",' in stdout
+    assert out.read_bytes() == stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot"])
+def test_stdout_carries_the_bytes_of_the_output_file(tmp_path, capsysbinary, fmt):
+    # a label with an escape sequence is written as it is, to a pipe as
+    # to a file; JSON escapes control characters itself
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps({"elements": ["a", "b\u001b[31mred"], "le": [["a", "b\u001b[31mred"]]}))
+    out = tmp_path / "report.txt"
+    assert main(["validate", str(path), "--format", fmt]) == 0
+    assert main(["validate", str(path), "--format", fmt, "--output", str(out)]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert b"b\x1b[31mred" in stdout
+    assert stdout == out.read_bytes()
