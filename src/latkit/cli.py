@@ -13,6 +13,7 @@ Output is byte-deterministic for fixed inputs and flags: element order
 is input order everywhere, no timestamps, fixed JSON indentation.
 """
 
+import errno
 import functools
 import json
 import os
@@ -243,9 +244,38 @@ def _write_report(report: str, output) -> None:
         except OSError as e:
             raise InputError(f"{output}: {e.strerror or e}") from e
         return
-    sys.stdout.flush()
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
+    try:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as e:
+        # a full disk or another write error: stdout goes to the null
+        # device, so that the bytes left in its buffer do not fail again
+        # in the interpreter's last flush
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise InputError(f"{sys.stdout.name}: {e.strerror or e}") from e
+
+
+def _check_destination(output) -> None:
+    """Raise, before any work, the error that opening a new --output
+    file would raise in a directory that is missing or not writable;
+    an existing file was checked by _writable_file.  Nothing is
+    created, so a command that fails leaves no file behind."""
+    if os.path.exists(output):
+        return
+    parent = os.path.dirname(output) or "."
+    try:
+        st = os.stat(parent)
+    except OSError as e:
+        raise InputError(f"{output}: {e.strerror or e}") from e
+    if not stat.S_ISDIR(st.st_mode):
+        raise InputError(f"{output}: {os.strerror(errno.ENOTDIR)}")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise InputError(f"{output}: {os.strerror(errno.EACCES)}")
 
 
 def _err(*lines) -> None:
@@ -972,6 +1002,8 @@ def _run(cmd, poset_file, fmt, output, **kw):
     P = load_poset(poset_file)
     if cmd.capped:
         kw["cap"] = _cap_value(kw["cap"], kw.pop("force"), P.n)
+    if output:
+        _check_destination(output)
     payload, text, dot = cmd.body(P, **kw)
     if fmt == "json":
         report = _report_json(payload) + "\n"

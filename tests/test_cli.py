@@ -1,14 +1,15 @@
 """End-to-end command tests: exit codes, formats, determinism, caps."""
 
 import json
+import os
 import pathlib
 import sys
 
 import pytest
 
-from latkit import convexity
+from latkit import cli, convexity
 from latkit.cli import _cap_value, load_map, load_poset, load_rules, main
-from latkit.errors import ParseError
+from latkit.errors import InputError, ParseError
 from latkit.heyting import implication_table
 from latkit.order import build_poset
 
@@ -821,6 +822,68 @@ def test_output_into_a_missing_directory_is_one_line(files, capsys):
     rc, stdout, err = run(capsys, ["validate", files["c3"], "--output", str(out)])
     assert (rc, stdout) == (1, "")
     assert err == f"input error: {out}: No such file or directory\n"
+
+
+def test_output_directory_is_checked_before_the_work(files, monkeypatch, capsys):
+    # the body of validate, planted to record its calls, never runs when
+    # the --output file cannot be opened, and the message is the one
+    # opening it would give
+    calls = []
+    cmd = cli._CLI.commands["validate"]
+    real = cmd.body
+
+    def planted(P, **kw):
+        calls.append(P.n)
+        return real(P, **kw)
+
+    monkeypatch.setattr(cmd, "body", planted)
+    missing = files["dir"] / "missing" / "out.json"
+    through_a_file = f"{files['c3']}/out.json"
+    for out, reason in (
+        (missing, "No such file or directory"),
+        (through_a_file, "Not a directory"),
+    ):
+        rc, stdout, err = run(capsys, ["validate", files["c3"], "--output", str(out)])
+        assert (rc, stdout, err) == (1, "", f"input error: {out}: {reason}\n")
+    assert calls == []
+    assert main(["validate", files["c3"]]) == 0
+    assert calls == [3]
+    capsys.readouterr()
+
+
+def test_failed_command_leaves_its_output_file_alone(files, monkeypatch, capsys):
+    def failing(P, **kw):
+        raise InputError("planted")
+
+    monkeypatch.setattr(cli._CLI.commands["validate"], "body", failing)
+    new = files["dir"] / "new.json"
+    old = files["dir"] / "old.json"
+    old.write_text("kept")
+    for out in (new, old):
+        rc, stdout, err = run(capsys, ["validate", files["c3"], "--output", str(out)])
+        assert (rc, stdout, err) == (1, "", "input error: planted\n")
+    assert not new.exists()
+    assert old.read_text() == "kept"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_that_cannot_be_written_is_one_line(files):
+    # every write to /dev/full fails with ENOSPC: the report's, and the
+    # interpreter's last flush of what is left in the buffer
+    import subprocess
+
+    import latkit
+
+    src = str(pathlib.Path(latkit.__file__).parents[1])
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "latkit.cli", "validate", files["c3"]],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": src}, timeout=60,
+        )
+    assert done.returncode == 1
+    assert done.stderr == "input error: <stdout>: No space left on device\n"
+    assert "Traceback" not in done.stderr
 
 
 def test_poset_file_not_utf8_is_a_parse_error(tmp_path, capsys):

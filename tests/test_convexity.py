@@ -2,9 +2,12 @@
 
 import functools
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import census
 from corpus import random_poset
 from latkit import (
     CapExceeded,
@@ -20,8 +23,9 @@ from latkit import (
     rule_closure_operator,
     table_operator,
 )
+from latkit import convexity
 from latkit import fixtures as fx
-from latkit.order import Subset
+from latkit.order import Subset, bits, least_closed_table, upper_sets
 from latkit.rules import ClosureRule, RuleSet, default_rules, rule_closure_mask
 
 
@@ -86,6 +90,95 @@ def order_rows(P, pairs):
     for a, b in pairs:
         rows[P.index(a)] |= 1 << P.index(b)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the literal scans over the 2^n-entry table, one Python step per mask:
+# the references that the library's column and table sweeps must match
+# witness for witness
+
+
+def literal_law_fault(P, cl):
+    """The first subset, in mask order, at which cl breaks a closure law."""
+    for m, c in enumerate(cl):
+        if m & ~c:
+            return f"not ascending at {{{', '.join(P.labels_of(m))}}}"
+        if cl[c] != c:
+            return f"not idempotent at {{{', '.join(P.labels_of(m))}}}"
+        for e in bits(P.full_mask & ~m):
+            if c & ~cl[m | 1 << e]:
+                return (
+                    f"not monotone when adding {P.label(e)!r} to "
+                    f"{{{', '.join(P.labels_of(m))}}}"
+                )
+    return None
+
+
+def literal_anti_exchange_failure(P, cl, pulled):
+    full = P.full_mask
+    for m in range(full + 1):
+        out = full & ~cl[m]
+        for y in bits(out):
+            ybit = 1 << y
+            for x in bits(cl[m | ybit] & out & ~ybit):
+                pulled[x] |= ybit
+                if cl[m | 1 << x] & ybit:
+                    return P.labels_of(m), P.label(x), P.label(y)
+    return None
+
+
+def literal_witness_failure(P, cl, rows):
+    for m in range(P.full_mask + 1):
+        for y in bits(cl[m]):
+            base = m & rows[y]
+            z = base
+            while not cl[z] >> y & 1:
+                if z == 0:
+                    return P.labels_of(m), P.label(y)
+                z = (z - 1) & base
+    return None
+
+
+def literal_upper_set_failure(P, cl, rows):
+    uppers = upper_sets(rows)
+    for m in range(P.full_mask + 1):
+        cm = cl[m]
+        for u in uppers:
+            if cm & u & ~cl[m & u]:
+                return P.labels_of(m), P.labels_of(u)
+    return None
+
+
+def literal_principal_failure(P, cl, rows):
+    for m in range(P.full_mask + 1):
+        cm = cl[m]
+        for y, row in enumerate(rows):
+            if cm & row & ~cl[m & row]:
+                return P.labels_of(m), P.label(y)
+    return None
+
+
+def assert_sweeps_match_the_literal_scans(op, orders):
+    """Every sweep of the library names the literal scan's witness, and
+    a convex geometry records the literal scan's pull-in rows."""
+    P, cl = op.universe, op.table
+    pulled = [0] * P.n
+    want = literal_anti_exchange_failure(P, cl, pulled)
+    rep = convexity_checks(op, cap=P.n)
+    assert rep["anti_exchange_witness"] == want
+    assert rep["is_convex_geometry"] == (want is None)
+    if want is None:
+        assert op._pulled == tuple(pulled)
+    for rows in orders:
+        assert (
+            convexity._witness_failure(P, op.columns, rows),
+            convexity._upper_set_failure(P, op.columns, rows),
+            convexity._principal_failure(P, cl, rows),
+        ) == (
+            literal_witness_failure(P, cl, rows),
+            literal_upper_set_failure(P, cl, rows),
+            literal_principal_failure(P, cl, rows),
+        ), rows
 
 
 def test_table_operator_validates():
@@ -332,3 +425,167 @@ def test_convexity_cap_guard():
         convexity_checks(clsys_operator(P, cap=11))
     # lifting the cap makes it run
     assert convexity_checks(clsys_operator(P, cap=11), cap=11)["is_convex_geometry"]
+
+
+# ---------------------------------------------------------------------------
+# the column and table sweeps against the literal scans
+
+
+def test_bit_columns_read_the_table():
+    rng = random.Random(66)
+    for n in (0, 1, 7, 8, 9, 16, 17):
+        table = [rng.randrange(1 << n) for _ in range(1 << min(n, 10))]
+        cols = convexity._bit_columns(table, n)
+        assert len(cols) == n
+        for j, col in enumerate(cols):
+            assert col == sum(1 << m for m, c in enumerate(table) if c >> j & 1)
+
+
+def relabelled(rows, perm):
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j] for j in bits(row))
+    return tuple(out)
+
+
+def one_order_per_shape(k):
+    """One partial order on k points from each isomorphism class."""
+    shapes = {}
+    for rows in partial_orders(k):
+        key = min(relabelled(rows, perm) for perm in permutations(range(k)))
+        shapes.setdefault(key, rows)
+    return list(shapes.values())
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_sweeps_match_the_literal_scans_on_every_moore_family(k):
+    # up to 3 points under every partial order; on 4 points, where every
+    # order would make 543,120 pairs, under one order of each shape: a
+    # relabelling of the points carries each pair onto one of these
+    orders = partial_orders(k) if k < 4 else one_order_per_shape(k)
+    assert len(orders) == (1, 1, 3, 19, 16)[k]
+    P = fx.antichain(k)
+    for table in census.moore_families(k):
+        assert_sweeps_match_the_literal_scans(
+            PowersetOperator(P, "moore", table.__getitem__), orders
+        )
+
+
+@st.composite
+def closure_tables(draw, max_points=7):
+    """A closure table on up to max_points points: the least member
+    above each mask of a family of drawn sets closed under meets."""
+    n = draw(st.integers(0, max_points))
+    full = (1 << n) - 1
+    family = {full}
+    for g in draw(st.lists(st.integers(0, full), max_size=2 * n + 2)):
+        family |= {g & f for f in family}
+    return fx.antichain(n), least_closed_table(full, family)
+
+
+@st.composite
+def preorders(draw, n):
+    """Up rows of a preorder on n points: a drawn relation, made
+    reflexive and transitive, or a drawn linear order."""
+    if draw(st.booleans()):
+        rows = [1 << i | r for i, r in enumerate(
+            draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        )]
+        for k in range(n):
+            for i in range(n):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        return tuple(rows)
+    line = draw(st.permutations(range(n)))
+    rows, above = [0] * n, 0
+    for i in reversed(line):
+        above |= 1 << i
+        rows[i] = above
+    return tuple(rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_sweeps_match_the_literal_scans_on_drawn_operators(data):
+    P, table = data.draw(closure_tables())
+    op = PowersetOperator(P, "drawn", table.__getitem__)
+    orders = data.draw(st.lists(preorders(P.n), min_size=1, max_size=3))
+    assert_sweeps_match_the_literal_scans(op, orders)
+    for rows in orders:
+        rep = funnel_check(op, rows, cap=P.n)
+        cl = op.table
+        wit = literal_witness_failure(P, cl, rows)
+        assert rep["is_funnel"] == (wit is None)
+        assert rep["witness"] == (
+            wit
+            or literal_upper_set_failure(P, cl, rows)
+            or literal_principal_failure(P, cl, rows)
+        )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_column_routes_match_the_literal_scans_on_any_ascending_table(data):
+    # the column routes assume no law but ascent, so they name the
+    # literal scans' witnesses on tables that are not monotone or not
+    # idempotent too; a route that leant on monotonicity, such as
+    # condition (1) without its walk over the subsets Z, fails here
+    n = data.draw(st.integers(0, 6))
+    full = (1 << n) - 1
+    P = fx.antichain(n)
+    extra = data.draw(st.integers(0, full))
+    table = [m | (data.draw(st.integers(0, full)) & extra) for m in range(full + 1)]
+    cols = convexity._bit_columns(table, n)
+    pulled, literal_pulled = [0] * n, [0] * n
+    want = literal_anti_exchange_failure(P, table, literal_pulled)
+    assert convexity._anti_exchange_failure(P, cols, pulled) == want
+    if want is None:
+        assert pulled == literal_pulled
+    rows = data.draw(preorders(n))
+    assert convexity._witness_failure(P, cols, rows) == literal_witness_failure(
+        P, table, rows
+    )
+    assert convexity._upper_set_failure(
+        P, cols, rows
+    ) == literal_upper_set_failure(P, table, rows)
+
+
+def law_verdicts(P, table):
+    """The constructor's verdict on a table, and the literal scan's."""
+    try:
+        PowersetOperator(P, "t", table.__getitem__)
+        got = None
+    except InputError as e:
+        got = str(e)
+    fault = literal_law_fault(P, table)
+    return got, fault and f"t: {fault}"
+
+
+def test_law_check_names_the_literal_fault_for_every_one_entry_change():
+    # each image of each Moore family on up to 3 points, replaced by
+    # each other subset: every law breaks somewhere, often several
+    seen = set()
+    for k in range(4):
+        P = fx.antichain(k)
+        for table in census.moore_families(k):
+            for m in range(P.full_mask + 1):
+                for c in range(P.full_mask + 1):
+                    if c != table[m]:
+                        changed = list(table)
+                        changed[m] = c
+                        got, want = law_verdicts(P, changed)
+                        assert got == want, changed
+                        seen.add(want and want.split(" ")[2])
+    assert seen == {None, "ascending", "idempotent", "monotone"}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_law_check_names_the_literal_fault_on_drawn_tables(data):
+    P, table = data.draw(closure_tables(max_points=6))
+    table = list(table)
+    for _ in range(data.draw(st.integers(0, 3))):
+        m = data.draw(st.integers(0, P.full_mask))
+        table[m] = data.draw(st.integers(0, P.full_mask))
+    got, want = law_verdicts(P, table)
+    assert got == want

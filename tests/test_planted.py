@@ -1147,6 +1147,59 @@ def test_each_wrong_funnel_condition_breaks_funnel_check(monkeypatch, condition)
         ]
 
 
+def _flip_column_bit(monkeypatch, j, m):
+    # the column builder answers the opposite for mask m in column j
+    real = convexity._bit_columns
+    monkeypatch.setattr(
+        convexity,
+        "_bit_columns",
+        lambda table, n: tuple(
+            col ^ 1 << m if i == j else col for i, col in enumerate(real(table, n))
+        ),
+    )
+
+
+def test_flipped_column_bit_breaks_the_column_routes(monkeypatch):
+    # anti-exchange and funnel conditions (1) and (2) read the bit
+    # columns; the closed-set form and condition (3) read the table.
+    # Each flip below leaves columns that keep the closure laws, so the
+    # constructor lets them through, and a route pair disagrees
+    A = fx.antichain(2)
+    pair = {(): (), ("0",): ("0", "1"), ("1",): ("0", "1"), ("0", "1"): ("0", "1")}
+    C = fx.c2()
+    assert not convexity.convexity_checks(convexity.table_operator(A, pair))[
+        "anti_exchange"
+    ]
+    assert convexity.funnel_check(convexity.clsys_operator(C), C)["is_funnel"]
+    # column 1 says that {0} closes to {0}: anti-exchange then holds
+    _flip_column_bit(monkeypatch, 1, 0b01)
+    with pytest.raises(TheoremBreach) as info:
+        convexity.convexity_checks(convexity.table_operator(A, pair))
+    assert list(info.value.routes) == ["anti_exchange", "closed_set_form"]
+    monkeypatch.undo()
+    # clsys on the chain 0 < 1 closes the empty set to {1}; column 1
+    # says that it closes to the empty set
+    _flip_column_bit(monkeypatch, 1, 0b00)
+    with pytest.raises(TheoremBreach) as info:
+        convexity.funnel_check(convexity.clsys_operator(C), C)
+    assert list(info.value.routes) == [
+        "witness_definition",
+        "upper_set_form",
+        "principal_form",
+    ]
+
+
+def test_flipped_column_bit_breaks_the_law_check(monkeypatch):
+    # column 0 says that the empty set of the chain 0 < 1 closes to
+    # {0, 1}, and {1} still to {1}: not monotone on the columns, while
+    # the table keeps every law
+    C = fx.c2()
+    _flip_column_bit(monkeypatch, 0, 0b00)
+    with pytest.raises(TheoremBreach) as info:
+        convexity.clsys_operator(C)
+    assert info.value.routes == {"bit_columns": False, "table_scan": True}
+
+
 def _pull_bottom_into_top(op):
     # record that the bottom of c3 pulls its top in, a pair the chain's
     # order does not hold
