@@ -53,7 +53,7 @@ from .order import (
     bits,
     bottom_index,
     check_cap,
-    closure_tables,
+    closure_masks,
     derived,
     directed_join_faults,
     directed_tops_avoiding,
@@ -63,6 +63,7 @@ from .order import (
     join_of,
     least_closed_above,
     least_of,
+    recorded_tables,
     refine,
     same_poset,
     subposet,
@@ -167,23 +168,39 @@ def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
     return trusted(ClosureSystem, gamma.fix, _table=gamma.table)
 
 
-def _closure_systems(P: FinitePoset) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    # every closure system's mask and table, in mask order; cap-free
-    masks, tables = zip(*sorted(closure_tables(P)))
-    return masks, tables
+def _closure_systems(P: FinitePoset) -> tuple[tuple[int, ...], tuple]:
+    # every closure system's mask, in mask order, and the record of the
+    # descent that listed them; cap-free
+    masks, record = closure_masks(P)
+    return tuple(sorted(masks)), record
 
 
-def _carried(P: FinitePoset, cap: Optional[int]):
+def _closure_system_tables(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    # the tables of the closure systems, aligned with their masks in
+    # mask order, built from the descent's record; cap-free
+    masks, record = derived(P, _closure_systems)
+    by_mask = dict(recorded_tables(P, record))
+    return tuple(by_mask[m] for m in masks)
+
+
+def _carried(P: FinitePoset, cap: Optional[int]) -> tuple[tuple[int, ...], tuple]:
     check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
     return derived(P, _closure_systems)
 
 
 def closure_system_masks(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
     """Every closure system, as a mask, in mask order, read from the one
-    top-down descent (order.closure_tables): the cost follows the number
-    of systems, not 2^n.  Their tables are kept for enumerate_cl_lattice
-    and sccore_bruteforce."""
+    top-down descent (order.closure_masks): the cost follows the number
+    of systems, not 2^n, and no table is built.  The descent's record is
+    kept, and enumerate_cl_lattice and sccore_bruteforce build the
+    tables from it (_carried_tables)."""
     return _carried(P, cap)[0]
+
+
+def _carried_tables(P: FinitePoset, cap: Optional[int]):
+    # the closure systems' masks and their tables, aligned, in mask order
+    masks = _carried(P, cap)[0]
+    return masks, derived(P, _closure_system_tables)
 
 
 def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tuple:
@@ -219,14 +236,17 @@ def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
 
     The two lists are aligned: operators[i] has fixpoint set systems[i].
     The carried tables are checked in one pass to be the closure
-    operators fixing exactly their carried masks, and each system keeps
-    its operator's table.
+    operators fixing exactly their carried masks, so each system is its
+    carried mask, built trusted, and keeps its operator's table.
     """
-    masks, tables = _carried(P, cap)
+    masks, tables = _carried_tables(P, cap)
     route = "closure-system enumeration"
     ops = trusted_operators(ClosureOperator, P, zip(masks, tables), route)
     return {
-        "closure_systems": [duality_inv(op) for op in ops],
+        "closure_systems": [
+            trusted(ClosureSystem, poset=P, mask=m, _table=t)
+            for m, t in zip(masks, tables)
+        ],
         "closure_operators": list(ops),
     }
 
@@ -511,7 +531,7 @@ def sccore_bruteforce(
     tables are tested for Scott continuity.  Only the one picked is
     built, and checked."""
     P = gamma.poset
-    tables = _carried(P, cap)[1]
+    tables = _carried_tables(P, cap)[1]
     rows = value_rows(P, tables)
     scott = sum(
         1 << i

@@ -9,20 +9,22 @@ assumptions.  The check stays exhaustive (every directed subset, every
 subset, every x).  The preframe law is Scott continuity of x meet -,
 decided by order.directed_join_faults on the bit columns of the
 directed subsets, listed by their maximum (a finite subset is directed
-iff it is nonempty with a maximum), and checked there against the
-finite shortcut: x meet - is monotone.
-The frame law reads joins, meets and the joins of meet images from
-tables built by doubling (order.join_meet_tables and
-order.image_joins): one bytes.translate per element, O(2^n) table
-steps per table rather than a bound scan or an n-step image per
+iff it is nonempty with a maximum), once per value of the map rather
+than per top, and checked there against the finite shortcut: x meet -
+is monotone.
+The frame law reads joins, meets and the joins of meet images from the
+frame's subset tables (order.subset_tables), built by doubling once
+per frame and kept on it: one bytes.translate per element, O(2^n)
+table steps per table rather than a bound scan or an n-step image per
 subset.
 
-Implication a => b is the largest x with x meet a <= b, read as the
-join of the solutions, each solution set a union of meet preimages.
-The table is built once per frame, and the adjunction law, verified at
-build time as one mask equality per pair (the down-set of a => b is
-the solution set), is also the check that each join exists and is a
-solution.
+Implication a => b is the largest x with x meet a <= b, read from the
+join table at the solution set, a union of meet preimages.  The table
+is built once per frame, and the adjunction law, verified at build
+time as one mask equality per pair (the down-set of a => b is the
+solution set), is also the check that each join exists and is a
+solution.  The double-implication nucleus reads each of its meets from
+the same frame's meet table, the empty set's meet being the top.
 
 A Nucleus is a ClosureOperator, and so an EndoMap, that preserves
 binary meets; .op and .map give the plain values back.  Its
@@ -38,7 +40,9 @@ That enumeration rests on the definition alone, never on implication:
 the top-down descent of order.closure_tables, given the meet table,
 keeps a branch only while it preserves the meets it has decided, so
 the cost follows the number of nuclei rather than the number of
-closure systems.
+closure systems.  Each nucleus is carried with its fixpoint mask, and
+once trusted_operators has checked that its table fixes exactly that
+mask, the lookups by fixpoint set read the masks as they are.
 
 The nuclei form a frame N(L), checked exactly on pairs of nuclei,
 which carry the laws to every family by induction; distributivity is
@@ -88,14 +92,12 @@ from .order import (
     distributivity_failure,
     family_poset,
     image_joins,
-    join_meet_tables,
-    join_of,
     least_closed_above,
     meet_closure,
-    meet_of,
     meet_table,
     popcount,
     same_poset,
+    subset_tables,
     top_index,
     union_of,
 )
@@ -137,11 +139,12 @@ def _validate_structure(P: FinitePoset) -> FrameView:
             f"the directed join of {{{', '.join(P.labels_of(dmask))}}}",
         )
     # frame: complete lattice plus full distributivity.  For each x,
-    # image_joins(join, row) holds the join of x's meet image of every
+    # image_joins(tables, row) holds the join of x's meet image of every
     # subset, and translating through row sends the join y of each
     # subset to x meet y, so both sides of each law are read from tables.
-    join, meet = join_meet_tables(P)
-    gaps = [m for m in (join.find(n), meet.find(n)) if m >= 0]
+    tables = subset_tables(P)
+    join = tables.join
+    gaps = [m for m in (join.find(n), tables.meet.find(n)) if m >= 0]
     if gaps:
         return FrameView(
             P,
@@ -149,7 +152,7 @@ def _validate_structure(P: FinitePoset) -> FrameView:
             f"{{{', '.join(P.labels_of(min(gaps)))}}} lacks a join or meet",
         )
     for x, row in enumerate(mt):
-        got = image_joins(join, row)
+        got = image_joins(tables, row)
         want = join.translate(bytes(row).ljust(256, b"\0"))
         if got != want:
             m = next(k for k, (u, v) in enumerate(zip(got, want)) if u != v)
@@ -187,12 +190,13 @@ def require_preframe(P: FinitePoset, cap: Optional[int] = None) -> FinitePoset:
 
 def _imp_table(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
     """imp[a][b] = largest x with x meet a <= b: the join of the
-    solutions, None where it is missing.  Frame assumed; the adjunction
-    law, which holds iff every such join exists and is a solution, is
-    verified here once and breaches are fatal.  Read it through
-    derived(P, _imp_table)."""
+    solutions, read from the frame's join table (P.n where it is
+    missing).  Frame assumed; the adjunction law, which holds iff every
+    such join exists and is a solution, is verified here once and
+    breaches are fatal.  Read it through derived(P, _imp_table)."""
     sols = _solutions(P, meet_table(P))
-    imp = tuple(tuple(join_of(P, s) for s in row) for row in sols)
+    join = subset_tables(P).join
+    imp = tuple(tuple(join[s] for s in row) for row in sols)
     failed = _adjunction_failure(P, imp, sols)
     if failed is not None:
         x, a, b = map(P.label, failed)
@@ -219,11 +223,13 @@ def _adjunction_failure(P: FinitePoset, imp, sols) -> Optional[tuple[int, int, i
     and x meet a <= b differ, or None when the adjunction holds: per
     pair (a, b), the least x in the symmetric difference of the down-set
     of a => b and the solutions sols[a][b], n^2 mask comparisons.  A
-    missing a => b (None) fails at every x."""
+    missing a => b (None, or P.n as the join table marks it) fails at
+    every x."""
+    missing = (None, P.n)
     failed = []
     for a, (row, sol) in enumerate(zip(imp, sols)):
         for b, (r, s) in enumerate(zip(row, sol)):
-            diff = P.full_mask if r is None else P.down[r] ^ s
+            diff = P.full_mask if r in missing else P.down[r] ^ s
             if diff:
                 failed.append(((diff & -diff).bit_length() - 1, a, b))
     return min(failed, default=None)
@@ -350,17 +356,26 @@ def nucleus_join(
     return checked(Nucleus, P, gen.table, "generated join of prenuclei", meet_table(P))
 
 
+def _nuclei_leaves(P: FinitePoset) -> list[tuple[int, tuple[int, ...]]]:
+    # the descent's (fixpoint mask, table) leaves in the order of
+    # _nuclei; cap-free, like it
+    leaves = closure_tables(P, meet_table(P))
+    leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
+    return leaves
+
+
 def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     # cap-free; every caller has passed a meet check and a cap gate
-    mt = meet_table(P)
-    leaves = closure_tables(P, mt)
-    leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
-    return trusted_operators(Nucleus, P, leaves, "nuclei descent", mt)
+    leaves = derived(P, _nuclei_leaves)
+    return trusted_operators(Nucleus, P, leaves, "nuclei descent", meet_table(P))
 
 
 def _nuclei_by_fix(P: FinitePoset) -> dict[int, int]:
-    # fixpoint set -> index of its nucleus in _nuclei; cap-free, like it
-    return {nu.fix_mask: i for i, nu in enumerate(derived(P, _nuclei))}
+    # fixpoint set -> index of its nucleus in _nuclei, read from the
+    # masks carried with the tables, which trusted_operators proved each
+    # table fixes; cap-free, like it
+    derived(P, _nuclei)
+    return {m: i for i, (m, _) in enumerate(derived(P, _nuclei_leaves))}
 
 
 def _nuclei_rows(P: FinitePoset):
@@ -423,15 +438,17 @@ def nucsys(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Subset:
 
 def _double_implication(P: FinitePoset, xs: int, route: str) -> Nucleus:
     """The nucleus y -> meet over x in xs of ((y => x) => x), built by
-    route; a missing meet is a breach that names the route."""
+    route, each meet read from the frame's meet table; a missing meet
+    (P.n) is a breach that names the route."""
     imp = derived(P, _imp_table)
+    meet = subset_tables(P).meet
     table = []
     for y in range(P.n):
         vals = 0
         for x in bits(xs):
             vals |= 1 << imp[imp[y][x]][x]
-        v = meet_of(P, vals)  # empty meet is the top, which a frame has
-        if v is None:
+        v = meet[vals]  # the empty mask's meet is the top, which a frame has
+        if v == P.n:
             raise TheoremBreach(
                 f"{route}: the meet at {P.label(y)!r} does not exist"
             )
@@ -572,7 +589,7 @@ def frame_of_nuclei_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     check_cap("nucleus pair check", k.bit_length(), cap, NUCLEUS_PAIR_CAP)
     mt = meet_table(P)
     tables = [nu.table for nu in nucs]
-    fixes = [nu.fix_mask for nu in nucs]
+    fixes = [m for m, _ in derived(P, _nuclei_leaves)]  # checked by enumerate_nuclei
     up = derived(P, _nuclei_rows).up_rows()
     try:
         N = FinitePoset(tuple(map(str, range(k))), tuple(up))

@@ -60,11 +60,11 @@ from .order import (
     derived,
     directed_tops_avoiding,
     image_joins,
-    join_meet_tables,
     meet_table,
     refine,
     same_poset,
     subposet,
+    subset_tables,
     top_index,
     trusted,
     upper_closure_mask,
@@ -360,9 +360,10 @@ def quotient_frame_check(
     # join of each subset is nu of the join of its nu-image
     if not preserves_binary_meets(nu):
         raise TheoremBreach("corestriction does not preserve binary meets")
-    join, _ = join_meet_tables(P)
+    tables = subset_tables(P)
+    join = tables.join
     to_fix = bytes(nu.table).ljust(256, b"\0")
-    joined_images = image_joins(join, nu.table)
+    joined_images = image_joins(tables, nu.table)
     if join.translate(to_fix) != joined_images.translate(to_fix):
         raise TheoremBreach("corestriction does not preserve joins")
     return {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -403,7 +403,9 @@ def _mask_word(n: int) -> str:
 def join_meet_tables(P: FinitePoset) -> tuple[bytearray, bytearray]:
     """Join and meet of every subset, indexed by mask.  On a lattice
     every entry is exact; on any poset every entry up to a table's first
-    P.n is, and that P.n marks the least subset that lacks one.
+    P.n is, and that P.n marks the least subset that lacks one.  The
+    library reads them through subset_tables, which builds them once per
+    poset and keeps them, with the binary-join columns, on the poset.
 
     The tables are built by doubling: the subsets whose highest element
     is i are the earlier ones with i added, so each element costs one
@@ -444,25 +446,60 @@ def join_meet_tables(P: FinitePoset) -> tuple[bytearray, bytearray]:
     return doubled(P.le, least_of, None), doubled(P.down, greatest_of, meet_table(P))
 
 
-def image_joins(join: bytes, table: Sequence[int]) -> bytearray:
+class SubsetTables(NamedTuple):
+    """One poset's subset tables (subset_tables): join and meet, the
+    join and meet of every subset indexed by its mask, as
+    join_meet_tables builds them, and join_columns, where byte u of
+    join_columns[v] is the join of {u, v}, padded to 256 bytes for
+    bytes.translate."""
+
+    join: bytearray
+    meet: bytearray
+    join_columns: tuple[bytes, ...]
+
+
+def _subset_tables(P: FinitePoset) -> SubsetTables:
+    join, meet = join_meet_tables(P)
+    n = P.n
+    columns = tuple(
+        bytes(join[1 << u | 1 << v] for u in range(n)).ljust(256, b"\0")
+        for v in range(n)
+    )
+    return SubsetTables(join, meet, columns)
+
+
+def subset_tables(P: FinitePoset) -> SubsetTables:
+    """The join and meet of every subset of P, and the binary-join
+    columns image_joins reads, built once per poset and kept on it.
+
+    Every subset of a finite lattice has a join and a meet (Davey &
+    Priestley, Introduction to Lattices and Order, ch. 2), so on a
+    frame these tables answer every join and meet the frame routes
+    ask for: the frame check and the quotient check compare them
+    whole, the implication table reads the join of each solution set,
+    and the double-implication nucleus the meet of each value set.
+    Cap-free, 2^n bytes each: every caller has passed a frame check's
+    cap gate first."""
+    return derived(P, _subset_tables)
+
+
+def image_joins(tables: SubsetTables, table: Sequence[int]) -> bytearray:
     """Join of the image of every subset under i -> table[i], indexed
-    by the subset's mask, given the join table of a lattice on the
-    n = len(table) elements, as join_meet_tables builds it: entry m is
-    the join of the image mask of m.
+    by the subset's mask, given the subset tables of a lattice on the
+    n = len(table) elements: entry m is the join of the image mask of m.
 
     Built by doubling, as join_meet_tables is: the subsets whose highest
     element is i are the earlier ones with i added, which adds table[i]
     to the image.  By the identity proved there, when the image of A
     has the join j, the image with table[i] added has the join of
-    {j, table[i]}, read from join at that two-element mask; on a
-    lattice every such join exists, so every entry is exact.  Each
-    element costs one bytes.translate.
+    {j, table[i]}, byte j of the kept column join_columns[table[i]]; on
+    a lattice every such join exists, so every entry is exact.  Each
+    element costs one bytes.translate, and no column is built here.
     """
-    n = len(table)
-    out = bytearray(join[:1])
+    out = bytearray(tables.join[:1])
+    columns = tables.join_columns
     for v in table:
-        col = bytes(join[1 << u | 1 << v] for u in range(n))
-        out += out.translate(col.ljust(256, b"\0"))
+        out += out.translate(columns[v])
     return out
 
 
@@ -632,8 +669,8 @@ def upper_sets(rows: Sequence[int]) -> list[int]:
 def top_down(P: FinitePoset) -> tuple[int, ...]:
     """The elements in ascending size of their principal upper sets, ties
     by index, so each follows every element strictly above it: the order
-    closure_tables decides elements in.  Read it through
-    derived(P, top_down)."""
+    the closure-system descent (closure_masks, closure_tables) decides
+    elements in.  Read it through derived(P, top_down)."""
     return tuple(sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)))
 
 
@@ -650,41 +687,132 @@ def incomparable_meets(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*pairs)) or ((), (), ())
 
 
-def closure_tables(
-    P: FinitePoset, meets: Optional[Sequence[Sequence[int]]] = None
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Every closure system with its operator's table c, as (fixpoint
-    mask, table) pairs; given P's meet table, only the nuclei.  Cap-free
-    and unsorted.  The elements are decided in top_down order, so z's
-    strict upper bounds come first: keeping z fixes it, and leaving it
-    out sends it to the least kept element above it, which must exist.
-    With meets, a branch survives only if c(x meet y) = c(x) meet c(y)
+def _descend(P: FinitePoset, meets) -> tuple[list[int], list]:
+    """The one top-down descent, which closure_masks and closure_tables
+    read: the leaves' masks, and given meets their tables, else the
+    record of its steps.
+
+    The elements are decided in top_down order, so z's strict upper
+    bounds come first: keeping z fixes it, and leaving it out sends it
+    to c(z), the least kept element above it, which must exist.  With
+    one upper cover u, the kept elements above z are those above u, so
+    c(z) = c(u) and every branch may leave z out; with none, no branch
+    may; with several, each branch reads its own least_of.  A level's
+    decision is the step (z, cover, belows), belows holding each
+    branch's c(z) or None.  Without meets the steps are the record and
+    no table is built.  With meets the tables are carried, as the prune
+    reads them: a branch survives only if c(x meet y) = c(x) meet c(y)
     for every incomparable pair with meet z (comparable pairs hold, as
-    c is monotone).  The cost follows the number of leaves, not 2^n."""
-    le, n = P.le, P.n
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    c is monotone), so those pair meets must all be z to keep z, and
+    all c(z) to leave it out.  The cost follows the number of leaves,
+    not 2^n."""
+    le = P.le
+    pairs: list[list[tuple[int, int]]] = [[] for _ in le]
     if meets is not None:
         for x, y, z in zip(*derived(P, incomparable_meets)):
             pairs[z].append((x, y))
-
-    def preserved(c, v, zpairs):
-        return all(meets[c[x]][c[y]] == v for x, y in zpairs)
-
-    # a table starts as the identity and never changes once in states
-    states = [(0, list(range(n)))]
+    states = [0]
+    # a table starts as the identity and is shared by every branch that
+    # keeps the element decided; leaving it out copies the table
+    tables = [list(range(P.n))]
+    record = []
     for z in derived(P, top_down):
-        bit, row, zpairs = 1 << z, le[z], pairs[z]
-        grown = []
-        for kept, c in states:
-            if not zpairs or preserved(c, z, zpairs):
-                grown.append((kept | bit, c))
-            below = least_of(P, kept & row)
-            if below is not None and (not zpairs or preserved(c, below, zpairs)):
-                t = c.copy()
-                t[z] = below
-                grown.append((kept, t))
+        bit = 1 << z
+        above = le[z] & ~bit
+        cover = least_of(P, above) if above else None
+        belows = None
+        if above and cover is None:
+            belows = [least_of(P, kept & above) for kept in states]
+        if pairs[z]:
+            if cover is not None:
+                belows = [t[cover] for t in tables]
+            states, tables = _pruned(states, tables, z, pairs[z], meets, belows)
+            continue
+        step = (z, cover, belows)
+        if meets is None:
+            record.append(step)
+        else:
+            tables = _grown_tables(tables, step)
+        grown = [kept | bit for kept in states]
+        if cover is not None:
+            grown += states
+        elif belows is not None:
+            grown += [kept for kept, below in zip(states, belows) if below is not None]
         states = grown
-    return [(m, tuple(c)) for m, c in states]
+    return states, tables if meets is not None else record
+
+
+def _pruned(states, tables, z, zpairs, meets, belows):
+    """One level of the nuclei descent: a branch keeps z if every pair
+    meet is z, and leaves it out if every pair meet is its c(z)."""
+    grown, gt = [], []
+    for i, (kept, t) in enumerate(zip(states, tables)):
+        ms = {meets[t[x]][t[y]] for x, y in zpairs}
+        if len(ms) == 1:
+            (v,) = ms
+            if v == z:
+                grown.append(kept | 1 << z)
+                gt.append(t)
+            elif belows is not None and v == belows[i]:
+                grown.append(kept)
+                c = t.copy()
+                c[z] = v
+                gt.append(c)
+    return grown, gt
+
+
+def _grown_tables(tables: list, step: tuple) -> list:
+    """One step of the descent on tables: each keeps z, then a copy of
+    each that may leave z out sends it to c(cover) or to its below."""
+    z, cover, belows = step
+    grown = tables.copy()
+    if cover is not None:
+        for t in tables:
+            c = t.copy()
+            c[z] = t[cover]
+            grown.append(c)
+    elif belows is not None:
+        for t, below in zip(tables, belows):
+            if below is not None:
+                c = t.copy()
+                c[z] = below
+                grown.append(c)
+    return grown
+
+
+def closure_masks(P: FinitePoset) -> tuple[list[int], tuple]:
+    """Every closure system, as a mask, unsorted, and the record of the
+    descent that found them (_descend), from which recorded_tables
+    builds their tables on request.  No table is built here.  Cap-free."""
+    masks, steps = _descend(P, None)
+    return masks, (masks, steps)
+
+
+def recorded_tables(
+    P: FinitePoset, record: tuple
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The (fixpoint mask, table) leaves of the descent that left this
+    record (closure_masks), in its order: its steps replayed on tables,
+    one list copy per branch that leaves an element out, as the descent
+    would have made them, and no least_of."""
+    masks, steps = record
+    tables = [list(range(P.n))]
+    for step in steps:
+        tables = _grown_tables(tables, step)
+    return list(zip(masks, map(tuple, tables)))
+
+
+def closure_tables(
+    P: FinitePoset, meets: Optional[Sequence[Sequence[int]]] = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every closure system with its operator's table, as (fixpoint
+    mask, table) pairs; given P's meet table, only the nuclei, whose
+    prune reads the tables as the descent carries them.  Cap-free and
+    unsorted."""
+    if meets is None:
+        return recorded_tables(P, closure_masks(P)[1])
+    masks, tables = _descend(P, meets)
+    return list(zip(masks, map(tuple, tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -829,18 +957,29 @@ def directed_join_faults(
     a member maps outside the down row of table[t], or none maps into
     its up row.  That is the law when t is in D, and a column whose
     top is not a member fails, so a broken enumeration still shows.
-    Checked against the finite collapse: as D holds its maximum, there
-    is no fault iff the map is monotone."""
+
+    A fault depends on t only through its value v = table[t], so the
+    tops are grouped by value.  One pass over the table unions the
+    member and top columns over each preimage row (the i with
+    table[i] = w), reading every column once.  Then, for each value v
+    in the image, the members mapped outside down(v), and those mapped
+    into up(v), are unions of those per-value columns: O(|image|) ORs
+    per value, where a loop per top over the whole table made 2n^2.
+    The fault bits are the same.  Checked against the finite collapse:
+    as D holds its maximum, there is no fault iff the map is monotone."""
     members, tops = directed_columns(P, cap)
+    # the member and top columns unioned over each preimage row
+    mapped, topped = [0] * P.n, [0] * P.n
+    image = 0
+    for i, w in enumerate(table):
+        mapped[w] |= members[i]
+        topped[w] |= tops[i]
+        image |= 1 << w
     faults = 0
-    for t, v in enumerate(table):
-        outside = inside = 0
-        for i, w in enumerate(table):
-            if not P.down[v] >> w & 1:
-                outside |= members[i]
-            if P.le[v] >> w & 1:
-                inside |= members[i]
-        faults |= tops[t] & (outside | ~inside)
+    for v in bits(image):
+        outside = union_of(mapped, image & ~P.down[v])
+        inside = union_of(mapped, image & P.le[v])
+        faults |= topped[v] & (outside | ~inside)
     agree(
         "Scott continuity", table, columns=not faults, monotone=is_monotone(P, table)
     )

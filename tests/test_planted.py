@@ -63,20 +63,78 @@ def _without(masks, drop):
     return tuple(m for m in masks if m != drop)
 
 
+class _PlantedLookups(bytearray):
+    # a subset table whose lookup at a mask answers answer(mask) unless
+    # that is None; whole-table reads (translate, find, slices), which
+    # the frame check makes, still see the real entries
+
+    def __init__(self, table, answer):
+        super().__init__(table)
+        self.answer = answer
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            got = self.answer(key)
+            if got is not None:
+                return got
+        return super().__getitem__(key)
+
+
+def _plant_subset_lookups(monkeypatch, join=None, meet=None):
+    # the frame's subset tables as heyting reads them, each lookup of
+    # the join (meet) table at a mask answered by join(Q, mask)
+    # (meet(Q, mask)) where that is not None
+    real = heyting.subset_tables
+
+    def planted(Q):
+        tables = real(Q)
+        if join is not None:
+            tables = tables._replace(
+                join=_PlantedLookups(tables.join, lambda m: join(Q, m))
+            )
+        if meet is not None:
+            tables = tables._replace(
+                meet=_PlantedLookups(tables.meet, lambda m: meet(Q, m))
+            )
+        return tables
+
+    monkeypatch.setattr(heyting, "subset_tables", planted)
+
+
 def _plant_carried_tables(monkeypatch, module, edit):
-    # the closure-system descent as module reads it, its list of
-    # (fixpoint mask, table) pairs passed through edit
+    # the closure-table descent as module reads it (heyting's nuclei
+    # descent), its list of (fixpoint mask, table) pairs passed through
+    # edit
     real = module.closure_tables
     monkeypatch.setattr(
         module, "closure_tables", lambda Q, *meets: edit(real(Q, *meets))
     )
 
 
+def _plant_closure_masks(monkeypatch, edit):
+    # the closure-system descent as closure reads it, its list of masks
+    # passed through edit and its record left as it is
+    real = closure.closure_masks
+
+    def planted(Q):
+        masks, record = real(Q)
+        return edit(masks), record
+
+    monkeypatch.setattr(closure, "closure_masks", planted)
+
+
+def _plant_recorded_tables(monkeypatch, edit):
+    # the tables closure builds from the descent's record, its list of
+    # (fixpoint mask, table) pairs passed through edit
+    real = closure.recorded_tables
+    monkeypatch.setattr(
+        closure, "recorded_tables", lambda Q, record: edit(real(Q, record))
+    )
+
+
 def _plant_dropped_system(monkeypatch, drop):
     # a closure-system descent that leaves out the system drop
-    _plant_carried_tables(
-        monkeypatch, closure, lambda pairs: [s for s in pairs if s[0] != drop]
-    )
+    _plant_closure_masks(monkeypatch, lambda masks: [m for m in masks if m != drop])
 
 
 def test_dropped_closure_system_breaks_clsys(monkeypatch):
@@ -132,9 +190,7 @@ def test_planted_non_system_is_a_breach_in_dcclsys_and_clsys(monkeypatch):
     assert closure.dcclsys(X).labels == ("0", "2")
     assert clsys(X).labels == ("0", "2")
     bottom = P.mask_of(["0"])
-    _plant_carried_tables(
-        monkeypatch, closure, lambda pairs: [*pairs, (bottom, (0, 0, 0))]
-    )
+    _plant_closure_masks(monkeypatch, lambda masks: [*masks, bottom])
     for route in (closure.dcclsys, clsys):
         P = fx.c3()
         with pytest.raises(TheoremBreach, match="built a result") as info:
@@ -152,7 +208,7 @@ def test_swapped_carried_tables_break_closure_enumeration(monkeypatch):
         (m0, t0), (m1, t1), *rest = pairs
         return [(m0, t1), (m1, t0), *rest]
 
-    _plant_carried_tables(monkeypatch, closure, swapped)
+    _plant_recorded_tables(monkeypatch, swapped)
     with pytest.raises(TheoremBreach, match="fixes another set"):
         closure.enumerate_cl_lattice(fx.c3())
 
@@ -213,7 +269,7 @@ def test_wrong_double_implication_breaks_nuc_map(monkeypatch):
     P = fx.b2()
     X = Subset.of(P, ["a"])
     assert heyting.nuc_map(P, X).fix.labels == ("a", "1")
-    monkeypatch.setattr(heyting, "meet_of", lambda Q, mask: order.top_index(Q))
+    _plant_subset_lookups(monkeypatch, meet=lambda Q, mask: order.top_index(Q))
     P = fx.b2()
     X = Subset.of(P, ["a"])
     with pytest.raises(TheoremBreach) as info:
@@ -521,15 +577,19 @@ def test_unpruned_leaf_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
 
 
 @pytest.mark.parametrize(
-    "module, build, command",
+    "plant, build, command",
     [
-        (closure, closure.enumerate_cl_lattice, "closure-systems"),
-        (heyting, heyting.enumerate_nuclei, "nuclei"),
+        (_plant_recorded_tables, closure.enumerate_cl_lattice, "closure-systems"),
+        (
+            lambda mp, edit: _plant_carried_tables(mp, heyting, edit),
+            heyting.enumerate_nuclei,
+            "nuclei",
+        ),
     ],
     ids=["closure-systems", "nuclei"],
 )
 def test_swapped_tables_break_the_batched_check(
-    monkeypatch, b2_files, capsys, module, build, command
+    monkeypatch, b2_files, capsys, plant, build, command
 ):
     # two leaves of the descent on b2 carried with each other's tables:
     # each table passes its constructor, but fixes the other mask
@@ -540,7 +600,7 @@ def test_swapped_tables_break_the_batched_check(
         (m0, t0), (m1, t1), *rest = pairs
         return [(m0, t1), (m1, t0), *rest]
 
-    _plant_carried_tables(monkeypatch, module, swapped)
+    plant(monkeypatch, swapped)
     with pytest.raises(TheoremBreach, match="fixes another set"):
         build(fx.b2())
     assert main(argv) == 3
@@ -732,14 +792,12 @@ def test_wrong_implication_in_its_candidates_breaks_adjunction(
     argv = ["heyting", b2_files["poset"]]
     assert heyting.heyting_implication(fx.b2(), "a", "0") == "b"
     assert main(argv) == 0
-    real = heyting.join_of
-
     def planted(Q, mask):
         if mask == Q.mask_of(["0", "b"]):
             return order.least_of(Q, mask)
-        return real(Q, mask)
+        return None
 
-    monkeypatch.setattr(heyting, "join_of", planted)
+    _plant_subset_lookups(monkeypatch, join=planted)
     with pytest.raises(TheoremBreach) as info:
         heyting.implication_table(fx.b2())
     assert str(info.value) == "implication adjunction failed at x='b' a='a' b='0'"
@@ -754,14 +812,14 @@ def test_wrong_implication_in_its_candidates_breaks_adjunction(
 )
 def test_bad_join_of_the_solutions_breaks_adjunction(monkeypatch, answer, failure):
     # the join of the solutions of x meet a <= 0, {0, b}, answered as
-    # missing or as the top, which is not a solution: the adjunction
-    # check is the one check of that join
-    real = heyting.join_of
-
+    # missing (the table's Q.n) or as the top, which is not a solution:
+    # the adjunction check is the one check of that join
     def planted(Q, mask):
-        return answer if mask == Q.mask_of(["0", "b"]) else real(Q, mask)
+        if mask != Q.mask_of(["0", "b"]):
+            return None
+        return Q.n if answer is None else answer
 
-    monkeypatch.setattr(heyting, "join_of", planted)
+    _plant_subset_lookups(monkeypatch, join=planted)
     with pytest.raises(TheoremBreach) as info:
         heyting.implication_table(fx.b2())
     assert str(info.value) == f"implication adjunction failed at {failure}"
@@ -914,19 +972,19 @@ def test_quotient_frame_check_catches_each_breach(monkeypatch):
     lost = _smuggled(P, tuple(P.index(v) for v in ("a", "a", "b", "1")))
     with pytest.raises(TheoremBreach, match="not closed under meets"):
         hmj.quotient_frame_check(P, lost)
-    real_tables = hmj.join_meet_tables
+    real_tables = hmj.subset_tables
 
     def swapped(Q):
         # the join of {a} answers b
-        join, meet = real_tables(Q)
-        join = bytearray(join)
+        tables = real_tables(Q)
+        join = bytearray(tables.join)
         join[1 << Q.index("a")] = Q.index("b")
-        return join, meet
+        return tables._replace(join=join)
 
-    monkeypatch.setattr(hmj, "join_meet_tables", swapped)
+    monkeypatch.setattr(hmj, "subset_tables", swapped)
     with pytest.raises(TheoremBreach, match="does not preserve joins"):
         hmj.quotient_frame_check(P, nu)
-    monkeypatch.setattr(hmj, "join_meet_tables", real_tables)
+    monkeypatch.setattr(hmj, "subset_tables", real_tables)
     real_view = hmj.validate_structure
     monkeypatch.setattr(
         hmj,
@@ -946,8 +1004,8 @@ def test_image_joins_that_skip_an_element_break_the_frame_checks(monkeypatch):
     # and the join of a nucleus's image of {1} reads its value at 0
     real = order.image_joins
 
-    def skipping(join, table):
-        built = real(join, table)[: len(join) // 2]
+    def skipping(tables, table):
+        built = real(tables, table)[: len(tables.join) // 2]
         return built + built
 
     assert heyting.validate_structure(fx.b2()).level == "frame"
@@ -1245,9 +1303,7 @@ def test_short_closure_table_is_a_breach_not_bad_input(
     # built a malformed value, which is a breach, and the command exits 3
     argv = ["closure-systems", b2_files["poset"]]
     assert main(argv) == 0
-    _plant_carried_tables(
-        monkeypatch, closure, lambda pairs: [(m, t[:-1]) for m, t in pairs]
-    )
+    _plant_recorded_tables(monkeypatch, lambda pairs: [(m, t[:-1]) for m, t in pairs])
     with pytest.raises(TheoremBreach) as info:
         closure.enumerate_cl_lattice(fx.b2())
     assert isinstance(info.value.__cause__, ValueError)
@@ -1289,10 +1345,7 @@ def test_meet_without_the_empty_case_breaks_double_implication(monkeypatch):
     # breach names the route that asked
     P = fx.b2()
     assert heyting.nuc_map(P, Subset(P, 0)).fix.labels == ("1",)
-    real = heyting.meet_of
-    monkeypatch.setattr(
-        heyting, "meet_of", lambda Q, mask: real(Q, mask) if mask else None
-    )
+    _plant_subset_lookups(monkeypatch, meet=lambda Q, mask: None if mask else Q.n)
     with pytest.raises(TheoremBreach) as info:
         heyting.nuc_map(P, Subset(P, 0))
     assert str(info.value) == (
@@ -1442,9 +1495,8 @@ def test_edited_carried_table_breaks_the_scott_core_scan(monkeypatch):
     P = fx.c2()
     gamma = ClosureOperator(identity_map(P))
     assert closure.sccore_bruteforce(gamma) == gamma
-    _plant_carried_tables(
+    _plant_recorded_tables(
         monkeypatch,
-        closure,
         lambda pairs: [(m, (0, 0) if t == (0, 1) else t) for m, t in pairs],
     )
     P = fx.c2()
@@ -1496,10 +1548,7 @@ def test_wrong_meet_breaks_the_double_implication_nucleus(monkeypatch):
     # the meet of a and b
     P = fx.b2()
     assert heyting.regular_nucleus(P, "0").table == (0, 1, 2, 3)
-    real = heyting.meet_of
-    monkeypatch.setattr(
-        heyting, "meet_of", lambda Q, mask: 3 if mask == 0b10 else real(Q, mask)
-    )
+    _plant_subset_lookups(monkeypatch, meet=lambda Q, mask: 3 if mask == 0b10 else None)
     _assert_built_breach(
         "double-implication formula",
         NotANucleus,

@@ -72,6 +72,7 @@ from latkit.order import (  # noqa: E402
     meet_table,
     popcount,
     subposet,
+    subset_tables,
     top_index,
     upper_sets,
 )
@@ -476,12 +477,13 @@ def lattices_with_tables(draw):
 @given(lattices_with_tables())
 def test_image_joins_read_the_join_of_each_image(case):
     P, table = case
-    join, _ = join_meet_tables(P)
+    tables = subset_tables(P)
+    join = tables.join
     images = [
         sum(1 << v for v in {table[i] for i in bits(m)})
         for m in range(P.full_mask + 1)
     ]
-    assert image_joins(join, table) == bytearray(join[v] for v in images)
+    assert image_joins(tables, table) == bytearray(join[v] for v in images)
 
 
 def reference_implication(P, mt):
