@@ -916,8 +916,10 @@ def _read(cmd, args):
     place.  Returns the given values by option, in the order first
     given, and the positional tokens.
 
-    The commands declare flags and one-value options only, and no short
-    flag; an argument that takes many values comes last."""
+    The commands declare flags and one-value options only.  The one
+    short name, tarski's -x/--start, takes a value, so no token bundles
+    short flags (-ab), which this reader does not split; an argument
+    that takes many values comes last."""
     given, plain = {}, []
     i = 0
     while i < len(args):

@@ -183,24 +183,19 @@ def _closure_system_tables(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
     return tuple(by_mask[m] for m in masks)
 
 
-def _carried(P: FinitePoset, cap: Optional[int]) -> tuple[tuple[int, ...], tuple]:
-    check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
-    return derived(P, _closure_systems)
-
-
 def closure_system_masks(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
     """Every closure system, as a mask, in mask order, read from the one
     top-down descent (order.closure_masks): the cost follows the number
     of systems, not 2^n, and no table is built.  The descent's record is
     kept, and enumerate_cl_lattice and sccore_bruteforce build the
     tables from it (_carried_tables)."""
-    return _carried(P, cap)[0]
+    check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
+    return derived(P, _closure_systems)[0]
 
 
 def _carried_tables(P: FinitePoset, cap: Optional[int]):
     # the closure systems' masks and their tables, aligned, in mask order
-    masks = _carried(P, cap)[0]
-    return masks, derived(P, _closure_system_tables)
+    return closure_system_masks(P, cap), derived(P, _closure_system_tables)
 
 
 def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tuple:
@@ -210,7 +205,7 @@ def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tu
     table for nuclei, and then built with order.trusted.  A rejected
     table goes to cls inside produced(route), so the law it breaks is
     named in a breach of route; one that cls accepts fixes a set other
-    than its mask, a breach too."""
+    than its mask, a breach of route too."""
     leaves = list(leaves)
     bad = closure_table_fault(P, leaves, meets)
     if bad is not None:
@@ -218,7 +213,7 @@ def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tu
         with produced(route):
             op = cls(EndoMap(P, table))
         raise TheoremBreach(
-            "a carried closure table fixes another set: "
+            f"{route}: a carried closure table fixes another set: "
             f"{op.fix!r}, carried with {Subset(P, mask)!r}"
         )
     return tuple(trusted(cls, poset=P, table=t) for _, t in leaves)

@@ -42,6 +42,7 @@ from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
+    _with_bit,
     bits,
     check_cap,
     derived,
@@ -83,13 +84,9 @@ def _bit_columns(table: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def _has_bit(P: FinitePoset) -> tuple[int, ...]:
-    """Entry e: the 2^n-bit int whose bit m is set iff bit e of m is,
-    runs of 2^e zeros and 2^e ones.  Read through order.derived."""
-    every = (1 << (1 << P.n)) - 1
-    return tuple(
-        every // ((1 << (2 << e)) - 1) * (((1 << (1 << e)) - 1) << (1 << e))
-        for e in range(P.n)
-    )
+    """Entry e: the 2^n-bit int whose bit m is set iff bit e of m is.
+    Read through order.derived."""
+    return tuple(_with_bit(e, 1 << P.n) for e in range(P.n))
 
 
 def _lowest(masks: int) -> int:

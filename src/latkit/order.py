@@ -701,11 +701,11 @@ def _descend(P: FinitePoset, meets) -> tuple[list[int], list]:
     decision is the step (z, cover, belows), belows holding each
     branch's c(z) or None.  Without meets the steps are the record and
     no table is built.  With meets the tables are carried, as the prune
-    reads them: a branch survives only if c(x meet y) = c(x) meet c(y)
-    for every incomparable pair with meet z (comparable pairs hold, as
-    c is monotone), so those pair meets must all be z to keep z, and
-    all c(z) to leave it out.  The cost follows the number of leaves,
-    not 2^n."""
+    (_pruned) reads them at each z that is the meet of an incomparable
+    pair, and there no least_of runs.  On a meet-semilattice those are
+    exactly the elements with several upper covers, so the other levels
+    all have at most one.  The cost follows the number of leaves, not
+    2^n."""
     le = P.le
     pairs: list[list[tuple[int, int]]] = [[] for _ in le]
     if meets is not None:
@@ -717,17 +717,15 @@ def _descend(P: FinitePoset, meets) -> tuple[list[int], list]:
     tables = [list(range(P.n))]
     record = []
     for z in derived(P, top_down):
+        if pairs[z]:
+            states, tables = _pruned(states, tables, z, pairs[z], meets)
+            continue
         bit = 1 << z
         above = le[z] & ~bit
         cover = least_of(P, above) if above else None
         belows = None
         if above and cover is None:
             belows = [least_of(P, kept & above) for kept in states]
-        if pairs[z]:
-            if cover is not None:
-                belows = [t[cover] for t in tables]
-            states, tables = _pruned(states, tables, z, pairs[z], meets, belows)
-            continue
         step = (z, cover, belows)
         if meets is None:
             record.append(step)
@@ -742,18 +740,25 @@ def _descend(P: FinitePoset, meets) -> tuple[list[int], list]:
     return states, tables if meets is not None else record
 
 
-def _pruned(states, tables, z, zpairs, meets, belows):
-    """One level of the nuclei descent: a branch keeps z if every pair
-    meet is z, and leaves it out if every pair meet is its c(z)."""
+def _pruned(states, tables, z, zpairs, meets):
+    """One level of the nuclei descent, at z the meet of the pairs
+    zpairs: a branch survives only if c(x meet y) = c(x) meet c(y) on
+    each (comparable pairs hold, c being monotone).  It keeps z if every
+    pair meet v is z, and leaves z out with c(z) = v if all are one v
+    other than z, with no least_of.  For v > z is kept: it is c(x), c(y)
+    or, were they incomparable, their meet, which level v could only
+    keep.  And v lies below every kept w > z: z has two upper covers u,
+    u' (a lone one would lie below x meet y), u meet u' = z, and w lies
+    above one, say u, so w >= c(u) >= c(u) meet c(u') = v."""
     grown, gt = [], []
-    for i, (kept, t) in enumerate(zip(states, tables)):
+    for kept, t in zip(states, tables):
         ms = {meets[t[x]][t[y]] for x, y in zpairs}
         if len(ms) == 1:
             (v,) = ms
             if v == z:
                 grown.append(kept | 1 << z)
                 gt.append(t)
-            elif belows is not None and v == belows[i]:
+            else:
                 grown.append(kept)
                 c = t.copy()
                 c[z] = v
@@ -891,8 +896,9 @@ def directed_subsets(P: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[i
     return derived(P, _directed_subsets)
 
 
-def _bit_columns(j: int, size: int) -> int:
-    """The k < size with bit j of k set, as a mask."""
+def _with_bit(j: int, size: int) -> int:
+    """The k < size with bit j of k set, as a mask: runs of 2^j zeros
+    and 2^j ones, size a multiple of 2^(j + 1)."""
     half = 1 << j
     period = half << 1
     unit = ((1 << half) - 1) << half
@@ -910,7 +916,7 @@ def _directed_columns(P: FinitePoset) -> tuple[tuple[int, ...], tuple[int, ...]]
         tops[t] = block
         members[t] |= block
         for j, b in enumerate(below):
-            members[b] |= _bit_columns(j, size) << width
+            members[b] |= _with_bit(j, size) << width
         width += size
     return tuple(members), tuple(tops)
 

@@ -239,6 +239,38 @@ def test_nuclei_descent_matches_the_literal_one_on_every_census_frame():
         assert sorted(closure_tables(P, mt)) == sorted(literal_closure_tables(P, mt))
 
 
+def test_nuclei_prune_reads_no_least_of_where_several_covers_meet(monkeypatch):
+    # on a meet-semilattice an element has several upper covers iff it
+    # is the meet of an incomparable pair: two covers meet there, and a
+    # lone cover would lie below both members of a pair.  Those are the
+    # levels the prune decides from its pair meets, so the nuclei
+    # descent asks least_of only for the one cover of each other
+    # non-maximal element
+    calls = []
+    real = order.least_of
+    monkeypatch.setattr(
+        order, "least_of", lambda Q, mask: calls.append(mask) or real(Q, mask)
+    )
+    levels = 0
+    for P in _census_posets(7):
+        mt = meet_table(P)
+        if mt is None:
+            continue
+        ups = [0] * P.n
+        for i, _ in order.covers(P.le):
+            ups[i] += 1
+        paired = set(order.derived(P, order.incomparable_meets)[2])
+        assert {z for z in range(P.n) if ups[z] > 1} == paired
+        levels += P.n
+        above = [row & ~(1 << z) for z, row in enumerate(P.le)]
+        calls.clear()
+        closure_tables(P, mt)
+        assert calls == [
+            above[z] for z in top_down(P) if above[z] and z not in paired
+        ]
+    assert levels == 1976
+
+
 @st.composite
 def posets(draw, max_n=9):
     n = draw(st.integers(1, max_n))

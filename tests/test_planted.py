@@ -504,6 +504,31 @@ def test_wrong_least_member_breaks_nuclei_descent(monkeypatch, b2_files, capsys)
     capsys.readouterr()
 
 
+def test_wrong_pair_meet_reaches_the_nuclei_prune_leave_out(
+    monkeypatch, b2_files, capsys
+):
+    # the descent's meet table reads 1 meet b as a: on the branch that
+    # keeps b and sends a to 1, the pair (a, b) at 0 meets at a, so the
+    # prune leaves 0 out to a, which that branch does not keep, and the
+    # leaf fails the batch check of the nuclei
+    argv = ["nuclei", b2_files["poset"]]
+    assert main(argv) == 0
+    real = heyting.closure_tables
+
+    def planted(Q, meets):
+        meets = [list(row) for row in meets]
+        one, b = Q.index("1"), Q.index("b")
+        meets[one][b] = meets[b][one] = Q.index("a")
+        return real(Q, meets)
+
+    monkeypatch.setattr(heyting, "closure_tables", planted)
+    with pytest.raises(TheoremBreach) as info:
+        heyting.enumerate_nuclei(fx.b2())
+    assert "nuclei descent" in str(info.value)
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
 def test_wrong_iteration_route_breaks_generate(monkeypatch, tmp_path, capsys):
     poset = tmp_path / "c3.json"
     poset.write_text(
@@ -887,11 +912,13 @@ def test_one_wrong_distributivity_route_breaks_frame_of_nuclei(monkeypatch):
     assert "fails to distribute" in str(info.value)
 
 
-def test_wrong_open_nucleus_breaks_its_fixpoint_check(
+def test_identity_open_nuclei_break_the_membership_lemma(
     monkeypatch, b2_files, capsys
 ):
-    # every open nucleus built as the identity: its fixpoints are the
-    # whole frame, not the implications out of a
+    # every open nucleus built as the identity and carried with the
+    # whole frame, its fixpoints: each passes the batch check, but the
+    # identity lies below every nucleus, so the opens below one are no
+    # longer those its kernel holds
     argv = ["hmj", b2_files["poset"]]
     assert hmj.open_nucleus(fx.b2(), "a").fix.labels == ("b", "1")
     assert main(argv) == 0
@@ -903,11 +930,38 @@ def test_wrong_open_nucleus_breaks_its_fixpoint_check(
             cls, Q, [(Q.full_mask, tuple(range(Q.n))) for _ in rows], route, meets
         ),
     )
+    assert hmj.open_nucleus(fx.b2(), "a").fix.labels == ("0", "a", "b", "1")
     with pytest.raises(TheoremBreach) as info:
-        hmj.open_nucleus(fx.b2(), "a")
-    assert list(info.value.routes) == ["nucleus", "implication_image"]
+        hmj_correspondence(fx.b2())
+    assert info.value.routes == {"opens_below": 15, "kernel": 8}
     assert main(argv) == 3
-    assert "open nucleus fixpoints" in capsys.readouterr().err
+    assert "membership lemma" in capsys.readouterr().err
+
+
+def test_open_nucleus_carried_with_another_image_breaks_the_batch_check(
+    monkeypatch, b2_files, capsys
+):
+    # the row of a, a nucleus fixing {b, 1}, carried with the whole
+    # frame instead of its image: the batch check that builds the open
+    # nuclei is the one check of their fixpoints
+    argv = ["hmj", b2_files["poset"]]
+    assert main(argv) == 0
+    real = hmj.trusted_operators
+
+    def planted(cls, Q, leaves, route, meets):
+        leaves = list(leaves)
+        a = Q.index("a")
+        leaves[a] = (Q.full_mask, leaves[a][1])
+        return real(cls, Q, leaves, route, meets)
+
+    monkeypatch.setattr(hmj, "trusted_operators", planted)
+    with pytest.raises(TheoremBreach) as info:
+        hmj.open_nucleus(fx.b2(), "b")
+    assert str(info.value).startswith(
+        "open nuclei: a carried closure table fixes another set"
+    )
+    assert main(argv) == 3
+    assert "open nuclei" in capsys.readouterr().err
 
 
 def _dropping_rows(real, member, point):
