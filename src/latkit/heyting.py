@@ -97,6 +97,7 @@ from .order import (
     meet_table,
     popcount,
     same_poset,
+    solution_sets,
     subset_tables,
     top_index,
     union_of,
@@ -189,12 +190,12 @@ def require_preframe(P: FinitePoset, cap: Optional[int] = None) -> FinitePoset:
 
 
 def _imp_table(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """imp[a][b] = largest x with x meet a <= b: the join of the
-    solutions, read from the frame's join table (P.n where it is
-    missing).  Frame assumed; the adjunction law, which holds iff every
-    such join exists and is a solution, is verified here once and
-    breaches are fatal.  Read it through derived(P, _imp_table)."""
-    sols = _solutions(P, meet_table(P))
+    """imp[a][b] = largest x with x meet a <= b: the join of its
+    solution set (order.solution_sets), read from the frame's join table
+    (P.n where it is missing).  Frame assumed; the adjunction law, which
+    holds iff every such join exists and is a solution, is verified here
+    once and breaches are fatal.  Read it through derived(P, _imp_table)."""
+    sols = derived(P, solution_sets)
     join = subset_tables(P).join
     imp = tuple(tuple(join[s] for s in row) for row in sols)
     failed = _adjunction_failure(P, imp, sols)
@@ -204,18 +205,6 @@ def _imp_table(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
             f"implication adjunction failed at x={x!r} a={a!r} b={b!r}"
         )
     return imp
-
-
-def _solutions(P: FinitePoset, mt) -> list[tuple[int, ...]]:
-    """sols[a][b] = the mask of every x with x meet a <= b: the union of
-    the preimages under - meet a of the elements below b."""
-    sols = []
-    for a in range(P.n):
-        pre = [0] * P.n
-        for x, row in enumerate(mt):
-            pre[row[a]] |= 1 << x
-        sols.append(tuple(union_of(pre, below) for below in P.down))
-    return sols
 
 
 def _adjunction_failure(P: FinitePoset, imp, sols) -> Optional[tuple[int, int, int]]:

@@ -13,7 +13,7 @@ labels at the boundary.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -224,53 +224,27 @@ class Subset:
         return f"{type(self).__name__}({{{', '.join(self.labels)}}})"
 
 
-# Plans keyed by classes, never by values: they hold a few entries per
-# value class and carry nothing from one poset to another.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-_REFINE_PLANS: dict[tuple[type, type], tuple[tuple[str, ...], tuple[type, ...]]] = {}
-
-
-def _field_names(cls) -> tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return names
-
-
-def _refine_plan(cls, base_cls) -> tuple[tuple[str, ...], tuple[type, ...]]:
-    """The fields of cls that a base_cls value holds, and the classes of
-    cls, base classes first, whose __post_init__ base_cls has not run."""
-    plan = _REFINE_PLANS.get((cls, base_cls))
-    if plan is None:
-        held = getattr(base_cls, "__dataclass_fields__", {})
-        names = tuple(f for f in _field_names(cls) if f in held)
-        checks = tuple(
-            c for c in reversed(cls.__mro__)
-            if "__post_init__" in vars(c) and not issubclass(base_cls, c)
-        )
-        plan = _REFINE_PLANS[cls, base_cls] = names, checks
-    return plan
-
-
 def refine(value, base, *args) -> None:
-    """Build value, of a refining subclass, from base: copy base's
-    fields, then run with args the __post_init__ of each class of value
-    that base is not an instance of, base classes first.  base passed
-    its own classes' checks when it was built.  The plan is made once
-    per pair of classes; each check is looked up when it runs, so a
-    replaced __post_init__ is the one that runs."""
-    names, checks = _refine_plan(type(value), type(base))
-    for name in names:
-        object.__setattr__(value, name, getattr(base, name))
-    for cls in checks:
-        vars(cls)["__post_init__"](value, *args)
+    """Build value, of a refining subclass, from base: copy the fields
+    of value's class that base holds, then run with args the
+    __post_init__ of each class of value that base is not an instance
+    of, base classes first.  base passed its own classes' checks when it
+    was built.  Each check is looked up when it runs, so a replaced
+    __post_init__ is the one that runs."""
+    held = getattr(base, "__dataclass_fields__", {})
+    for name in type(value).__dataclass_fields__:
+        if name in held:
+            object.__setattr__(value, name, getattr(base, name))
+    for cls in reversed(type(value).__mro__):
+        if "__post_init__" in vars(cls) and not isinstance(base, cls):
+            vars(cls)["__post_init__"](value, *args)
 
 
 def trusted(cls, base=None, **extra):
     """A cls value with base's fields and those in extra, built with no
     check: for a value whose laws the library has just decided."""
     value = object.__new__(cls)
-    for name in _field_names(cls):
+    for name in cls.__dataclass_fields__:
         v = extra[name] if name in extra else getattr(base, name)
         object.__setattr__(value, name, v)
     return value
@@ -1156,6 +1130,20 @@ def _meet_table(P: FinitePoset) -> Optional[tuple[tuple[int, ...], ...]]:
             row.append(m)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def solution_sets(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    """sols[a][b] = the mask of every x with x meet a <= b: the union of
+    the preimages under - meet a of the elements below b.  Read it
+    through derived(P, solution_sets), on a meet-semilattice."""
+    mt = meet_table(P)
+    sols = []
+    for a in range(P.n):
+        pre = [0] * P.n
+        for x, row in enumerate(mt):
+            pre[row[a]] |= 1 << x
+        sols.append(tuple(union_of(pre, below) for below in P.down))
+    return tuple(sols)
 
 
 def is_meet_semilattice(P: FinitePoset) -> bool:

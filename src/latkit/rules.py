@@ -34,6 +34,7 @@ from .order import (
     maximal_mask,
     meet_table,
     same_poset,
+    solution_sets,
 )
 
 
@@ -91,7 +92,8 @@ class RuleSet:
     @classmethod
     def _indexed(cls, poset: FinitePoset, heads: dict) -> "RuleSet":
         """Trusted construction from a body-to-heads index built inside
-        the library, with no entry for a body that concludes nothing;
+        the library, with no entry whose heads are empty, so that every
+        mask absent from it concludes nothing, as is_transitive reads it;
         only the masks are checked against the poset."""
         full = poset.full_mask
         for b, h in heads.items():
@@ -151,27 +153,28 @@ class RuleSet:
         return head >= 0 and bool(self._heads.get(body_mask, 0) >> head & 1)
 
     def is_reflexive(self, cap: Optional[int] = None) -> bool:
-        """Contains every rule that concludes a member of its own body."""
+        """Contains every rule that concludes a member of its own body:
+        the 2^n - 1 nonempty masks are all bodies inside their heads."""
         P = self.poset
         check_cap("rule reflexivity", P.n, cap, SUBSET_CAP)
-        heads = self._heads
-        for bmask in range(P.full_mask + 1):
-            if bmask & ~heads.get(bmask, 0):
-                return False
-        return True
+        inside = sum(b & ~h == 0 for b, h in self._heads.items() if b)
+        return inside == P.full_mask
 
     def is_transitive(self, cap: Optional[int] = None) -> bool:
         """Deductions compose: if B concludes all of C and C concludes d,
-        then B concludes d."""
+        then B concludes d.  A mask that is no body concludes nothing,
+        so as B it fails only if the empty body concludes something;
+        every other B is an entry, tested once per head set."""
         P = self.poset
         check_cap("rule transitivity", P.n, cap, SUBSET_CAP)
         heads = self._heads
-        for bmask in range(P.full_mask + 1):
-            sb = heads.get(bmask, 0)
-            for cmask, ds in heads.items():
-                if cmask & ~sb == 0 and ds & ~sb:
-                    return False
-        return True
+        if heads.get(0) and len(heads) <= P.full_mask:
+            return False
+        return not any(
+            c & ~sb == 0 and ds & ~sb
+            for sb in set(heads.values())
+            for c, ds in heads.items()
+        )
 
 
 def obeys(X: Subset, R: RuleSet) -> bool:
@@ -260,12 +263,7 @@ def rul(op, cap: Optional[int] = None) -> RuleSet:
     exactly when c lands in the closure of B."""
     P = op.universe
     check_cap("rule-set extraction", P.n, cap, SUBSET_CAP)
-    heads = {}
-    for bmask in range(P.full_mask + 1):
-        closed = op.apply_mask(bmask)
-        if closed:
-            heads[bmask] = closed
-    return RuleSet._indexed(P, heads)
+    return RuleSet._indexed(P, {b: c for b, c in enumerate(op.table) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +329,11 @@ def default_closure_mask(P: FinitePoset, mask: int) -> int:
 
 
 def rel_impl_star(P: FinitePoset, a: str, b: str) -> Subset:
-    """All x with x meet a at or below b.  Requires pairwise meets."""
-    mt = meet_table(P)
-    if mt is None:
+    """All x with x meet a at or below b, a cell of the poset's
+    order.solution_sets table.  Requires pairwise meets."""
+    if meet_table(P) is None:
         raise NotMeetSemilattice(f"{P!r} has a pair with no meet")
-    ai, bi = P.index(a), P.index(b)
-    out = 0
-    for x in range(P.n):
-        if P.le[mt[x][ai]] >> bi & 1:
-            out |= 1 << x
-    return Subset(P, out)
+    return Subset(P, derived(P, solution_sets)[P.index(a)][P.index(b)])
 
 
 def rel_impl_max(P: FinitePoset, a: str, b: str) -> Subset:
@@ -351,13 +344,14 @@ def rel_impl_max(P: FinitePoset, a: str, b: str) -> Subset:
 
 def _nuclear_rules(P: FinitePoset) -> RuleSet:
     # RuleSet keeps a rule found for several a at its first place
+    sols = derived(P, solution_sets)
     return RuleSet(
         P,
         tuple(
             ClosureRule(P, 1 << b, h)
             for b in range(P.n)
             for a in range(P.n)
-            for h in bits(rel_impl_max(P, P.label(a), P.label(b)).mask)
+            for h in bits(maximal_mask(P, sols[a][b]))
         ),
     )
 
@@ -378,9 +372,5 @@ def is_nuclear_enabled(P: FinitePoset, cap: Optional[int] = None) -> bool:
         return False
     if meet_table(P) is None:
         return False
-    for a in range(P.n):
-        for b in range(P.n):
-            star = rel_impl_star(P, P.label(a), P.label(b))
-            if not has_ceiling_mask(P, star.mask):
-                return False
-    return True
+    sols = derived(P, solution_sets)
+    return all(has_ceiling_mask(P, s) for row in sols for s in row)

@@ -269,3 +269,16 @@ def test_constant_bottom_closure():
     P = fx.b2()
     gamma = generate_closure([constant_map(P, "1")], P)
     assert gamma.fix.labels == ("1",)
+
+
+def test_duality_inv_checks_a_plain_map():
+    P = fx.c3()
+    C = duality_inv(EndoMap(P, (1, 1, 2)))
+    assert isinstance(C, ClosureSystem) and C.labels == ("1", "2")
+    with pytest.raises(InputError):
+        duality_inv(EndoMap(P, (1, 0, 2)))
+
+
+def test_clsys_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        clsys(Subset.of(fx.c3(), ["0"]), method="x")

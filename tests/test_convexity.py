@@ -589,3 +589,14 @@ def test_law_check_names_the_literal_fault_on_drawn_tables(data):
         table[m] = data.draw(st.integers(0, P.full_mask))
     got, want = law_verdicts(P, table)
     assert got == want
+
+
+def test_acyclicity_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        acyclicity(clsys_operator(fx.c3()), mode="x")
+
+
+def test_powerset_operator_applies_to_a_subset():
+    # a closure system of the chain holds its top
+    P = fx.c3()
+    assert clsys_operator(P).apply(Subset.of(P, ["0"])) == Subset.of(P, ["0", "2"])

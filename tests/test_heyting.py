@@ -46,7 +46,7 @@ from latkit.errors import (
     NotPreframe,
     NotPrenucleus,
 )
-from latkit import heyting
+from latkit import heyting, order
 from latkit.heyting import (
     FrameView,
     implication_table,
@@ -402,3 +402,17 @@ def test_composition_of_nuclei_is_prenucleus_not_nucleus():
     assert is_prenucleus(f)
     joined = nucleus_join([f], P)
     assert joined.fix.labels == ("1",)
+
+
+def test_nucleus_routes_need_pairwise_meets():
+    # v4 has no meet of c and d; a nucleus on it can only be built
+    # trusted, and each route refuses it before reading a meet
+    P = fx.v4()
+    nu = order.trusted(Nucleus, poset=P, table=tuple(range(P.n)))
+    for route in (
+        lambda: is_prenucleus(identity_map(P)),
+        lambda: nucleus_meet(nu, nu),
+        lambda: enumerate_nuclei(P),
+    ):
+        with pytest.raises(NotMeetSemilattice):
+            route()

@@ -155,3 +155,15 @@ def test_hmj_on_random_frames():
         rep = hmj_correspondence(L)
         assert rep["antiisomorphism_verified"]
         assert rep["count"] == len(rep["scott_open_filters"])
+
+
+def test_oneker_needs_a_top():
+    nu = enumerate_nuclei(fx.topfree())[0]
+    with pytest.raises(InputError, match="needs a top element"):
+        oneker(nu)
+
+
+def test_a_set_that_is_no_upper_set_is_not_scott_open():
+    P = fx.b2()
+    assert not is_scott_open(P, Subset.of(P, ["a"]))
+    assert is_scott_open(P, Subset.of(P, ["a", "1"]))

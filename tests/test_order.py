@@ -393,3 +393,32 @@ def test_birkhoff_test_and_its_dual_decide_distributivity(P, distributive):
     assert by_law == distributive
     assert (distributivity_failure(P.down, join) is None) == distributive
     assert (distributivity_failure(P.le, mt) is None) == distributive
+
+
+def test_subset_views_read_the_mask():
+    P = fx.b2()
+    X = Subset.of(P, ["a", "1"])
+    assert X.members == frozenset({1, 3})
+    assert X.complement() == Subset.of(P, ["0", "b"])
+    assert X.contains("a") and not X.contains("b")
+    assert list(X) == ["a", "1"] and len(X) == 2
+    assert Subset.of(P, ["1"]) <= X and not X <= Subset.of(P, ["a"])
+    with pytest.raises(MixedPosets):
+        X <= Subset.of(fx.c3(), ["0"])
+
+
+def test_an_empty_family_takes_the_explicit_poset():
+    P = fx.c3()
+    assert order.family_poset([], P) is P
+    with pytest.raises(ValueError, match="explicit poset"):
+        order.family_poset([])
+
+
+# The False branches of is_continuous_poset, interpolation_check, the
+# ceiling test of rules.is_nuclear_enabled and hmj.modus_ponens_check
+# stay untested: on finite input they cannot run.  There the way-below
+# relation is the order itself, so each way-down set is a principal
+# down-set, directed with join its top, and x way below z interpolates
+# through z; every finite subset lies below its maximal elements, so it
+# has a ceiling; and a filter holding a and a => b holds their meet,
+# which lies below b.

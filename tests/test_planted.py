@@ -1608,3 +1608,86 @@ def test_wrong_meet_breaks_the_double_implication_nucleus(monkeypatch):
         NotANucleus,
         lambda: heyting.regular_nucleus(fx.b2(), "0"),
     )
+
+
+def test_wrong_formula_breaks_the_greatest_nucleus_below(
+    monkeypatch, b2_files, capsys
+):
+    # the identity is the one nucleus below gam, which keeps 0 fixed; a
+    # double-implication route that answers the constant-top nucleus
+    # disagrees with the enumeration
+    P = fx.b2()
+    gamma = ClosureOperator(
+        EndoMap.from_labels(P, {"0": "0", "a": "1", "b": "1", "1": "1"})
+    )
+    assert nuclear_core(P, gamma).table == (0, 1, 2, 3)
+    argv = ["nuclear-core", b2_files["poset"], b2_files["gam"]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(
+        heyting, "nuc_map", lambda L, X, cap=None: Nucleus(constant_map(L, "1"))
+    )
+    with pytest.raises(
+        TheoremBreach, match="^routes disagree on greatest nucleus below "
+    ) as info:
+        nuclear_core(P, gamma)
+    assert info.value.routes["enumeration"].table == (0, 1, 2, 3)
+    assert main(argv) == 3
+    assert "routes disagree on greatest nucleus below" in capsys.readouterr().err
+
+
+def test_dropped_kernel_breaks_the_nuclear_filter_status(monkeypatch):
+    # {a, 1} is the kernel of the nucleus fixing {b, 1}; a kernel table
+    # that leaves it out makes the scan miss it, while the Galois
+    # closure still finds it
+    P = fx.b2()
+    X = Subset.of(P, ["a", "1"])
+    assert is_nuclear_filter(P, X)
+    real = hmj._kernels
+
+    def dropping(Q):
+        kernels, filters = real(Q)
+        return kernels, {k: F for k, F in filters.items() if k != X.mask}
+
+    monkeypatch.setattr(hmj, "_kernels", dropping)
+    P = fx.b2()
+    X = Subset.of(P, ["a", "1"])
+    with pytest.raises(
+        TheoremBreach, match="^routes disagree on nuclear-filter status "
+    ) as info:
+        is_nuclear_filter(P, X)
+    assert info.value.routes == {"kernel_scan": False, "galois_closure": True}
+
+
+def test_wrong_system_join_breaks_the_meet_of_closure_operators(monkeypatch):
+    # the constant-top operator on c3 is its own meet; a least closure
+    # system that answers the whole chain makes the operator-lattice
+    # route the identity
+    P = fx.c3()
+    top = closure.duality(Subset.of(P, ["2"]))
+    assert closure.cl_meet([top]) == top
+    monkeypatch.setattr(
+        closure, "clsys", lambda X, cap=None: closure.ClosureSystem(_full(X))
+    )
+    with pytest.raises(
+        TheoremBreach, match="^routes disagree on meet of closure operators "
+    ) as info:
+        closure.cl_meet([top])
+    assert info.value.routes["operator_lattice"].table == (0, 1, 2)
+
+
+def test_identity_meet_breaks_the_fixpoints_of_a_nucleus_meet(monkeypatch):
+    # the constant-top nucleus and the one fixing {a, 1} meet in a
+    # nucleus fixing {a, 1}; a meet that answers the identity fixes all
+    P = fx.b2()
+    top = Nucleus(constant_map(P, "1"))
+    nu = heyting.nuc_map(P, Subset.of(P, ["a", "1"]))
+    assert heyting.fix_of_meet_check(top, nu)
+    monkeypatch.setattr(
+        heyting, "nucleus_meet", lambda a, b: Nucleus(identity_map(a.poset))
+    )
+    with pytest.raises(
+        TheoremBreach, match="^routes disagree on fixpoints of a nucleus meet "
+    ) as info:
+        heyting.fix_of_meet_check(top, nu)
+    assert info.value.routes["meets_of_fixpoints"].labels == ("a", "1")

@@ -37,7 +37,6 @@ from latkit.heyting import (  # noqa: E402
     Nucleus,
     _adjunction_failure,
     _imp_table,
-    _solutions,
     enumerate_nuclei,
     frame_of_nuclei_check,
 )
@@ -71,6 +70,7 @@ from latkit.order import (  # noqa: E402
     meet_closure,
     meet_table,
     popcount,
+    solution_sets,
     subposet,
     subset_tables,
     top_index,
@@ -106,7 +106,14 @@ from test_order import (  # noqa: E402
     reference_covers,
     reference_join_irreducibles,
 )
-from test_rules import naive_closure_mask, reference_rho, reference_sigma  # noqa: E402
+from test_rules import (  # noqa: E402
+    naive_closure_mask,
+    reference_is_reflexive,
+    reference_is_transitive,
+    reference_rho,
+    reference_rul,
+    reference_sigma,
+)
 
 
 def _close_under_meets(family):
@@ -270,6 +277,46 @@ def test_rules_of_the_closure_operator_close_alike(R):
     for m in range(R.poset.full_mask + 1):
         assert rule_closure_mask(R2, m) == rule_closure_mask(R, m)
     assert R2 == RuleSet(R.poset, R2.rules)
+
+
+@st.composite
+def rule_sets_for_laws(draw):
+    # on at most 5 points: a drawn rule set, with an empty-body rule
+    # half the time, which mostly fails both laws; rho of a drawn
+    # family, a closure theory; or rul of a drawn set's closure
+    # operator, a closure theory too, with one rule dropped half the
+    # time, which breaks reflexivity or transitivity
+    P = draw(posets(max_n=5))
+    kind = draw(st.sampled_from(["drawn", "rho", "rul"]))
+    if kind == "rho":
+        family = draw(st.lists(st.integers(0, P.full_mask), max_size=4))
+        return rho(P, [Subset(P, m) for m in family]), None
+    head = st.integers(0, P.n - 1)
+    items = draw(st.lists(st.tuples(st.integers(0, P.full_mask), head), max_size=12))
+    if draw(st.booleans()):
+        items.append((0, draw(head)))
+    R = RuleSet(P, [ClosureRule(P, b, h) for b, h in items])
+    if kind == "drawn":
+        return R, None
+    op = rule_closure_operator(R)
+    R = rul(op)
+    if draw(st.booleans()):
+        rules = list(R.rules)
+        del rules[draw(st.integers(0, len(rules) - 1))]
+        return RuleSet(P, rules), None
+    return R, op
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rule_sets_for_laws())
+def test_rule_laws_from_the_entries_match_the_mask_scans(case):
+    R, op = case
+    assert R.is_reflexive() == reference_is_reflexive(R)
+    assert R.is_transitive() == reference_is_transitive(R)
+    if op is not None:
+        want = reference_rul(op)
+        assert R == want and R.rules == want.rules
+        assert R.is_reflexive() and R.is_transitive()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -531,7 +578,7 @@ def test_adjunction_masks_find_the_cubic_scan_failure(case):
     imp = [list(row) for row in reference_implication(L, mt)]
     imp[a][b] = value
     want = reference_adjunction_failure(L, imp, mt)
-    assert _adjunction_failure(L, imp, _solutions(L, mt)) == want
+    assert _adjunction_failure(L, imp, solution_sets(L)) == want
     assert (want is None) == (value == _imp_table(L)[a][b])
 
 

@@ -64,6 +64,34 @@ def reference_rho(P, masks) -> dict:
     return heads
 
 
+def reference_is_reflexive(R: RuleSet) -> bool:
+    """Every mask lies inside its own heads: one read per mask."""
+    heads = R._heads
+    return all(b & ~heads.get(b, 0) == 0 for b in range(R.poset.full_mask + 1))
+
+
+def reference_is_transitive(R: RuleSet) -> bool:
+    """Every mask B, as a body, concludes the heads of every entry whose
+    body lies inside B's heads: each mask against each entry."""
+    heads = R._heads
+    for b in range(R.poset.full_mask + 1):
+        sb = heads.get(b, 0)
+        for c, ds in heads.items():
+            if c & ~sb == 0 and ds & ~sb:
+                return False
+    return True
+
+
+def reference_rul(op) -> RuleSet:
+    """The rules of a powerset operator, one apply_mask per mask."""
+    heads = {}
+    for b in range(op.universe.full_mask + 1):
+        closed = op.apply_mask(b)
+        if closed:
+            heads[b] = closed
+    return RuleSet._indexed(op.universe, heads)
+
+
 def test_rule_repr_and_membership():
     P = fx.c3()
     R = RuleSet.of(P, [((), "2"), (("2",), "1")])
@@ -153,6 +181,21 @@ def test_rho_output_is_reflexive_and_transitive():
         assert R.is_transitive()
 
 
+def test_rule_laws_read_the_empty_body():
+    P = fx.c3()
+    # the empty body concludes 0 and {1} is no body, so {1}, a subset
+    # of its own closure, concludes nothing: neither law holds
+    R = RuleSet.of(P, [((), "0"), (("0",), "0")])
+    assert not R.is_reflexive() and not reference_is_reflexive(R)
+    assert not R.is_transitive() and not reference_is_transitive(R)
+    # every subset of {0} concludes 0, and every other mask is a body
+    # concluding everything: both laws hold with an empty-body entry
+    R = rho(P, [Subset.of(P, ["0"])])
+    assert R.has(0, 0) and len(R._heads) == P.full_mask + 1
+    assert R.is_reflexive() and R.is_transitive()
+    assert reference_is_reflexive(R) and reference_is_transitive(R)
+
+
 def test_rul_of_powerset_operator():
     P = fx.c3()
     R = rul(clsys_operator(P))
@@ -224,3 +267,17 @@ def test_indexed_rule_set_checks_masks_against_the_poset():
         RuleSet._indexed(P, {0: 0b1000})
     with pytest.raises(ValueError, match="head"):
         RuleSet._indexed(P, {0: -1})
+
+
+def test_nuclear_rules_need_pairwise_meets():
+    with pytest.raises(NotMeetSemilattice):
+        nuclear_rules(fx.v4())
+
+
+def test_rule_set_is_immutable_and_compares_only_with_rule_sets():
+    P = fx.c3()
+    R = RuleSet.of(P, [(("0",), "1")])
+    with pytest.raises(AttributeError, match="immutable: cannot set 'poset'"):
+        R.poset = fx.b2()
+    assert R != R.rules and R.__eq__(R.rules) is NotImplemented
+    assert repr(R) == "RuleSet(poset=FinitePoset(['0', '1', '2']), rules=({0} |- 1,))"
