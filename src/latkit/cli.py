@@ -755,11 +755,11 @@ def cmd_hmj(P, cap):
 
 
 def _rules_report(R):
+    P = R.poset
     payload = {
         "count": len(R),
         "rules": [
-            {"body": list(r.body.labels), "head": r.head_label}
-            for r in R.rules
+            {"body": list(P.labels_of(b)), "head": P.label(h)} for b, h in R.pairs
         ],
     }
 

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import InputError, NotAPreorder, TheoremBreach, agree
 from .closure import closure_system_masks, directed_closed_systems
@@ -98,32 +98,24 @@ def _lowest(masks: int) -> int:
 class PowersetOperator:
     """A closure operator on the powerset of a poset's elements.
 
-    Construction applies the strategy function to every mask once and
-    keeps the images in `table`, indexed by mask, and their n bit
-    `columns`.  It checks that no image escapes the universe and decides
-    the laws on the columns: ascending and monotone as n^2 mask tests,
-    idempotent over the distinct images.  Only when a law fails does it
-    scan every subset, to name the first fault; each constructor gates
-    the size by its cap first.  Equality and hashing read the universe,
-    the kind and the table.  `_anti_exchange` holds the verdict of the
-    last convexity_checks sweep on this table, None before one; when
-    that verdict is True, bit y of `_pulled[x]` says that y pulls x in.
+    `table` holds the image of each mask, kept as a tuple, with its n
+    bit `columns`.  Construction checks one image per subset, inside the
+    universe, and decides the laws on the columns: ascending and
+    monotone as n^2 mask tests, idempotent over the distinct images.
+    Only when a law fails does it scan every subset, to name the first
+    fault; each constructor gates the size by its cap first.  Equality
+    and hashing read the universe, the kind and the table.
     """
 
     universe: FinitePoset
     kind: str
-    fn: InitVar[Callable]
-    table: tuple = field(init=False, repr=False)
-    _anti_exchange: Optional[bool] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _pulled: Optional[tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    table: tuple = field(repr=False)
 
-    def __post_init__(self, fn: Callable):
+    def __post_init__(self):
         full = self.universe.full_mask
-        cl = tuple(map(fn, range(full + 1)))
+        cl = tuple(self.table)
+        if len(cl) != full + 1:
+            raise InputError(f"{self.kind}: {len(cl)} images for {full + 1} subsets")
         if min(cl) < 0 or max(cl) > full:
             raise InputError(f"{self.kind}: image escapes the universe")
         object.__setattr__(self, "table", cl)
@@ -141,6 +133,22 @@ class PowersetOperator:
     def columns(self) -> tuple[int, ...]:
         """Bit m of columns[j] is set iff j is in cl(m)."""
         return _bit_columns(self.table, self.universe.n)
+
+    @cached_property
+    def anti_exchange(self) -> tuple:
+        """(witness, closed-set witness, pulled), swept once per operator:
+        anti-exchange on the columns and its closed-set form on the
+        table, which must agree; pulled as _anti_exchange_failure has it.
+        """
+        ae, pulled = _anti_exchange_failure(self.universe, self.columns)
+        cas = _closed_set_failure(self)
+        agree(
+            "anti-exchange",
+            (ae, cas),
+            anti_exchange=ae is None,
+            closed_set_form=cas is None,
+        )
+        return ae, cas, pulled
 
     def _columns_keep_laws(self) -> bool:
         has = derived(self.universe, _has_bit)
@@ -188,13 +196,13 @@ class PowersetOperator:
 def clsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
     """Least-closure-system operator as a powerset closure operator."""
     table = least_closed_table(P.full_mask, closure_system_masks(P, cap))
-    return PowersetOperator(P, "clsys", table.__getitem__)
+    return PowersetOperator(P, "clsys", table)
 
 
 def dcclsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
     """Least directed-closed closure system, as a powerset operator."""
     table = least_closed_table(P.full_mask, directed_closed_systems(P, cap))
-    return PowersetOperator(P, "dcclsys", table.__getitem__)
+    return PowersetOperator(P, "dcclsys", table)
 
 
 def rule_closure_operator(R: RuleSet, cap: Optional[int] = None) -> PowersetOperator:
@@ -203,7 +211,7 @@ def rule_closure_operator(R: RuleSet, cap: Optional[int] = None) -> PowersetOper
     P = R.poset
     check_cap("rule powerset operator", P.n, cap, SUBSET_CAP)
     table = least_closed_table(P.full_mask, obeying_masks(R, cap))
-    return PowersetOperator(P, "rules", table.__getitem__)
+    return PowersetOperator(P, "rules", table)
 
 
 def table_operator(
@@ -224,17 +232,18 @@ def table_operator(
         raise InputError(
             f"table not total: {len(by_mask)} of {P.full_mask + 1} subsets"
         )
-    return PowersetOperator(P, "table", lambda m: by_mask[m])
+    return PowersetOperator(P, "table", [by_mask[m] for m in range(len(by_mask))])
 
 
 # ---------------------------------------------------------------------------
 # anti-exchange
 
 
-def _anti_exchange_failure(P: FinitePoset, cols, pulled) -> Optional[tuple]:
-    """The first (A, x, y) with x and y each pulled in by the other at
-    A, read from the bit columns; when there is none, bit y of
-    pulled[x] records each y that pulls x in."""
+def _anti_exchange_failure(P: FinitePoset, cols) -> tuple:
+    """(witness, pulled): the first (A, x, y) with x and y each pulled in
+    by the other at A, read from the bit columns, and None; or, when
+    there is none, None and the rows in which bit y of pulled[x] says
+    that y pulls x in."""
     has = derived(P, _has_bit)
     # pin[x][y]: the masks A with x and y outside cl(A) and x in cl(A + y)
     pin = [
@@ -249,9 +258,7 @@ def _anti_exchange_failure(P: FinitePoset, cols, pulled) -> Optional[tuple]:
         for y in range(x):
             fails |= pin[x][y] & pin[y][x]
     if not fails:
-        for x, row in enumerate(pin):
-            pulled[x] = sum(1 << y for y, masks in enumerate(row) if masks)
-        return None
+        return None, tuple(sum(1 << y for y, a in enumerate(row) if a) for row in pin)
     # at the least failing A the sweep tries y, then x, ascending
     m = _lowest(fails)
     x, y = next(
@@ -259,7 +266,7 @@ def _anti_exchange_failure(P: FinitePoset, cols, pulled) -> Optional[tuple]:
         for y, x in permutations(range(P.n), 2)
         if (pin[x][y] & pin[y][x]) >> m & 1
     )
-    return P.labels_of(m), P.label(x), P.label(y)
+    return (P.labels_of(m), P.label(x), P.label(y)), None
 
 
 def _closed_set_failure(op: PowersetOperator) -> Optional[tuple]:
@@ -282,24 +289,11 @@ def convexity_checks(op: PowersetOperator, cap: Optional[int] = None) -> dict:
     enters when y is added then y does not enter when x is added.
     Closed-set form: from a closed set, adding distinct outside points
     never closes to the same set.  Their equivalence is enforced, not
-    assumed.  Every call sweeps; the verdict, and the pull-in relation
-    when there is no witness, are kept on the operator for funnel_check
-    to reuse.
+    assumed.  The sweep runs once per operator (its anti_exchange
+    property), and funnel_check reads the same sweep.
     """
-    P = op.universe
-    check_cap("convexity analysis", P.n, cap, CONVEXITY_CAP)
-    pulled = [0] * P.n
-    ae_witness = _anti_exchange_failure(P, op.columns, pulled)
-    cas_witness = _closed_set_failure(op)
-    agree(
-        "anti-exchange",
-        (ae_witness, cas_witness),
-        anti_exchange=ae_witness is None,
-        closed_set_form=cas_witness is None,
-    )
-    object.__setattr__(op, "_anti_exchange", ae_witness is None)
-    if ae_witness is None:
-        object.__setattr__(op, "_pulled", tuple(pulled))
+    check_cap("convexity analysis", op.universe.n, cap, CONVEXITY_CAP)
+    ae_witness, cas_witness, _ = op.anti_exchange
     return {
         "anti_exchange": ae_witness is None,
         "anti_exchange_witness": ae_witness,
@@ -454,8 +448,7 @@ def funnel_check(
     Disagreement raises.  When the preorder is antisymmetric and is a
     funnel, the two consequences are verified as well: anti-exchange,
     and every new point sits below the point that pulled it in.  Both
-    are read from the operator's anti-exchange sweep, which runs here
-    only if none has.
+    are read from the operator's anti-exchange sweep.
     """
     P = op.universe
     check_cap("funnel analysis", P.n, cap, CONVEXITY_CAP)
@@ -478,14 +471,12 @@ def funnel_check(
         for j in range(i + 1, P.n)
     )
     if cond1 and antisymmetric:
-        if op._anti_exchange is None:
-            convexity_checks(op, cap)
-        if not op._anti_exchange:
+        pulled = op.anti_exchange[2]
+        if pulled is None:
             raise TheoremBreach(
-                "an operator with an antisymmetric funnel fails "
-                "anti-exchange"
+                "an operator with an antisymmetric funnel fails anti-exchange"
             )
-        if any(p & ~r for p, r in zip(op._pulled, rows)):
+        if any(p & ~r for p, r in zip(pulled, rows)):
             raise TheoremBreach(
                 "an antisymmetric funnel admitted a new point "
                 "not below the point that pulled it in"

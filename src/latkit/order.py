@@ -782,14 +782,11 @@ def recorded_tables(
 
 
 def closure_tables(
-    P: FinitePoset, meets: Optional[Sequence[Sequence[int]]] = None
+    P: FinitePoset, meets: Sequence[Sequence[int]]
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Every closure system with its operator's table, as (fixpoint
-    mask, table) pairs; given P's meet table, only the nuclei, whose
-    prune reads the tables as the descent carries them.  Cap-free and
-    unsorted."""
-    if meets is None:
-        return recorded_tables(P, closure_masks(P)[1])
+    """The nuclei of P, given its meet table, as (fixpoint mask, table)
+    pairs: the descent carries the tables, as its prune reads them.
+    Cap-free and unsorted."""
     masks, tables = _descend(P, meets)
     return list(zip(masks, map(tuple, tables)))
 

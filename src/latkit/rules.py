@@ -33,8 +33,10 @@ from .order import (
     lower_bounds_mask,
     maximal_mask,
     meet_table,
+    popcount,
     same_poset,
     solution_sets,
+    trusted,
 )
 
 
@@ -72,22 +74,26 @@ class RuleSet:
     """A set of rules over one poset, indexed by body.
 
     `_heads` maps each body mask to the mask of the heads it concludes,
-    and every query reads it.  A rule set built from ClosureRules keeps
-    them in their order, each repeated rule at its first place only; one
-    built by the library from the index alone builds `rules` on first
-    access, in body-mask order, then head order.  Equality and hashing read the
-    index, so they ignore the listing; repr reads `rules`.
+    and every query reads it.  `_listing` holds the rules as (body mask,
+    head) pairs in the order given, without repeats; a rule set built
+    from the index alone has none and lists its rules in body-mask
+    order, then head order.  `rules` builds ClosureRule views of them.
+    Equality and hashing read the index; repr reads `rules`.
     """
 
-    __slots__ = ("poset", "_heads", "_rules")
+    __slots__ = ("poset", "_heads", "_listing")
 
     def __init__(self, poset: FinitePoset, rules: Sequence[ClosureRule]):
-        rules = tuple(dict.fromkeys(rules))
-        heads: dict = {}
-        for r in rules:
-            same_poset(poset, r.poset)
-            heads[r.body_mask] = heads.get(r.body_mask, 0) | 1 << r.head
-        self._set(poset, heads, rules)
+        rules = tuple(rules)
+        same_poset(poset, *(r.poset for r in rules))
+        self._set(poset, None, ((r.body_mask, r.head) for r in rules))
+
+    @classmethod
+    def _listed(cls, poset: FinitePoset, pairs: Iterable) -> "RuleSet":
+        """Trusted construction from (body mask, head) pairs the library built."""
+        R = cls.__new__(cls)
+        R._set(poset, None, pairs)
+        return R
 
     @classmethod
     def _indexed(cls, poset: FinitePoset, heads: dict) -> "RuleSet":
@@ -105,10 +111,15 @@ class RuleSet:
         R._set(poset, heads, None)
         return R
 
-    def _set(self, poset, heads, rules):
+    def _set(self, poset, heads, pairs):
+        if pairs is not None:
+            pairs = tuple(dict.fromkeys(pairs))
+            heads = {}
+            for b, h in pairs:
+                heads[b] = heads.get(b, 0) | 1 << h
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "_heads", heads)
-        object.__setattr__(self, "_rules", rules)
+        object.__setattr__(self, "_listing", pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RuleSet is immutable: cannot set {name!r}")
@@ -116,24 +127,23 @@ class RuleSet:
     @classmethod
     def of(cls, poset: FinitePoset, items: Iterable) -> "RuleSet":
         """items: (body labels, head label) pairs."""
-        return cls(
-            poset, tuple(ClosureRule.of(poset, b, h) for b, h in items)
+        return cls._listed(
+            poset, [(poset.mask_of(b), poset.index(h)) for b, h in items]
+        )
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The rules as (body mask, head) pairs, in listing order."""
+        return self._listing or tuple(
+            (b, h) for b, hs in sorted(self._heads.items()) for h in bits(hs)
         )
 
     @property
     def rules(self) -> tuple[ClosureRule, ...]:
-        if self._rules is None:
-            P = self.poset
-            object.__setattr__(
-                self,
-                "_rules",
-                tuple(
-                    ClosureRule(P, b, h)
-                    for b, hs in sorted(self._heads.items())
-                    for h in bits(hs)
-                ),
-            )
-        return self._rules
+        P = self.poset
+        return tuple(
+            trusted(ClosureRule, poset=P, body_mask=b, head=h) for b, h in self.pairs
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -147,7 +157,7 @@ class RuleSet:
         return f"RuleSet(poset={self.poset!r}, rules={self.rules!r})"
 
     def __len__(self):
-        return len(self.rules)
+        return sum(map(popcount, self._heads.values()))
 
     def has(self, body_mask: int, head: int) -> bool:
         return head >= 0 and bool(self._heads.get(body_mask, 0) >> head & 1)
@@ -345,10 +355,10 @@ def rel_impl_max(P: FinitePoset, a: str, b: str) -> Subset:
 def _nuclear_rules(P: FinitePoset) -> RuleSet:
     # RuleSet keeps a rule found for several a at its first place
     sols = derived(P, solution_sets)
-    return RuleSet(
+    return RuleSet._listed(
         P,
-        tuple(
-            ClosureRule(P, 1 << b, h)
+        (
+            (1 << b, h)
             for b in range(P.n)
             for a in range(P.n)
             for h in bits(maximal_mask(P, sols[a][b]))

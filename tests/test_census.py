@@ -159,6 +159,6 @@ def test_convexity_routes_on_every_small_moore_family():
     for k in range(1, 5):
         U = fx.antichain(k)
         for table in census.moore_families(k):
-            op = PowersetOperator(U, "moore", table.__getitem__)
+            op = PowersetOperator(U, "moore", table)
             geometry = convexity_checks(op)["is_convex_geometry"]
             assert geometry or not acyclicity(op, "search")["acyclic"]

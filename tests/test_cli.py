@@ -351,19 +351,18 @@ def test_convexity_command_checks_the_funnel_once(files, capsys, monkeypatch):
 
 def test_convexity_command_sweeps_anti_exchange_once(files, capsys, monkeypatch):
     # the poset order of c3 is an antisymmetric funnel for clsys, so the
-    # funnel check needs the anti-exchange verdict the command computed
-    import latkit.cli
+    # funnel check needs the anti-exchange verdict the command computed:
+    # it reads the operator's one sweep
     import latkit.convexity
 
     calls = []
-    real = latkit.convexity.convexity_checks
+    real = latkit.convexity._anti_exchange_failure
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(latkit.convexity, "convexity_checks", counted)
-    monkeypatch.setattr(latkit.cli, "convexity_checks", counted)
+    monkeypatch.setattr(latkit.convexity, "_anti_exchange_failure", counted)
     rc, out, _ = run(capsys, ["convexity", files["c3"]])
     assert rc == 0
     assert len(calls) == 1

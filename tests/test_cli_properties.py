@@ -1,10 +1,11 @@
 """Property tests of the command line over generated argv and files.
 
-Three properties: latkit's report writer matches json.dumps; latkit's
+Four properties: latkit's report writer matches json.dumps; latkit's
 reading of argv over the declaration table matches click's own parser
-run on the click tree built from the same table; and no argv and no
-input file makes `main` raise, print a traceback or exit outside the
-documented codes of bad input.
+run on the click tree built from the same table; no argv and no input
+file makes `main` raise, print a traceback or exit outside the
+documented codes of bad input; and the rule reports render each rule
+as its body Subset and head label do.
 """
 
 import contextlib
@@ -22,6 +23,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from latkit import cli  # noqa: E402
 from latkit.cli import _report_json, main  # noqa: E402
+from latkit.order import meet_table  # noqa: E402
+from latkit.rules import default_rules, nuclear_rules  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # the report writer
@@ -308,3 +311,69 @@ def test_no_input_file_makes_a_traceback(files, mutant):
     assert b"Traceback" not in err
     if rc:
         assert out == b"" and err.count(b"\n") <= 2, err
+
+
+# ---------------------------------------------------------------------------
+# rule reports
+
+LABEL_CHARS = "ab0 ,{}|-\"\\é€😀"
+
+
+@st.composite
+def labelled_posets(draw):
+    """A poset file on up to 6 drawn labels: edges kept along a drawn
+    linear order or, half the time, a family of sets closed under
+    intersection ordered by inclusion, which has every pairwise meet."""
+    if draw(st.booleans()):
+        family = {15}
+        for g in draw(st.lists(st.integers(0, 15), max_size=4)):
+            grown = family | {g & f for f in family}
+            if len(grown) > 6:
+                break
+            family = grown
+        masks = draw(st.permutations(sorted(family)))
+        n = len(masks)
+        pairs = [
+            (i, j)
+            for i, a in enumerate(masks)
+            for j, b in enumerate(masks)
+            if i != j and a & ~b == 0
+        ]
+    else:
+        n = draw(st.integers(1, 6))
+        line = draw(st.permutations(range(n)))
+        edges = [(line[i], line[j]) for i in range(n) for j in range(i + 1, n)]
+        pairs = [e for e in edges if draw(st.booleans())]
+    text = st.text(LABEL_CHARS, min_size=1, max_size=3)
+    labels = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    return {"elements": labels, "le": [[labels[i], labels[j]] for i, j in pairs]}
+
+
+def rendered_rules(R):
+    """The JSON and text rules reports of R, each rule rendered through
+    its body Subset and head label."""
+    rules = [{"body": list(r.body.labels), "head": r.head_label} for r in R.rules]
+    doc = {"count": len(R.rules), "rules": rules}
+    lines = [f"{len(R.rules)} rules"]
+    lines += [f"  {{{', '.join(r['body'])}}} |- {r['head']}" for r in rules]
+    return {
+        "json": json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
+        "text": "\n".join(lines) + "\n",
+    }
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(labelled_posets())
+def test_rules_reports_render_each_rule_through_its_labels(files, doc):
+    path = os.path.join(files["dir"], "drawn.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, ensure_ascii=False)
+    P = cli.load_poset(path)
+    requests = [("default", default_rules)]
+    if meet_table(P) is not None:
+        requests.append(("nuclear", nuclear_rules))
+    for which, build in requests:
+        for fmt, want in rendered_rules(build(P)).items():
+            rc, out, err = call(["rules", which, path, "--format", fmt])
+            assert (rc, err) == (0, b"")
+            assert out.decode() == want

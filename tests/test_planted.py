@@ -480,8 +480,9 @@ def test_dropped_empty_closed_set_breaks_anti_exchange(monkeypatch):
         "closed_masks",
         lambda op: _without(real(op), 0),
     )
+    # the sweep runs once per operator: a fresh one sweeps again
     with pytest.raises(TheoremBreach):
-        convexity.convexity_checks(bad)
+        convexity.convexity_checks(replace(bad))
 
 
 def test_wrong_least_member_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
@@ -591,7 +592,8 @@ def test_unpruned_leaf_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
 
     def one_unpruned(Q, meets):
         pruned = real(Q, meets)
-        return pruned + [next(s for s in real(Q) if s not in pruned)]
+        every = order.recorded_tables(Q, order.closure_masks(Q)[1])
+        return pruned + [next(s for s in every if s not in pruned)]
 
     monkeypatch.setattr(heyting, "closure_tables", one_unpruned)
     with pytest.raises(TheoremBreach, match="^nuclei descent built") as info:
@@ -1313,12 +1315,14 @@ def test_flipped_column_bit_breaks_the_law_check(monkeypatch):
 
 
 def _pull_bottom_into_top(op):
-    # record that the bottom of c3 pulls its top in, a pair the chain's
-    # order does not hold
+    # record, in the operator's cached anti-exchange sweep, that the
+    # bottom of c3 pulls its top in, a pair the chain's order does not
+    # hold
     P = op.universe
-    pulled = list(op._pulled)
+    ae, cas, pulled = op.anti_exchange
+    pulled = list(pulled)
     pulled[P.index("2")] |= 1 << P.index("0")
-    object.__setattr__(op, "_pulled", tuple(pulled))
+    vars(op)["anti_exchange"] = ae, cas, tuple(pulled)
 
 
 def test_extra_pull_in_pair_breaks_the_antisymmetric_funnel(
@@ -1490,8 +1494,8 @@ def test_unchecked_monotonicity_breaks_the_antisymmetric_funnel(monkeypatch):
     with pytest.raises(InputError, match="not monotone"):
         convexity.table_operator(P, table)
 
-    def without_monotonicity(op, fn):
-        cl = tuple(fn(m) for m in range(op.universe.full_mask + 1))
+    def without_monotonicity(op):
+        cl = tuple(op.table)
         if any(m & ~c or cl[c] != c for m, c in enumerate(cl)):
             raise InputError(f"{op.kind}: not a closure table")
         object.__setattr__(op, "table", cl)

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import census
 from corpus import random_poset, random_ruleset, random_subset
 from latkit import (
     ClosureRule,
+    FinitePoset,
     RuleSet,
     Subset,
     clsys,
@@ -25,7 +27,8 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit.convexity import clsys_operator
-from latkit.errors import InvalidValue, NotMeetSemilattice
+from latkit.errors import InvalidValue, NotMeetSemilattice, UnknownLabel
+from latkit.order import bits, meet_table
 from latkit.rules import default_rules, rule_closure_mask
 
 
@@ -250,10 +253,11 @@ def test_closure_rule_outside_the_poset_is_rejected(body_mask, head, message):
 
 def test_rule_with_unknown_labels_rejected():
     P = fx.c3()
-    from latkit import UnknownLabel
-
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(UnknownLabel, match="'zz'"):
         ClosureRule.of(P, ["0"], "zz")
+    for body, head in ((["0"], "zz"), (["zz"], "0")):
+        with pytest.raises(UnknownLabel, match="'zz'"):
+            RuleSet.of(P, [((), "2"), (body, head)])
 
 
 def test_indexed_rule_set_checks_masks_against_the_poset():
@@ -281,3 +285,78 @@ def test_rule_set_is_immutable_and_compares_only_with_rule_sets():
         R.poset = fx.b2()
     assert R != R.rules and R.__eq__(R.rules) is NotImplemented
     assert repr(R) == "RuleSet(poset=FinitePoset(['0', '1', '2']), rules=({0} |- 1,))"
+
+
+# ---------------------------------------------------------------------------
+# rule listings, against one ClosureRule per candidate
+
+
+def candidate_default_rules(P):
+    """One ClosureRule per body, in mask order, and per maximal lower
+    bound of it, ascending, from scans of the order."""
+    rules = []
+    for b in range(P.full_mask + 1):
+        lower = [x for x in range(P.n) if all(P.leq(x, y) for y in bits(b))]
+        rules += [
+            ClosureRule(P, b, h)
+            for h in lower
+            if not any(y != h and P.leq(h, y) for y in lower)
+        ]
+    return tuple(dict.fromkeys(rules))
+
+
+def candidate_nuclear_rules(P):
+    """One ClosureRule per premise b, per a and per maximal solution h
+    of x meet a <= b, each repeated rule kept at its first place."""
+    meet = meet_table(P)
+    rules = []
+    for b in range(P.n):
+        for a in range(P.n):
+            sols = [x for x in range(P.n) if P.leq(meet[x][a], b)]
+            rules += [
+                ClosureRule(P, 1 << b, h)
+                for h in sols
+                if not any(y != h and P.leq(h, y) for y in sols)
+            ]
+    return tuple(dict.fromkeys(rules))
+
+
+def rendered(P, rules):
+    """The repr of a rule set listing rules, each rule rendered through
+    its body Subset and head label."""
+    shown = [f"{{{', '.join(r.body.labels)}}} |- {r.head_label}" for r in rules]
+    one = "," if len(shown) == 1 else ""
+    return f"RuleSet(poset={P!r}, rules=({', '.join(shown)}{one}))"
+
+
+def both_labellings(rows):
+    """The census poset with elements 0..n-1, and the same poset with
+    its elements listed in reverse, each keeping its label."""
+    n = len(rows)
+    back = [
+        sum(1 << n - 1 - j for j in bits(rows[n - 1 - i])) for i in range(n)
+    ]
+    labels = tuple(map(str, range(n)))
+    return FinitePoset(labels, rows), FinitePoset(labels[::-1], back)
+
+
+def test_rule_listings_match_one_rule_per_candidate_on_every_census_poset():
+    posets = unsorted = 0
+    for n in range(1, 7):
+        for rows in census.posets(n):
+            for P in both_labellings(rows):
+                posets += 1
+                cases = [(default_rules(P), candidate_default_rules(P))]
+                if meet_table(P) is not None:
+                    want = candidate_nuclear_rules(P)
+                    cases.append((nuclear_rules(P), want))
+                    unsorted += list(want) != sorted(
+                        want, key=lambda r: (r.body_mask, r.head)
+                    )
+                for R, want in cases:
+                    assert R.rules == want, P
+                    assert len(R) == len(want)
+                    assert repr(R) == rendered(P, want)
+    # the nuclear listing is stored, as most are not in body-then-head
+    # order
+    assert posets == 810 and unsorted > 0

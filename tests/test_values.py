@@ -289,5 +289,6 @@ def test_rule_sets_compare_as_sets():
     assert len(RuleSet(P, [r1, r1])) == 1
     assert RuleSet(P, [r2, r1, r2]).rules == (r2, r1)
     indexed = RuleSet._indexed(P, {0: 0b100, 0b001: 0b010})
-    assert indexed == RuleSet(P, [r1, r2]) and indexed._rules is None
+    # a set built from the index alone lists body 0 first, then body {0}
+    assert indexed == RuleSet(P, [r1, r2]) and indexed.rules == (r2, r1)
     assert RuleSet(P, [r1]) != RuleSet(P, [r2])
