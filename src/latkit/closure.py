@@ -17,7 +17,6 @@ application.  The two routes are never merged; tests compare them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -73,7 +72,6 @@ from .order import (
 from . import rules as _rules
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class ClosureOperator(EndoMap):
     """An ascending, increasing, idempotent endomap.
 
@@ -119,7 +117,6 @@ def is_closure_system(X: Subset) -> bool:
     return _closure_table(X.poset, X.mask) is not None
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class ClosureSystem(Subset):
     """A subset in which every principal upper set has a least member.
 
@@ -128,7 +125,9 @@ class ClosureSystem(Subset):
     ClosureSystem X hands its table on unchecked.
     """
 
-    _table: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _table: tuple[int, ...]
+
+    _check_fields = ("_table",)
 
     def __init__(self, X: Subset):
         refine(self, X)

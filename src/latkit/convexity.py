@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from typing import Optional, Sequence, Union
@@ -42,6 +41,7 @@ from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
+    Value,
     _with_bit,
     bits,
     check_cap,
@@ -94,8 +94,7 @@ def _lowest(masks: int) -> int:
     return (masks & -masks).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class PowersetOperator:
+class PowersetOperator(Value):
     """A closure operator on the powerset of a poset's elements.
 
     `table` holds the image of each mask, kept as a tuple, with its n
@@ -109,7 +108,18 @@ class PowersetOperator:
 
     universe: FinitePoset
     kind: str
-    table: tuple = field(repr=False)
+    table: tuple
+
+    _fields = ("universe", "kind", "table")
+
+    def __init__(self, universe: FinitePoset, kind: str, table: Sequence[int]):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
+
+    def __repr__(self):
+        return f"PowersetOperator(universe={self.universe!r}, kind={self.kind!r})"
 
     def __post_init__(self):
         full = self.universe.full_mask

@@ -52,7 +52,7 @@ and the bit length of k is gated by the cap before the first pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from typing import Optional, Sequence
 
 from .errors import (
@@ -82,6 +82,8 @@ from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
+    Value,
+    _mask_word,
     bits,
     bottom_index,
     check_cap,
@@ -109,13 +111,27 @@ from .order import (
 NUCLEUS_PAIR_CAP = 12
 
 
-@dataclass(frozen=True)
-class FrameView:
+class FrameView(Value):
     """Validation verdict for one poset's meet and join structure."""
 
     poset: FinitePoset
     level: Optional[str]  # None | "meet_semilattice" | "preframe" | "frame"
     witness: Optional[str]
+
+    _fields = ("poset", "level", "witness")
+
+    def __init__(
+        self, poset: FinitePoset, level: Optional[str], witness: Optional[str]
+    ):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "witness", witness)
+
+    def __repr__(self):
+        return (
+            f"FrameView(poset={self.poset!r}, level={self.level!r}, "
+            f"witness={self.witness!r})"
+        )
 
 
 def _validate_structure(P: FinitePoset) -> FrameView:
@@ -277,7 +293,6 @@ def is_nucleus_map(f: EndoMap) -> bool:
     return is_prenucleus(f) and is_idempotent(f)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class Nucleus(ClosureOperator):
     """A closure operator preserving binary meets.
 
@@ -588,8 +603,10 @@ def frame_of_nuclei_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     down = N.down
     by_fix = derived(P, _nuclei_by_fix)
     by_table = {t: i for i, t in enumerate(tables)}
-    join = [[0] * k for _ in range(k)]
-    meet = [[0] * k for _ in range(k)]
+    # k x k join and meet tables, each row an array of nucleus indices
+    word = _mask_word((k - 1).bit_length())
+    join = [array(word, [0]) * k for _ in range(k)]
+    meet = [array(word, [0]) * k for _ in range(k)]
     for i, (ti, fi, ui, di) in enumerate(zip(tables, fixes, up, down)):
         for j in range(i, k):
             z = by_fix.get(fi & fixes[j])

@@ -31,7 +31,6 @@ of maps.closure_table_fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, TheoremBreach, agree, produced
@@ -101,7 +100,6 @@ def is_filter(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> bool:
     return _is_filter_mask(P, top_index(P), meet_table(P), X.mask)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class FilterSet(Subset):
     """A subset of a frame validated to be a filter.
 

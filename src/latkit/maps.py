@@ -9,7 +9,6 @@ raises TheoremBreach when the two differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem, or_
 from typing import Iterable, Optional, Sequence
@@ -18,6 +17,7 @@ from .errors import InvalidValue, ParseError
 from .order import (
     FinitePoset,
     Subset,
+    Value,
     bits,
     derived,
     directed_join_faults,
@@ -33,13 +33,19 @@ from .order import (
 )
 
 
-@dataclass(frozen=True)
-class EndoMap:
+class EndoMap(Value):
     """A total map from a poset's elements to themselves, its table
     stored as a tuple."""
 
     poset: FinitePoset
     table: tuple[int, ...]
+
+    _fields = ("poset", "table")
+
+    def __init__(self, poset: FinitePoset, table: Sequence[int]):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
@@ -281,8 +287,7 @@ def _mask_of_values(maps: Sequence[EndoMap], i: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ValueRows:
+class ValueRows(Value):
     """The pointwise order on a family of tables over one poset, as
     value rows: bit j of at_most[y][v] is set iff tables[j][y] <= v,
     and of at_least[y][v] iff tables[j][y] >= v.  The members below a
@@ -294,6 +299,20 @@ class ValueRows:
     at_most: tuple[tuple[int, ...], ...]
     at_least: tuple[tuple[int, ...], ...]
     every: int  # the mask of all members
+
+    _fields = ("tables", "at_most", "at_least", "every")
+
+    def __init__(self, tables, at_most, at_least, every: int):
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "at_most", at_most)
+        object.__setattr__(self, "at_least", at_least)
+        object.__setattr__(self, "every", every)
+
+    def __repr__(self):
+        return (
+            f"ValueRows(tables={self.tables!r}, at_most={self.at_most!r}, "
+            f"at_least={self.at_least!r}, every={self.every!r})"
+        )
 
     def below(self, table: Sequence[int]) -> int:
         """The members at most table, pointwise, as a mask."""

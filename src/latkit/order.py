@@ -13,7 +13,7 @@ labels at the boundary.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -81,8 +81,76 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class Value:
+    """An immutable value, the base of latkit's value classes.
+
+    A class lists its constructor fields in _fields, in signature order,
+    and the fields its checks set in _check_fields.  Its own __init__
+    sets the constructor fields with object.__setattr__ and then calls
+    self.__post_init__(), the check, if the class has one.  Two values
+    are equal when they have one class and equal constructor fields,
+    and hash by those fields; the fields a check sets are derived from
+    them and neither compared nor hashed.  Instances keep a __dict__, so
+    pickle, copy.copy and functools.cached_property work on them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _check_fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # every field refine and trusted copy, and the comparison key
+        cls._names = cls._fields + cls._check_fields
+        if cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}"
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}"
+        )
+
+
+def refine(value, base, *args) -> None:
+    """Build value, of a refining subclass, from base: copy the fields
+    of value's class that base holds, then run with args the
+    __post_init__ of each class of value that base is not an instance
+    of, base classes first.  base passed its own classes' checks when it
+    was built.  Each check is looked up when it runs, so a replaced
+    __post_init__ is the one that runs."""
+    held = getattr(base, "_names", ())
+    for name in type(value)._names:
+        if name in held:
+            object.__setattr__(value, name, getattr(base, name))
+    for cls in reversed(type(value).__mro__):
+        if "__post_init__" in vars(cls) and not isinstance(base, cls):
+            vars(cls)["__post_init__"](value, *args)
+
+
+def trusted(cls, base=None, **extra):
+    """A cls value with base's fields and those in extra, built with no
+    check: for a value whose laws the library has just decided."""
+    value = object.__new__(cls)
+    for name in cls._names:
+        v = extra[name] if name in extra else getattr(base, name)
+        object.__setattr__(value, name, v)
+    return value
+
+
+class FinitePoset(Value):
     """A finite partial order on distinct string labels.
 
     le holds one bitmask per element: bit j of le[i] is set iff element
@@ -94,12 +162,20 @@ class FinitePoset:
 
     elements: tuple[str, ...]
     le: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)
-    full_mask: int = field(init=False, repr=False, compare=False)
-    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _pos: dict = field(init=False, repr=False, compare=False)
+    n: int
+    full_mask: int
+    down: tuple[int, ...]
+    _pos: dict
     # builder -> value, filled by derived(); dies with the poset
-    _derived: dict = field(init=False, repr=False, compare=False)
+    _derived: dict
+
+    _fields = ("elements", "le")
+    _check_fields = ("n", "full_mask", "down", "_pos", "_derived")
+
+    def __init__(self, elements: Sequence[str], le: Sequence[int]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "le", le)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -170,12 +246,18 @@ class FinitePoset:
         return f"FinitePoset({list(self.elements)!r})"
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Value):
     """A subset of one poset's elements, stored as a bitmask."""
 
     poset: FinitePoset
     mask: int
+
+    _fields = ("poset", "mask")
+
+    def __init__(self, poset: FinitePoset, mask: int):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "mask", mask)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.mask & ~self.poset.full_mask:
@@ -222,32 +304,6 @@ class Subset:
 
     def __repr__(self):
         return f"{type(self).__name__}({{{', '.join(self.labels)}}})"
-
-
-def refine(value, base, *args) -> None:
-    """Build value, of a refining subclass, from base: copy the fields
-    of value's class that base holds, then run with args the
-    __post_init__ of each class of value that base is not an instance
-    of, base classes first.  base passed its own classes' checks when it
-    was built.  Each check is looked up when it runs, so a replaced
-    __post_init__ is the one that runs."""
-    held = getattr(base, "__dataclass_fields__", {})
-    for name in type(value).__dataclass_fields__:
-        if name in held:
-            object.__setattr__(value, name, getattr(base, name))
-    for cls in reversed(type(value).__mro__):
-        if "__post_init__" in vars(cls) and not isinstance(base, cls):
-            vars(cls)["__post_init__"](value, *args)
-
-
-def trusted(cls, base=None, **extra):
-    """A cls value with base's fields and those in extra, built with no
-    check: for a value whose laws the library has just decided."""
-    value = object.__new__(cls)
-    for name in cls.__dataclass_fields__:
-        v = extra[name] if name in extra else getattr(base, name)
-        object.__setattr__(value, name, v)
-    return value
 
 
 def same_poset(*posets) -> FinitePoset:

@@ -15,7 +15,6 @@ respectively, which is what the tests lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidValue, NotMeetSemilattice
@@ -23,6 +22,7 @@ from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
+    Value,
     bits,
     bound_sets,
     check_cap,
@@ -40,13 +40,20 @@ from .order import (
 )
 
 
-@dataclass(frozen=True)
-class ClosureRule:
+class ClosureRule(Value):
     """One deduction: if every body element is present, the head is too."""
 
     poset: FinitePoset
     body_mask: int
     head: int
+
+    _fields = ("poset", "body_mask", "head")
+
+    def __init__(self, poset: FinitePoset, body_mask: int, head: int):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "body_mask", body_mask)
+        object.__setattr__(self, "head", head)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.body_mask & ~self.poset.full_mask:
@@ -70,7 +77,7 @@ class ClosureRule:
         return f"{{{', '.join(self.body.labels)}}} |- {self.head_label}"
 
 
-class RuleSet:
+class RuleSet(Value):
     """A set of rules over one poset, indexed by body.
 
     `_heads` maps each body mask to the mask of the heads it concludes,
@@ -80,8 +87,6 @@ class RuleSet:
     order, then head order.  `rules` builds ClosureRule views of them.
     Equality and hashing read the index; repr reads `rules`.
     """
-
-    __slots__ = ("poset", "_heads", "_listing")
 
     def __init__(self, poset: FinitePoset, rules: Sequence[ClosureRule]):
         rules = tuple(rules)
@@ -120,9 +125,6 @@ class RuleSet:
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "_heads", heads)
         object.__setattr__(self, "_listing", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RuleSet is immutable: cannot set {name!r}")
 
     @classmethod
     def of(cls, poset: FinitePoset, items: Iterable) -> "RuleSet":

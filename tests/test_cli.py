@@ -776,10 +776,10 @@ def test_requests_build_no_click_context(files, capsys, monkeypatch):
 
 
 def test_requests_import_no_module(files, tmp_path):
-    # `import latkit.cli` loads no click, and a valid request loads
-    # nothing more: a module imported per request is paid by every cold
-    # CLI process.  A help page and a usage error are the requests that
-    # load click
+    # `import latkit.cli` loads no click, no dataclasses machinery and
+    # no test fixtures, and a valid request loads nothing more: a module
+    # imported per request is paid by every cold CLI process.  A help
+    # page and a usage error are the requests that load click
     import subprocess
 
     import latkit
@@ -788,6 +788,8 @@ def test_requests_import_no_module(files, tmp_path):
         "import json, sys\n"
         "import latkit.cli\n"
         "assert 'click' not in sys.modules\n"
+        "for name in ('dataclasses', 'inspect', 'ast', 'dis', 'latkit.fixtures'):\n"
+        "    assert name not in sys.modules, name\n"
         "before = set(sys.modules)\n"
         "requests, help = json.loads(sys.argv[1])\n"
         "for argv in requests:\n"

@@ -9,7 +9,6 @@ is run on a poset built after planting.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -482,7 +481,9 @@ def test_dropped_empty_closed_set_breaks_anti_exchange(monkeypatch):
     )
     # the sweep runs once per operator: a fresh one sweeps again
     with pytest.raises(TheoremBreach):
-        convexity.convexity_checks(replace(bad))
+        convexity.convexity_checks(
+            convexity.PowersetOperator(bad.universe, bad.kind, bad.table)
+        )
 
 
 def test_wrong_least_member_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
@@ -979,7 +980,9 @@ def _dropping_rows(real, member, point):
             side[y][y] &= ~(1 << j)
             return tuple(map(tuple, side))
 
-        return replace(rows, at_most=drop(rows.at_most), at_least=drop(rows.at_least))
+        return maps.ValueRows(
+            rows.tables, drop(rows.at_most), drop(rows.at_least), rows.every
+        )
 
     return planted
 

@@ -6,6 +6,9 @@ constructor does not check again the laws its argument has passed as
 a value of a refined type, and the inherited from_labels, of and
 from_indices build the refined type."""
 
+import copy
+import pickle
+
 import pytest
 
 from latkit import closure
@@ -22,11 +25,24 @@ from latkit.errors import (
     NotMeetSemilattice,
     NotPreclosure,
 )
-from latkit.heyting import Nucleus, enumerate_nuclei, nucleus_join
-from latkit.convexity import table_operator
+from latkit.heyting import (
+    FrameView,
+    Nucleus,
+    enumerate_nuclei,
+    nucleus_join,
+    validate_structure,
+)
+from latkit.convexity import PowersetOperator, clsys_operator, table_operator
 from latkit.hmj import FilterSet, enumerate_filters, is_fitted
-from latkit.maps import EndoMap
-from latkit.order import FinitePoset, Subset, build_poset, same_poset
+from latkit.maps import EndoMap, ValueRows, value_rows
+from latkit.order import (
+    FinitePoset,
+    Subset,
+    build_poset,
+    meet_table,
+    same_poset,
+    trusted,
+)
 from latkit.rules import ClosureRule, RuleSet
 
 
@@ -292,3 +308,64 @@ def test_rule_sets_compare_as_sets():
     # a set built from the index alone lists body 0 first, then body {0}
     assert indexed == RuleSet(P, [r1, r2]) and indexed.rules == (r2, r1)
     assert RuleSet(P, [r1]) != RuleSet(P, [r2])
+
+
+# ---------------------------------------------------------------------------
+# value semantics: one immutable base under every value class
+
+
+def test_value_semantics():
+    # class -> two values of it with unequal constructor fields, over
+    # the two-element chain P (a frame) and the antichain Q
+    P = build_poset(["a", "b"], [("a", "b")])
+    Q = build_poset(["a", "b"], [])
+    ident, top = EndoMap(P, (0, 1)), EndoMap(P, (1, 1))
+    pairs = {
+        FinitePoset: (P, Q),
+        Subset: (Subset(P, 1), Subset(P, 2)),
+        EndoMap: (ident, top),
+        ValueRows: (value_rows(P, [(0, 1)]), value_rows(P, [(0, 1), (1, 1)])),
+        ClosureOperator: (ClosureOperator(ident), ClosureOperator(top)),
+        ClosureSystem: (ClosureSystem(Subset(P, 3)), ClosureSystem(Subset(P, 2))),
+        FrameView: (validate_structure(P), validate_structure(Q)),
+        Nucleus: (Nucleus(ident), Nucleus(top)),
+        FilterSet: (FilterSet(Subset(P, 2)), FilterSet(Subset(P, 3))),
+        PowersetOperator: (clsys_operator(P), PowersetOperator(P, "top", (3,) * 4)),
+        ClosureRule: (ClosureRule(P, 1, 1), ClosureRule(P, 1, 0)),
+        RuleSet: (RuleSet(P, [ClosureRule(P, 1, 1)]), RuleSet(P, [])),
+    }
+    for cls, (a, b) in pairs.items():
+        assert type(a) is cls and type(b) is cls
+        assert a != b and not a == b
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
+            assert twin is not a and type(twin) is cls
+            assert twin == a and hash(twin) == hash(a)
+        for name in (*vars(a), "extra"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable"):
+                setattr(a, name, None)
+            if name in vars(a):
+                with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable"):
+                    delattr(a, name)
+        assert "extra" not in vars(a)
+    # a refined value never equals its base value with the same fields
+    assert ClosureOperator(ident) != ident and Nucleus(ident) != ClosureOperator(ident)
+    S = pairs[Subset][1]
+    assert ClosureSystem(S) != S and FilterSet(S) != S
+    # the fields a check sets are neither compared nor hashed
+    meet_table(P)
+    fresh = FinitePoset(P.elements, P.le)
+    assert fresh._derived != P._derived and fresh == P and hash(fresh) == hash(P)
+    C = pairs[ClosureSystem][1]
+    odd = trusted(ClosureSystem, C, _table=(1, 0))
+    assert odd == C and hash(odd) == hash(C)
+    # the generated reprs, which name every field but a table
+    assert repr(pairs[FrameView][0]) == (
+        "FrameView(poset=FinitePoset(['a', 'b']), level='frame', witness=None)"
+    )
+    assert repr(pairs[ValueRows][1]) == (
+        "ValueRows(tables=((0, 1), (1, 1)), at_most=((1, 3), (0, 3)), "
+        "at_least=((3, 2), (3, 3)), every=3)"
+    )
+    assert repr(pairs[PowersetOperator][0]) == (
+        "PowersetOperator(universe=FinitePoset(['a', 'b']), kind='clsys')"
+    )
