@@ -794,8 +794,9 @@ def cmd_rules_nuclear(P):
         default="",
     ),
     group=_RULES,
+    capped=False,
 )
-def cmd_rules_close(P, rule_file, start, cap):
+def cmd_rules_close(P, rule_file, start):
     """Close a subset under a rule file's deductions."""
     R = load_rules(P, rule_file)
     labels = [s for s in (t.strip() for t in start.split(",")) if s]
@@ -803,8 +804,8 @@ def cmd_rules_close(P, rule_file, start, cap):
     payload = {
         "start": list(X.labels),
         "closure": list(rule_closure(R, X).labels),
-        "reflexive": R.is_reflexive(cap),
-        "transitive": R.is_transitive(cap),
+        "reflexive": R.is_reflexive(),
+        "transitive": R.is_transitive(),
     }
 
     def txt(p):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .bitset import bits, fixpoints, least_closed_above
 from .errors import (
     InputError,
     NoLeastElement,
@@ -49,7 +50,6 @@ from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
-    bits,
     bottom_index,
     check_cap,
     closure_masks,
@@ -60,7 +60,6 @@ from .order import (
     is_default_enabled,
     is_default_enabled_within,
     join_of,
-    least_closed_above,
     least_of,
     recorded_tables,
     refine,
@@ -221,8 +220,7 @@ def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tu
 def checked(cls, P: FinitePoset, table: tuple, route: str, meets=None):
     """The cls value with this table that route built: one leaf of
     trusted_operators, carried with the table's own fixpoints."""
-    fixed = sum(1 << x for x, v in enumerate(table) if x == v)
-    return trusted_operators(cls, P, [(fixed, table)], route, meets)[0]
+    return trusted_operators(cls, P, [(fixpoints(table), table)], route, meets)[0]
 
 
 def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:

@@ -8,15 +8,15 @@ The anti-exchange property and its closed-set reformulation are
 computed separately and compared; so are the three equivalent funnel
 conditions.  An operator is a table of all 2^n images and its n bit
 columns, built and checked once: column j is the 2^n-bit int whose bit
-m is set iff j is in cl(m).  Of each compared pair, one route reads the
-columns and the other the table.  The column routes, anti-exchange and
-funnel conditions (1) and (2), take every mask at once as shifts and
-masks of 2^n-bit ints: a few per pair of elements, per element or per
-upper set, not a Python step per mask.  The table routes read the
-closed-set form's n^2 entries per closed set and, for condition (3),
-two entries per trace on each up-set.  Read literally, one table entry
-per step, condition (1) would search up to 3^n nested pairs of subsets;
-the literal scans are kept in tests/test_convexity.py as the reference.
+m is set iff j is in cl(m) (bitset.bit_columns).  Of each compared pair,
+one route reads the columns and the other the table.  The column
+routes, anti-exchange and funnel conditions (1) and (2), take every
+mask at once as column shifts (bitset.add_point): a few per pair of
+elements, per element or per upper set, not a Python step per mask.
+The table routes read the closed-set form's n^2 entries per closed set
+and, for condition (3), two entries per trace on each up-set.  Read
+literally, condition (1) would search up to 3^n nested pairs of
+subsets; the literal scans are tests/test_convexity.py's reference.
 These checks keep their own, smaller default cap.
 
 The anti-exchange sweep finds, for each pair x, y, the sets A at
@@ -29,27 +29,23 @@ extends to a linear one, so the acyclicity search tries linear orders.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import cached_property
 from itertools import permutations
 from typing import Optional, Sequence, Union
 
+from .bitset import (
+    add_point,
+    bit_columns,
+    bits,
+    least_closed_table,
+    lowest,
+    project,
+    upper_sets,
+    with_bit,
+)
 from .errors import InputError, NotAPreorder, TheoremBreach, agree
 from .closure import closure_system_masks, directed_closed_systems
-from .order import (
-    SUBSET_CAP,
-    FinitePoset,
-    Subset,
-    Value,
-    _with_bit,
-    bits,
-    check_cap,
-    derived,
-    least_closed_table,
-    same_poset,
-    upper_sets,
-)
+from .order import SUBSET_CAP, FinitePoset, Subset, Value, check_cap, derived, same_poset
 from .rules import RuleSet, obeying_masks
 
 # every sweep below is exponential in n, and condition (1) quantifies
@@ -58,40 +54,10 @@ from .rules import RuleSet, obeying_masks
 CONVEXITY_CAP = 10
 
 
-# _BIT_DIGITS[i] maps a byte to the digit "1" if its bit i is set, else
-# "0": runs of 2^i zeros and 2^i ones
-_BIT_DIGITS = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
-
-
-def _bit_columns(table: Sequence[int], n: int) -> tuple[int, ...]:
-    """Column j of a table of 2^n masks: the 2^n-bit int whose bit m is
-    set iff bit j of table[m] is.
-
-    The table is packed little-endian and cut into byte lanes, lane k
-    holding bits 8k to 8k + 7 of every entry, each reversed so that mask
-    0 is the last digit.  Each column is then one bytes.translate of its
-    lane into binary digits and one int(..., 2).
-    """
-    width = (n + 7) // 8
-    packed = array(next(c for c in "BHIQ" if array(c).itemsize >= width), table)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    raw = packed.tobytes()
-    lanes = [raw[k :: packed.itemsize][::-1] for k in range(width)]
-    return tuple(
-        int(lanes[j >> 3].translate(_BIT_DIGITS[j & 7]), 2) for j in range(n)
-    )
-
-
 def _has_bit(P: FinitePoset) -> tuple[int, ...]:
     """Entry e: the 2^n-bit int whose bit m is set iff bit e of m is.
     Read through order.derived."""
-    return tuple(_with_bit(e, 1 << P.n) for e in range(P.n))
-
-
-def _lowest(masks: int) -> int:
-    """The least mask in a nonzero set of masks given as one int."""
-    return (masks & -masks).bit_length() - 1
+    return tuple(with_bit(e, 1 << P.n) for e in range(P.n))
 
 
 class PowersetOperator(Value):
@@ -142,7 +108,7 @@ class PowersetOperator(Value):
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """Bit m of columns[j] is set iff j is in cl(m)."""
-        return _bit_columns(self.table, self.universe.n)
+        return bit_columns(self.table, self.universe.n)
 
     @cached_property
     def anti_exchange(self) -> tuple:
@@ -167,8 +133,8 @@ class PowersetOperator(Value):
             if has[j] & ~col:
                 return False
             # monotone: j stays in cl(m) when e is added to m
-            for e, h in enumerate(has):
-                if (col & ~h) << (1 << e) & ~col:
+            for e in range(len(has)):
+                if add_point(col, e, has) & ~col:
                     return False
         cl = self.table
         return all(cl[c] == c for c in set(cl))
@@ -270,7 +236,7 @@ def _anti_exchange_failure(P: FinitePoset, cols) -> tuple:
     if not fails:
         return None, tuple(sum(1 << y for y, a in enumerate(row) if a) for row in pin)
     # at the least failing A the sweep tries y, then x, ascending
-    m = _lowest(fails)
+    m = lowest(fails)
     x, y = next(
         (x, y)
         for y, x in permutations(range(P.n), 2)
@@ -343,15 +309,6 @@ def _preorder_rows(P: FinitePoset, preorder: Preorderish) -> tuple[int, ...]:
     return rows
 
 
-def _project(masks: int, outside: int, has: Sequence[int]) -> int:
-    """Bit m of the result is bit m & ~outside of masks: each dimension
-    in outside is cleared, then copied up from the masks without it."""
-    for e in bits(outside):
-        masks &= ~has[e]
-        masks |= masks << (1 << e)
-    return masks
-
-
 def _witness_failure(P: FinitePoset, cols, rows) -> Optional[tuple]:
     """Funnel condition (1), read from the bit columns: the first (X, y)
     with y in the closure of X and no Z inside X, with y below all of Z,
@@ -364,14 +321,14 @@ def _witness_failure(P: FinitePoset, cols, rows) -> Optional[tuple]:
         # m \ Z inside the up-set of y (the zeta transform along it)
         reach = col
         for e in bits(row):
-            reach |= (reach & ~has[e]) << (1 << e)
+            reach |= add_point(reach, e, has)
         # read at m & row, so that Z lies inside the part of m above y
-        fails.append(col & ~_project(reach, P.full_mask & ~row, has))
+        fails.append(col & ~project(reach, P.full_mask & ~row, has))
         every |= fails[-1]
     if not every:
         return None
     # the sweep tries y ascending at each X
-    m = _lowest(every)
+    m = lowest(every)
     y = next(y for y, masks in enumerate(fails) if masks >> m & 1)
     return P.labels_of(m), P.label(y)
 
@@ -388,11 +345,7 @@ def _upper_set_failure(P: FinitePoset, cols, rows) -> Optional[tuple]:
     has = derived(P, _has_bit)
     # raisers[j]: the e such that j is in cl(m + e) but not in cl(m)
     raisers = [
-        sum(
-            1 << e
-            for e, h in enumerate(has)
-            if col & h & ~((col & ~h) << (1 << e))
-        )
+        sum(1 << e for e, h in enumerate(has) if col & h & ~add_point(col, e, has))
         for col in cols
     ]
     found = []
@@ -401,13 +354,13 @@ def _upper_set_failure(P: FinitePoset, cols, rows) -> Optional[tuple]:
             outside = P.full_mask & ~u
             masks = 0
             for j in bits(u):
-                masks |= cols[j] & ~_project(cols[j], outside, has)
+                masks |= cols[j] & ~project(cols[j], outside, has)
             if masks:
                 found.append((masks, u))
     if not found:
         return None
     # the sweep tries every upper set, in upper_sets order, at each X
-    m = min(_lowest(masks) for masks, u in found)
+    m = min(lowest(masks) for masks, u in found)
     u = next(u for masks, u in found if masks >> m & 1)
     return P.labels_of(m), P.labels_of(u)
 

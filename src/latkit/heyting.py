@@ -55,6 +55,15 @@ from __future__ import annotations
 from array import array
 from typing import Optional, Sequence
 
+from .bitset import (
+    bits,
+    distributivity_failure,
+    image,
+    least_closed_above,
+    lowest,
+    mask_word,
+    union_of,
+)
 from .errors import (
     NotAFrame,
     NotANucleus,
@@ -83,26 +92,20 @@ from .order import (
     FinitePoset,
     Subset,
     Value,
-    _mask_word,
-    bits,
     bottom_index,
     check_cap,
     closure_tables,
     derived,
     directed_join_faults,
     directed_masks,
-    distributivity_failure,
     family_poset,
     image_joins,
-    least_closed_above,
     meet_closure,
     meet_table,
-    popcount,
     same_poset,
     solution_sets,
     subset_tables,
     top_index,
-    union_of,
 )
 
 # the default cap on the bit length of k, the number of nuclei whose
@@ -236,7 +239,7 @@ def _adjunction_failure(P: FinitePoset, imp, sols) -> Optional[tuple[int, int, i
         for b, (r, s) in enumerate(zip(row, sol)):
             diff = P.full_mask if r in missing else P.down[r] ^ s
             if diff:
-                failed.append(((diff & -diff).bit_length() - 1, a, b))
+                failed.append((lowest(diff), a, b))
     return min(failed, default=None)
 
 
@@ -262,11 +265,7 @@ def adjunction_check(L: FinitePoset, cap: Optional[int] = None) -> bool:
 def _impl_columns(P: FinitePoset) -> tuple[int, ...]:
     """cols[x] = the mask of every a => x.  Read it through
     derived(P, _impl_columns), on a frame."""
-    cols = [0] * P.n
-    for row in derived(P, _imp_table):
-        for x, v in enumerate(row):
-            cols[x] |= 1 << v
-    return tuple(cols)
+    return tuple(map(image, zip(*derived(P, _imp_table))))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +328,7 @@ def fix_of_meet_check(a: Nucleus, b: Nucleus) -> bool:
     """Fixpoints of the meet are exactly pairwise meets of fixpoints."""
     P = same_poset(a.poset, b.poset)
     mt = meet_table(P)
-    want = 0
-    for x in bits(a.fix_mask):
-        for y in bits(b.fix_mask):
-            want |= 1 << mt[x][y]
+    want = image(mt[x][y] for x in bits(a.fix_mask) for y in bits(b.fix_mask))
     agree(
         "fixpoints of a nucleus meet",
         (a, b),
@@ -365,7 +361,7 @@ def _nuclei_leaves(P: FinitePoset) -> list[tuple[int, tuple[int, ...]]]:
     # the descent's (fixpoint mask, table) leaves in the order of
     # _nuclei; cap-free, like it
     leaves = closure_tables(P, meet_table(P))
-    leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
+    leaves.sort(key=lambda s: (-s[0].bit_count(), s[0]))
     return leaves
 
 
@@ -604,7 +600,7 @@ def frame_of_nuclei_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     by_fix = derived(P, _nuclei_by_fix)
     by_table = {t: i for i, t in enumerate(tables)}
     # k x k join and meet tables, each row an array of nucleus indices
-    word = _mask_word((k - 1).bit_length())
+    word = mask_word((k - 1).bit_length())
     join = [array(word, [0]) * k for _ in range(k)]
     meet = [array(word, [0]) * k for _ in range(k)]
     for i, (ti, fi, ui, di) in enumerate(zip(tables, fixes, up, down)):

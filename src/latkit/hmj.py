@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .bitset import bits, image, inclusion_rows, upper_sets
 from .errors import InputError, TheoremBreach, agree, produced
 from .closure import trusted_operators
 from .heyting import (
@@ -55,7 +56,6 @@ from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
-    bits,
     check_cap,
     derived,
     directed_tops_avoiding,
@@ -68,7 +68,6 @@ from .order import (
     top_index,
     trusted,
     upper_closure_mask,
-    upper_sets,
 )
 
 
@@ -122,7 +121,7 @@ class FilterSet(Subset):
 def enumerate_filters(L: FinitePoset, cap: Optional[int] = None) -> list[FilterSet]:
     """Every filter, in mask order.
 
-    The candidates are the upper sets, listed by order.upper_sets, a
+    The candidates are the upper sets, listed by bitset.upper_sets, a
     descent whose cost follows their number rather than 2^n; in a frame
     every nonempty one holds the top, and the filter test rejects the
     empty one.  Each candidate passes the filter test once and becomes
@@ -161,7 +160,7 @@ def _open_nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     # its image, the implications out of a: trusted_operators proves
     # each row a nucleus fixing exactly that image
     imp = derived(P, _imp_table)
-    images = [sum(1 << v for v in set(row)) for row in imp]
+    images = map(image, imp)
     return trusted_operators(Nucleus, P, zip(images, imp), "open nuclei", meet_table(P))
 
 
@@ -430,13 +429,6 @@ def scott_open_filter_is_nuclear_check(
     return True
 
 
-def _inclusion_rows(masks) -> tuple[int, ...]:
-    # row i: the j with masks[i] a subset of masks[j]
-    return tuple(
-        sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks
-    )
-
-
 def hmj_correspondence(L: FinitePoset, cap: Optional[int] = None) -> dict:
     """The bijection between Scott-open filters and compact fitted
     quotients, exhibited pair by pair and verified in both directions,
@@ -471,9 +463,9 @@ def hmj_correspondence(L: FinitePoset, cap: Optional[int] = None) -> dict:
     agree(
         "order reversal",
         P,
-        filter_inclusion=_inclusion_rows([F.mask for F, _ in pairs]),
+        filter_inclusion=inclusion_rows([F.mask for F, _ in pairs]),
         nucleus_order=value_rows(P, [nu.table for _, nu in pairs]).up_rows(),
-        fixpoint_reversal=_inclusion_rows(
+        fixpoint_reversal=inclusion_rows(
             [P.full_mask & ~nu.fix_mask for _, nu in pairs]
         ),
     )

@@ -13,12 +13,12 @@ from functools import reduce
 from operator import and_, getitem, or_
 from typing import Iterable, Optional, Sequence
 
+from .bitset import bits, fixpoints, image, preimages, spread
 from .errors import InvalidValue, ParseError
 from .order import (
     FinitePoset,
     Subset,
     Value,
-    bits,
     derived,
     directed_join_faults,
     directed_tops_avoiding,
@@ -29,7 +29,6 @@ from .order import (
     meet_of,
     meet_table,
     same_poset,
-    spread,
 )
 
 
@@ -74,10 +73,7 @@ class EndoMap(Value):
         return self.poset.label(self.table[self.poset.index(label)])
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.table[i]
-        return out
+        return image(map(self.table.__getitem__, bits(mask)))
 
     def preimage_mask(self, mask: int) -> int:
         out = 0
@@ -88,11 +84,7 @@ class EndoMap(Value):
 
     @property
     def fix_mask(self) -> int:
-        out = 0
-        for i, v in enumerate(self.table):
-            if i == v:
-                out |= 1 << i
-        return out
+        return fixpoints(self.table)
 
     @property
     def fix(self) -> Subset:
@@ -272,19 +264,12 @@ def _pointwise(maps, poset, bound) -> Optional[EndoMap]:
     # bound(P, mask) of the family's values at each point
     P = family_poset(maps, poset)
     out = []
-    for i in range(P.n):
-        v = bound(P, _mask_of_values(maps, i))
+    for values in zip(*(f.table for f in maps)):
+        v = bound(P, image(values))
         if v is None:
             return None
         out.append(v)
     return EndoMap(P, tuple(out))
-
-
-def _mask_of_values(maps: Sequence[EndoMap], i: int) -> int:
-    m = 0
-    for f in maps:
-        m |= 1 << f.table[i]
-    return m
 
 
 class ValueRows(Value):
@@ -339,10 +324,8 @@ class ValueRows(Value):
 
 def value_rows(P: FinitePoset, tables: Sequence[Sequence[int]]) -> ValueRows:
     """The value rows of tables on P, read from them and P's order alone."""
-    at = [[0] * P.n for _ in range(P.n)]  # at[y][v]: the j with tables[j][y] = v
-    for j, t in enumerate(tables):
-        for y, v in enumerate(t):
-            at[y][v] |= 1 << j
+    # at[y][v]: the j with tables[j][y] = v; no tables, no j
+    at = [preimages(col, P.n) for col in list(zip(*tables)) or [()] * P.n]
     return ValueRows(
         tuple(map(tuple, tables)),
         tuple(spread(row, P.le) for row in at),

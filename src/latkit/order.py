@@ -4,10 +4,10 @@ Elements are string labels.  The order of the input label list is
 preserved and fixes iteration and output order everywhere else in the
 library, so results are deterministic.
 
-Internally a subset of a poset is a bitmask over element indices.  All
-the exhaustive machinery (directed subsets, way-below, ceilings,
-enabledness) works on masks; the public classes translate to and from
-labels at the boundary.
+Internally a subset of a poset is a bitmask over element indices, read
+with the poset-free kernels of latkit.bitset.  All the exhaustive
+machinery (directed subsets, way-below, ceilings, enabledness) works on
+masks; the public classes translate to and from labels at the boundary.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from array import array
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .bitset import bits, image, mask_word, preimages, spread, union_of, with_bit
 from .errors import (
     CapExceeded,
     CycleDetected,
@@ -38,47 +39,6 @@ def check_cap(operation: str, size: int, cap: Optional[int], default: int) -> No
     limit = default if cap is None else cap
     if size > limit:
         raise CapExceeded(operation, size, limit)
-
-
-def _byte_indices(offset: int) -> tuple[tuple[int, ...], ...]:
-    """t[b] = the indices of the set bits of byte b, plus offset,
-    ascending: built by doubling, each bit appended to every entry
-    before it."""
-    t: list[tuple[int, ...]] = [()]
-    for i in range(offset, offset + 8):
-        t += [x + (i,) for x in t]
-    return tuple(t)
-
-
-# The set bits of a low and a high byte; together they answer every
-# mask below 2^16, at 256 entries each, not 65,536.
-_LOW_BYTE = _byte_indices(0)
-_HIGH_BYTE = _byte_indices(8)
-
-
-def bits(mask: int) -> Iterable[int]:
-    """Indices of the set bits of mask, ascending.
-
-    A mask below 2^16 is answered as a tuple from the two byte tables;
-    a wider one (value rows over many maps, directed-subset positions)
-    is walked lazily, lowest bit first, so an early exit stops there."""
-    if mask < 0x10000:
-        high = mask >> 8
-        if high:
-            return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[high]
-        return _LOW_BYTE[mask]
-    return _wide_bits(mask)
-
-
-def _wide_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 class Value:
@@ -234,10 +194,7 @@ class FinitePoset(Value):
         return self.leq(self.index(a), self.index(b))
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        m = 0
-        for lab in labels:
-            m |= 1 << self.index(lab)
-        return m
+        return image(map(self.index, labels))
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in bits(mask))
@@ -296,7 +253,7 @@ class Subset(Value):
         return iter(self.labels)
 
     def __len__(self) -> int:
-        return popcount(self.mask)
+        return self.mask.bit_count()
 
     def __le__(self, other: "Subset") -> bool:
         same_poset(self.poset, other.poset)
@@ -425,11 +382,6 @@ def meet_of(P: FinitePoset, mask: int) -> Optional[int]:
     return greatest_of(P, lower_bounds_mask(P, mask))
 
 
-def _mask_word(n: int) -> str:
-    """array typecode that holds any n-element subset mask."""
-    return "H" if n <= 16 else "I"
-
-
 def join_meet_tables(P: FinitePoset) -> tuple[bytearray, bytearray]:
     """Join and meet of every subset, indexed by mask.  On a lattice
     every entry is exact; on any poset every entry up to a table's first
@@ -542,7 +494,7 @@ def bound_sets(P: FinitePoset, rows: Sequence[int]) -> array:
     cut down to that element's row: O(2^n) table steps for all 2^n
     subsets.
     """
-    bounds = array(_mask_word(P.n), [P.full_mask])
+    bounds = array(mask_word(P.n), [P.full_mask])
     for row in rows:
         bounds.extend([b & row for b in bounds])
     return bounds
@@ -568,60 +520,8 @@ def lower_closure_mask(P: FinitePoset, mask: int) -> int:
     return union_of(P.down, mask)
 
 
-def union_of(rows: Sequence[int], mask: int) -> int:
-    """The union of rows[i] over the members i of mask."""
-    out = 0
-    for i in bits(mask):
-        out |= rows[i]
-    return out
-
-
-def spread(members: Sequence[int], rows: Sequence[int]) -> tuple[int, ...]:
-    """out[v]: the union of members[u] over the u with v in rows[u].
-    With members[u] = 1 << u it transposes the relation given by rows."""
-    out = [0] * len(rows)
-    for u, m in enumerate(members):
-        if m:
-            for v in bits(rows[u]):
-                out[v] |= m
-    return tuple(out)
-
-
 def upper_closure_mask(P: FinitePoset, mask: int) -> int:
     return union_of(P.le, mask)
-
-
-def least_closed_above(full: int, closed: Iterable[int], mask: int) -> int:
-    """The intersection of the closed sets, given by mask, that contain
-    mask; the universe full counts as closed."""
-    out = full
-    for c in closed:
-        if mask & ~c == 0:
-            out &= c
-    return out
-
-
-def least_closed_table(full: int, closed: Iterable[int]) -> list[int]:
-    """least_closed_above of every mask, indexed by mask.
-
-    A mask that is not closed has the same closed supersets as its
-    one-point extensions together, so one downward pass over the masks
-    takes the meet of those extensions' images: n 2^n steps.
-    """
-    t = [-1] * (full + 1)
-    for c in closed:
-        t[c] = c
-    for m in range(full, -1, -1):
-        if t[m] >= 0:
-            continue
-        out = full
-        rest = full & ~m
-        while rest:
-            low = rest & -rest
-            out &= t[m | low]
-            rest ^= low
-        t[m] = out
-    return t
 
 
 def is_directed_mask(P: FinitePoset, mask: int) -> bool:
@@ -660,10 +560,8 @@ def covers(up: Sequence[int]) -> list[tuple[int, int]]:
     has the larger up row, so the covers of i are found level by level,
     largest up rows first, each level dropping what lies above it: one
     step per level and cover, not per comparable pair."""
-    levels: dict[int, int] = {}
-    for i, row in enumerate(up):
-        levels[popcount(row)] = levels.get(popcount(row), 0) | 1 << i
-    by_size = [levels[size] for size in sorted(levels, reverse=True)]
+    levels = preimages([row.bit_count() for row in up], len(up) + 1)
+    by_size = [level for level in reversed(levels) if level]
     out = []
     for i, row in enumerate(up):
         rest, found = row & ~(1 << i), 0
@@ -675,33 +573,12 @@ def covers(up: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def upper_sets(rows: Sequence[int]) -> list[int]:
-    """Every upper set of a preorder, as masks, ascending, read from its
-    up rows (bit j of rows[i] set iff i <= j).
-
-    Elements with the same up row lie above each other, so they form one
-    class, in or out together.  The classes are decided in ascending
-    size of their row, so those strictly above a class come first, and a
-    class may join a set once every element strictly above it is in the
-    set: the cost follows the number of upper sets, not 2^n."""
-    classes: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        classes[row] = classes.get(row, 0) | 1 << i
-    states = [0]
-    for row in sorted(classes, key=popcount):
-        members = classes[row]
-        above = row & ~members
-        states += [m | members for m in states if m & above == above]
-    states.sort()
-    return states
-
-
 def top_down(P: FinitePoset) -> tuple[int, ...]:
     """The elements in ascending size of their principal upper sets, ties
     by index, so each follows every element strictly above it: the order
     the closure-system descent (closure_masks, closure_tables) decides
     elements in.  Read it through derived(P, top_down)."""
-    return tuple(sorted(range(P.n), key=lambda i: (popcount(P.le[i]), i)))
+    return tuple(sorted(range(P.n), key=lambda i: (P.le[i].bit_count(), i)))
 
 
 def incomparable_meets(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
@@ -923,15 +800,6 @@ def directed_subsets(P: FinitePoset, cap: Optional[int] = None) -> tuple[tuple[i
     return derived(P, _directed_subsets)
 
 
-def _with_bit(j: int, size: int) -> int:
-    """The k < size with bit j of k set, as a mask: runs of 2^j zeros
-    and 2^j ones, size a multiple of 2^(j + 1)."""
-    half = 1 << j
-    period = half << 1
-    unit = ((1 << half) - 1) << half
-    return unit * (((1 << size) - 1) // ((1 << period) - 1))
-
-
 def _directed_columns(P: FinitePoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     members = [0] * P.n
     tops = [0] * P.n
@@ -943,7 +811,7 @@ def _directed_columns(P: FinitePoset) -> tuple[tuple[int, ...], tuple[int, ...]]
         tops[t] = block
         members[t] |= block
         for j, b in enumerate(below):
-            members[b] |= _with_bit(j, size) << width
+            members[b] |= with_bit(j, size) << width
         width += size
     return tuple(members), tuple(tops)
 
@@ -1003,15 +871,14 @@ def directed_join_faults(
     members, tops = directed_columns(P, cap)
     # the member and top columns unioned over each preimage row
     mapped, topped = [0] * P.n, [0] * P.n
-    image = 0
     for i, w in enumerate(table):
         mapped[w] |= members[i]
         topped[w] |= tops[i]
-        image |= 1 << w
+    values = image(table)
     faults = 0
-    for v in bits(image):
-        outside = union_of(mapped, image & ~P.down[v])
-        inside = union_of(mapped, image & P.le[v])
+    for v in bits(values):
+        outside = union_of(mapped, values & ~P.down[v])
+        inside = union_of(mapped, values & P.le[v])
         faults |= topped[v] & (outside | ~inside)
     agree(
         "Scott continuity", table, columns=not faults, monotone=is_monotone(P, table)
@@ -1146,7 +1013,7 @@ def is_default_enabled_within(
     bound_sets over the down rows of A's members, cut to A.
     """
     same_poset(P, A.poset)
-    check_cap("relative default-enabledness", popcount(A.mask), cap, SUBSET_CAP)
+    check_cap("relative default-enabledness", A.mask.bit_count(), cap, SUBSET_CAP)
     rows = [P.down[i] for i in bits(A.mask)]
     parts = {b & A.mask for b in bound_sets(P, rows)}
     parts.update(row & A.mask for row in P.down)
@@ -1189,14 +1056,10 @@ def solution_sets(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
     """sols[a][b] = the mask of every x with x meet a <= b: the union of
     the preimages under - meet a of the elements below b.  Read it
     through derived(P, solution_sets), on a meet-semilattice."""
-    mt = meet_table(P)
-    sols = []
-    for a in range(P.n):
-        pre = [0] * P.n
-        for x, row in enumerate(mt):
-            pre[row[a]] |= 1 << x
-        sols.append(tuple(union_of(pre, below) for below in P.down))
-    return tuple(sols)
+    return tuple(
+        tuple(union_of(pre, below) for below in P.down)
+        for pre in (preimages(col, P.n) for col in zip(*meet_table(P)))
+    )
 
 
 def is_meet_semilattice(P: FinitePoset) -> bool:
@@ -1218,48 +1081,10 @@ def meet_closure(P: FinitePoset, mask: int) -> int:
         raise NotMeetSemilattice(f"{P!r} lacks a top or a pairwise meet")
     mask |= 1 << top
     while True:
-        grown = mask
-        for a in bits(mask):
-            row = mt[a]
-            for b in bits(mask):
-                grown |= 1 << row[b]
+        grown = mask | image(mt[a][b] for a in bits(mask) for b in bits(mask))
         if grown == mask:
             return mask
         mask = grown
-
-
-def join_irreducibles(down: Sequence[int]) -> int:
-    """The join-irreducible elements of a finite lattice, as a mask,
-    read off its down rows (bit j of down[i] set iff j <= i): the
-    elements whose strictly smaller elements have a greatest one.  The
-    up rows give the meet-irreducibles."""
-    out = 0
-    for x, row in enumerate(down):
-        below = row & ~(1 << x)
-        if any(down[z] & below == below for z in bits(below)):
-            out |= 1 << x
-    return out
-
-
-def distributivity_failure(
-    down: Sequence[int], join: Sequence[Sequence[int]]
-) -> Optional[tuple[int, int]]:
-    """Birkhoff's test on a finite lattice given by its down rows and
-    its join table: the first pair (x, y) where the join-irreducibles
-    below x join y are not those below x or below y, or None.
-
-    A finite lattice is distributive iff there is no such pair, that
-    is, iff every join-irreducible is join-prime (Davey and Priestley,
-    Introduction to Lattices and Order, ch. 10).  The up rows with the
-    meet table run the dual test, over the meet-irreducibles.
-    """
-    irr = join_irreducibles(down)
-    for x, row in enumerate(join):
-        dx = down[x]
-        for y in range(x, len(row)):
-            if (down[row[y]] ^ (dx | down[y])) & irr:
-                return x, y
-    return None
 
 
 def subposet(P: FinitePoset, X: Subset) -> tuple[FinitePoset, tuple[int, ...]]:
@@ -1271,10 +1096,5 @@ def subposet(P: FinitePoset, X: Subset) -> tuple[FinitePoset, tuple[int, ...]]:
     old = tuple(bits(X.mask))
     labels = tuple(P.elements[i] for i in old)
     back = {o: k for k, o in enumerate(old)}
-    rows = []
-    for o in old:
-        row = 0
-        for j in bits(P.le[o] & X.mask):
-            row |= 1 << back[j]
-        rows.append(row)
+    rows = [image(back[j] for j in bits(P.le[o] & X.mask)) for o in old]
     return FinitePoset(labels, tuple(rows)), old

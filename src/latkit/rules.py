@@ -4,7 +4,8 @@ A rule (B, c) is obeyed by a subset X when B inside X forces c into X.
 A rule set is indexed by body: each body mask maps to the mask of the
 heads it concludes.  The engine closes a subset under a rule set by
 chaotic iteration with a worklist over that index: each body not yet
-inside waits on one missing element and is woken when it arrives.
+inside waits on one missing element and is woken when it arrives.  The
+obeying sets are the index's subset unions (bitset.subset_unions).
 
 Two rule families are derived from the order itself.  Default rules
 conclude a maximal lower bound from a body; nuclear rules conclude, from
@@ -17,23 +18,21 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from .bitset import bits, least_closed_table, lowest, subset_unions
 from .errors import InvalidValue, NotMeetSemilattice
 from .order import (
     SUBSET_CAP,
     FinitePoset,
     Subset,
     Value,
-    bits,
     bound_sets,
     check_cap,
     derived,
     has_ceiling_mask,
     is_default_enabled,
-    least_closed_table,
     lower_bounds_mask,
     maximal_mask,
     meet_table,
-    popcount,
     same_poset,
     solution_sets,
     trusted,
@@ -159,28 +158,26 @@ class RuleSet(Value):
         return f"RuleSet(poset={self.poset!r}, rules={self.rules!r})"
 
     def __len__(self):
-        return sum(map(popcount, self._heads.values()))
+        return sum(map(int.bit_count, self._heads.values()))
 
     def has(self, body_mask: int, head: int) -> bool:
         return head >= 0 and bool(self._heads.get(body_mask, 0) >> head & 1)
 
-    def is_reflexive(self, cap: Optional[int] = None) -> bool:
+    def is_reflexive(self) -> bool:
         """Contains every rule that concludes a member of its own body:
-        the 2^n - 1 nonempty masks are all bodies inside their heads."""
-        P = self.poset
-        check_cap("rule reflexivity", P.n, cap, SUBSET_CAP)
+        the 2^n - 1 nonempty masks are all bodies inside their heads.
+        One step per entry of the index, so no cap gates it."""
         inside = sum(b & ~h == 0 for b, h in self._heads.items() if b)
-        return inside == P.full_mask
+        return inside == self.poset.full_mask
 
-    def is_transitive(self, cap: Optional[int] = None) -> bool:
+    def is_transitive(self) -> bool:
         """Deductions compose: if B concludes all of C and C concludes d,
         then B concludes d.  A mask that is no body concludes nothing,
         so as B it fails only if the empty body concludes something;
-        every other B is an entry, tested once per head set."""
-        P = self.poset
-        check_cap("rule transitivity", P.n, cap, SUBSET_CAP)
+        every other B is an entry, tested once per head set: no 2^n
+        scan, so no cap gates it."""
         heads = self._heads
-        if heads.get(0) and len(heads) <= P.full_mask:
+        if heads.get(0) and len(heads) <= self.poset.full_mask:
             return False
         return not any(
             c & ~sb == 0 and ds & ~sb
@@ -208,7 +205,7 @@ def rule_closure_mask(R: RuleSet, mask: int) -> int:
         entry = ready.pop()
         need = entry[0] & ~mask
         if need:
-            parked[(need & -need).bit_length() - 1].append(entry)
+            parked[lowest(need)].append(entry)
             continue
         new = entry[1] & ~mask
         mask |= new
@@ -228,20 +225,15 @@ def obeying_masks(R: RuleSet, cap: Optional[int] = None) -> list[int]:
     """Every mask obeying the rule set, ascending, in one pass.
 
     heads[m] collects the heads of every rule whose body lies inside m,
-    summed over the subsets one element at a time: n 2^n steps.  m
-    obeys the rules when all of those heads are in m.
+    the subset unions of the index (bitset.subset_unions): n 2^n steps.
+    m obeys the rules when all of those heads are in m.
     """
     P = R.poset
     check_cap("obeying-set enumeration", P.n, cap, SUBSET_CAP)
-    full = P.full_mask
-    heads = [0] * (full + 1)
+    heads = [0] * (P.full_mask + 1)
     for b, h in R._heads.items():
         heads[b] |= h
-    for e in range(P.n):
-        bit = 1 << e
-        for m in range(full + 1):
-            if m & bit:
-                heads[m] |= heads[m ^ bit]
+    subset_unions(heads, P.n)
     return [m for m, h in enumerate(heads) if h & ~m == 0]
 
 
@@ -256,7 +248,7 @@ def rho(P: FinitePoset, family: Sequence[Subset], cap: Optional[int] = None) -> 
 
     A body concludes the members of every set in the family that
     contains it, the least closed set above it when the family's sets
-    count as closed: one order.least_closed_table, n 2^n steps.  Rules
+    count as closed: one bitset.least_closed_table, n 2^n steps.  Rules
     come out sorted by body mask then head, so the result is
     deterministic.  rho of anything is a closure theory: reflexive and
     transitive, a fact the tests pin down.

@@ -18,7 +18,7 @@ from latkit import (
     identity_map,
     is_meet_semilattice,
 )
-from latkit.order import FinitePoset, bits, bottom_index, popcount
+from latkit.order import FinitePoset, bits, bottom_index
 
 
 def random_poset(rng: random.Random, n: int, prefix: str = "e") -> FinitePoset:
@@ -68,7 +68,7 @@ def random_preclosure(rng: random.Random, P: FinitePoset) -> EndoMap:
 
 def _linear_extension(P: FinitePoset) -> list:
     # strictly below means strictly fewer elements below
-    return sorted(range(P.n), key=lambda i: (popcount(P.down[i]), i))
+    return sorted(range(P.n), key=lambda i: (P.down[i].bit_count(), i))
 
 
 def random_increasing_map(

@@ -311,6 +311,30 @@ def test_rules_commands(files, capsys):
     assert doc["closure"] == ["1", "2"]
 
 
+def test_rules_close_answers_past_the_subset_cap(files, capsys, monkeypatch):
+    # the closure and both rule laws read the rule index's entries, so
+    # nothing behind rules close walks 2^n subsets: a 15-element chain
+    # answers with no --force, and a small LATKIT_CAP gates nothing
+    rules = files["dir"] / "rules15.json"
+    rules.write_text(
+        json.dumps([{"body": [], "head": "e3"}, {"body": ["e3"], "head": "e9"}])
+    )
+    argv = ["rules", "close", files["chain15"], str(rules), "--start", "e1"]
+    for cap in (None, "2"):
+        if cap is None:
+            monkeypatch.delenv("LATKIT_CAP", raising=False)
+        else:
+            monkeypatch.setenv("LATKIT_CAP", cap)
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {
+            "start": ["e1"],
+            "closure": ["e1", "e3", "e9"],
+            "reflexive": False,
+            "transitive": False,
+        }
+
+
 def test_convexity_command(files, capsys):
     rc, out, _ = run(capsys, ["convexity", files["c3"]])
     assert rc == 0
@@ -477,6 +501,7 @@ UNCAPPED = {
     "generate": ["c3", "step"],
     "tarski": ["c3", "step"],
     "rules nuclear": ["b2"],
+    "rules close": ["c3", "rules"],
 }
 
 
@@ -678,6 +703,7 @@ USAGE_ARGV = [
     ["generate", "@c3", "@step", "--cap", "3"],
     ["rules", "nuclear", "@b2", "--force"],
     ["rules", "close", "@c3", "@rules", "--start=0", "--cap", "9"],
+    ["rules", "close", "@c3", "@rules", "--start=0"],
     ["validate", "@c3", "--format", "text", "--format", "json"],
     ["--cap", "3", "validate", "@c3"],
     ["-x", "validate", "@c3"],

@@ -25,7 +25,8 @@ from latkit import (
 )
 from latkit import convexity
 from latkit import fixtures as fx
-from latkit.order import Subset, bits, least_closed_table, upper_sets
+from latkit.bitset import bit_columns, least_closed_table, upper_sets
+from latkit.order import Subset, bits
 from latkit.rules import ClosureRule, RuleSet, default_rules, rule_closure_mask
 
 
@@ -440,7 +441,7 @@ def test_bit_columns_read_the_table():
     rng = random.Random(66)
     for n in (0, 1, 7, 8, 9, 16, 17):
         table = [rng.randrange(1 << n) for _ in range(1 << min(n, 10))]
-        cols = convexity._bit_columns(table, n)
+        cols = bit_columns(table, n)
         assert len(cols) == n
         for j, col in enumerate(cols):
             assert col == sum(1 << m for m, c in enumerate(table) if c >> j & 1)
@@ -540,7 +541,7 @@ def test_column_routes_match_the_literal_scans_on_any_ascending_table(data):
     P = fx.antichain(n)
     extra = data.draw(st.integers(0, full))
     table = [m | (data.draw(st.integers(0, full)) & extra) for m in range(full + 1)]
-    cols = convexity._bit_columns(table, n)
+    cols = bit_columns(table, n)
     literal_pulled = [0] * n
     want = literal_anti_exchange_failure(P, table, literal_pulled)
     got, pulled = convexity._anti_exchange_failure(P, cols)

@@ -55,7 +55,6 @@ from latkit.order import (
     lower_bounds_mask,
     maximal_mask,
     meet_table,
-    popcount,
     top_index,
     way_below_relation,
 )
@@ -200,7 +199,7 @@ def reference_nuclei(P, cap=None):
     # meets: the definition of a nucleus
     ops = [duality(Subset(P, m)) for m in closure_system_masks(P, cap)]
     kept = [op for op in ops if preserves_binary_meets(op.map)]
-    kept.sort(key=lambda op: (-popcount(op.fix_mask), op.fix_mask))
+    kept.sort(key=lambda op: (-op.fix_mask.bit_count(), op.fix_mask))
     return [op.table for op in kept]
 
 

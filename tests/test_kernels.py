@@ -10,16 +10,18 @@ lists the closure systems with no tables, and order.recorded_tables
 builds them from the descent's record; literal_closure_tables is the
 descent that carried a table on every branch.  Each kernel must give
 its reference's answers on every small input of tests/census.py and on
-drawn ones.
+drawn ones.  The bit kernels of latkit.bitset are each checked against
+a plain loop, on every mask (or column) for small n and on drawn ones.
 """
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import census
-from latkit import closure, order
+from latkit import bitset, closure, order
 from latkit.closure import ClosureOperator, clsys, dcclsys, directed_closed_systems
 from latkit.convexity import clsys_operator
 from latkit.errors import TheoremBreach
@@ -313,3 +315,157 @@ def test_mask_readers_build_no_table(monkeypatch):
         assert closure.sccore_bruteforce(gamma) == gamma
         assert built[-1] is P
     assert len(built) == len(_census_posets(4)) - 1
+
+
+# ---------------------------------------------------------------------------
+# the bit kernels of latkit.bitset, each against a plain loop: every
+# mask (and every column, where a column of 2^n bits is small enough)
+# for small n, and drawn ones above
+
+
+def literal_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def literal_has(e, n):
+    # the column of the masks over n points that hold e
+    return sum(1 << m for m in range(1 << n) if m >> e & 1)
+
+
+def literal_union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _rows(n, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(1 << n) for _ in range(n)]
+
+
+def test_bits_and_lowest_match_the_loop_on_every_small_mask():
+    for m in range(1 << 6):
+        assert list(bitset.bits(m)) == literal_bits(m)
+        if m:
+            assert bitset.lowest(m) == min(literal_bits(m))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1 << 16, 1 << 80))
+def test_bits_and_lowest_match_the_loop_on_wide_masks(m):
+    # masks from 2^16 up are walked lazily, lowest bit first
+    walk = bitset.bits(m)
+    assert not isinstance(walk, tuple)
+    assert list(walk) == literal_bits(m)
+    assert bitset.lowest(m) == min(literal_bits(m))
+    assert next(iter(bitset.bits(m))) == bitset.lowest(m)
+
+
+def test_mask_word_holds_every_mask_at_its_size():
+    for n in range(18):
+        full = (1 << n) - 1
+        assert array(bitset.mask_word(n), [full])[0] == full
+    assert bitset.mask_word(16) == "H"
+    assert bitset.mask_word(17) == "I"
+    with pytest.raises(OverflowError):
+        array(bitset.mask_word(16), [1 << 16])
+
+
+def test_with_bit_matches_the_loop():
+    for j in range(5):
+        for size in (2 << j, 4 << j, 6 << j, 1 << 6):
+            if size % (2 << j) == 0:
+                want = sum(1 << k for k in range(size) if k >> j & 1)
+                assert bitset.with_bit(j, size) == want
+
+
+def test_row_kernels_match_the_loops_on_every_small_mask():
+    for n in range(7):
+        rows = _rows(n, n)
+        members = _rows(n, n + 100)
+        for m in range(1 << n):
+            want = literal_union(rows[i] for i in range(n) if m >> i & 1)
+            assert bitset.union_of(rows, m) == want
+            values = [(m >> i) % max(n, 1) for i in range(n)]
+            assert bitset.image(values) == sum(1 << v for v in set(values))
+        assert bitset.spread(members, rows) == tuple(
+            literal_union(members[u] for u in range(n) if rows[u] >> v & 1)
+            for v in range(n)
+        )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(_tables))
+def test_table_kernels_match_the_loops(table):
+    n = len(table)
+    assert bitset.fixpoints(table) == sum(1 << i for i in range(n) if table[i] == i)
+    assert bitset.image(table) == sum(1 << v for v in set(table))
+    assert bitset.preimages(table, n) == [
+        sum(1 << i for i in range(n) if table[i] == v) for v in range(n)
+    ]
+    masks = [m | v for m, v in enumerate(table)]
+    assert bitset.inclusion_rows(masks) == tuple(
+        sum(1 << j for j in range(n) if all(masks[j] >> k & 1 for k in literal_bits(a)))
+        for a in masks
+    )
+
+
+def literal_add_point(col, e, n):
+    return sum(
+        1 << (m | 1 << e)
+        for m in range(1 << n)
+        if col >> m & 1 and not m >> e & 1
+    )
+
+
+def literal_project(col, outside, n):
+    return sum(1 << m for m in range(1 << n) if col >> (m & ~outside) & 1)
+
+
+def literal_subset_unions(table, n):
+    return [
+        literal_union(table[s] for s in range(1 << n) if s & ~m == 0)
+        for m in range(1 << n)
+    ]
+
+
+def test_column_kernels_match_the_loops_on_every_small_column():
+    for n in range(4):
+        has = [literal_has(e, n) for e in range(n)]
+        assert has == [bitset.with_bit(e, 1 << n) for e in range(n)]
+        for col in range(1 << (1 << n)):
+            for e in range(n):
+                assert bitset.add_point(col, e, has) == literal_add_point(col, e, n)
+            for out in range(1 << n):
+                assert bitset.project(col, out, has) == literal_project(col, out, n)
+
+
+@st.composite
+def columns(draw):
+    n = draw(st.integers(0, 6))
+    col = draw(st.integers(0, (1 << (1 << n)) - 1))
+    return n, col, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(columns())
+def test_column_kernels_match_the_loops_on_drawn_columns(case):
+    n, col, outside = case
+    has = [literal_has(e, n) for e in range(n)]
+    for e in range(n):
+        assert bitset.add_point(col, e, has) == literal_add_point(col, e, n)
+    assert bitset.project(col, outside, has) == literal_project(col, outside, n)
+    table = [col >> (m % 64) & ((1 << n) - 1) for m in range(1 << n)]
+    assert bitset.subset_unions(list(table), n) == literal_subset_unions(table, n)
+    assert bitset.bit_columns(table, n) == tuple(
+        sum(1 << m for m in range(1 << n) if table[m] >> j & 1) for j in range(n)
+    )
+
+
+def test_subset_unions_match_the_loop_on_every_small_table():
+    for n in range(3):
+        for code in range(1 << (n << n)):
+            table = [code >> (n * m) & ((1 << n) - 1) for m in range(1 << n)]
+            want = literal_subset_unions(table, n)
+            assert bitset.subset_unions(list(table), n) == want

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import census
 from corpus import random_poset
 from latkit import (
     CapExceeded,
@@ -28,6 +29,7 @@ from latkit import (
 )
 from latkit import fixtures as fx
 from latkit import order
+from latkit.bitset import distributivity_failure, join_irreducibles
 from latkit.errors import InvalidValue, MixedPosets, NotMeetSemilattice
 from latkit.order import (
     FinitePoset,
@@ -35,10 +37,8 @@ from latkit.order import (
     bottom_index,
     covers,
     derived,
-    distributivity_failure,
     greatest_of,
     is_directed_mask,
-    join_irreducibles,
     join_of,
     least_of,
     lower_closure_mask,
@@ -195,6 +195,85 @@ def test_order_queries_report():
     assert rep["lower_closure"].labels == ("0", "a")
     assert not rep["is_lower_set"]
     assert rep["upper_closure"].labels == ("a", "1")
+
+
+def literal_queries(P, m):
+    """order_queries and lattice_queries of mask m, from the definitions:
+    each field a plain scan of P.le, members as index lists."""
+    n = P.n
+    members = [i for i in range(n) if m >> i & 1]
+
+    def le(i, j):
+        return bool(P.le[i] >> j & 1)
+
+    def labels(idx):
+        return tuple(P.elements[i] for i in idx)
+
+    def least(idx):
+        found = [i for i in idx if all(le(i, j) for j in idx)]
+        return P.elements[found[0]] if found else None
+
+    def greatest(idx):
+        found = [i for i in idx if all(le(j, i) for j in idx)]
+        return P.elements[found[0]] if found else None
+
+    def lb_of(x):
+        return [y for y in range(n) if le(y, x)]
+
+    def ub_of(x):
+        return [y for y in range(n) if le(x, y)]
+
+    ub = [u for u in range(n) if all(le(x, u) for x in members)]
+    lb = [v for v in range(n) if all(le(v, x) for x in members)]
+    lower = [y for y in range(n) if any(le(y, x) for x in members)]
+    upper = [y for y in range(n) if any(le(x, y) for x in members)]
+    orders = {
+        "upper_bounds": labels(ub),
+        "lower_bounds": labels(lb),
+        "maximal_elements": labels(
+            x for x in members if not any(y != x and le(x, y) for y in members)
+        ),
+        "minimal_elements": labels(
+            x for x in members if not any(y != x and le(y, x) for y in members)
+        ),
+        "least_element": least(members),
+        "greatest_element": greatest(members),
+        "lower_closure": labels(lower),
+        "upper_closure": labels(upper),
+        "is_lower_set": all(y in members for x in members for y in lb_of(x)),
+        "is_upper_set": all(y in members for x in members for y in ub_of(x)),
+    }
+    lattice = {
+        "join": least(ub),
+        "meet": greatest(lb),
+        "is_directed": bool(members)
+        and all(
+            any(le(a, c) and le(b, c) for c in members)
+            for a in members
+            for b in members
+        ),
+    }
+    return orders, lattice
+
+
+def test_order_and_lattice_queries_match_the_definitions_on_every_census_subset():
+    # every field of both reports, for every subset of every poset of at
+    # most 5 elements up to isomorphism
+    seen = 0
+    for n in range(6):
+        for rows in census.posets(n):
+            P = FinitePoset(tuple(map(str, range(n))), rows)
+            for m in range(P.full_mask + 1):
+                orders, lattice = literal_queries(P, m)
+                got = order_queries(P, Subset(P, m))
+                assert list(got) == list(orders)
+                for key, value in got.items():
+                    if isinstance(value, Subset):
+                        value = value.labels
+                    assert value == orders[key], (rows, m, key)
+                assert lattice_queries(P, Subset(P, m)) == lattice, (rows, m)
+                seen += 1
+    assert seen == 1 + 2 + 2 * 4 + 5 * 8 + 16 * 16 + 63 * 32
 
 
 def test_closures_are_idempotent_and_extensive():

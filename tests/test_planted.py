@@ -1266,10 +1266,10 @@ def test_each_wrong_funnel_condition_breaks_funnel_check(monkeypatch, condition)
 
 def _flip_column_bit(monkeypatch, j, m):
     # the column builder answers the opposite for mask m in column j
-    real = convexity._bit_columns
+    real = convexity.bit_columns
     monkeypatch.setattr(
         convexity,
-        "_bit_columns",
+        "bit_columns",
         lambda table, n: tuple(
             col ^ 1 << m if i == j else col for i, col in enumerate(real(table, n))
         ),

@@ -16,6 +16,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from latkit import fixtures as fx  # noqa: E402
+from latkit.bitset import (  # noqa: E402
+    join_irreducibles,
+    least_closed_above,
+    least_closed_table,
+    upper_sets,
+)
 from latkit.closure import (  # noqa: E402
     ClosureOperator,
     _closure_table,
@@ -62,21 +68,16 @@ from latkit.order import (  # noqa: E402
     directed_tops_avoiding,
     greatest_of,
     image_joins,
-    join_irreducibles,
     join_meet_tables,
     join_of,
-    least_closed_above,
-    least_closed_table,
     least_of,
     meet_closure,
     meet_table,
-    popcount,
     recorded_tables,
     solution_sets,
     subposet,
     subset_tables,
     top_index,
-    upper_sets,
 )
 from latkit.rules import (  # noqa: E402
     ClosureRule,
@@ -220,7 +221,7 @@ def test_carried_closure_tables_match_the_per_mask_route(P):
 @given(meet_semilattices())
 def test_pruned_descent_tables_match_the_nucleus_filter(P):
     leaves = closure_tables(P, meet_table(P))
-    leaves.sort(key=lambda s: (-popcount(s[0]), s[0]))
+    leaves.sort(key=lambda s: (-s[0].bit_count(), s[0]))
     assert [t for _, t in leaves] == reference_nuclei(P)
 
 
@@ -433,8 +434,8 @@ def test_nuclei_of_a_frame_have_one_atom_per_join_irreducible(L):
         [str(i) for i in range(k)],
         [(str(i), str(j)) for i, j in rep["order_pairs"]],
     )
-    assert popcount(join_irreducibles(N.down)) == popcount(irr)
-    assert k == 2 ** popcount(irr)
+    assert join_irreducibles(N.down).bit_count() == irr.bit_count()
+    assert k == 2 ** irr.bit_count()
 
 
 def reference_open_fixpoints(L, a):
