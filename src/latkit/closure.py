@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .bitset import bits, fixpoints, least_closed_above
+from .bitset import fixpoints, least_closed_above
 from .errors import (
     InputError,
     NoLeastElement,
@@ -44,7 +44,6 @@ from .maps import (
     closed_under,
     pointwise_leq,
     pointwise_meet,
-    value_rows,
 )
 from .order import (
     SUBSET_CAP,
@@ -516,27 +515,27 @@ def sccore_bruteforce(
 ) -> ClosureOperator:
     """Greatest Scott-continuous closure operator below gamma: of every
     closure operator on the poset, the Scott-continuous ones below
-    gamma, and the one whose down row among them covers them all.
+    gamma, and the one fixing the intersection of their fixpoints.
 
-    The operators' tables are those the closure-system descent carried;
-    their value rows pick the operators below gamma, and only those
-    tables are tested for Scott continuity.  Only the one picked is
-    built, and checked."""
+    An operator lies below gamma iff it fixes every fixpoint of gamma,
+    so only the carried tables whose masks hold fix gamma are tested
+    for Scott continuity.  Only the one picked is built, checked as the
+    (mask, table) leaf it was carried as."""
     P = gamma.poset
-    tables = _carried_tables(P, cap)[1]
-    rows = value_rows(P, tables)
-    scott = sum(
-        1 << i
-        for i in bits(rows.below(gamma.table))
-        if not directed_join_faults(P, tables[i], cap)
-    )
-    top = rows.greatest(scott)
-    if top is None:
+    fm = gamma.fix_mask
+    scott = {
+        m: t
+        for m, t in zip(*_carried_tables(P, cap))
+        if not fm & ~m and not directed_join_faults(P, t, cap)
+    }
+    least = least_closed_above(P.full_mask, scott, fm)
+    if least not in scott:
         raise TheoremBreach(
             "the Scott-continuous closure operators below the given one "
             "have no greatest member"
         )
-    return checked(ClosureOperator, P, tables[top], "Scott core scan")
+    leaf = [(least, scott[least])]
+    return trusted_operators(ClosureOperator, P, leaf, "Scott core scan")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ keeps a branch only while it preserves the meets it has decided, so
 the cost follows the number of nuclei rather than the number of
 closure systems.  Each nucleus is carried with its fixpoint mask, and
 once trusted_operators has checked that its table fixes exactly that
-mask, the lookups by fixpoint set read the masks as they are.
+mask, the lookups by fixpoint set and the order picks (c <= d iff
+fix d is inside fix c) read the masks as they are.
 
 The nuclei form a frame N(L), checked exactly on pairs of nuclei,
 which carry the laws to every family by induction; distributivity is
@@ -496,10 +497,10 @@ def least_nucleus_above(
 
     Formula route: the pointwise meet of the regular nuclei at those
     fixpoints x of gamma with gamma below the regular nucleus at x.
-    Enumeration route: the nuclei above gamma, read from the value rows
-    of the nuclei, and the one among them whose up row covers them all.
-    Both must agree, and the fixpoint set must match its two known
-    descriptions.
+    Enumeration route: the nuclei above gamma are those whose carried
+    fixpoint masks lie inside fix gamma, and the answer is the one
+    fixing their union.  Both must agree, and the fixpoint set must
+    match its two known descriptions.
     """
     P = require_frame(L, cap)
     same_poset(P, gamma.poset)
@@ -527,8 +528,11 @@ def least_nucleus_above(
     )
     # brute force
     nucs = enumerate_nuclei(L, cap)
-    rows = derived(P, _nuclei_rows)
-    i = rows.least(rows.above(gamma.table))
+    union = 0
+    for m, _ in derived(P, _nuclei_leaves):
+        if not m & ~cmask:
+            union |= m
+    i = derived(P, _nuclei_by_fix).get(union)
     least = None if i is None else nucs[i]
     return agree("least nucleus above", gamma, formula=nu, enumeration=least)
 
@@ -539,17 +543,17 @@ def nuclear_core(
     """Greatest nucleus below a closure operator on a frame.
 
     Formula route: the double-implication nucleus of gamma's image.
-    Enumeration route: the nuclei below gamma, read from the value rows
-    of the nuclei, and the one among them whose down row covers them
-    all.  The answer lies below gamma because the enumeration route
-    picked it from the nuclei below gamma.
+    Enumeration route: the nuclei below gamma are those whose carried
+    fixpoint masks hold fix gamma, and the answer is the one fixing the
+    intersection of those masks, so it lies below gamma.
     """
     P = require_frame(L, cap)
     same_poset(P, gamma.poset)
     nu = nuc_map(L, Subset(P, gamma.image_mask(P.full_mask)), cap)
     nucs = enumerate_nuclei(L, cap)
-    rows = derived(P, _nuclei_rows)
-    i = rows.greatest(rows.below(gamma.table))
+    fixes = (m for m, _ in derived(P, _nuclei_leaves))
+    inter = least_closed_above(P.full_mask, fixes, gamma.fix_mask)
+    i = derived(P, _nuclei_by_fix).get(inter)
     greatest = None if i is None else nucs[i]
     return agree("greatest nucleus below", gamma, formula=nu, enumeration=greatest)
 

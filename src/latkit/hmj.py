@@ -61,6 +61,7 @@ from .order import (
     directed_tops_avoiding,
     image_joins,
     meet_table,
+    pair_meets,
     refine,
     same_poset,
     subposet,
@@ -219,9 +220,9 @@ def fitnuc(L: FinitePoset, S: Subset, cap: Optional[int] = None) -> Nucleus:
     return nucleus_join([opens[i] for i in bits(S.mask)], P, cap)
 
 
-def _open_rows(P: FinitePoset):
-    # the value rows of the open nuclei; cap-free, like _open_nuclei
-    return value_rows(P, [o.table for o in derived(P, _open_nuclei)])
+def _open_fixes(P: FinitePoset) -> tuple[int, ...]:
+    # the fixpoint mask of each open nucleus; cap-free, like _open_nuclei
+    return tuple(o.fix_mask for o in derived(P, _open_nuclei))
 
 
 def _fitted_by_kernel(P: FinitePoset) -> dict[int, Nucleus]:
@@ -236,17 +237,19 @@ def fitting(L: FinitePoset, nu: Nucleus, cap: Optional[int] = None) -> Nucleus:
 
     Every call passes the frame gate and re-verifies the membership
     lemma (the open at a sits below nu exactly when nu sends a to the
-    top), reading the opens below nu from the open nuclei's value rows
-    in n steps.  The fitted nucleus depends on the kernel alone: it is built
+    top), reading the opens below nu from their fixpoint masks in n
+    steps: a closure operator lies below nu iff it fixes every fixpoint
+    of nu.  The fitted nucleus depends on the kernel alone: it is built
     through oneker and fitnuc the first time a kernel is seen and kept
     on the poset, and every call checks that it lies below nu.
     """
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
+    fm, fixes = nu.fix_mask, derived(P, _open_fixes)
     kernel = agree(
         "membership lemma",
         nu,
-        opens_below=derived(P, _open_rows).below(nu.table),
+        opens_below=image(a for a, f in enumerate(fixes) if not fm & ~f),
         kernel=nu.preimage_mask(1 << top_index(P)),
     )
     fitted = derived(P, _fitted_by_kernel)
@@ -338,10 +341,9 @@ def quotient_frame_check(
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
     check_cap("quotient frame check", P.n, cap, SUBSET_CAP)
-    mt = meet_table(P)
     fm = nu.fix_mask
     # meets of fixpoints are fixpoints (inherited from L)
-    if any(not fm >> mt[x][y] & 1 for x in bits(fm) for y in bits(fm)):
+    if pair_meets(meet_table(P), fm) & ~fm:
         raise TheoremBreach("fixpoints of a nucleus are not closed under meets")
     # the fixpoints in the inherited order form a frame
     Q, _ = subposet(P, Subset(P, fm))

@@ -311,16 +311,6 @@ class ValueRows(Value):
         """up[i]: the members at or above member i."""
         return tuple(map(self.above, self.tables))
 
-    def least(self, mask: int) -> Optional[int]:
-        """The member of mask whose up row covers mask, or None."""
-        covering = (i for i in bits(mask) if self.above(self.tables[i]) & mask == mask)
-        return next(covering, None)
-
-    def greatest(self, mask: int) -> Optional[int]:
-        """The member of mask whose down row covers mask, or None."""
-        covering = (i for i in bits(mask) if self.below(self.tables[i]) & mask == mask)
-        return next(covering, None)
-
 
 def value_rows(P: FinitePoset, tables: Sequence[Sequence[int]]) -> ValueRows:
     """The value rows of tables on P, read from them and P's order alone."""

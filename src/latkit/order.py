@@ -116,8 +116,8 @@ class FinitePoset(Value):
     le holds one bitmask per element: bit j of le[i] is set iff element
     i <= element j, so le[i] is the principal upper set of i.  The
     constructor stores both sequences as tuples and validates
-    reflexivity, antisymmetry and transitivity; use build_poset to
-    construct from generating pairs.
+    reflexivity, antisymmetry and transitivity; build_poset builds from
+    generating pairs, checks those once and skips these checks.
     """
 
     elements: tuple[str, ...]
@@ -138,44 +138,38 @@ class FinitePoset(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "le", tuple(self.le))
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
-            seen = set()
-            for lab in self.elements:
-                if lab in seen:
-                    raise DuplicateLabel(f"duplicate element label {lab!r}")
-                seen.add(lab)
-        if len(self.le) != n:
+        elements, le = tuple(self.elements), tuple(self.le)
+        _require_distinct(elements)
+        n = len(elements)
+        if len(le) != n:
             raise InvalidValue("le must have one row mask per element")
         full = (1 << n) - 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "full_mask", full)
-        for i, row in enumerate(self.le):
+        for i, row in enumerate(le):
             if row & ~full:
                 raise InvalidValue("le row refers to elements outside the poset")
             if not row >> i & 1:
-                raise InvalidValue(
-                    f"order must be reflexive; missing {self.elements[i]!r}"
-                )
+                raise InvalidValue(f"order must be reflexive; missing {elements[i]!r}")
         for i in range(n):
-            for j in bits(self.le[i]):
-                if j != i and self.le[j] >> i & 1:
+            for j in bits(le[i]):
+                if j != i and le[j] >> i & 1:
                     raise InvalidValue(
                         f"order not antisymmetric between "
-                        f"{self.elements[i]!r} and {self.elements[j]!r}"
+                        f"{elements[i]!r} and {elements[j]!r}"
                     )
-                if self.le[j] & ~self.le[i]:
+                if le[j] & ~le[i]:
                     raise InvalidValue(
-                        f"order not transitive at "
-                        f"{self.elements[i]!r} <= {self.elements[j]!r}"
+                        f"order not transitive at {elements[i]!r} <= {elements[j]!r}"
                     )
-        object.__setattr__(self, "down", spread([1 << i for i in range(n)], self.le))
-        object.__setattr__(
-            self, "_pos", {lab: i for i, lab in enumerate(self.elements)}
-        )
-        object.__setattr__(self, "_derived", {})
+        self._finish(elements, le)
+
+    def _finish(self, elements: tuple[str, ...], le: tuple[int, ...]):
+        # every field, in the order of _names, from a partial order
+        n = len(elements)
+        down = spread([1 << i for i in range(n)], le)
+        pos = {lab: i for i, lab in enumerate(elements)}
+        for name, v in zip(self._names, (elements, le, n, (1 << n) - 1, down, pos, {})):
+            object.__setattr__(self, name, v)
+        return self
 
     def index(self, label: str) -> int:
         try:
@@ -290,11 +284,7 @@ def build_poset(labels: Sequence[str], pairs: Iterable[Sequence[str]]) -> Finite
     through distinct elements raises CycleDetected.
     """
     labels = tuple(labels)
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabel(f"duplicate element label {lab!r}")
-        seen.add(lab)
+    _require_distinct(labels)
     pos = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     rows = [1 << i for i in range(n)]
@@ -317,7 +307,16 @@ def build_poset(labels: Sequence[str], pairs: Iterable[Sequence[str]]) -> Finite
                 raise CycleDetected(
                     f"cycle through {labels[i]!r} and {labels[j]!r}"
                 )
-    return FinitePoset(labels, tuple(rows))
+    # a reflexive, transitive and acyclic relation: a partial order
+    return object.__new__(FinitePoset)._finish(labels, tuple(rows))
+
+
+def _require_distinct(labels: tuple[str, ...]) -> None:
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            raise DuplicateLabel(f"duplicate element label {lab!r}")
+        seen.add(lab)
 
 
 def derived(P: FinitePoset, build):
@@ -1080,11 +1079,17 @@ def meet_closure(P: FinitePoset, mask: int) -> int:
     if mt is None or top is None:
         raise NotMeetSemilattice(f"{P!r} lacks a top or a pairwise meet")
     mask |= 1 << top
-    while True:
-        grown = mask | image(mt[a][b] for a in bits(mask) for b in bits(mask))
-        if grown == mask:
-            return mask
+    while (grown := pair_meets(mt, mask)) != mask:
         mask = grown
+    return mask
+
+
+def pair_meets(mt: Sequence[Sequence[int]], mask: int) -> int:
+    """The mask of the meets of the pairs of members of mask, each
+    unordered pair read once from the meet table mt; it holds mask,
+    each member being its own meet."""
+    members = tuple(bits(mask))
+    return image(mt[a][b] for i, a in enumerate(members) for b in members[i:])
 
 
 def subposet(P: FinitePoset, X: Subset) -> tuple[FinitePoset, tuple[int, ...]]:

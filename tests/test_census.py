@@ -6,7 +6,9 @@ route returns is also built again by its own constructor, which must
 accept it.  On the frames, the filter/quotient correspondence and the
 least nuclear system are compared with what a finite frame forces:
 the principal filters, and the intersection of the listed nuclear
-systems."""
+systems.  The library's one-query order picks, which read fixpoint
+masks, are compared with the same picks read from the value rows of
+the tables (maps.value_rows)."""
 
 from collections import Counter
 
@@ -37,7 +39,8 @@ from latkit import (
     validate_structure,
 )
 from latkit import fixtures as fx
-from latkit.maps import preserves_binary_meets
+from latkit.hmj import fitting, open_nucleus
+from latkit.maps import is_scott_continuous, preserves_binary_meets, value_rows
 from latkit.order import FinitePoset, Subset, bits, meet_table
 
 
@@ -63,6 +66,45 @@ def _closure_system_masks(P):
         for m in range(P.full_mask + 1)
         if all(has_least(m & up) for up in P.le)
     ]
+
+
+def rows_least(rows, mask):
+    """The member of mask whose up row covers mask, or None."""
+    covering = (i for i in bits(mask) if rows.above(rows.tables[i]) & mask == mask)
+    return next(covering, None)
+
+
+def rows_greatest(rows, mask):
+    """The member of mask whose down row covers mask, or None."""
+    covering = (i for i in bits(mask) if rows.below(rows.tables[i]) & mask == mask)
+    return next(covering, None)
+
+
+def assert_frame_picks_match_the_value_rows(L, gammas):
+    # the least nucleus above and the nuclear core of each gamma, and
+    # the fitting of each nucleus, the join of the opens below it
+    nucs = enumerate_nuclei(L)
+    rows = value_rows(L, [nu.table for nu in nucs])
+    for gamma in gammas:
+        above = rows_least(rows, rows.above(gamma.table))
+        assert least_nucleus_above(L, gamma) == nucs[above]
+        below = rows_greatest(rows, rows.below(gamma.table))
+        assert nuclear_core(L, gamma) == nucs[below]
+    opens = [open_nucleus(L, a) for a in L.elements]
+    open_rows = value_rows(L, [o.table for o in opens])
+    for nu in nucs:
+        fitted = [opens[a] for a in bits(open_rows.below(nu.table))]
+        assert fitting(L, nu) == nucleus_join(fitted, L)
+
+
+def assert_scott_core_matches_the_value_rows(P):
+    # the greatest Scott-continuous operator below each operator
+    ops = enumerate_cl_lattice(P)["closure_operators"]
+    rows = value_rows(P, [op.table for op in ops])
+    scott = sum(1 << i for i, op in enumerate(ops) if is_scott_continuous(op))
+    for gamma in ops:
+        core = rows_greatest(rows, rows.below(gamma.table) & scott)
+        assert sccore_bruteforce(gamma) == ops[core]
 
 
 def test_census_counts_match_oeis():
@@ -128,6 +170,17 @@ def test_frame_routes_on_every_small_frame():
             above = _accepted(least_nucleus_above(L, gamma), Nucleus)
             core = _accepted(nuclear_core(L, gamma), Nucleus)
             assert gamma.leq(above) and core.leq(gamma)
+
+
+def test_order_picks_match_the_value_rows_on_every_input_up_to_6():
+    frames = [_poset(rows) for rows in census.frames(6)]
+    assert len(frames) == 13
+    for L in frames:
+        gammas = enumerate_cl_lattice(L)["closure_operators"]
+        assert_frame_picks_match_the_value_rows(L, gammas)
+    for n in range(1, 7):
+        for rows in census.posets(n):
+            assert_scott_core_matches_the_value_rows(_poset(rows))
 
 
 def test_filter_quotient_routes_on_every_frame_up_to_9():

@@ -968,16 +968,15 @@ def test_open_nucleus_carried_with_another_image_breaks_the_batch_check(
 
 
 def _dropping_rows(real, member, point):
-    # value rows that lose one member at (y, y), y = point(Q): the
-    # member-th table of the family, or the identity when member is None
+    # value rows that lose the member-th table of the family at (y, y),
+    # y = point(Q)
     def planted(Q, tables):
         rows = real(Q, tables)
-        j = rows.tables.index(tuple(range(Q.n))) if member is None else member
         y = point(Q)
 
         def drop(side):
             side = [list(r) for r in side]
-            side[y][y] &= ~(1 << j)
+            side[y][y] &= ~(1 << member)
             return tuple(map(tuple, side))
 
         return maps.ValueRows(
@@ -987,27 +986,36 @@ def _dropping_rows(real, member, point):
     return planted
 
 
-def test_dropped_value_row_member_breaks_least_nucleus_and_core(
-    monkeypatch, b2_files, capsys
+def test_dropped_fixpoint_member_breaks_least_nucleus_and_core(
+    monkeypatch, b2_files, tmp_path, capsys
 ):
-    # the identity is its own least nucleus above and its own nuclear
-    # core; once the value rows of the nuclei lose it at the bottom, the
-    # nuclei above and below the identity miss it
+    # gamma fixes {0, a, 1}: the least nucleus above it fixes {a, 1},
+    # and its nuclear core is the identity.  Once the identity's carried
+    # fixpoint mask loses b, after the descent's check, the masks inside
+    # fix gamma join to {0, a, 1}, and the masks holding it meet there
+    # too, a set no nucleus fixes
     P = fx.b2()
-    gamma = ClosureOperator(identity_map(P))
-    assert least_nucleus_above(P, gamma).table == gamma.table
-    assert nuclear_core(P, gamma).table == gamma.table
-    argv = ["least-nucleus", b2_files["poset"], b2_files["id"]]
+    gamma = ClosureOperator(EndoMap(P, (0, 1, 3, 3)))
+    assert least_nucleus_above(P, gamma).fix.labels == ("a", "1")
+    assert nuclear_core(P, gamma).table == (0, 1, 2, 3)
+    gam = tmp_path / "gam_a.json"
+    gam.write_text(json.dumps({"table": {"0": "0", "a": "a", "b": "1", "1": "1"}}))
+    argv = ["least-nucleus", b2_files["poset"], str(gam)]
     assert main(argv) == 0
-    planted = _dropping_rows(heyting.value_rows, None, order.bottom_index)
-    monkeypatch.setattr(heyting, "value_rows", planted)
+    real = heyting._nuclei_leaves
+    b = 1 << P.index("b")
+
+    def planted(Q):
+        return [(m & ~b if m == Q.full_mask else m, t) for m, t in real(Q)]
+
+    monkeypatch.setattr(heyting, "_nuclei_leaves", planted)
     for route in (least_nucleus_above, nuclear_core):
-        P = fx.b2()
         with pytest.raises(TheoremBreach) as info:
-            route(P, ClosureOperator(identity_map(P)))
+            route(P, gamma)
         assert info.value.routes["enumeration"] is None
+    # a fresh poset carries the mask into the descent's own check
     assert main(argv) == 3
-    capsys.readouterr()
+    assert "nuclei descent" in capsys.readouterr().err
 
 
 def _smuggled(P, table):
@@ -1099,7 +1107,6 @@ def test_dropped_value_row_member_breaks_the_galois_and_order_checks(monkeypatch
     assert list(info.value.routes) == ["nuclei_above_fitnuc", "kernels_holding"]
     monkeypatch.setattr(heyting, "value_rows", real)
     P = fx.b2()
-    order.derived(P, hmj._open_rows)  # the open nuclei's rows stay clean
     monkeypatch.setattr(hmj, "value_rows", _dropping_rows(real, 0, top))
     with pytest.raises(TheoremBreach) as info:
         hmj_correspondence(P)
@@ -1115,19 +1122,24 @@ def _breach_of(what, info, routes):
     assert list(info.value.routes) == routes
 
 
-def test_dropped_open_row_breaks_the_membership_lemma(
+def test_dropped_open_fixpoint_member_breaks_the_membership_lemma(
     monkeypatch, b2_files, capsys
 ):
-    # the open nucleus at 0, the constant top, drops out of the open
-    # nuclei's value rows at the top: it no longer sits below the
-    # constant top, though that sends 0 to the top
+    # the open nucleus at 0, the constant top, fixes only the top; once
+    # its fixpoint mask as fitting reads it loses the top, it no longer
+    # sits below the constant top, though that sends 0 to the top
     P = fx.b2()
     top_nucleus = Nucleus(ClosureOperator(constant_map(P, "1")))
     assert hmj.fitting(P, top_nucleus) == top_nucleus
     argv = ["hmj", b2_files["poset"]]
     assert main(argv) == 0
-    planted = _dropping_rows(hmj.value_rows, 0, order.top_index)
-    monkeypatch.setattr(hmj, "value_rows", planted)
+    real = hmj._open_fixes
+
+    def planted(Q):
+        fixes = real(Q)
+        return (fixes[0] & ~(1 << order.top_index(Q)),) + fixes[1:]
+
+    monkeypatch.setattr(hmj, "_open_fixes", planted)
     P = fx.b2()
     with pytest.raises(TheoremBreach) as info:
         hmj.fitting(P, Nucleus(ClosureOperator(constant_map(P, "1"))))
@@ -1565,6 +1577,64 @@ def test_edited_carried_table_breaks_the_scott_core_scan(monkeypatch):
     _assert_built_breach(
         "Scott core scan", NotPreclosure, lambda: closure.sccore_bruteforce(gamma)
     )
+
+
+def test_mask_carried_with_another_table_breaks_the_scott_core_scan(
+    monkeypatch, b2_files, tmp_path, capsys
+):
+    # the constant top is its own Scott core; carry its mask {1} with
+    # the table of the operator fixing {a, 1}, a closure operator all
+    # the same, and the scan picks the mask {1} with that table
+    P = fx.b2()
+    gamma = ClosureOperator(constant_map(P, "1"))
+    assert closure.sccore_bruteforce(gamma) == gamma
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps({"table": {x: "1" for x in P.elements}}))
+    argv = ["sccore", b2_files["poset"], str(top)]
+    assert main(argv) == 0
+    one, a1 = P.mask_of(["1"]), P.mask_of(["a", "1"])
+    _plant_recorded_tables(
+        monkeypatch,
+        lambda pairs: [(m, dict(pairs)[a1] if m == one else t) for m, t in pairs],
+    )
+    P = fx.b2()
+    with pytest.raises(TheoremBreach) as info:
+        closure.sccore_bruteforce(ClosureOperator(constant_map(P, "1")))
+    assert str(info.value).startswith(
+        "Scott core scan: a carried closure table fixes another set: "
+        "Subset({a, 1}), carried with Subset({1})"
+    )
+    assert main(argv) == 3
+    assert "Scott core scan" in capsys.readouterr().err
+
+
+def test_continuity_fault_on_gamma_moves_the_scott_core_scan(
+    monkeypatch, tmp_path, capsys
+):
+    # on a finite poset every closure operator is Scott continuous, so
+    # gamma is its own Scott core.  Once the scan's continuity test
+    # rejects the constant top of c2, the operators left below it fix
+    # {1} and more, and the greatest is the identity, which the way-below
+    # formula does not give
+    P = fx.c2()
+    gamma = ClosureOperator(constant_map(P, "1"))
+    assert closure.sccore_bruteforce(gamma) == gamma
+    c2 = tmp_path / "c2.json"
+    c2.write_text(json.dumps({"elements": ["0", "1"], "le": [["0", "1"]]}))
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps({"table": {"0": "1", "1": "1"}}))
+    argv = ["sccore", str(c2), str(top)]
+    assert main(argv) == 0
+    real = closure.directed_join_faults
+    monkeypatch.setattr(
+        closure,
+        "directed_join_faults",
+        lambda Q, t, cap=None: 1 if tuple(t) == (1, 1) else real(Q, t, cap),
+    )
+    assert closure.sccore_bruteforce(gamma) == ClosureOperator(identity_map(P))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "way_below_formula=" in err and "candidate_scan=" in err
 
 
 def test_wrong_meet_table_breaks_the_pointwise_nucleus_meet(monkeypatch):

@@ -38,7 +38,7 @@ from latkit.convexity import (  # noqa: E402
     funnel_check,
     rule_closure_operator,
 )
-from latkit.errors import InputError  # noqa: E402
+from latkit.errors import CycleDetected, InputError  # noqa: E402
 from latkit.heyting import (  # noqa: E402
     Nucleus,
     _adjunction_failure,
@@ -73,6 +73,7 @@ from latkit.order import (  # noqa: E402
     least_of,
     meet_closure,
     meet_table,
+    pair_meets,
     recorded_tables,
     solution_sets,
     subposet,
@@ -101,6 +102,12 @@ from test_enumerations import (  # noqa: E402
     reference_nuclei,
     reference_scott_continuous,
     reference_scott_faults,
+)
+from test_census import (  # noqa: E402
+    assert_frame_picks_match_the_value_rows,
+    assert_scott_core_matches_the_value_rows,
+    rows_greatest,
+    rows_least,
 )
 from test_convexity import order_rows, reference_relation_search  # noqa: E402
 from test_order import (  # noqa: E402
@@ -480,8 +487,11 @@ def lattices(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(lattices())
 def test_meet_closure_is_the_least_closure_system_on_a_lattice(P):
+    mt = meet_table(P)
     for m in range(P.full_mask + 1):
         assert meet_closure(P, m) == clsys(Subset(P, m)).mask
+        meets = {mt[a][b] for a in bits(m) for b in bits(m)}
+        assert pair_meets(mt, m) == sum(1 << v for v in meets)
 
 
 def reference_join_meet_tables(P):
@@ -619,10 +629,69 @@ def test_value_rows_match_the_pointwise_scans(case):
     N = FinitePoset(tuple(map(str, range(len(maps)))), up)
     assert N.down == down
     for mask in masks + [below, above, N.full_mask, *up, *down]:
-        assert rows.least(mask) == least_of(N, mask)
-        assert rows.greatest(mask) == greatest_of(N, mask)
+        assert rows_least(rows, mask) == least_of(N, mask)
+        assert rows_greatest(rows, mask) == greatest_of(N, mask)
     assert covers(rows.up_rows()) == reference_covers(N)
     assert covers(P.le) == reference_covers(P)
+
+
+@st.composite
+def frames_with_operators(draw):
+    # a frame and closure operators on it: on a finite lattice the
+    # closure systems are the meet-closed sets holding the top
+    L = draw(frames(max_n=10))
+    masks = draw(st.lists(st.integers(0, L.full_mask), min_size=1, max_size=4))
+    return L, [duality(Subset(L, meet_closure(L, m))) for m in masks]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(frames_with_operators())
+def test_order_picks_match_the_value_rows_on_frames(case):
+    assert_frame_picks_match_the_value_rows(*case)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(posets(max_n=7))
+def test_scott_core_scan_matches_the_value_rows(P):
+    assert_scott_core_matches_the_value_rows(P)
+
+
+@st.composite
+def labelled_pairs(draw, max_n=7):
+    # labels in a drawn order and order pairs between them, cycles and
+    # loops allowed
+    n = draw(st.integers(0, max_n))
+    labels = draw(st.permutations([f"e{i}" for i in range(n)]))
+    index = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    return labels, [(labels[a], labels[b]) for a, b in pairs]
+
+
+def reference_closure_rows(labels, pairs):
+    """The up rows of the reflexive transitive closure of the pairs."""
+    rel = {(a, a) for a in labels} | set(pairs)
+    while True:
+        grown = rel | {(a, d) for a, b in rel for c, d in rel if b == c}
+        if grown == rel:
+            break
+        rel = grown
+    return [sum(1 << j for j, b in enumerate(labels) if (a, b) in rel) for a in labels]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(labelled_pairs())
+def test_build_poset_matches_the_checked_constructor(case):
+    labels, pairs = case
+    rows = reference_closure_rows(labels, pairs)
+    if any(rows[j] >> i & 1 for i, row in enumerate(rows) for j in bits(row) if j != i):
+        with pytest.raises(CycleDetected):
+            build_poset(labels, pairs)
+        return
+    built, checked = build_poset(labels, pairs), FinitePoset(labels, rows)
+    for name in FinitePoset._names:
+        assert getattr(built, name) == getattr(checked, name)
+    assert type(built.elements) is type(built.le) is tuple
+    assert built == checked and hash(built) == hash(checked)
 
 
 @st.composite
