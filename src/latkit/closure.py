@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .bitset import fixpoints, least_closed_above
+from .bitset import bits, fixpoints, least_closed_above
 from .errors import (
     InputError,
     NoLeastElement,
@@ -60,6 +60,7 @@ from .order import (
     is_default_enabled_within,
     join_of,
     least_of,
+    meet_table,
     recorded_tables,
     refine,
     same_poset,
@@ -76,6 +77,10 @@ class ClosureOperator(EndoMap):
     ClosureOperator(f) takes any EndoMap f and checks these laws, unless
     f is a ClosureOperator already.
     """
+
+    # a refinement whose laws include binary meets (Nucleus) sets this,
+    # and trusted_operators then checks its tables on P's meet table
+    preserves_meets = False
 
     def __init__(self, f: EndoMap):
         refine(self, f)
@@ -195,15 +200,16 @@ def _carried_tables(P: FinitePoset, cap: Optional[int]):
     return closure_system_masks(P, cap), derived(P, _closure_system_tables)
 
 
-def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tuple:
+def trusted_operators(cls, P: FinitePoset, leaves, route: str) -> tuple:
     """The cls values (ClosureOperator or a refinement) with the tables
     of these (fixpoint mask, table) leaves that route built, their laws
-    decided in one pass of maps.closure_table_fault, given P's meet
-    table for nuclei, and then built with order.trusted.  A rejected
+    decided in one pass of maps.closure_table_fault, on P's meet table
+    when cls preserves meets, and then built with order.trusted.  A rejected
     table goes to cls inside produced(route), so the law it breaks is
     named in a breach of route; one that cls accepts fixes a set other
     than its mask, a breach of route too."""
     leaves = list(leaves)
+    meets = meet_table(P) if cls.preserves_meets else None
     bad = closure_table_fault(P, leaves, meets)
     if bad is not None:
         mask, table = leaves[bad]
@@ -216,10 +222,10 @@ def trusted_operators(cls, P: FinitePoset, leaves, route: str, meets=None) -> tu
     return tuple(trusted(cls, poset=P, table=t) for _, t in leaves)
 
 
-def checked(cls, P: FinitePoset, table: tuple, route: str, meets=None):
+def checked(cls, P: FinitePoset, table: tuple, route: str):
     """The cls value with this table that route built: one leaf of
     trusted_operators, carried with the table's own fixpoints."""
-    return trusted_operators(cls, P, [(fixpoints(table), table)], route, meets)[0]
+    return trusted_operators(cls, P, [(fixpoints(table), table)], route)[0]
 
 
 def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
@@ -545,8 +551,9 @@ def sccore_bruteforce(
 def tarski(f: EndoMap, x: Optional[str] = None) -> str:
     """Least fixpoint of an increasing map at or above x.
 
-    Restricts f to the subposet of elements below their image, where it
-    is a preclosure map, and applies the generated closure operator to
+    Restricts f to the subposet A of elements below their image, which
+    f maps into A and where it is a preclosure map (both theorems, so a
+    failure is a breach), and applies the generated closure operator to
     x.  When x is omitted the poset's bottom is used.  The answer is
     independently cross-checked against a scan of all fixpoints.
     """
@@ -572,10 +579,18 @@ def tarski(f: EndoMap, x: Optional[str] = None) -> str:
             f"start point {P.label(xi)!r} is not below its image "
             f"{P.label(f.table[xi])!r}",
         )
+    # x <= f(x) gives f(x) <= f(f(x)) for increasing f: f maps A into A
+    for o in bits(amask):
+        if not amask >> f.table[o] & 1:
+            raise TheoremBreach(
+                f"Tarski restriction: {P.label(o)!r} is below its image "
+                f"{P.label(f.table[o])!r}, which is not below its own"
+            )
     Q, old = subposet(P, Subset(P, amask))
     back = {o: k for k, o in enumerate(old)}
     ftable = tuple(back[f.table[o]] for o in old)
-    cl = generate_closure([EndoMap(Q, ftable)], Q)
+    with produced("Tarski restriction"):
+        cl = generate_closure([EndoMap(Q, ftable)], Q)
     scan = least_of(P, f.fix_mask & P.le[xi])
     return agree(
         "least fixpoint",

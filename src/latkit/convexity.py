@@ -43,7 +43,7 @@ from .bitset import (
     upper_sets,
     with_bit,
 )
-from .errors import InputError, NotAPreorder, TheoremBreach, agree
+from .errors import InputError, NotAPreorder, TheoremBreach, agree, produced
 from .closure import closure_system_masks, directed_closed_systems
 from .order import SUBSET_CAP, FinitePoset, Subset, Value, check_cap, derived, same_poset
 from .rules import RuleSet, obeying_masks
@@ -169,16 +169,22 @@ class PowersetOperator(Value):
         return [m for m, c in enumerate(self.table) if c == m]
 
 
+def _built(P: FinitePoset, kind: str, table: Sequence[int], route: str):
+    # a table the library computed: a law it breaks is a breach of route
+    with produced(route):
+        return PowersetOperator(P, kind, table)
+
+
 def clsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
     """Least-closure-system operator as a powerset closure operator."""
     table = least_closed_table(P.full_mask, closure_system_masks(P, cap))
-    return PowersetOperator(P, "clsys", table)
+    return _built(P, "clsys", table, "least closure systems")
 
 
 def dcclsys_operator(P: FinitePoset, cap: Optional[int] = None) -> PowersetOperator:
     """Least directed-closed closure system, as a powerset operator."""
     table = least_closed_table(P.full_mask, directed_closed_systems(P, cap))
-    return PowersetOperator(P, "dcclsys", table)
+    return _built(P, "dcclsys", table, "least directed-closed systems")
 
 
 def rule_closure_operator(R: RuleSet, cap: Optional[int] = None) -> PowersetOperator:
@@ -187,7 +193,7 @@ def rule_closure_operator(R: RuleSet, cap: Optional[int] = None) -> PowersetOper
     P = R.poset
     check_cap("rule powerset operator", P.n, cap, SUBSET_CAP)
     table = least_closed_table(P.full_mask, obeying_masks(R, cap))
-    return PowersetOperator(P, "rules", table)
+    return _built(P, "rules", table, "obeying sets of a rule set")
 
 
 def table_operator(

@@ -301,6 +301,8 @@ class Nucleus(ClosureOperator):
     ClosureOperator or Nucleus already.
     """
 
+    preserves_meets = True
+
     def __post_init__(self):
         if meet_table(self.poset) is None:
             raise NotMeetSemilattice("nuclei need pairwise meets")
@@ -322,7 +324,7 @@ def nucleus_meet(a: Nucleus, b: Nucleus) -> Nucleus:
     if mt is None:
         raise NotMeetSemilattice("nucleus meet needs pairwise meets")
     table = tuple(mt[x][y] for x, y in zip(a.table, b.table))
-    return checked(Nucleus, P, table, "pointwise nucleus meet", mt)
+    return checked(Nucleus, P, table, "pointwise nucleus meet")
 
 
 def fix_of_meet_check(a: Nucleus, b: Nucleus) -> bool:
@@ -355,7 +357,7 @@ def nucleus_join(
         if not isinstance(g, Nucleus) and not is_prenucleus(g):
             raise NotPrenucleus(f"{g!r} is not a prenucleus")
     gen = generate_closure(Gamma, P)
-    return checked(Nucleus, P, gen.table, "generated join of prenuclei", meet_table(P))
+    return checked(Nucleus, P, gen.table, "generated join of prenuclei")
 
 
 def _nuclei_leaves(P: FinitePoset) -> list[tuple[int, tuple[int, ...]]]:
@@ -369,7 +371,7 @@ def _nuclei_leaves(P: FinitePoset) -> list[tuple[int, tuple[int, ...]]]:
 def _nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     # cap-free; every caller has passed a meet check and a cap gate
     leaves = derived(P, _nuclei_leaves)
-    return trusted_operators(Nucleus, P, leaves, "nuclei descent", meet_table(P))
+    return trusted_operators(Nucleus, P, leaves, "nuclei descent")
 
 
 def _nuclei_by_fix(P: FinitePoset) -> dict[int, int]:
@@ -455,7 +457,7 @@ def _double_implication(P: FinitePoset, xs: int, route: str) -> Nucleus:
                 f"{route}: the meet at {P.label(y)!r} does not exist"
             )
         table.append(v)
-    return checked(Nucleus, P, tuple(table), route, meet_table(P))
+    return checked(Nucleus, P, tuple(table), route)
 
 
 def nuc_map(L: FinitePoset, X: Subset, cap: Optional[int] = None) -> Nucleus:

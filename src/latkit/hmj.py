@@ -162,7 +162,7 @@ def _open_nuclei(P: FinitePoset) -> tuple[Nucleus, ...]:
     # each row a nucleus fixing exactly that image
     imp = derived(P, _imp_table)
     images = map(image, imp)
-    return trusted_operators(Nucleus, P, zip(images, imp), "open nuclei", meet_table(P))
+    return trusted_operators(Nucleus, P, zip(images, imp), "open nuclei")
 
 
 def open_nucleus(L: FinitePoset, a: str, cap: Optional[int] = None) -> Nucleus:

@@ -1096,10 +1096,12 @@ def subposet(P: FinitePoset, X: Subset) -> tuple[FinitePoset, tuple[int, ...]]:
     """Induced subposet on X, plus the new-index -> old-index table.
 
     Labels are kept, so elements can be matched up by name as well.
+    The restriction of P's checked order is an order, so it is built
+    through FinitePoset._finish with no second check.
     """
     same_poset(P, X.poset)
     old = tuple(bits(X.mask))
     labels = tuple(P.elements[i] for i in old)
     back = {o: k for k, o in enumerate(old)}
-    rows = [image(back[j] for j in bits(P.le[o] & X.mask)) for o in old]
-    return FinitePoset(labels, tuple(rows)), old
+    rows = tuple(image(back[j] for j in bits(P.le[o] & X.mask)) for o in old)
+    return object.__new__(FinitePoset)._finish(labels, rows), old

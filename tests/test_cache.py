@@ -68,10 +68,10 @@ def test_second_enumeration_builds_no_nucleus(monkeypatch):
     inits = []
     real = heyting.trusted_operators
 
-    def counting(cls, Q, leaves, route, meets=None):
+    def counting(cls, Q, leaves, route):
         leaves = list(leaves)
         inits.extend(leaves)
-        return real(cls, Q, leaves, route, meets)
+        return real(cls, Q, leaves, route)
 
     monkeypatch.setattr(heyting, "trusted_operators", counting)
     second = enumerate_nuclei(P)

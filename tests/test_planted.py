@@ -929,8 +929,8 @@ def test_identity_open_nuclei_break_the_membership_lemma(
     monkeypatch.setattr(
         hmj,
         "trusted_operators",
-        lambda cls, Q, rows, route, meets: real(
-            cls, Q, [(Q.full_mask, tuple(range(Q.n))) for _ in rows], route, meets
+        lambda cls, Q, rows, route: real(
+            cls, Q, [(Q.full_mask, tuple(range(Q.n))) for _ in rows], route
         ),
     )
     assert hmj.open_nucleus(fx.b2(), "a").fix.labels == ("0", "a", "b", "1")
@@ -951,11 +951,11 @@ def test_open_nucleus_carried_with_another_image_breaks_the_batch_check(
     assert main(argv) == 0
     real = hmj.trusted_operators
 
-    def planted(cls, Q, leaves, route, meets):
+    def planted(cls, Q, leaves, route):
         leaves = list(leaves)
         a = Q.index("a")
         leaves[a] = (Q.full_mask, leaves[a][1])
-        return real(cls, Q, leaves, route, meets)
+        return real(cls, Q, leaves, route)
 
     monkeypatch.setattr(hmj, "trusted_operators", planted)
     with pytest.raises(TheoremBreach) as info:
@@ -1768,3 +1768,94 @@ def test_identity_meet_breaks_the_fixpoints_of_a_nucleus_meet(monkeypatch):
     ) as info:
         heyting.fix_of_meet_check(top, nu)
     assert info.value.routes["meets_of_fixpoints"].labels == ("a", "1")
+
+
+
+def _chain_file(tmp_path, n):
+    labels = [str(i) for i in range(n)]
+    p = tmp_path / f"c{n}.json"
+    p.write_text(json.dumps({"elements": labels, "le": list(zip(labels, labels[1:]))}))
+    return str(p)
+
+
+def _closing_empty_to_bottom(real):
+    # the least closed set above the empty set answered as {0}, which no
+    # closure system on the chain holds: the image of {} is not closed
+    def planted(full, masks):
+        return (0b1,) + tuple(real(full, masks))[1:]
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "build, route",
+    [
+        (convexity.clsys_operator, "least closure systems"),
+        (convexity.dcclsys_operator, "least directed-closed systems"),
+        (
+            lambda P: convexity.rule_closure_operator(rules.default_rules(P)),
+            "obeying sets of a rule set",
+        ),
+    ],
+)
+def test_wrong_least_closed_table_breaks_the_powerset_operators(
+    monkeypatch, build, route
+):
+    # a powerset operator the library built that breaks a closure law is
+    # a breach of its route, not bad input
+    P = fx.c2()
+    assert build(P).table == (2, 3, 2, 3)
+    real = convexity.least_closed_table
+    monkeypatch.setattr(convexity, "least_closed_table", _closing_empty_to_bottom(real))
+    _assert_built_breach(route, InputError, lambda: build(P))
+    with pytest.raises(TheoremBreach, match="not idempotent at {}"):
+        build(P)
+
+
+@pytest.mark.parametrize("which", ["clsys", "dcclsys"])
+def test_wrong_least_closed_table_makes_convexity_exit_3(
+    monkeypatch, tmp_path, capsys, which
+):
+    argv = ["convexity", _chain_file(tmp_path, 2), "--operator", which]
+    assert main(argv) == 0
+    real = convexity.least_closed_table
+    monkeypatch.setattr(convexity, "least_closed_table", _closing_empty_to_bottom(real))
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "built a result its own class rejects" in capsys.readouterr().err
+
+
+def test_increasing_check_letting_a_swap_through_breaks_tarski(
+    monkeypatch, tmp_path, capsys
+):
+    # f = (1, 0, 2) on the chain is not increasing; a check that lets it
+    # through leaves A = {0, 2}, the elements below their image, through
+    # f(0) = 1, which the theorem says cannot happen
+    P = fx.c3()
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"table": {"0": "1", "1": "0", "2": "2"}}))
+    argv = ["tarski", _chain_file(tmp_path, 3), str(path)]
+    assert main(argv) == 1
+    monkeypatch.setattr(closure, "is_increasing", lambda f: True)
+    with pytest.raises(
+        TheoremBreach, match="^Tarski restriction: '0' is below its image '1'"
+    ):
+        closure.tarski(EndoMap(P, (1, 0, 2)))
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "Tarski restriction" in capsys.readouterr().err
+
+
+def test_increasing_check_letting_a_drop_through_breaks_the_tarski_restriction(
+    monkeypatch,
+):
+    # f = (2, 1, 2) keeps every element below its image, so A is the
+    # whole chain, but 0 <= 1 and f(0) = 2 > f(1): the restriction is
+    # not a preclosure map, and generation rejects it
+    P = fx.c3()
+    monkeypatch.setattr(closure, "is_increasing", lambda f: True)
+    _assert_built_breach(
+        "Tarski restriction",
+        NotPreclosure,
+        lambda: closure.tarski(EndoMap(P, (2, 1, 2))),
+    )

@@ -192,7 +192,18 @@ def test_bits_of_wide_masks_match_the_low_bit_loop(mask):
 def test_posets_store_their_size_and_full_mask(P, keep):
     assert_stored_size(P)
     assert_stored_size(FinitePoset(P.elements, P.le))
-    assert_stored_size(subposet(P, Subset(P, keep & P.full_mask))[0])
+    Q, old = subposet(P, Subset(P, keep & P.full_mask))
+    assert_stored_size(Q)
+    # the subposet is built with no check: every field equals that of the
+    # checked constructor on the restricted labels and order
+    labels = tuple(P.elements[i] for i in old)
+    rows = tuple(
+        sum(1 << k for k, b in enumerate(labels) if P.leq_labels(a, b)) for a in labels
+    )
+    R = FinitePoset(labels, rows)
+    assert [getattr(Q, f) for f in FinitePoset._names] == [
+        getattr(R, f) for f in FinitePoset._names
+    ]
     again = build_poset(
         P.elements,
         [(a, b) for a in P.elements for b in P.elements if P.leq_labels(a, b)],
