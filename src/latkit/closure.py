@@ -579,22 +579,26 @@ def tarski(f: EndoMap, x: Optional[str] = None) -> str:
             f"start point {P.label(xi)!r} is not below its image "
             f"{P.label(f.table[xi])!r}",
         )
-    # x <= f(x) gives f(x) <= f(f(x)) for increasing f: f maps A into A
+    # x <= f(x) gives f(x) <= f(f(x)) for increasing f: f maps A into A.
+    # The restriction numbers each v in A by the members of A before it
+    def back(v):
+        return (amask & ((1 << v) - 1)).bit_count()
+
+    ftable = []
     for o in bits(amask):
         if not amask >> f.table[o] & 1:
             raise TheoremBreach(
                 f"Tarski restriction: {P.label(o)!r} is below its image "
                 f"{P.label(f.table[o])!r}, which is not below its own"
             )
+        ftable.append(back(f.table[o]))
     Q, old = subposet(P, Subset(P, amask))
-    back = {o: k for k, o in enumerate(old)}
-    ftable = tuple(back[f.table[o]] for o in old)
     with produced("Tarski restriction"):
-        cl = generate_closure([EndoMap(Q, ftable)], Q)
+        cl = generate_closure([EndoMap(Q, tuple(ftable))], Q)
     scan = least_of(P, f.fix_mask & P.le[xi])
     return agree(
         "least fixpoint",
         (f, P.label(xi)),
-        restriction=P.label(old[cl(back[xi])]),
+        restriction=P.label(old[cl(back(xi))]),
         scan=None if scan is None else P.label(scan),
     )

@@ -348,7 +348,7 @@ def test_convexity_command(files, capsys):
 
 
 def test_convexity_command_checks_the_funnel_once(files, capsys, monkeypatch):
-    import latkit.cli
+    import latkit.commands
     import latkit.convexity
 
     calls = []
@@ -360,7 +360,7 @@ def test_convexity_command_checks_the_funnel_once(files, capsys, monkeypatch):
 
     monkeypatch.setattr(latkit.convexity, "funnel_check", counted)
     # a direct call from the command counts as well
-    monkeypatch.setattr(latkit.cli, "funnel_check", counted, raising=False)
+    monkeypatch.setattr(latkit.commands, "funnel_check", counted, raising=False)
     for argv in (
         ["convexity", files["c3"]],
         ["convexity", files["b2"], "--operator", "dcclsys"],
@@ -409,6 +409,7 @@ def test_sccore_rejects_non_closure(files, capsys):
 
 def test_closure_map_file_is_checked_once(files, monkeypatch, capsys):
     import latkit.cli
+    import latkit.commands
     import latkit.maps
 
     real = latkit.maps.is_ascending
@@ -420,7 +421,7 @@ def test_closure_map_file_is_checked_once(files, monkeypatch, capsys):
 
     monkeypatch.setattr(latkit.maps, "is_ascending", counting)
     P = latkit.cli.load_poset(files["b2"])
-    name, gamma = latkit.cli._closure_from_file(P, files["gam"])
+    name, gamma = latkit.commands._closure_from_file(P, files["gam"])
     assert name == "gam" and len(calls) == 1
     rc, _, err = run(capsys, ["least-nucleus", files["c3"], files["step"]])
     assert rc == 1
@@ -838,7 +839,8 @@ def test_requests_import_no_module(files, tmp_path):
     src = str(pathlib.Path(latkit.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", child, json.dumps([requests, ["--help"]])],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stderr.splitlines()[-1]) == [[], True]
@@ -906,7 +908,7 @@ def test_stdout_that_cannot_be_written_is_one_line(files):
         done = subprocess.run(
             [sys.executable, "-m", "latkit.cli", "validate", files["c3"]],
             stdout=full, stderr=subprocess.PIPE, text=True,
-            env={"PYTHONPATH": src}, timeout=60,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60,
         )
     assert done.returncode == 1
     assert done.stderr == "input error: <stdout>: No space left on device\n"

@@ -180,8 +180,8 @@ RULES = (
         "Subset tables are built by doubling",
         """the join and meet of every subset, and the join of every
         subset's image, are 2^n byte tables built by doubling, one
-        bytes.translate per element (order.join_meet_tables and
-        order.image_joins); a lookup per subset, or an image mask per
+        bytes.translate per element (poset.join_meet_tables and
+        poset.image_joins); a lookup per subset, or an image mask per
         subset, would pay n 2^n Python-level steps again""",
         (
             Probe(
@@ -193,11 +193,11 @@ RULES = (
     Rule(
         "Frame joins and meets are read from the subset tables",
         """a frame's joins and meets are two 2^n byte tables, kept with the
-        binary-join columns of image_joins (order.subset_tables): the frame
+        binary-join columns of image_joins (poset.subset_tables): the frame
         check, the quotient check, the implication table and the
         double-implication nucleus all read them.  A join_of or meet_of
         scan per solution set or value set in heyting.py, or a
-        join_meet_tables call outside order.py, would scan or build them
+        join_meet_tables call outside poset.py, would scan or build them
         again""",
         (
             Probe(
@@ -208,7 +208,7 @@ RULES = (
             Probe(
                 r"join_meet_tables\(",
                 "join, meet = join_meet_tables(P)",
-                exempt=("order.py",),
+                exempt=("poset.py",),
             ),
         ),
     ),
@@ -255,6 +255,22 @@ RULES = (
         ),
     ),
     Rule(
+        "The poset layer imports nothing above it",
+        """latkit.poset holds the value base, the two value classes and the
+        tables read from them, and latkit.order builds on it and re-exports
+        it; an import of order, or of any module but the bit kernels and
+        the errors, there would be a cycle, and the layer would no longer
+        load alone""",
+        (
+            Probe(
+                r"^\s*(from\s+(\.|latkit\.)(?!(bitset|errors)\b)"
+                r"|import\s+([^#]*,\s*)?latkit\b)",
+                "from .order import SUBSET_CAP",
+                files=("poset.py",),
+            ),
+        ),
+    ),
+    Rule(
         "Requests are parsed by latkit, not by click's parser",
         """latkit.cli.main reads argv over its declaration table and runs
         the command; click builds a Context only for a help page or an
@@ -264,7 +280,7 @@ RULES = (
             Probe(
                 r"\.main\(args=|make_context\(",
                 "return group.main(args=argv, standalone_mode=False)",
-                files=("cli.py",),
+                files=("cli.py", "commands.py", "loaders.py"),
             ),
         ),
     ),
@@ -314,7 +330,7 @@ RULES = (
     ),
     Rule(
         "The library keeps no module-level cache",
-        """per-poset data lives in the poset's own cache (order.derived),
+        """per-poset data lives in the poset's own cache (poset.derived),
         and per-class data in what each value class already holds (its
         field names); a dict assigned at module level would be a second
         cache that outlives the values it was filled for""",
@@ -327,7 +343,7 @@ RULES = (
     ),
     Rule(
         "The library imports no dataclasses",
-        """the value classes share one immutable base (order.Value) with
+        """the value classes share one immutable base (poset.Value) with
         their own constructors; dataclasses would load inspect, ast and dis
         into every process that imports latkit and exec the generated
         methods of each class on import""",
@@ -350,7 +366,7 @@ RULES = (
             Probe(
                 r"R\.rules|r\.body|head_label",
                 "rows = [(r.body.labels, r.head_label) for r in R.rules]",
-                files=("cli.py",),
+                files=("cli.py", "commands.py", "loaders.py"),
             ),
             Probe(r"ClosureRule\((P|poset)\b", "ClosureRule(P, body, head)"),
         ),

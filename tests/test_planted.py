@@ -13,7 +13,7 @@ import json
 import pytest
 
 from latkit import fixtures as fx
-from latkit import cli, closure, convexity, heyting, hmj, maps, order, rules
+from latkit import closure, commands, convexity, heyting, hmj, maps, order, rules
 from latkit.cli import main
 from latkit.closure import ClosureOperator, clsys
 from latkit.errors import (
@@ -542,7 +542,7 @@ def test_wrong_iteration_route_breaks_generate(monkeypatch, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     monkeypatch.setattr(
-        cli, "kleene_generate", lambda G, Q: ClosureOperator(identity_map(Q))
+        commands, "kleene_generate", lambda G, Q: ClosureOperator(identity_map(Q))
     )
     assert main(argv) == 3
     err = capsys.readouterr().err
@@ -750,7 +750,7 @@ def test_wrong_scan_route_breaks_sccore(monkeypatch, b2_files, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     monkeypatch.setattr(
-        cli,
+        commands,
         "sccore_bruteforce",
         lambda gamma, cap=None: ClosureOperator(identity_map(gamma.poset)),
     )
@@ -1363,7 +1363,7 @@ def test_extra_pull_in_pair_breaks_the_antisymmetric_funnel(
         _pull_bottom_into_top(op)
         return rep
 
-    monkeypatch.setattr(cli, "convexity_checks", planted)
+    monkeypatch.setattr(commands, "convexity_checks", planted)
     assert main(argv) == 3
     assert "admitted a new point" in capsys.readouterr().err
 
