@@ -52,6 +52,7 @@ from .order import (
     bottom_index,
     check_cap,
     closure_masks,
+    closure_tables,
     derived,
     directed_join_faults,
     directed_tops_avoiding,
@@ -61,7 +62,6 @@ from .order import (
     join_of,
     least_of,
     meet_table,
-    recorded_tables,
     refine,
     same_poset,
     subposet,
@@ -170,34 +170,31 @@ def duality_inv(gamma: ClosureOperator) -> ClosureSystem:
     return trusted(ClosureSystem, gamma.fix, _table=gamma.table)
 
 
-def _closure_systems(P: FinitePoset) -> tuple[tuple[int, ...], tuple]:
-    # every closure system's mask, in mask order, and the record of the
-    # descent that listed them; cap-free
-    masks, record = closure_masks(P)
-    return tuple(sorted(masks)), record
-
-
-def _closure_system_tables(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    # the tables of the closure systems, aligned with their masks in
-    # mask order, built from the descent's record; cap-free
-    masks, record = derived(P, _closure_systems)
-    by_mask = dict(recorded_tables(P, record))
-    return tuple(by_mask[m] for m in masks)
+def _closure_systems(P: FinitePoset) -> tuple[int, ...]:
+    # every closure system's mask, in mask order; cap-free
+    return tuple(sorted(closure_masks(P)))
 
 
 def closure_system_masks(P: FinitePoset, cap: Optional[int] = None) -> tuple[int, ...]:
     """Every closure system, as a mask, in mask order, read from the one
     top-down descent (order.closure_masks): the cost follows the number
-    of systems, not 2^n, and no table is built.  The descent's record is
-    kept, and enumerate_cl_lattice and sccore_bruteforce build the
-    tables from it (_carried_tables)."""
+    of systems, not 2^n, and no table is built.  enumerate_cl_lattice
+    and sccore_bruteforce, which read the tables, run the descent that
+    carries them (_carried_tables) instead."""
     check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
-    return derived(P, _closure_systems)[0]
+    return derived(P, _closure_systems)
+
+
+def _closure_system_leaves(P: FinitePoset) -> list[tuple[int, tuple[int, ...]]]:
+    # the carrying descent's (fixpoint mask, table) leaves, in mask
+    # order (the masks are distinct); cap-free
+    return sorted(closure_tables(P))
 
 
 def _carried_tables(P: FinitePoset, cap: Optional[int]):
-    # the closure systems' masks and their tables, aligned, in mask order
-    return closure_system_masks(P, cap), derived(P, _closure_system_tables)
+    # every closure system's (mask, table) leaf, in mask order
+    check_cap("closure-system enumeration", P.n, cap, SUBSET_CAP)
+    return derived(P, _closure_system_leaves)
 
 
 def trusted_operators(cls, P: FinitePoset, leaves, route: str) -> tuple:
@@ -232,17 +229,17 @@ def enumerate_cl_lattice(P: FinitePoset, cap: Optional[int] = None) -> dict:
     """Every closure system and its operator, in mask order.
 
     The two lists are aligned: operators[i] has fixpoint set systems[i].
-    The carried tables are checked in one pass to be the closure
+    The tables are carried with their masks by the one top-down descent
+    (order.closure_tables) and checked in one pass to be the closure
     operators fixing exactly their carried masks, so each system is its
     carried mask, built trusted, and keeps its operator's table.
     """
-    masks, tables = _carried_tables(P, cap)
+    leaves = _carried_tables(P, cap)
     route = "closure-system enumeration"
-    ops = trusted_operators(ClosureOperator, P, zip(masks, tables), route)
+    ops = trusted_operators(ClosureOperator, P, leaves, route)
     return {
         "closure_systems": [
-            trusted(ClosureSystem, poset=P, mask=m, _table=t)
-            for m, t in zip(masks, tables)
+            trusted(ClosureSystem, poset=P, mask=m, _table=t) for m, t in leaves
         ],
         "closure_operators": list(ops),
     }
@@ -531,7 +528,7 @@ def sccore_bruteforce(
     fm = gamma.fix_mask
     scott = {
         m: t
-        for m, t in zip(*_carried_tables(P, cap))
+        for m, t in _carried_tables(P, cap)
         if not fm & ~m and not directed_join_faults(P, t, cap)
     }
     least = least_closed_above(P.full_mask, scott, fm)

@@ -53,10 +53,8 @@ from .maps import (
     value_rows,
 )
 from .order import (
-    SUBSET_CAP,
     FinitePoset,
     Subset,
-    check_cap,
     derived,
     directed_tops_avoiding,
     image_joins,
@@ -129,7 +127,6 @@ def enumerate_filters(L: FinitePoset, cap: Optional[int] = None) -> list[FilterS
     a FilterSet without repeating it.
     """
     P = require_frame(L, cap)
-    check_cap("filter enumeration", P.n, cap, SUBSET_CAP)
     t, mt = top_index(P), meet_table(P)
     return [
         trusted(FilterSet, Subset(P, m))
@@ -340,7 +337,6 @@ def quotient_frame_check(
     of its image (order.image_joins), each sent through nu."""
     P = require_frame(L, cap)
     same_poset(P, nu.poset)
-    check_cap("quotient frame check", P.n, cap, SUBSET_CAP)
     fm = nu.fix_mask
     # meets of fixpoints are fixpoints (inherited from L)
     if pair_meets(meet_table(P), fm) & ~fm:
@@ -377,7 +373,6 @@ def galois_identities_check(L: FinitePoset, cap: Optional[int] = None) -> dict:
     itself, and the round trip on nuclei is the fitting.  Each identity
     is one agree; fitnuc of each distinct kernel is built once."""
     P = require_frame(L, cap)
-    check_cap("Galois identity check", P.n, cap, SUBSET_CAP)
     nucs = enumerate_nuclei(L, cap)
     rows = derived(P, _nuclei_rows)
     kernels, filters = derived(P, _kernels)

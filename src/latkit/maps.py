@@ -52,6 +52,8 @@ class EndoMap(Value):
         if len(self.table) != n:
             raise InvalidValue("map table must cover every element")
         for v in self.table:
+            if not isinstance(v, int):
+                raise InvalidValue(f"map table value {v!r} is not an element index")
             if not 0 <= v < n:
                 raise InvalidValue(f"map table value {v} out of range")
 

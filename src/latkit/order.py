@@ -61,35 +61,33 @@ def incomparable_meets(P: FinitePoset) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*pairs)) or ((), (), ())
 
 
-def _descend(P: FinitePoset, meets) -> tuple[list[int], list]:
+def _descend(P: FinitePoset, meets, carry: bool) -> tuple[list[int], list]:
     """The one top-down descent, which closure_masks and closure_tables
-    read: the leaves' masks, and given meets their tables, else the
-    record of its steps.
+    read: the leaves' fixpoint masks and, when it carries them, their
+    tables.
 
     The elements are decided in top_down order, so z's strict upper
     bounds come first: keeping z fixes it, and leaving it out sends it
     to c(z), the least kept element above it, which must exist.  With
     one upper cover u, the kept elements above z are those above u, so
     c(z) = c(u) and every branch may leave z out; with none, no branch
-    may; with several, each branch reads its own least_of.  A level's
-    decision is the step (z, cover, belows), belows holding each
-    branch's c(z) or None.  Without meets the steps are the record and
-    no table is built.  With meets the tables are carried, as the prune
-    (_pruned) reads them at each z that is the meet of an incomparable
-    pair, and there no least_of runs.  On a meet-semilattice those are
-    exactly the elements with several upper covers, so the other levels
-    all have at most one.  The cost follows the number of leaves, not
-    2^n."""
+    may; with several, each branch reads its own least_of, a kept
+    element, which its table fixes.  So a branch that leaves z out reads
+    c(z) from its own table at one source, the cover or its least_of.
+    A table starts as the identity and is shared by every branch that
+    keeps the element decided; leaving it out copies the table.  Without
+    carry no table is built.  Given meets, the prune (_pruned) reads the
+    tables at each z that is the meet of an incomparable pair, and there
+    no least_of runs.  On a meet-semilattice those are exactly the
+    elements with several upper covers, so the other levels all have at
+    most one.  The cost follows the number of leaves, not 2^n."""
     le = P.le
     pairs: list[list[tuple[int, int]]] = [[] for _ in le]
     if meets is not None:
         for x, y, z in zip(*derived(P, incomparable_meets)):
             pairs[z].append((x, y))
     states = [0]
-    # a table starts as the identity and is shared by every branch that
-    # keeps the element decided; leaving it out copies the table
-    tables = [list(range(P.n))]
-    record = []
+    tables = [list(range(P.n))] if carry else []
     for z in derived(P, top_down):
         if pairs[z]:
             states, tables = _pruned(states, tables, z, pairs[z], meets)
@@ -97,21 +95,20 @@ def _descend(P: FinitePoset, meets) -> tuple[list[int], list]:
         bit = 1 << z
         above = le[z] & ~bit
         cover = least_of(P, above) if above else None
-        belows = None
         if above and cover is None:
-            belows = [least_of(P, kept & above) for kept in states]
-        step = (z, cover, belows)
-        if meets is None:
-            record.append(step)
+            sources = [least_of(P, kept & above) for kept in states]
         else:
-            tables = _grown_tables(tables, step)
+            sources = [cover] * len(states)
         grown = [kept | bit for kept in states]
-        if cover is not None:
-            grown += states
-        elif belows is not None:
-            grown += [kept for kept, below in zip(states, belows) if below is not None]
+        for i, s in enumerate(sources):
+            if s is not None:
+                grown.append(states[i])
+                if carry:
+                    c = tables[i].copy()
+                    c[z] = c[s]
+                    tables.append(c)
         states = grown
-    return states, tables if meets is not None else record
+    return states, tables
 
 
 def _pruned(states, tables, z, zpairs, meets):
@@ -140,54 +137,20 @@ def _pruned(states, tables, z, zpairs, meets):
     return grown, gt
 
 
-def _grown_tables(tables: list, step: tuple) -> list:
-    """One step of the descent on tables: each keeps z, then a copy of
-    each that may leave z out sends it to c(cover) or to its below."""
-    z, cover, belows = step
-    grown = tables.copy()
-    if cover is not None:
-        for t in tables:
-            c = t.copy()
-            c[z] = t[cover]
-            grown.append(c)
-    elif belows is not None:
-        for t, below in zip(tables, belows):
-            if below is not None:
-                c = t.copy()
-                c[z] = below
-                grown.append(c)
-    return grown
-
-
-def closure_masks(P: FinitePoset) -> tuple[list[int], tuple]:
-    """Every closure system, as a mask, unsorted, and the record of the
-    descent that found them (_descend), from which recorded_tables
-    builds their tables on request.  No table is built here.  Cap-free."""
-    masks, steps = _descend(P, None)
-    return masks, (masks, steps)
-
-
-def recorded_tables(
-    P: FinitePoset, record: tuple
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The (fixpoint mask, table) leaves of the descent that left this
-    record (closure_masks), in its order: its steps replayed on tables,
-    one list copy per branch that leaves an element out, as the descent
-    would have made them, and no least_of."""
-    masks, steps = record
-    tables = [list(range(P.n))]
-    for step in steps:
-        tables = _grown_tables(tables, step)
-    return list(zip(masks, map(tuple, tables)))
+def closure_masks(P: FinitePoset) -> list[int]:
+    """Every closure system of P, as a mask, unsorted: the descent with
+    no table built.  Cap-free."""
+    return _descend(P, None, False)[0]
 
 
 def closure_tables(
-    P: FinitePoset, meets: Sequence[Sequence[int]]
+    P: FinitePoset, meets: Optional[Sequence[Sequence[int]]] = None
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """The nuclei of P, given its meet table, as (fixpoint mask, table)
-    pairs: the descent carries the tables, as its prune reads them.
-    Cap-free and unsorted."""
-    masks, tables = _descend(P, meets)
+    """The descent's (fixpoint mask, table) leaves: every closure
+    system of P with its operator's table, or, given P's meet table,
+    every nucleus, the descent pruned on meet preservation as it
+    carries the tables.  Cap-free and unsorted."""
+    masks, tables = _descend(P, meets, True)
     return list(zip(masks, map(tuple, tables)))
 
 

@@ -255,7 +255,7 @@ def family_poset(members, poset: Optional[FinitePoset] = None) -> FinitePoset:
         P = same_poset(*(m.poset for m in members))
         return P if poset is None else same_poset(P, poset)
     if poset is None:
-        raise ValueError("an empty family needs an explicit poset")
+        raise InvalidValue("an empty family needs an explicit poset")
     return poset
 
 

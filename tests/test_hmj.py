@@ -27,7 +27,27 @@ from latkit import (
     quotient_frame_check,
 )
 from latkit import fixtures as fx
+from latkit.errors import CapExceeded
 from latkit.hmj import modus_ponens_check, scott_open_filter_is_nuclear_check
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        enumerate_filters,
+        lambda L, cap: quotient_frame_check(L, enumerate_nuclei(L)[0], cap),
+        galois_identities_check,
+    ],
+    ids=["filters", "quotient frame", "Galois identities"],
+)
+def test_frame_checks_are_gated_by_the_frame_validation(check):
+    # each validates its frame first, and that cap gate is its only one
+    L = fx.b2()
+    with pytest.raises(
+        CapExceeded, match="^structure validation: size 4 exceeds cap 3;"
+    ):
+        check(L, L.n - 1)
+    assert check(L, L.n)
 
 
 def test_filters_on_b2():

@@ -6,9 +6,9 @@ costs a few unions of per-value columns; literal_directed_join_faults
 is the loop it replaced, one top at a time over the whole table.  The
 frame routes read joins and meets from order.subset_tables; join_of and
 meet_of, the bound scans, are their reference.  order.closure_masks
-lists the closure systems with no tables, and order.recorded_tables
-builds them from the descent's record; literal_closure_tables is the
-descent that carried a table on every branch.  Each kernel must give
+lists the closure systems with no tables, and order.closure_tables
+carries them on the branches it keeps; literal_closure_tables is the
+descent that reads a least_of on every branch.  Each kernel must give
 its reference's answers on every small input of tests/census.py and on
 drawn ones.  The bit kernels of latkit.bitset are each checked against
 a plain loop, on every mask (or column) for small n and on drawn ones.
@@ -39,7 +39,6 @@ from latkit.order import (
     least_of,
     meet_of,
     meet_table,
-    recorded_tables,
     subset_tables,
     top_down,
 )
@@ -210,19 +209,15 @@ def test_subset_tables_match_the_scans_on_drawn_down_set_lattices(P):
 
 
 # ---------------------------------------------------------------------------
-# the masks-only descent and tables on request
+# the masks-only descent and the carried tables
 
 
 def assert_descent_matches_the_literal_one(P):
     want = sorted(literal_closure_tables(P))
-    masks, record = closure_masks(P)
-    assert sorted(masks) == [m for m, _ in want]
-    assert sorted(recorded_tables(P, record)) == want
+    assert sorted(closure_masks(P)) == [m for m, _ in want]
+    assert sorted(closure_tables(P)) == want
     assert closure.closure_system_masks(P) == tuple(m for m, _ in want)
-    assert closure._carried_tables(P, P.n) == (
-        tuple(m for m, _ in want),
-        tuple(t for _, t in want),
-    )
+    assert closure._carried_tables(P, P.n) == want
     mt = meet_table(P)
     if mt is not None:
         assert sorted(closure_tables(P, mt)) == sorted(literal_closure_tables(P, mt))
@@ -295,13 +290,13 @@ def test_mask_readers_build_no_table(monkeypatch):
     # the masks only; enumerate_cl_lattice and sccore_bruteforce ask
     # for the tables, once per poset
     built = []
-    real = closure.recorded_tables
+    real = closure.closure_tables
 
-    def counted(Q, record):
+    def counted(Q, *meets):
         built.append(Q)
-        return real(Q, record)
+        return real(Q, *meets)
 
-    monkeypatch.setattr(closure, "recorded_tables", counted)
+    monkeypatch.setattr(closure, "closure_tables", counted)
     for P in _census_posets(4):
         X = Subset(P, P.full_mask >> 1)
         clsys(X, method="both")

@@ -102,11 +102,26 @@ RULES = (
     ),
     Rule(
         "One top-down descent in the library",
-        """closure systems are listed by order.closure_masks and nuclei by
-        order.closure_tables, both from the one descent (order._descend),
-        which decides the elements in top_down order; another reader of
-        top_down would be a second descent""",
+        """closure systems are listed by order.closure_masks as masks, and
+        by order.closure_tables with their tables, which lists the nuclei
+        too, given the meet table; all from the one descent
+        (order._descend), which decides the elements in top_down order.
+        Another reader of top_down would be a second descent""",
         (Probe(r"top_down", "for z in top_down(P):", exempt=("order.py",)),),
+    ),
+    Rule(
+        "Closure tables are carried, not replayed",
+        """the descent carries the closure systems' tables on the branches
+        it keeps, as it carries the nuclei's, and builds none for the
+        masks-only readers; a record of its steps, replayed into tables
+        later, would be a second output format of the one descent""",
+        (
+            Probe(
+                r"recorded_tables|\brecord(\.append\(|\s*(:[^=]*)?=\s*\[)",
+                "    record = []",
+                files=("order.py", "closure.py"),
+            ),
+        ),
     ),
     Rule(
         "The nuclei prune reads its pair meets",

@@ -7,21 +7,26 @@ import pytest
 from corpus import random_poset, random_preclosure
 from latkit import (
     EndoMap,
+    InputError,
     MixedPosets,
     ParseError,
     Subset,
     UnknownLabel,
+    cl_meet,
     classify,
     closed_under,
     compose,
     constant_map,
     directed_closed,
     fix,
+    generate_closure,
     identity_map,
     inaccessible_by_directed_joins,
     inversely_closed_under,
     is_preclosure,
     is_scott_continuous,
+    kleene_generate,
+    nucleus_join,
     pointwise_join,
     pointwise_leq,
     pointwise_meet,
@@ -119,6 +124,16 @@ def test_pointwise_join_and_meet_check_the_given_poset():
         assert op([f], f.poset).table == f.table
     with pytest.raises(MixedPosets):
         fix([f], fx.b2())
+
+
+@pytest.mark.parametrize(
+    "build", [generate_closure, kleene_generate, cl_meet, nucleus_join, fix]
+)
+def test_an_empty_family_without_its_poset_is_bad_input(build):
+    # with no member and no explicit poset there is no poset to work in:
+    # bad input, raised as a latkit error
+    with pytest.raises(InputError, match="^an empty family needs an explicit poset$"):
+        build([])
 
 
 def test_pointwise_leq():

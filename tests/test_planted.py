@@ -101,9 +101,9 @@ def _plant_subset_lookups(monkeypatch, join=None, meet=None):
 
 
 def _plant_carried_tables(monkeypatch, module, edit):
-    # the closure-table descent as module reads it (heyting's nuclei
-    # descent), its list of (fixpoint mask, table) pairs passed through
-    # edit
+    # the closure-table descent as module reads it (closure's closure
+    # systems, heyting's nuclei), its list of (fixpoint mask, table)
+    # pairs passed through edit
     real = module.closure_tables
     monkeypatch.setattr(
         module, "closure_tables", lambda Q, *meets: edit(real(Q, *meets))
@@ -111,29 +111,22 @@ def _plant_carried_tables(monkeypatch, module, edit):
 
 
 def _plant_closure_masks(monkeypatch, edit):
-    # the closure-system descent as closure reads it, its list of masks
-    # passed through edit and its record left as it is
+    # the masks-only closure-system descent as closure reads it, its
+    # list of masks passed through edit
     real = closure.closure_masks
-
-    def planted(Q):
-        masks, record = real(Q)
-        return edit(masks), record
-
-    monkeypatch.setattr(closure, "closure_masks", planted)
+    monkeypatch.setattr(closure, "closure_masks", lambda Q: edit(real(Q)))
 
 
-def _plant_recorded_tables(monkeypatch, edit):
-    # the tables closure builds from the descent's record, its list of
-    # (fixpoint mask, table) pairs passed through edit
-    real = closure.recorded_tables
-    monkeypatch.setattr(
-        closure, "recorded_tables", lambda Q, record: edit(real(Q, record))
-    )
+def _plant_closure_tables(monkeypatch, edit):
+    # the carrying closure-system descent as closure reads it
+    _plant_carried_tables(monkeypatch, closure, edit)
 
 
 def _plant_dropped_system(monkeypatch, drop):
-    # a closure-system descent that leaves out the system drop
+    # a closure-system descent that leaves out the system drop, in both
+    # forms closure reads: the masks alone, and the carried tables
     _plant_closure_masks(monkeypatch, lambda masks: [m for m in masks if m != drop])
+    _plant_closure_tables(monkeypatch, lambda pairs: [s for s in pairs if s[0] != drop])
 
 
 def test_dropped_closure_system_breaks_clsys(monkeypatch):
@@ -207,7 +200,7 @@ def test_swapped_carried_tables_break_closure_enumeration(monkeypatch):
         (m0, t0), (m1, t1), *rest = pairs
         return [(m0, t1), (m1, t0), *rest]
 
-    _plant_recorded_tables(monkeypatch, swapped)
+    _plant_closure_tables(monkeypatch, swapped)
     with pytest.raises(TheoremBreach, match="fixes another set"):
         closure.enumerate_cl_lattice(fx.c3())
 
@@ -593,7 +586,7 @@ def test_unpruned_leaf_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
 
     def one_unpruned(Q, meets):
         pruned = real(Q, meets)
-        every = order.recorded_tables(Q, order.closure_masks(Q)[1])
+        every = real(Q)
         return pruned + [next(s for s in every if s not in pruned)]
 
     monkeypatch.setattr(heyting, "closure_tables", one_unpruned)
@@ -607,7 +600,7 @@ def test_unpruned_leaf_breaks_nuclei_descent(monkeypatch, b2_files, capsys):
 @pytest.mark.parametrize(
     "plant, build, command",
     [
-        (_plant_recorded_tables, closure.enumerate_cl_lattice, "closure-systems"),
+        (_plant_closure_tables, closure.enumerate_cl_lattice, "closure-systems"),
         (
             lambda mp, edit: _plant_carried_tables(mp, heyting, edit),
             heyting.enumerate_nuclei,
@@ -1376,7 +1369,7 @@ def test_short_closure_table_is_a_breach_not_bad_input(
     # built a malformed value, which is a breach, and the command exits 3
     argv = ["closure-systems", b2_files["poset"]]
     assert main(argv) == 0
-    _plant_recorded_tables(monkeypatch, lambda pairs: [(m, t[:-1]) for m, t in pairs])
+    _plant_closure_tables(monkeypatch, lambda pairs: [(m, t[:-1]) for m, t in pairs])
     with pytest.raises(TheoremBreach) as info:
         closure.enumerate_cl_lattice(fx.b2())
     assert isinstance(info.value.__cause__, ValueError)
@@ -1568,7 +1561,7 @@ def test_edited_carried_table_breaks_the_scott_core_scan(monkeypatch):
     P = fx.c2()
     gamma = ClosureOperator(identity_map(P))
     assert closure.sccore_bruteforce(gamma) == gamma
-    _plant_recorded_tables(
+    _plant_closure_tables(
         monkeypatch,
         lambda pairs: [(m, (0, 0) if t == (0, 1) else t) for m, t in pairs],
     )
@@ -1593,7 +1586,7 @@ def test_mask_carried_with_another_table_breaks_the_scott_core_scan(
     argv = ["sccore", b2_files["poset"], str(top)]
     assert main(argv) == 0
     one, a1 = P.mask_of(["1"]), P.mask_of(["a", "1"])
-    _plant_recorded_tables(
+    _plant_closure_tables(
         monkeypatch,
         lambda pairs: [(m, dict(pairs)[a1] if m == one else t) for m, t in pairs],
     )

@@ -61,7 +61,6 @@ from latkit.order import (  # noqa: E402
     bits,
     bound_sets,
     build_poset,
-    closure_masks,
     closure_tables,
     covers,
     directed_join_faults,
@@ -74,7 +73,6 @@ from latkit.order import (  # noqa: E402
     meet_closure,
     meet_table,
     pair_meets,
-    recorded_tables,
     solution_sets,
     subposet,
     subset_tables,
@@ -229,7 +227,7 @@ def test_carried_closure_tables_match_the_per_mask_route(P):
     # the descent lists every closure system once, and the table it
     # carries is the least member above each element, as the per-mask
     # check of ClosureSystem computes it
-    pairs = recorded_tables(P, closure_masks(P)[1])
+    pairs = closure_tables(P)
     assert sorted(m for m, _ in pairs) == list(reference_closure_system_masks(P))
     for m, t in pairs:
         assert t == _closure_table(P, m)
@@ -252,7 +250,7 @@ def closure_leaves(draw):
     P = draw(st.one_of(posets(max_n=7), meet_semilattices(max_n=7)))
     value = st.integers(0, P.n - 1)
     if draw(st.booleans()):
-        table = list(draw(st.sampled_from(recorded_tables(P, closure_masks(P)[1])))[1])
+        table = list(draw(st.sampled_from(closure_tables(P)))[1])
         if draw(st.booleans()):
             table[draw(value)] = draw(value)
     else:

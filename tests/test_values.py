@@ -108,6 +108,12 @@ BROKEN = [
         "map table value 4 out of range",
     ),
     (
+        "table values are indices",
+        lambda: EndoMap(fx.c3(), (0.0, 1, 2)),
+        InvalidValue,
+        "map table value 0.0 is not an element index",
+    ),
+    (
         "closure operator: ascending",
         lambda: ClosureOperator(
             _labels(fx.b2(), {"0": "0", "a": "0", "b": "b", "1": "1"})
